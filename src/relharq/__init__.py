@@ -19,15 +19,17 @@ from .simulate import (EstimateReport, SessionOutcome, estimate,
                        simulate_session)
 from .stsc import (stsc_p1_out_2, stsc_p2_dec_1, stsc_p2_out_2, stsc_table,
                    throughput_stsc)
-from .tables import ProbabilityTable, ThroughputReport, expected_length
+from .tables import (NumericalError, ProbabilityTable, ThroughputReport,
+                     expected_length)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CompressionPolicy", "ConfigError", "EstimateReport", "ExperimentConfig",
-    "FadingModel", "GridSpec", "OptimizationResult", "ProbabilityTable",
-    "QuadratureGrid", "RatePolicy", "SessionOutcome", "SystemConfig",
-    "ThroughputReport", "adaptive_gain", "backhaul_usage", "conservative_gain",
+    "FadingModel", "GridSpec", "NumericalError", "OptimizationResult",
+    "ProbabilityTable", "QuadratureGrid", "RatePolicy", "SessionOutcome",
+    "SystemConfig", "ThroughputReport", "adaptive_gain", "backhaul_usage",
+    "conservative_gain",
     "estimate", "expected_length", "infer_s_hat", "load_config", "mutual_info",
     "optimize_lcsit", "optimize_no_lcsit", "optimize_single_layer",
     "p1_out", "p2_dec", "p2_out", "parse_config_text", "probability_table",

@@ -30,10 +30,7 @@ from .optimize import (GridSpec, optimize_lcsit, optimize_no_lcsit,
                        optimize_single_layer)
 from .simulate import estimate
 from .stsc import stsc_table, throughput_stsc
-
-
-class NumericalError(RuntimeError):
-    """A result that should be finite is not, or a validation suite failed."""
+from .tables import NumericalError
 
 
 # ---------------------------------------------------------------- artifacts

@@ -60,7 +60,14 @@ class ConfigError(ValueError):
 
 
 def db_to_linear(x_db: float) -> float:
-    return 10.0 ** (x_db / 10.0)
+    """10^(x/10); ConfigError unless that is a finite positive double."""
+    try:
+        value = 10.0 ** (x_db / 10.0)
+    except OverflowError:
+        value = math.inf
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigError(f"{x_db!r} dB has no finite positive linear value")
+    return value
 
 
 # (key, kind, default, constraint); order fixes the echo layout.
@@ -247,18 +254,24 @@ class ExperimentConfig:
 
     # ---- builders (the only dB -> linear crossing) ----
 
+    def _linear(self, key: str) -> float:
+        try:
+            return db_to_linear(self.values[key])
+        except ConfigError as err:
+            raise ConfigError(f"{key}: {err}") from None
+
     def fading(self, side: str) -> FadingModel:
         prefix = f"fading_{side}"
         dist = self.values[f"{prefix}.dist"]
         if dist == "pointmass":
             return FadingModel("pointmass", point_value=self.values[f"{prefix}.value"])
         return FadingModel(dist,
-                           mean_power=db_to_linear(self.values[f"{prefix}.rho_dB"]),
+                           mean_power=self._linear(f"{prefix}.rho_dB"),
                            rician_k=self.values[f"{prefix}.K"])
 
     def system(self) -> SystemConfig:
         return SystemConfig(
-            power=db_to_linear(self.values["P_dB"]),
+            power=self._linear("P_dB"),
             backhaul_capacity=self.values["Cmax"],
             max_rounds=self.values["T"],
             model_d=self.fading("D"),

@@ -18,6 +18,14 @@ otherwise.
 
 Adaptive compression swaps the single-layer-slot gain a for a_hat computed
 from the feedback bound s_hat at the layer-1 decode slot.
+
+Evaluation rule: the S-link cdf F runs once per threshold array, at that
+array's own shape (x_l over (r1, alpha, node), a layer-2 threshold over its own
+inputs), never on the broadcast (r1, r2, node) block.  F is carried through the
+cumulative min, and F(min(u, v)), F(max(u, v)) are picked elementwise from F(u)
+and F(v): min and max return one of their arguments, so the picked double is
+the one F would have returned.  The p2_out(k) term F(min(x_{l-1}, thr_l(k)))
+is reused by p2_dec(k+1).
 """
 
 from __future__ import annotations
@@ -41,6 +49,17 @@ DEFAULT_QUAD_N = 256
 
 def _pos(x):
     return np.maximum(x, 0.0)
+
+
+def _cdf_of_min(u, v, Fu, Fv):
+    """F(min(u, v)) from F(u) and F(v), bit for bit: min returns one of its
+    arguments (NaN included, which it propagates)."""
+    return np.where((u <= v) | np.isnan(u), Fu, Fv)
+
+
+def _cdf_of_max(u, v, Fu, Fv):
+    """F(max(u, v)) from F(u) and F(v), bit for bit, like _cdf_of_min."""
+    return np.where((u >= v) | np.isnan(u), Fu, Fv)
 
 
 def _check_ltsc(cfg: SystemConfig):
@@ -89,13 +108,11 @@ def node_tables(
 
     shape = np.broadcast_shapes(r1.shape, r2.shape, alpha.shape, d.shape)
 
-    # layer-1 decode-within-l thresholds; x[0] = +inf
-    x = [np.full(shape, np.inf)]
+    # layer-1 decode-within-l thresholds at their (r1, alpha, node) shape; x[0] = +inf
+    x = [np.inf]
     for l in range(1, T + 1):
         l_eff = 1 if single_slot_thresholds else l
-        x.append(np.broadcast_to(
-            slot_threshold(r1, l_eff, alpha * P, abar * P, a, d), shape
-        ))
+        x.append(slot_threshold(r1, l_eff, alpha * P, abar * P, a, d))
     Fx = [F(v) for v in x]
     p1 = np.empty(shape + (T,))
     p2o = np.empty(shape + (T,))
@@ -103,11 +120,14 @@ def node_tables(
     for k in range(1, T + 1):
         p1[..., k - 1] = Fx[k]
 
-    # thr[l][k]: S-threshold for "layer 2 decoded by slot k given layer 1 at slot l"
-    thr = {}
+    # thr[l][k]: S-threshold for "layer 2 decoded by slot k given layer 1 at
+    # slot l", and Fthr[l][k] = F(thr[l][k]), carried through the cumulative min
+    # so each raw threshold passes through F once
+    thr, Fthr = {}, {}
     for l in range(1, T + 1):
-        same_slot = np.broadcast_to(slot_threshold(r2, l, abar * P, 0.0, a, d), shape)
-        chain = {l: same_slot}
+        prev = slot_threshold(r2, l, abar * P, 0.0, a, d)  # same-slot threshold
+        F_prev = F(prev)
+        thr[l], Fthr[l] = {l: prev}, {l: F_prev}
         if comp.adaptive:
             s_hat = infer_s_hat(r1, l, alpha, d, a, P, s_min)
             # +inf means "layer 1 cannot decode at l"; the interval is empty,
@@ -116,25 +136,27 @@ def node_tables(
             a_sl = adaptive_gain(d, s_hat, P, cmax)
         else:
             a_sl = a
-        prev = same_slot
         for k in range(l + 1, T + 1):
             raw = slot_threshold(r2 - l * g2, k - l, P, 0.0, a_sl, d)
-            prev = np.minimum(prev, np.broadcast_to(raw, shape))
-            chain[k] = prev
-        thr[l] = chain
+            F_prev = _cdf_of_min(prev, raw, F_prev, F(raw))
+            prev = np.minimum(prev, raw)
+            thr[l][k], Fthr[l][k] = prev, F_prev
 
+    lo_prev = {}
     for k in range(1, T + 1):
-        out_k = Fx[k].copy()
+        # F(min(x[l-1], thr[l][k])) enters p2_out(k) now and p2_dec(k+1) next
+        lo = {l: _cdf_of_min(x[l - 1], thr[l][k], Fx[l - 1], Fthr[l][k])
+              for l in range(1, k + 1)}
+        out_k = np.broadcast_to(Fx[k], shape).copy()
         for l in range(1, k + 1):
-            out_k += _pos(F(np.minimum(x[l - 1], thr[l][k])) - Fx[l])
+            out_k += _pos(lo[l] - Fx[l])
         p2o[..., k - 1] = out_k
 
-        dec_k = _pos(Fx[k - 1] - F(np.maximum(x[k], thr[k][k])))
+        dec_k = _pos(Fx[k - 1] - _cdf_of_max(x[k], thr[k][k], Fx[k], Fthr[k][k]))
         for l in range(1, k):
-            dec_k += _pos(
-                F(np.minimum(x[l - 1], thr[l][k - 1])) - F(np.maximum(x[l], thr[l][k]))
-            )
+            dec_k += _pos(lo_prev[l] - _cdf_of_max(x[l], thr[l][k], Fx[l], Fthr[l][k]))
         p2d[..., k - 1] = dec_k
+        lo_prev = lo
 
     return p1, p2o, p2d
 
@@ -152,10 +174,8 @@ def node_reward_length(cfg, r1, r2, alpha, grid, comp):
 
 
 def _policy_arrays(policy: RatePolicy, grid: QuadratureGrid):
-    if policy.mode == "lcsit":
-        if policy.r1.shape != grid.nodes.shape:
-            raise ValueError("lcsit policy must supply one tuple per quadrature node")
-        return policy.r1, policy.r2, policy.alpha
+    if policy.mode == "lcsit" and policy.r1.shape != grid.nodes.shape:
+        raise ValueError("lcsit policy must supply one tuple per quadrature node")
     return policy.r1, policy.r2, policy.alpha
 
 

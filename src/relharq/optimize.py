@@ -24,6 +24,7 @@ from .fading import QuadratureGrid, quantize
 from .ltsc import node_reward_length, throughput_ltsc
 from .simulate import estimate
 from .stsc import stsc_quantities, throughput_stsc
+from .tables import NumericalError
 
 DEFAULT_QUAD_N = 64
 
@@ -256,7 +257,9 @@ def optimize_lcsit(cfg: SystemConfig, comp=CompressionPolicy("constant"),
         r1n, r2n, an = new_r1, new_r2, new_a
         reward_inc, length_inc = node_rl(r1n, r2n, an)
         lam_new = float((reward_inc @ grid.weights) / (length_inc @ grid.weights))
-        assert lam_new >= lam - 1e-12, "fractional-programming iterate decreased"
+        if lam_new < lam - 1e-12:
+            raise NumericalError(
+                f"fractional-programming iterate decreased: {lam!r} -> {lam_new!r}")
         trajectory.append(lam_new)
         if abs(lam_new - lam) < tol:
             lam = lam_new

@@ -27,7 +27,7 @@ from .channel import (
     mutual_info,
 )
 from .fading import quantize
-from .tables import ProbabilityTable, ThroughputReport
+from .tables import NumericalError, ProbabilityTable, ThroughputReport
 
 _FEAS_TOL = 1e-9
 
@@ -229,10 +229,11 @@ def estimate(cfg: SystemConfig, policy: RatePolicy, comp: CompressionPolicy,
             for k in ("sum_L", "sum_L2", "sum_R", "sum_R2", "sum_RL", "adaptations", "violations")}
     n = n_sessions
 
-    assert sums["violations"] == 0, (
-        f"{sums['violations']} decompression-feasibility violations: "
-        "s_hat inference or gain selection is buggy"
-    )
+    if sums["violations"]:
+        raise NumericalError(
+            f"{sums['violations']} decompression-feasibility violations: "
+            "s_hat inference or gain selection is buggy"
+        )
 
     p1_out = (n - np.cumsum(c1[1:])) / n
     p2_out = (n - np.cumsum(c2[1:])) / n

@@ -20,6 +20,17 @@ pointwise on the grid, and the S1 quadrature error stays quadratic in the bin
 width because every inner expectation is continuous across its gate.
 
 r1/r2 accept vectors (the optimizer's tuple grids); alpha stays scalar per call.
+
+Evaluation rule: the S2 cdf inside the inner (D2, S2) expectations is
+evaluated only on the (d1, s1) cells whose outer mass is nonzero for some
+tuple (m_fail for q_miss and gamma, m_mid for phi).  Elsewhere the
+expectations are 0 and multiply a zero mass, so every total sees the same
+addends.  The layer-1 residual cdf serves both q_miss and gamma's lower edge;
+the layer-2 residual cdf is evaluated once per cell.  Cells go in runs of d1
+rows, and chunk_cells bounds each such support chunk's temporaries.  The D2
+sum runs on the chunk's dense (ns, nd2) blocks, zero off the support, because
+a BLAS matrix-vector product may sum a row differently when the block shape
+changes.
 """
 
 from __future__ import annotations
@@ -45,6 +56,7 @@ def stsc_quantities(cfg: SystemConfig, r1_vec, r2_vec, alpha: float, n: int = DE
     """The four independent table entries for every (r1, r2) pair at one alpha.
 
     Returns dict of (Q1, Q2) arrays: p1_out_1, p1_out_2, p2_dec_1, p2_out_2.
+    Each support-chunk temporary holds at most max(chunk_cells, q2 n^2) cells.
     """
     _check_stsc(cfg)
     P, cmax, s_min = cfg.power, cfg.backhaul_capacity, cfg.s_min
@@ -63,6 +75,7 @@ def stsc_quantities(cfg: SystemConfig, r1_vec, r2_vec, alpha: float, n: int = DE
     nd, ns = len(d1), len(s1)
     a1 = conservative_gain(d1, s_min, P, cmax)
     d2, wd2, a2 = d1, wd, a1  # D2 is i.i.d. with D1
+    nd2 = len(d2)
 
     Fs1 = cfg.model_s.cdf_strict
     Fs2 = cfg.model_s.cdf_strict
@@ -85,6 +98,8 @@ def stsc_quantities(cfg: SystemConfig, r1_vec, r2_vec, alpha: float, n: int = DE
 
     m_fail = bin_mass_below(lam1)                                   # (q1, nd, ns)
     m_below_max = bin_mass_below(lam_max)                           # (q1, q2, nd, ns)
+    m_mid = m_below_max - m_fail[:, None]                           # mass lam1 <= S1 < lam2
+    m_done = w_bin - m_below_max
 
     # per-(d1, s1-node) slot-1 quantities
     i1 = mutual_info(ap, abp, a1[:, None], s1, d1[:, None])         # (nd, ns)
@@ -92,31 +107,46 @@ def stsc_quantities(cfg: SystemConfig, r1_vec, r2_vec, alpha: float, n: int = DE
     h = r1[:, None, None] - i1                                      # (q1, nd, ns)
     r2p = r2[:, None, None] - i2                                    # (q2, nd, ns)
 
-    # smooth inner expectations over (D2, S2)
-    def inner_fail_mass(res, p_sig, p_int):
-        # E_{D2}[Pr[S2 < threshold(res)]] for residual rates res (..., nd, ns)
-        out = np.empty(res.shape)
-        step = max(1, chunk_cells // (nd * ns * len(d2)))
-        for i in range(0, res.shape[0], step):
-            thr = slot_threshold(res[i : i + step, ..., None], 1, p_sig, p_int, a2, d2)
-            out[i : i + step] = Fs2(thr) @ wd2
+    # smooth inner expectations over (D2, S2), on the support cells only
+    def support_chunks(cells, cells_per_d1_row):
+        # runs of d1 rows holding about chunk_cells, each with its support
+        # cells as (local d1 row, s1 node) index arrays
+        step = max(1, chunk_cells // cells_per_d1_row)
+        for i in range(0, nd, step):
+            rows = slice(i, min(i + step, nd))
+            di, si = np.nonzero(cells[rows])
+            if len(di):
+                yield rows, di, si
+
+    def residual_cdf(res, p_sig, p_int, di, si):
+        # Pr[S2 < threshold(res)] at every D2 node: res (..., rows, ns) ->
+        # (..., rows, ns, nd2), on the support cells and 0 elsewhere; dense, so
+        # each D2 sum runs on the (ns, nd2) blocks of a full evaluation
+        out = np.zeros(res.shape + (nd2,))
+        out[..., di, si, :] = Fs2(slot_threshold(res[..., di, si, None], 1, p_sig, p_int,
+                                                 a2, d2))
         return out
 
-    q_miss = inner_fail_mass(h, ap, abp)                            # (q1, nd, ns)
-    phi_miss = inner_fail_mass(r2p, P, 0.0)                         # (q2, nd, ns)
+    # phi: layer 2 misses its slot-2 single-layer window; weighted by m_mid
+    phi_miss = np.zeros((q2, nd, ns))
+    for rows, di, si in support_chunks(np.any(m_mid != 0, axis=(0, 1)), q2 * ns * nd2):
+        phi_miss[:, rows] = residual_cdf(r2p[:, rows], P, 0.0, di, si) @ wd2
 
-    # gamma: S2 in [layer-1 residual threshold, layer-2 BC residual threshold)
-    gam = np.empty((q1, q2, nd, ns))
-    hi_cells = q2 * nd * ns * len(d2)
-    F_hi = Fs2(slot_threshold(r2p[:, ..., None], 1, abp, p_int2, a2, d2)) if hi_cells <= chunk_cells else None
-    step = max(1, chunk_cells // hi_cells)
-    for i in range(0, q1, step):
-        F_lo_t = Fs2(slot_threshold(h[i : i + step, None, ..., None], 1, ap, abp, a2, d2))
-        fh = F_hi if F_hi is not None else Fs2(slot_threshold(r2p[:, ..., None], 1, abp, p_int2, a2, d2))
-        gam[i : i + step] = np.maximum(fh[None] - F_lo_t, 0.0) @ wd2
-
-    m_mid = m_below_max - m_fail[:, None]                           # mass lam1 <= S1 < lam2
-    m_done = w_bin - m_below_max
+    # q_miss (layer 1 misses slot 2) and gamma (S2 in [layer-1 residual
+    # threshold, layer-2 BC residual threshold)), both weighted by m_fail.  The
+    # layer-1 residual cdf serves both; the layer-2 one is evaluated once per cell.
+    q_miss = np.zeros((q1, nd, ns))
+    gam = np.zeros((q1, q2, nd, ns))
+    gam_row = q2 * ns * nd2                                         # per (r1, d1) row
+    r1_step = max(1, min(q1, chunk_cells // gam_row))
+    for rows, di, si in support_chunks(np.any(m_fail != 0, axis=0), r1_step * gam_row):
+        cdf2 = residual_cdf(r2p[:, rows], abp, p_int2, di, si)
+        for i in range(0, q1, r1_step):
+            cdf1 = residual_cdf(h[i : i + r1_step, rows], ap, abp, di, si)
+            q_miss[i : i + r1_step, rows] = cdf1 @ wd2
+            gap = cdf2[None] - cdf1[:, None]
+            np.maximum(gap, 0.0, out=gap)
+            gam[i : i + r1_step, :, rows] = gap @ wd2
 
     def total(x):
         return np.einsum("d,...ds->...", wd, x)

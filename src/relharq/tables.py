@@ -7,6 +7,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+class NumericalError(RuntimeError):
+    """A result that should be finite is not, a runtime invariant of a result
+    does not hold, or a validation suite failed."""
+
+
 @dataclass(frozen=True)
 class ProbabilityTable:
     """p1_out(k), p2_out(k), p2_dec(k) for k = 1..T, with provenance."""

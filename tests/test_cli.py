@@ -128,6 +128,20 @@ class TestExitCodes:
         assert cli.main(["analytic", "--config", path,
                          "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("db", ["4000", "-4000"])
+    @pytest.mark.parametrize("key", ["P_dB", "fading_D.rho_dB", "fading_S.rho_dB"])
+    def test_db_without_finite_positive_power_is_config_error(self, tmp_path, capsys,
+                                                               key, db):
+        path = write_cfg(tmp_path, f"policy = 1.0,0.2,0.9\n{key} = {db}\n")
+        assert cli.main(["analytic", "--config", path, "--out", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("db", ["4000", "-4000"])
+    def test_swept_db_without_finite_positive_power_is_config_error(self, tmp_path, db):
+        path = write_cfg(tmp_path, "policy = 1.0,0.2,0.9\nsweep.key = P_dB\n"
+                                   f"sweep.values = 0.0,{db}\n")
+        assert cli.main(["analytic", "--config", path, "--out", str(tmp_path)]) == 2
+
     def test_figure_rejects_caption_conflicts(self, tmp_path):
         path = write_cfg(tmp_path, "T = 3\n")
         assert cli.main(["figure", "2", "--config", path,
