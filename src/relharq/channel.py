@@ -166,6 +166,7 @@ def slot_threshold(R, l, p_sig, p_int, a, d):
     Decoding within l slots happens iff s >= threshold.  With z = 2^(2R/l):
       R <= 0                      -> -inf  (always decodable)
       p_sig - (z-1) p_int <= 0    -> +inf  (no s suffices)
+      z overflows (R > 512 l)     -> +inf  (an outage at any p_int)
       otherwise                      (z-1)/(p_sig - (z-1) p_int) - a/b
     """
     R = np.asarray(R, dtype=float)
@@ -174,10 +175,11 @@ def slot_threshold(R, l, p_sig, p_int, a, d):
     b = _split_gain(a, d)
     with np.errstate(over="ignore"):
         z = np.exp2(2.0 * np.maximum(R, 0.0) / l)
-    den = p_sig - (z - 1.0) * p_int
     with np.errstate(divide="ignore", invalid="ignore"):
+        den = p_sig - (z - 1.0) * p_int
         thr = (z - 1.0) / den - np.asarray(a, dtype=float) / b
-    thr = np.where(den <= 0, np.inf, thr)
+    # against p_int = 0 an overflowed z leaves den = NaN, not <= 0
+    thr = np.where((den <= 0) | np.isposinf(z), np.inf, thr)
     thr = np.where(R <= 0, -np.inf, thr)
     return thr if thr.shape else float(thr)
 

@@ -96,6 +96,17 @@ class FadingModel:
         return (nu + sigma * g1) ** 2 + (sigma * g2) ** 2
 
 
+def cdf_of_min(u, v, Fu, Fv):
+    """F(min(u, v)) from F(u) and F(v), bit for bit: min returns one of its
+    arguments (NaN included, which it propagates)."""
+    return np.where((u <= v) | np.isnan(u), Fu, Fv)
+
+
+def cdf_of_max(u, v, Fu, Fv):
+    """F(max(u, v)) from F(u) and F(v), bit for bit, like cdf_of_min."""
+    return np.where((u >= v) | np.isnan(u), Fu, Fv)
+
+
 @dataclass(frozen=True)
 class QuadratureGrid:
     """Equal-mass quantile grid: nodes are bin medians, weights sum to 1 exactly.

@@ -41,7 +41,7 @@ from .channel import (
     infer_s_hat,
     slot_threshold,
 )
-from .fading import QuadratureGrid, quantize
+from .fading import QuadratureGrid, cdf_of_max, cdf_of_min, quantize
 from .tables import ProbabilityTable, ThroughputReport, expected_length
 
 DEFAULT_QUAD_N = 256
@@ -49,17 +49,6 @@ DEFAULT_QUAD_N = 256
 
 def _pos(x):
     return np.maximum(x, 0.0)
-
-
-def _cdf_of_min(u, v, Fu, Fv):
-    """F(min(u, v)) from F(u) and F(v), bit for bit: min returns one of its
-    arguments (NaN included, which it propagates)."""
-    return np.where((u <= v) | np.isnan(u), Fu, Fv)
-
-
-def _cdf_of_max(u, v, Fu, Fv):
-    """F(max(u, v)) from F(u) and F(v), bit for bit, like _cdf_of_min."""
-    return np.where((u >= v) | np.isnan(u), Fu, Fv)
 
 
 def _check_ltsc(cfg: SystemConfig):
@@ -138,23 +127,23 @@ def node_tables(
             a_sl = a
         for k in range(l + 1, T + 1):
             raw = slot_threshold(r2 - l * g2, k - l, P, 0.0, a_sl, d)
-            F_prev = _cdf_of_min(prev, raw, F_prev, F(raw))
+            F_prev = cdf_of_min(prev, raw, F_prev, F(raw))
             prev = np.minimum(prev, raw)
             thr[l][k], Fthr[l][k] = prev, F_prev
 
     lo_prev = {}
     for k in range(1, T + 1):
         # F(min(x[l-1], thr[l][k])) enters p2_out(k) now and p2_dec(k+1) next
-        lo = {l: _cdf_of_min(x[l - 1], thr[l][k], Fx[l - 1], Fthr[l][k])
+        lo = {l: cdf_of_min(x[l - 1], thr[l][k], Fx[l - 1], Fthr[l][k])
               for l in range(1, k + 1)}
         out_k = np.broadcast_to(Fx[k], shape).copy()
         for l in range(1, k + 1):
             out_k += _pos(lo[l] - Fx[l])
         p2o[..., k - 1] = out_k
 
-        dec_k = _pos(Fx[k - 1] - _cdf_of_max(x[k], thr[k][k], Fx[k], Fthr[k][k]))
+        dec_k = _pos(Fx[k - 1] - cdf_of_max(x[k], thr[k][k], Fx[k], Fthr[k][k]))
         for l in range(1, k):
-            dec_k += _pos(lo_prev[l] - _cdf_of_max(x[l], thr[l][k], Fx[l], Fthr[l][k]))
+            dec_k += _pos(lo_prev[l] - cdf_of_max(x[l], thr[l][k], Fx[l], Fthr[l][k]))
         p2d[..., k - 1] = dec_k
         lo_prev = lo
 

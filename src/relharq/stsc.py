@@ -28,9 +28,13 @@ expectations are 0 and multiply a zero mass, so every total sees the same
 addends.  The layer-1 residual cdf serves both q_miss and gamma's lower edge;
 the layer-2 residual cdf is evaluated once per cell.  Cells go in runs of d1
 rows, and chunk_cells bounds each such support chunk's temporaries.  The D2
-sum runs on the chunk's dense (ns, nd2) blocks, zero off the support, because
-a BLAS matrix-vector product may sum a row differently when the block shape
-changes.
+sum runs on dense (ns, nd2) blocks, zero off the support, because a BLAS
+matrix-vector product may sum a row differently when the block shape changes.
+Gamma's max(cdf2 - cdf1, 0) is formed only on the (r1, r2, d1) blocks holding
+a live row: one where m_fail is nonzero and max(cdf2) > min(cdf1) over D2, or
+either is NaN.  Every other row integrates to exactly +0.0 or meets a zero
+m_fail, so those blocks stay 0 and the totals see the same addends.  The live
+blocks are gathered in batches of at most chunk_cells / 8 cells.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import RatePolicy, SystemConfig, conservative_gain, mutual_info, slot_threshold
-from .fading import quantize
+from .fading import cdf_of_max, quantize
 from .tables import ProbabilityTable, ThroughputReport, expected_length
 
 DEFAULT_STSC_N = 128
@@ -56,7 +60,9 @@ def stsc_quantities(cfg: SystemConfig, r1_vec, r2_vec, alpha: float, n: int = DE
     """The four independent table entries for every (r1, r2) pair at one alpha.
 
     Returns dict of (Q1, Q2) arrays: p1_out_1, p1_out_2, p2_dec_1, p2_out_2.
-    Each support-chunk temporary holds at most max(chunk_cells, q2 n^2) cells.
+    The residual cdfs of one support chunk hold at most
+    max(chunk_cells, (q1 + q2) n^2) cells together, each gathered gamma batch
+    at most max(chunk_cells / 8, n^2); the outer masses are (q1, q2, n, n).
     """
     _check_stsc(cfg)
     P, cmax, s_min = cfg.power, cfg.backhaul_capacity, cfg.s_min
@@ -90,14 +96,16 @@ def stsc_quantities(cfg: SystemConfig, r1_vec, r2_vec, alpha: float, n: int = DE
 
     lam1 = slot_threshold(r1[:, None], 1, ap, abp, a1, d1)          # (q1, nd)
     lam2 = slot_threshold(r2[:, None], 1, abp, p_int2, a1, d1)      # (q2, nd)
-    lam_max = np.maximum(lam1[:, None, :], lam2[None, :, :])        # (q1, q2, nd)
 
-    def bin_mass_below(c):
-        # mass of {S1 < c} within each bin; c broadcasts against the bin axis
-        return Fs1(np.clip(c[..., None], lo, hi)) - F_lo
+    def cdf_in_bins(c):
+        # Pr[S1 < c] with c clipped to each bin; c broadcasts against the bin axis
+        return Fs1(np.clip(c[..., None], lo, hi))
 
-    m_fail = bin_mass_below(lam1)                                   # (q1, nd, ns)
-    m_below_max = bin_mass_below(lam_max)                           # (q1, q2, nd, ns)
+    F1, F2 = cdf_in_bins(lam1), cdf_in_bins(lam2)                   # (q1|q2, nd, ns)
+    m_fail = F1 - F_lo                                              # mass S1 < lam1
+    # clip is monotone, so F(clip(max(lam1, lam2))) is one of F1, F2
+    m_below_max = cdf_of_max(lam1[:, None, :, None], lam2[None, :, :, None],
+                             F1[:, None], F2[None]) - F_lo          # (q1, q2, nd, ns)
     m_mid = m_below_max - m_fail[:, None]                           # mass lam1 <= S1 < lam2
     m_done = w_bin - m_below_max
 
@@ -137,16 +145,23 @@ def stsc_quantities(cfg: SystemConfig, r1_vec, r2_vec, alpha: float, n: int = DE
     # layer-1 residual cdf serves both; the layer-2 one is evaluated once per cell.
     q_miss = np.zeros((q1, nd, ns))
     gam = np.zeros((q1, q2, nd, ns))
-    gam_row = q2 * ns * nd2                                         # per (r1, d1) row
-    r1_step = max(1, min(q1, chunk_cells // gam_row))
-    for rows, di, si in support_chunks(np.any(m_fail != 0, axis=0), r1_step * gam_row):
-        cdf2 = residual_cdf(r2p[:, rows], abp, p_int2, di, si)
-        for i in range(0, q1, r1_step):
-            cdf1 = residual_cdf(h[i : i + r1_step, rows], ap, abp, di, si)
-            q_miss[i : i + r1_step, rows] = cdf1 @ wd2
-            gap = cdf2[None] - cdf1[:, None]
+    fails = m_fail != 0
+    batch = max(1, chunk_cells // (8 * ns * nd2))                   # gamma blocks per gather
+    for rows, di, si in support_chunks(fails.any(axis=0), (q1 + q2) * ns * nd2):
+        cdf1 = residual_cdf(h[:, rows], ap, abp, di, si)            # (q1, rows, ns, nd2)
+        cdf2 = residual_cdf(r2p[:, rows], abp, p_int2, di, si)      # (q2, rows, ns, nd2)
+        q_miss[:, rows] = cdf1 @ wd2
+        # a (r1, r2, d1, s1) row reaches gamma unless max(cdf2 - cdf1, 0) is 0
+        # at every D2 node or m_fail is 0 on it; NaN rows stay live
+        live = ~(cdf2.max(axis=-1)[None] <= cdf1.min(axis=-1)[:, None])
+        live &= fails[:, None, rows]
+        bi, bj, bd = np.nonzero(live.any(axis=-1))
+        for k in range(0, len(bi), batch):
+            i, j, d = bi[k : k + batch], bj[k : k + batch], bd[k : k + batch]
+            gap = cdf2[j, d]
+            gap -= cdf1[i, d]
             np.maximum(gap, 0.0, out=gap)
-            gam[i : i + r1_step, :, rows] = gap @ wd2
+            gam[i, j, rows.start + d] = gap @ wd2
 
     def total(x):
         return np.einsum("d,...ds->...", wd, x)

@@ -154,6 +154,14 @@ class TestSlotThreshold:
         # z = 4, den = 1, a/b: a=0 -> threshold 3.0
         assert slot_threshold(1.0, 1, 1.0, 0.0, 0.0, 1.0) == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("p_int", [0.0, 0.5])
+    def test_overflowed_rate_is_an_outage(self, p_int):
+        # 2^(2R/l) overflows past R = 512 l; against p_int = 0, inf * 0 is NaN
+        assert slot_threshold(600.0, 1, 1.0, p_int, 1.0, 1.0) == np.inf
+        assert np.isfinite(slot_threshold(600.0, 2, 1.0, 0.0, 1.0, 1.0))
+        thr = slot_threshold(np.array([0.0, 0.5, 600.0]), 1, 1.0, p_int, 1.0, 1.0)
+        assert thr[0] == -np.inf and np.isfinite(thr[1]) and thr[2] == np.inf
+
     @given(
         R=st.floats(0.01, 6.0),
         l=st.integers(1, 4),

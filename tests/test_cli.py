@@ -142,6 +142,14 @@ class TestExitCodes:
                                    f"sweep.values = 0.0,{db}\n")
         assert cli.main(["analytic", "--config", path, "--out", str(tmp_path)]) == 2
 
+    def test_stsc_rate_past_overflow_is_an_outage(self, tmp_path):
+        # 2^(2 r2) overflows at r2 = 2000; layer 2 is then a plain outage
+        path = write_cfg(tmp_path, "regime = stsc\nT = 2\npolicy = 1.0,2000,0.9\n"
+                                   "quad.n = 12\n")
+        assert cli.main(["analytic", "--config", path, "--out", str(tmp_path)]) == 0
+        rows = read_rows(tmp_path / "analytic.csv")
+        assert all(np.isfinite(float(c)) for c in rows[1])
+
     def test_figure_rejects_caption_conflicts(self, tmp_path):
         path = write_cfg(tmp_path, "T = 3\n")
         assert cli.main(["figure", "2", "--config", path,

@@ -260,17 +260,20 @@ class TestNodeTablesMatchReference:
         assert_tables_equal(node_tables(*args), reference_node_tables(*args))
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("comp", [CONST, ADAPT], ids=["constant", "adaptive"])
 def test_node_tables_nan_thresholds_match_reference(comp):
     # against zero interference (alpha = 1 for layer 1, always for layer 2) a
-    # rate past 512 l bit/symbol overflows 2^(2R/l) and slot_threshold returns
-    # NaN for l = 1 only; min and max propagate it
+    # rate past 512 l bit/symbol overflows 2^(2R/l) for l = 1, where
+    # slot_threshold must give +inf (an outage), not inf * 0 = NaN
     grid = quantize(D_RICIAN, 7)
     args = (ltsc_cfg("rician", 3), np.array([0.5, 600.0])[:, None, None],
             np.array([0.3, 600.0])[None, :, None], np.float64(1.0), grid, comp)
     want = reference_node_tables(*args)
-    assert np.isnan(want[1]).any()
+    p1, p2o, p2d = want
+    assert all(np.isfinite(t).all() for t in want)
+    assert np.all(p1[1] == 1.0)
+    assert np.all(p2o[1] == 1.0) and np.all(p2o[:, 1] == 1.0)
+    assert np.all(p2d[1] == 0.0) and np.all(p2d[:, 1] == 0.0)
     assert_tables_equal(node_tables(*args), want)
 
 
@@ -302,12 +305,18 @@ def test_constant_block_evaluates_fewer_cdf_points_than_cells(monkeypatch):
 @pytest.mark.parametrize("s_kind", sorted(S_MODELS))
 @pytest.mark.parametrize("variant", [False, True], ids=["clean-sic", "interference"])
 @pytest.mark.parametrize("n", [9, 16])
-@pytest.mark.parametrize("chunk_cells", [16_000_000, 3000], ids=["one-chunk", "chunked"])
+# chunked: several d1-row chunks, and several gamma block batches at n = 9;
+# one-block: one d1 row per chunk and one (r1, r2, d1) block per batch
+@pytest.mark.parametrize("chunk_cells", [16_000_000, 3000, 1],
+                         ids=["one-chunk", "chunked", "one-block"])
 @pytest.mark.parametrize("r1, r2", [
     (np.linspace(0.0, 2.5, 6), np.linspace(0.0, 1.5, 5)),
     ([0.9], [0.5]),  # one tuple: the outer masses leave most cells empty
-], ids=["block", "tuple"])
+    # the live-block gate may assume no order along r1 or r2
+    ([1.7, 0.0, 2.5, 0.4, 1.1, 0.8, 2.0], [0.9, 0.0, 1.5, 0.3, 0.6]),
+], ids=["block", "tuple", "unsorted"])
 def test_stsc_quantities_match_reference(s_kind, variant, n, chunk_cells, r1, r2):
+    # alpha = 0 leaves every gamma block dead, alpha = 1 nearly every one live
     for P in (0.7, 4.0):
         cfg = SystemConfig(power=P, backhaul_capacity=1.2, max_rounds=2,
                            model_d=D_RICIAN, model_s=S_MODELS[s_kind],

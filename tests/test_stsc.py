@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,26 @@ class TestVectorizedPath:
                 assert q["p1_out_2"][i, j] == pytest.approx(t.p1_out[1], abs=1e-12)
                 assert q["p2_dec_1"][i, j] == pytest.approx(t.p2_dec[0], abs=1e-12)
                 assert q["p2_out_2"][i, j] == pytest.approx(t.p2_out[1], abs=1e-12)
+
+
+class TestMemory:
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_design_block_peak_is_bounded(self, alpha):
+        # one optimizer block at the figure-6 point (25x25 r-grid, quad.n 32);
+        # the dense gamma tensor peaked at 180 MB here
+        cfg = SystemConfig(
+            power=1.0, backhaul_capacity=5.0, max_rounds=2,
+            model_d=FadingModel("rician", 10.0), model_s=FadingModel("rayleigh", 10.0),
+            channel_regime="stsc",
+        )
+        r = np.linspace(0.0, 6.0, 25)
+        tracemalloc.start()
+        try:
+            stsc_quantities(cfg, r, r, alpha, n=32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 96e6
 
 
 class TestPreconditions:
