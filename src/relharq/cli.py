@@ -26,8 +26,7 @@ from .channel import CompressionPolicy, RatePolicy, SystemConfig
 from .config import ConfigError, ExperimentConfig, load_config, parse_config_text
 from .fading import FadingModel, quantize
 from .ltsc import probability_table, throughput_ltsc
-from .optimize import (GridSpec, optimize_lcsit, optimize_no_lcsit,
-                       optimize_single_layer)
+from .optimize import _optimize, optimize_no_lcsit
 from .simulate import estimate
 from .stsc import stsc_table, throughput_stsc
 from .tables import NumericalError
@@ -194,17 +193,10 @@ def run_optimize(ec: ExperimentConfig, outdir: str) -> int:
     rows = []
     for value, point in _sweep_points(ec):
         cfg, comp = point.system(), point.compression()
-        if lcsit:
-            results = [("bc", optimize_lcsit(cfg, comp, grid_spec=gs,
-                                             n_nodes=point.n_nodes(), quad_n=q)),
-                       ("sl", optimize_lcsit(cfg, comp, grid_spec=gs,
-                                             n_nodes=point.n_nodes(), quad_n=q,
-                                             single_layer=True))]
-        else:
-            results = [("bc", optimize_no_lcsit(cfg, comp, backend, gs, q, mc)),
-                       ("sl", optimize_single_layer(cfg, comp, backend, gs, q, mc))]
+        classes = ("bc-lcsit", "sl-lcsit") if lcsit else ("bc", "sl")
+        optima = _optimize(cfg, comp, classes, backend, gs, q, mc, point.n_nodes())
         prefix = [value] if value is not None else []
-        for mode, res in results:
+        for mode, res in zip(("bc", "sl"), (optima[c] for c in classes)):
             if backend == "analytic":
                 er, el = _reward_length(point, cfg, res.policy)
             else:
@@ -376,14 +368,10 @@ def _figure_base(params: dict, sweep_key: str, sweep_default: list,
 
 def _optimized_quartet(ec: ExperimentConfig, cfg: SystemConfig) -> list:
     """eta for (bc lcsit, sl lcsit, bc no-lcsit, sl no-lcsit), constant comp."""
-    comp, gs, q, nd = ec.compression(), ec.grid_spec(), ec["quad.n"], ec.n_nodes()
-    return [
-        optimize_lcsit(cfg, comp, grid_spec=gs, n_nodes=nd, quad_n=q).eta,
-        optimize_lcsit(cfg, comp, grid_spec=gs, n_nodes=nd, quad_n=q,
-                       single_layer=True).eta,
-        optimize_no_lcsit(cfg, comp, grid_spec=gs, quad_n=q).eta,
-        optimize_single_layer(cfg, comp, grid_spec=gs, quad_n=q).eta,
-    ]
+    classes = ("bc-lcsit", "sl-lcsit", "bc", "sl")
+    optima = _optimize(cfg, ec.compression(), classes, grid_spec=ec.grid_spec(),
+                       quad_n=ec["quad.n"], n_nodes=ec.n_nodes())
+    return [optima[c].eta for c in classes]
 
 
 def _figure_quartet_rows(ec: ExperimentConfig, first_col_int: bool = False):
@@ -451,8 +439,8 @@ def _figure_6(ec):
         etas = []
         for regime in ("ltsc", "stsc"):
             cfg = point.with_value("regime", regime).system()
-            etas.append(optimize_no_lcsit(cfg, comp, grid_spec=gs, quad_n=q).eta)
-            etas.append(optimize_single_layer(cfg, comp, grid_spec=gs, quad_n=q).eta)
+            optima = _optimize(cfg, comp, ("bc", "sl"), grid_spec=gs, quad_n=q)
+            etas += [optima["bc"].eta, optima["sl"].eta]
         rows.append([value] + etas)
         print(f"  rho_dB={value}: eta={etas}", flush=True)
     return header, rows

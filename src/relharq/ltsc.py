@@ -131,29 +131,37 @@ def node_tables(
             prev = np.minimum(prev, raw)
             thr[l][k], Fthr[l][k] = prev, F_prev
 
+    # p2_out(k) and p2_dec(k) accumulate in place in their table slices, and
+    # the slot-k thresholds are dropped after slot k, to bound the working set
     lo_prev = {}
     for k in range(1, T + 1):
         # F(min(x[l-1], thr[l][k])) enters p2_out(k) now and p2_dec(k+1) next
         lo = {l: cdf_of_min(x[l - 1], thr[l][k], Fx[l - 1], Fthr[l][k])
               for l in range(1, k + 1)}
-        out_k = np.broadcast_to(Fx[k], shape).copy()
+        out_k = p2o[..., k - 1]
+        out_k[...] = Fx[k]
         for l in range(1, k + 1):
             out_k += _pos(lo[l] - Fx[l])
-        p2o[..., k - 1] = out_k
 
-        dec_k = _pos(Fx[k - 1] - cdf_of_max(x[k], thr[k][k], Fx[k], Fthr[k][k]))
+        dec_k = p2d[..., k - 1]
+        dec_k[...] = _pos(Fx[k - 1] - cdf_of_max(x[k], thr[k][k], Fx[k], Fthr[k][k]))
         for l in range(1, k):
             dec_k += _pos(lo_prev[l] - cdf_of_max(x[l], thr[l][k], Fx[l], Fthr[l][k]))
-        p2d[..., k - 1] = dec_k
         lo_prev = lo
+        for l in range(1, k + 1):
+            del thr[l][k], Fthr[l][k]
 
     return p1, p2o, p2d
 
 
 def node_reward_length(cfg, r1, r2, alpha, grid, comp):
     """Per-node E[R|d], E[L|d] (optimizer hook); shapes broadcast like node_tables."""
-    p1, p2o, p2d = node_tables(cfg, r1, r2, alpha, grid, comp)
-    T = cfg.max_rounds
+    return _reward_length(r1, r2, *node_tables(cfg, r1, r2, alpha, grid, comp))
+
+
+def _reward_length(r1, r2, p1, p2o, p2d):
+    """E[R|d], E[L|d] from one node_tables result."""
+    T = p1.shape[-1]
     r1 = np.asarray(r1, dtype=float)[..., None] if np.ndim(r1) == 0 else np.asarray(r1)
     r2 = np.asarray(r2, dtype=float)[..., None] if np.ndim(r2) == 0 else np.asarray(r2)
     reward = r1 * (1.0 - p1[..., T - 1]) + r2 * (1.0 - p2o[..., T - 1])
@@ -179,7 +187,11 @@ def probability_table(
     """Mass-averaged ProbabilityTable over the D grid."""
     grid = grid or quantize(cfg.model_d, quad_n)
     r1, r2, alpha = _policy_arrays(policy, grid)
-    p1, p2o, p2d = node_tables(cfg, r1, r2, alpha, grid, comp, single_slot_thresholds)
+    return _mass_average(grid, *node_tables(cfg, r1, r2, alpha, grid, comp,
+                                            single_slot_thresholds))
+
+
+def _mass_average(grid: QuadratureGrid, p1, p2o, p2d) -> ProbabilityTable:
     w = grid.weights
     return ProbabilityTable(
         p1_out=np.einsum("i,...ik->...k", w, p1),
@@ -222,10 +234,11 @@ def throughput_ltsc(
     """eta = E[R]/E[L]; per-node policies are assembled node-by-node before averaging."""
     grid = grid or quantize(cfg.model_d, quad_n)
     r1, r2, alpha = _policy_arrays(policy, grid)
-    reward, length = node_reward_length(cfg, r1, r2, alpha, grid, comp)
+    tables = node_tables(cfg, r1, r2, alpha, grid, comp)
+    reward, length = _reward_length(r1, r2, *tables)
     er = float(reward @ grid.weights)
     el = float(length @ grid.weights)
-    table = probability_table(cfg, policy, comp, grid)
+    table = _mass_average(grid, *tables)
     return ThroughputReport(
         eta=er / el,
         expected_reward=er,

@@ -1,20 +1,28 @@
-"""Exact-equality oracles for the LTSC and STSC evaluators.
+"""Exact-equality oracles for the LTSC and STSC evaluators and the optimizer.
 
 The evaluators share one S-link cdf pass per threshold array and evaluate the
-STSC inner expectations only on cells that carry outer mass.  Both are meant
-to change no bit of any result, so the straightforward forms they replaced
-are kept here as references and compared with np.array_equal.
+STSC inner expectations only on cells that carry outer mass.  The optimizer
+finds every policy class in one lattice pass and runs Dinkelbach on per-node
+candidate fronts.  All of these are meant to change no bit of any result, so
+the straightforward forms they replaced are kept here as references and
+compared with np.array_equal and ==.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from relharq.channel import (CompressionPolicy, SystemConfig, adaptive_gain,
+from relharq import ltsc
+from relharq import optimize as opt
+from relharq.channel import (CompressionPolicy, RatePolicy, SystemConfig, adaptive_gain,
                              conservative_gain, infer_s_hat, mutual_info,
                              slot_threshold)
 from relharq.fading import FadingModel, QuadratureGrid, quantize
 from relharq.ltsc import node_tables
+from relharq.optimize import GridSpec, OptimizationResult
 from relharq.stsc import stsc_quantities
+from relharq.tables import NumericalError
 
 CONST = CompressionPolicy("constant")
 ADAPT = CompressionPolicy("adaptive")
@@ -338,3 +346,322 @@ def test_stsc_quantities_pointmass_relay_link_match_reference(s_kind):
     want = reference_stsc_quantities(cfg, r1, r2, 0.9, n=12)
     for key in want:
         assert np.array_equal(got[key], want[key]), key
+
+
+# ---------------------------------------------------------------- optimizer
+
+def reference_scan(ev, r1_axis, r2_axis, alpha_axis, best=None):
+    for alpha in alpha_axis:
+        eta = ev.block(r1_axis, r2_axis, float(alpha))
+        flat = int(np.argmax(eta))  # first max: lexicographic-min (r1, r2)
+        i, j = divmod(flat, eta.shape[1])
+        cand = (float(eta[i, j]), float(alpha), float(r1_axis[i]), float(r2_axis[j]))
+        if opt._better(cand, best):
+            best = cand
+    return best
+
+
+def reference_refine(ev, spec, best, frozen_r2=None, frozen_alpha=None):
+    offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+    for round_ in range(1, spec.refine_rounds + 1):
+        hr = spec.r_step / 2**round_
+        ha = spec.alpha_step / 2**round_
+        _, alpha, r1, r2 = best
+        r1_axis = np.unique(np.clip(r1 + hr * offsets, 0.0, spec.r_max))
+        r2_axis = (np.array([frozen_r2]) if frozen_r2 is not None
+                   else np.unique(np.clip(r2 + hr * offsets, 0.0, spec.r_max)))
+        alpha_axis = (np.array([frozen_alpha]) if frozen_alpha is not None
+                      else np.unique(np.clip(alpha + ha * offsets, 0.0, 1.0)))
+        best = reference_scan(ev, r1_axis, r2_axis, alpha_axis, best)
+    return best
+
+
+def reference_result(ev, best, extra_meta):
+    policy = RatePolicy.constant(best[2], best[3], best[1])
+    meta = {"grid_eta": best[0], "n_evals": ev.n_evals, **extra_meta}
+    return OptimizationResult(policy=policy, eta=best[0], backend=ev.backend, metadata=meta)
+
+
+def reference_optimize_single_layer(cfg, comp, backend, grid_spec, quad_n, mc=None):
+    """optimize_single_layer before the one-pass driver."""
+    ev = opt._Evaluator(cfg, comp, backend, quad_n, mc)
+    best = reference_scan(ev, grid_spec.r_axis(), np.array([0.0]), np.array([1.0]))
+    best = reference_refine(ev, grid_spec, best, frozen_r2=0.0, frozen_alpha=1.0)
+    return reference_result(ev, best, {"policy_class": "single_layer",
+                                       "grid": (grid_spec.r_max, grid_spec.r_step)})
+
+
+def reference_optimize_no_lcsit(cfg, comp, backend, grid_spec, quad_n, mc=None):
+    """optimize_no_lcsit before the one-pass driver: its own single-layer run."""
+    sl = reference_optimize_single_layer(cfg, comp, backend, grid_spec, quad_n, mc)
+    ev = opt._Evaluator(cfg, comp, backend, quad_n, mc)
+    seed = (sl.eta, float(sl.policy.alpha), float(sl.policy.r1), float(sl.policy.r2))
+    best = reference_scan(ev, grid_spec.r_axis(), grid_spec.r_axis(),
+                          grid_spec.alpha_axis(), best=seed)
+    best = reference_refine(ev, grid_spec, best)
+    return reference_result(ev, best, {
+        "policy_class": "no_lcsit",
+        "grid": (grid_spec.r_max, grid_spec.r_step, grid_spec.alpha_step),
+        "single_layer_seed": seed})
+
+
+def reference_optimize_lcsit(cfg, comp, grid_spec, n_nodes, quad_n, single_layer,
+                             tol=1e-6, max_iter=50):
+    """optimize_lcsit before the one-pass driver: every Dinkelbach iteration
+    evaluates the full (alpha, r1, r2, node) lattice again."""
+    nd = n_nodes if n_nodes is not None else quad_n
+    if single_layer:
+        base = reference_optimize_single_layer(cfg, comp, "analytic", grid_spec, quad_n)
+        r2_axis, alpha_axis = np.array([0.0]), np.array([1.0])
+    else:
+        base = reference_optimize_no_lcsit(cfg, comp, "analytic", grid_spec, quad_n)
+        r2_axis, alpha_axis = grid_spec.r_axis(), grid_spec.alpha_axis()
+    r1_axis = grid_spec.r_axis()
+
+    grid = quantize(cfg.model_d, nd)
+    nd = len(grid.nodes)
+    r1n = np.full(nd, float(base.policy.r1))
+    r2n = np.full(nd, float(base.policy.r2))
+    an = np.full(nd, float(base.policy.alpha))
+
+    def node_rl(r1, r2, alpha):
+        return opt.node_reward_length(cfg, r1, r2, alpha, grid, comp)
+
+    reward_inc, length_inc = node_rl(r1n, r2n, an)
+    lam = float((reward_inc @ grid.weights) / (length_inc @ grid.weights))
+    trajectory = [lam]
+    converged = False
+    for _ in range(max_iter):
+        best_score = reward_inc - lam * length_inc
+        new_r1, new_r2, new_a = r1n.copy(), r2n.copy(), an.copy()
+        for alpha in alpha_axis:
+            reward, length = node_rl(r1_axis[:, None, None], r2_axis[None, :, None],
+                                     np.float64(alpha))
+            score = (reward - lam * length).reshape(-1, nd)
+            pick = np.argmax(score, axis=0)
+            top = score[pick, np.arange(nd)]
+            gain = top > best_score + 1e-15
+            if np.any(gain):
+                i, j = np.divmod(pick[gain], len(r2_axis))
+                new_r1[gain] = r1_axis[i]
+                new_r2[gain] = r2_axis[j]
+                new_a[gain] = alpha
+                best_score = np.where(gain, top, best_score)
+        r1n, r2n, an = new_r1, new_r2, new_a
+        reward_inc, length_inc = node_rl(r1n, r2n, an)
+        lam_new = float((reward_inc @ grid.weights) / (length_inc @ grid.weights))
+        if lam_new < lam - 1e-12:
+            raise NumericalError(
+                f"fractional-programming iterate decreased: {lam!r} -> {lam_new!r}")
+        trajectory.append(lam_new)
+        if abs(lam_new - lam) < tol:
+            lam = lam_new
+            converged = True
+            break
+        lam = lam_new
+    return OptimizationResult(
+        policy=RatePolicy.per_node(r1n, r2n, an), eta=lam, backend="analytic",
+        metadata={"policy_class": "lcsit_single_layer" if single_layer else "lcsit",
+                  "n_nodes": nd, "lambda_trajectory": trajectory,
+                  "converged": converged, "iterations": len(trajectory) - 1,
+                  "warning": None if converged else "fractional programming hit max_iter",
+                  "seed_eta": base.eta})
+
+
+def reference_optima(cfg, comp, classes, backend="analytic", grid_spec=GridSpec(),
+                     quad_n=64, mc=None, n_nodes=None):
+    """One reference call per class, as the CLI made them before the driver."""
+    calls = {
+        "sl": lambda: reference_optimize_single_layer(cfg, comp, backend, grid_spec,
+                                                      quad_n, mc),
+        "bc": lambda: reference_optimize_no_lcsit(cfg, comp, backend, grid_spec, quad_n, mc),
+        "sl-lcsit": lambda: reference_optimize_lcsit(cfg, comp, grid_spec, n_nodes, quad_n,
+                                                     single_layer=True),
+        "bc-lcsit": lambda: reference_optimize_lcsit(cfg, comp, grid_spec, n_nodes, quad_n,
+                                                     single_layer=False),
+    }
+    return {c: calls[c]() for c in classes}
+
+
+def assert_results_equal(got, want):
+    assert got.eta == want.eta
+    assert got.backend == want.backend
+    assert got.policy.mode == want.policy.mode
+    for name in ("r1", "r2", "alpha"):
+        assert np.array_equal(getattr(got.policy, name), getattr(want.policy, name)), name
+    # lambda_trajectory, converged, iterations, seed_eta, n_evals, ... all exact
+    assert got.metadata == want.metadata
+
+
+ALL_CLASSES = ("bc-lcsit", "sl-lcsit", "bc", "sl")
+
+
+def assert_optima_match(cfg, comp, classes=ALL_CLASSES, **kw):
+    got = opt._optimize(cfg, comp, classes, **kw)
+    want = reference_optima(cfg, comp, classes, **kw)
+    assert list(got) == list(want)
+    for cls in classes:
+        assert_results_equal(got[cls], want[cls])
+    # the public functions are views of the same driver
+    views = {"sl": lambda: opt.optimize_single_layer(
+                 cfg, comp, kw.get("backend", "analytic"), kw["grid_spec"], kw["quad_n"],
+                 kw.get("mc")),
+             "bc": lambda: opt.optimize_no_lcsit(
+                 cfg, comp, kw.get("backend", "analytic"), kw["grid_spec"], kw["quad_n"],
+                 kw.get("mc")),
+             "sl-lcsit": lambda: opt.optimize_lcsit(
+                 cfg, comp, grid_spec=kw["grid_spec"], n_nodes=kw.get("n_nodes"),
+                 quad_n=kw["quad_n"], single_layer=True),
+             "bc-lcsit": lambda: opt.optimize_lcsit(
+                 cfg, comp, grid_spec=kw["grid_spec"], n_nodes=kw.get("n_nodes"),
+                 quad_n=kw["quad_n"])}
+    for cls in classes:
+        assert_results_equal(views[cls](), want[cls])
+    return got
+
+
+OPT_GRID = GridSpec(r_max=3.0, r_step=0.25, alpha_step=0.25, refine_rounds=2)
+D_RAYLEIGH = FadingModel("rayleigh", 2.0)
+
+
+@pytest.mark.parametrize("comp", [CONST, ADAPT], ids=["constant", "adaptive"])
+@pytest.mark.parametrize("T", [1, 2, 3, 4])
+def test_optimizer_matches_reference(T, comp):
+    for s_kind, n_nodes in (("rayleigh", None), ("rician", 6)):
+        cfg = ltsc_cfg(s_kind, T, P=1.5, cmax=1.0)
+        assert_optima_match(cfg, comp, grid_spec=OPT_GRID, quad_n=16, n_nodes=n_nodes)
+
+
+@pytest.mark.parametrize("comp", [CONST, ADAPT], ids=["constant", "adaptive"])
+@pytest.mark.parametrize("s_kind", sorted(S_MODELS))
+def test_optimizer_pointmass_relay_link_matches_reference(s_kind, comp):
+    # one node whatever n_nodes asks; n_nodes != quad_n evaluates the node grid apart
+    cfg = ltsc_cfg(s_kind, 2, model_d=D_POINT)
+    for n_nodes in (None, 1, 5):
+        got = assert_optima_match(cfg, comp, grid_spec=OPT_GRID, quad_n=16, n_nodes=n_nodes)
+        assert got["bc-lcsit"].metadata["n_nodes"] == 1
+
+
+@pytest.mark.parametrize("T", [2, 3])
+@pytest.mark.parametrize("case", ["pointmass-s-and-d", "pointmass-s", "no-backhaul",
+                                  "no-information"])
+def test_optimizer_tie_heavy_lattice_matches_reference(case, T):
+    # repeated (R, L) values: point-mass links give step-function tables, a zero
+    # backhaul repeats whole rows, and with no information every rate is an
+    # outage; r2 > 0 at alpha = 1 repeats in every bc lattice
+    cfg = {
+        "pointmass-s-and-d": SystemConfig(1.0, 1.0, T, FadingModel("pointmass", point_value=1.0),
+                                          FadingModel("pointmass", point_value=1.0)),
+        "pointmass-s": ltsc_cfg("pointmass", T, P=1.0, cmax=1.0),
+        "no-backhaul": SystemConfig(1.0, 0.0, T, D_RAYLEIGH, S_MODELS["rayleigh"]),
+        "no-information": SystemConfig(1.0, 0.0, T, D_RAYLEIGH,
+                                       FadingModel("pointmass", point_value=0.0)),
+    }[case]
+    for n_nodes in (None, 5):
+        assert_optima_match(cfg, CONST, grid_spec=OPT_GRID, quad_n=12, n_nodes=n_nodes)
+
+
+def test_optimizer_stsc_matches_reference():
+    cfg = SystemConfig(2.0, 1.5, 2, D_RAYLEIGH, S_MODELS["rician"], channel_regime="stsc")
+    assert_optima_match(cfg, CONST, ("bc", "sl"), grid_spec=OPT_GRID, quad_n=12)
+
+
+def test_optimizer_mc_backend_matches_reference():
+    cfg = ltsc_cfg("rayleigh", 2, P=1.0, cmax=1.0)
+    spec = GridSpec(r_max=2.0, r_step=0.5, alpha_step=0.5, refine_rounds=1)
+    assert_optima_match(cfg, CONST, ("bc", "sl"), backend="mc", grid_spec=spec, quad_n=8,
+                        mc={"sessions": 300, "seed": 5})
+
+
+def test_optimizer_full_lattice_fallbacks_match_reference(monkeypatch):
+    # a block whose front is too large is evaluated again in full, and so is
+    # every block while lambda < 0 (a reward shifted below zero forces that)
+    cfg = ltsc_cfg("rician", 3, P=1.5, cmax=1.0)
+    monkeypatch.setattr(opt, "_PAIR_CELLS", 0)
+    for n_nodes in (None, 6):
+        assert_optima_match(cfg, CONST, grid_spec=OPT_GRID, quad_n=10, n_nodes=n_nodes)
+    monkeypatch.undo()
+    rl = opt.node_reward_length
+
+    def shifted(*args):
+        reward, length = rl(*args)
+        return reward - 5.0, length
+
+    monkeypatch.setattr(opt, "node_reward_length", shifted)
+    for n_nodes in (None, 6):
+        got = assert_optima_match(cfg, CONST, grid_spec=OPT_GRID, quad_n=10, n_nodes=n_nodes)
+        assert got["bc-lcsit"].metadata["lambda_trajectory"][-1] < 0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_front_keeps_the_first_argmax(seed, monkeypatch):
+    # near-ties one ulp apart, exact repeats, NaN rows and lam = 0, tiny or large
+    monkeypatch.setattr(opt, "_PAIR_CELLS", 10**6)  # never fall back to the full block
+    rng = np.random.default_rng(seed)
+    q1, q2, nd = 9, 7, 5
+    reward = rng.choice([0.0, 0.5, 0.7, 1.2], size=(q1, q2, nd))
+    length = rng.choice([1.0, 1.5, 2.0, 2.5], size=(q1, q2, nd))
+    ulps = rng.integers(-3, 4, size=(2, q1, q2, nd)) * (rng.random((2, q1, q2, nd)) < 0.5)
+    reward = reward + ulps[0] * np.spacing(reward + 1.0)
+    length = length + ulps[1] * np.spacing(length)
+    if seed % 3 == 2:
+        reward[rng.integers(q1), rng.integers(q2), 1] = np.nan
+        length[rng.integers(q1), rng.integers(q2), 3] = np.nan
+    pos, r_f, l_f = opt._front(reward, length)
+    full_r, full_l = reward.reshape(-1, nd), length.reshape(-1, nd)
+    assert len(pos) < q1 * q2
+    for lam in (0.0, 1e-17, 1e-9, 0.3, 0.48, 1.0, 2.4, 1e6):
+        full = full_r - lam * full_l
+        front = r_f - lam * l_f
+        pick = np.argmax(front, axis=0)
+        want = np.argmax(full, axis=0)
+        for c in range(nd):
+            if np.isnan(full[want[c], c]):
+                assert np.isnan(front[pick[c], c])
+            else:
+                assert pos[pick[c], c] == want[c]
+                assert front[pick[c], c] == full[want[c], c]
+
+
+def count_node_table_cells(monkeypatch):
+    cells = []
+    tables = ltsc.node_tables
+
+    def counting(*args, **kwargs):
+        out = tables(*args, **kwargs)
+        cells.append(out[0][..., 0].size)
+        return out
+
+    monkeypatch.setattr(ltsc, "node_tables", counting)
+    return cells
+
+
+def test_quartet_takes_about_one_lattice_pass(monkeypatch):
+    # one figure-2 point on the coarse golden grid
+    cfg = SystemConfig(1.0, 1.0, 2, FadingModel("rician", 1.0), FadingModel("rayleigh", 1.0))
+    kw = {"grid_spec": OPT_GRID, "quad_n": 24}
+    one_pass = len(OPT_GRID.r_axis()) ** 2 * len(OPT_GRID.alpha_axis()) * 24
+    cells = count_node_table_cells(monkeypatch)
+    opt._optimize(cfg, CONST, ALL_CLASSES, **kw)
+    assert sum(cells) <= 1.5 * one_pass
+    cells.clear()
+    reference_optima(cfg, CONST, ALL_CLASSES, **kw)
+    assert sum(cells) > 4 * one_pass
+
+
+@pytest.mark.parametrize("n_nodes", [None, 16])
+def test_lcsit_peak_memory_is_no_higher_than_reference(n_nodes):
+    cfg = SystemConfig(1.0, 1.0, 2, FadingModel("rician", 1.0), FadingModel("rayleigh", 1.0))
+    spec = GridSpec(r_max=4.0, r_step=0.1, alpha_step=0.1, refine_rounds=1)
+    peaks = []
+    for run in (lambda: opt.optimize_lcsit(cfg, CONST, grid_spec=spec, n_nodes=n_nodes,
+                                           quad_n=32),
+                lambda: reference_optimize_lcsit(cfg, CONST, spec, n_nodes, 32, False)):
+        run()  # untraced first: lazily built caches are not part of either peak
+        tracemalloc.start()
+        run()
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    # both peak inside node_tables on one (41, 41, 32) scan block, about 5 MB;
+    # the driver's own Python objects (dicts, closure cells) add under 1 KiB
+    assert peaks[0] <= peaks[1] + 4096

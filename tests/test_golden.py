@@ -8,9 +8,13 @@ tables with and without the layer-2 interference variant, the STSC optimizer
 over (r1, r2) blocks, and point-mass S links under both regimes.
 
 A change that moves any byte must name the change and its reason.  Re-record
-the digests only then, from the root of a checkout:
+a digest only then, from the root of a checkout, naming the jobs to record:
 
-    PYTHONPATH=src python tests/test_golden.py --record
+    PYTHONPATH=src python tests/test_golden.py --record figure3 figure4
+
+Only the named jobs are run; every other line of SHA256SUMS is kept as it is,
+so adding a job cannot silently re-record a digest that has moved.  A bare
+`--record` re-records every job.
 """
 
 import hashlib
@@ -62,6 +66,16 @@ JOBS = {
         "regime": "stsc", "T": 2, "Cmax": 5.0, "fading_D.dist": "rician",
         "fading_D.rho_dB": 10.0, "fading_D.K": 0.0, "fading_S.dist": "rayleigh",
         "fading_S.rho_dB": 10.0, **_COARSE}),
+    "figure3": (("figure", "3"), {
+        **_COARSE, "sweep.key": "Cmax", "sweep.values": "0.0,1.5"}),
+    "figure4": (("figure", "4"), {
+        **_COARSE, "sweep.key": "T", "sweep.values": "1,2,3"}),
+    "figure6": (("figure", "6"), {
+        **_COARSE, "sweep.key": "fading_D.rho_dB", "sweep.values": "0.0,10.0"}),
+    "ltsc-optimize-mc": (("optimize",), {
+        "regime": "ltsc", "T": 2, "Cmax": 1.0, "backend": "mc", "mc.sessions": 400,
+        "mc.seed": 11, **_RICIAN_D, "fading_S.dist": "rayleigh", "fading_S.rho_dB": 3.0,
+        **_COARSE}),
 }
 
 
@@ -96,11 +110,15 @@ def test_csv_bytes_match_golden_digest(name, tmp_path):
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --record")
+    if sys.argv[1:2] != ["--record"] or not set(sys.argv[2:]) <= set(JOBS):
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --record [JOB...]\n"
+                 f"jobs: {' '.join(sorted(JOBS))}")
     import tempfile
 
+    names = sys.argv[2:] or sorted(JOBS)
+    digests = recorded_digests() if sys.argv[2:] and SUMS.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
-        lines = [f"{run_job(name, pathlib.Path(tmp))}  {name}" for name in sorted(JOBS)]
-    SUMS.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"recorded {len(lines)} digests in {SUMS}")
+        digests.update({name: run_job(name, pathlib.Path(tmp)) for name in names})
+    SUMS.write_text("".join(f"{digests[name]}  {name}\n" for name in sorted(digests)),
+                    encoding="utf-8")
+    print(f"recorded {len(names)} of {len(digests)} digests in {SUMS}")

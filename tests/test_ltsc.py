@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from relharq import ltsc
 from relharq.channel import CompressionPolicy, RatePolicy, SystemConfig
 from relharq.fading import FadingModel, quantize
 from relharq.ltsc import (
@@ -184,6 +185,28 @@ class TestThroughput:
             )
             etas.append(throughput_ltsc(cfg, pol, quad_n=128).eta)
         assert np.all(np.diff(etas) >= -1e-12)
+
+    @pytest.mark.parametrize("comp", [CONST, ADAPT], ids=["constant", "adaptive"])
+    def test_one_node_tables_call_gives_table_and_eta(self, monkeypatch, comp):
+        cfg = rand_cfg(np.random.default_rng(8), T=3)
+        pol = RatePolicy.constant(0.9, 0.4, 0.9)
+        grid = quantize(cfg.model_d, 24)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:4])
+            return node_tables(*args, **kwargs)
+
+        monkeypatch.setattr(ltsc, "node_tables", counting)
+        rep = throughput_ltsc(cfg, pol, comp, grid=grid)
+        assert len(calls) == 1
+        # the same arrays the separate hooks give
+        reward, length = ltsc.node_reward_length(cfg, 0.9, 0.4, 0.9, grid, comp)
+        assert rep.expected_reward == float(reward @ grid.weights)
+        assert rep.expected_length == float(length @ grid.weights)
+        table = probability_table(cfg, pol, comp, grid)
+        for name in ("p1_out", "p2_out", "p2_dec"):
+            assert np.array_equal(getattr(rep.table, name), getattr(table, name))
 
 
 class TestLocalCsi:
