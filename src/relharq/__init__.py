@@ -7,18 +7,17 @@ Carlo simulator, and throughput optimizers for fixed and per-node policies.
 """
 
 from .channel import (CompressionPolicy, RatePolicy, SystemConfig,
-                      adaptive_gain, backhaul_usage, conservative_gain,
+                      backhaul_usage, check_supported, conservative_gain,
                       infer_s_hat, mutual_info, slot_threshold)
 from .config import (ConfigError, ExperimentConfig, load_config,
                      parse_config_text)
 from .fading import FadingModel, QuadratureGrid, quantize
-from .ltsc import (p1_out, p2_dec, p2_out, probability_table, throughput_ltsc)
+from .ltsc import probability_table, throughput_ltsc
 from .optimize import (GridSpec, OptimizationResult, optimize_lcsit,
                        optimize_no_lcsit, optimize_single_layer)
 from .simulate import (EstimateReport, SessionOutcome, estimate,
                        simulate_session)
-from .stsc import (stsc_p1_out_2, stsc_p2_dec_1, stsc_p2_out_2, stsc_table,
-                   throughput_stsc)
+from .stsc import stsc_table, throughput_stsc
 from .tables import (NumericalError, ProbabilityTable, ThroughputReport,
                      expected_length)
 
@@ -28,12 +27,10 @@ __all__ = [
     "CompressionPolicy", "ConfigError", "EstimateReport", "ExperimentConfig",
     "FadingModel", "GridSpec", "NumericalError", "OptimizationResult",
     "ProbabilityTable", "QuadratureGrid", "RatePolicy", "SessionOutcome",
-    "SystemConfig", "ThroughputReport", "adaptive_gain", "backhaul_usage",
-    "conservative_gain",
-    "estimate", "expected_length", "infer_s_hat", "load_config", "mutual_info",
-    "optimize_lcsit", "optimize_no_lcsit", "optimize_single_layer",
-    "p1_out", "p2_dec", "p2_out", "parse_config_text", "probability_table",
-    "quantize", "simulate_session", "slot_threshold", "stsc_p1_out_2",
-    "stsc_p2_dec_1", "stsc_p2_out_2", "stsc_table", "throughput_ltsc",
-    "throughput_stsc",
+    "SystemConfig", "ThroughputReport", "backhaul_usage", "check_supported",
+    "conservative_gain", "estimate", "expected_length", "infer_s_hat",
+    "load_config", "mutual_info", "optimize_lcsit", "optimize_no_lcsit",
+    "optimize_single_layer", "parse_config_text", "probability_table",
+    "quantize", "simulate_session", "slot_threshold", "stsc_table",
+    "throughput_ltsc", "throughput_stsc",
 ]

@@ -6,12 +6,13 @@ Central objects:
       gain d and compression gain a:
           f_I = 1/2 log2(1 + P (s + a(1+s/d)) / (1 + a/d + Pbar (s + a(1+s/d))))
   backhaul_usage(a, d, s, P)     Wyner-Ziv description rate of the relay
-  conservative_gain / adaptive_gain   largest a whose description fits the
-      C_max backhaul for side information s_min / s_hat
+  conservative_gain              largest a whose description fits the C_max
+      backhaul for side information s_min (or the inferred bound s_hat)
   infer_s_hat                    lower bound on S implied by a layer-1 ACK
   slot_threshold                 the s-value above which l slots at signal
       power p_sig against interference p_int carry rate R; every lemma branch
       (including the +/-inf cases) is an instance of this one function
+  check_supported                which scenarios each evaluator covers
 
 All rates are bits/symbol, logs base 2 with the 1/2 real-signal prefactor.
 Everything is numpy-vectorized; +/-inf are legal threshold sentinels that the
@@ -25,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fading import FadingModel
+from .tables import ConfigError
 
 LN2 = np.log(2.0)
 
@@ -145,19 +147,19 @@ def conservative_gain(d, s_min, P, c_max):
 
     a_d = beta (1 + s_min P) / (1/d + (1 + s_min/d) P),  beta = 2^(2 C_max) - 1;
     saturates the backhaul exactly: backhaul_usage(a_d, d, s_min, P) = C_max.
+    A dead relay link (d = 0) forwards nothing: a_d = 0, the d -> 0 limit.
     """
     d = np.asarray(d, dtype=float)
-    if np.any(d <= 0):
-        raise ValueError("d must be > 0")
+    d_low = np.min(d, initial=np.inf)
+    if d_low < 0:
+        raise ValueError("d must be >= 0")
     beta = np.exp2(2.0 * np.asarray(c_max, dtype=float)) - 1.0
     s_min = np.asarray(s_min, dtype=float)
-    out = beta * (1.0 + s_min * P) / (1.0 / d + (1.0 + s_min / d) * P)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = beta * (1.0 + s_min * P) / (1.0 / d + (1.0 + s_min / d) * P)
+    if d_low == 0:
+        out = np.where(d > 0, out, 0.0)
     return out if out.shape else float(out)
-
-
-def adaptive_gain(d, s_hat, P, c_max):
-    """conservative_gain with the inferred bound s_hat in place of s_min."""
-    return conservative_gain(d, s_hat, P, c_max)
 
 
 def slot_threshold(R, l, p_sig, p_int, a, d):
@@ -196,15 +198,30 @@ def infer_s_hat(R1, k, alpha, d, a_d, P, s_min):
     return out if out.shape else float(out)
 
 
-def layer_mi(mode, layer, cfg: SystemConfig, a, s, d, policy_tuple):
-    """Per-slot MI of one layer in one mode for the tuple (R1, R2, alpha)."""
-    _, _, alpha = policy_tuple
-    P = cfg.power
-    if mode == "bc" and layer == 1:
-        return mutual_info(alpha * P, (1.0 - alpha) * P, a, s, d)
-    if mode == "bc" and layer == 2:
-        p_int = alpha * P if cfg.bc_layer2_interference else 0.0
-        return mutual_info((1.0 - alpha) * P, p_int, a, s, d)
-    if mode == "sl" and layer == 2:
-        return mutual_info(P, 0.0, a, s, d)
-    raise ValueError(f"invalid mode/layer combination ({mode}, {layer})")
+def check_supported(cfg: SystemConfig, comp: CompressionPolicy = CompressionPolicy("constant"),
+                    backend: str = "analytic", per_node: bool = False, regime: str | None = None):
+    """Raise ConfigError, naming the config key, unless backend can evaluate the scenario.
+
+    backend is "analytic" (the closed forms) or "mc" (the simulator, which
+    runs every regime at any T); per_node asks the closed forms or the
+    optimizer for per-node (lcsit) policies; regime names the closed form a
+    regime module is about to run.
+    """
+    stsc = cfg.channel_regime == "stsc"
+    if comp.adaptive and stsc:
+        raise ConfigError("compression: adaptive compression needs the ltsc regime")
+    if per_node and (stsc or backend != "analytic"):
+        raise ConfigError("csi: per-node policies need the ltsc regime and the analytic "
+                          "backend; the stsc closed forms and the mc optimizer take "
+                          "single-tuple policies")
+    if backend not in ("analytic", "mc"):
+        raise ConfigError(f"backend: unknown backend {backend!r} (analytic | mc)")
+    if backend == "mc":
+        return
+    if regime is not None and regime != cfg.channel_regime:
+        raise ConfigError(f"regime: the {regime} closed forms need regime = {regime}")
+    if cfg.bc_layer2_interference and not stsc:
+        raise ConfigError("bc_layer2_interference: the layer-2 residual-interference variant "
+                          "has no ltsc closed form; simulate it, or use the stsc regime")
+    if stsc and cfg.max_rounds != 2:
+        raise ConfigError("T: the stsc closed forms cover T=2 only; simulate handles any T")

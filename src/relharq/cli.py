@@ -24,11 +24,11 @@ import numpy as np
 
 from .channel import CompressionPolicy, RatePolicy, SystemConfig
 from .config import ConfigError, ExperimentConfig, load_config, parse_config_text
-from .fading import FadingModel, quantize
-from .ltsc import probability_table, throughput_ltsc
-from .optimize import _optimize, optimize_no_lcsit
+from .fading import FadingModel
+from .ltsc import probability_table
+from .optimize import _Evaluator, _optimize, optimize_no_lcsit
 from .simulate import estimate
-from .stsc import stsc_table, throughput_stsc
+from .stsc import stsc_table
 from .tables import NumericalError
 
 
@@ -97,29 +97,26 @@ def _check_single_tuple_job(ec: ExperimentConfig) -> None:
     _require(ec["csi"] == "none",
              "csi: per-node policy tables are not expressible in a flat config; "
              "use csi = none (the optimize job handles csi = lcsit)")
-    _require(not (ec["regime"] == "stsc" and ec["T"] != 2),
-             "T: stsc analytics support T = 2 only")
-    _require(not (ec["regime"] == "stsc" and ec["compression"] == "adaptive"),
-             "compression: adaptive compression needs the ltsc regime")
+    _require(ec["sweep.key"] != "T",
+             "sweep.key: sweeping T changes the table column set; "
+             "only the optimize job sweeps T")
 
 
-def _analytic_report(ec: ExperimentConfig, cfg: SystemConfig, policy: RatePolicy):
-    if cfg.channel_regime == "ltsc":
-        return throughput_ltsc(cfg, policy, ec.compression(), quad_n=ec["quad.n"])
-    return throughput_stsc(cfg, policy, n=ec["quad.n"])
+def _evaluator(ec: ExperimentConfig, backend: str) -> _Evaluator:
+    """The library evaluator of one sweep point; it rejects an unsupported scenario."""
+    mc = {"sessions": ec["mc.sessions"], "seed": ec["mc.seed"],
+          "batch_size": ec["mc.batch"], "workers": ec["mc.workers"]}
+    return _Evaluator(ec.system(), ec.compression(), backend, ec["quad.n"], mc)
 
 
 def run_analytic(ec: ExperimentConfig, outdir: str) -> int:
     _check_single_tuple_job(ec)
-    _require(ec["sweep.key"] != "T",
-             "sweep.key: sweeping T changes the table column set; "
-             "only the optimize job sweeps T")
     policy = ec.rate_policy()
     header = ([ec["sweep.key"]] if ec["sweep.key"] else []) + \
         ["eta", "expected_reward", "expected_length"] + _table_header(ec["T"])
     rows = []
     for value, point in _sweep_points(ec):
-        rep = _analytic_report(point, point.system(), policy)
+        rep = _evaluator(point, "analytic").report(policy)
         prefix = [value] if value is not None else []
         rows.append(prefix + [rep.eta, rep.expected_reward, rep.expected_length]
                     + _table_cells(rep.table))
@@ -130,9 +127,6 @@ def run_analytic(ec: ExperimentConfig, outdir: str) -> int:
 
 def run_simulate(ec: ExperimentConfig, outdir: str) -> int:
     _check_single_tuple_job(ec)
-    _require(ec["sweep.key"] != "T",
-             "sweep.key: sweeping T changes the table column set; "
-             "only the optimize job sweeps T")
     policy = ec.rate_policy()
     header = ([ec["sweep.key"]] if ec["sweep.key"] else []) + \
         ["eta", "eta_se", "expected_reward", "expected_length",
@@ -140,7 +134,7 @@ def run_simulate(ec: ExperimentConfig, outdir: str) -> int:
         _table_header(ec["T"], with_se=True)
     rows = []
     for value, point in _sweep_points(ec):
-        rep = estimate(point.system(), policy, point.compression(), **point.mc_kwargs())
+        rep = _evaluator(point, "mc").report(policy)
         se = rep.table.std_errors
         prefix = [value] if value is not None else []
         rows.append(prefix + [rep.eta, rep.eta_std_error, rep.expected_reward,
@@ -160,52 +154,23 @@ def _policy_cells(policy: RatePolicy) -> list:
     return [float(policy.r1), float(policy.r2), float(policy.alpha)]
 
 
-def _reward_length(ec: ExperimentConfig, cfg: SystemConfig, policy: RatePolicy):
-    """E[R], E[L] re-evaluated at the returned policy (analytic path)."""
-    if cfg.channel_regime == "stsc":
-        rep = throughput_stsc(cfg, policy, n=ec["quad.n"])
-    elif policy.mode == "lcsit":
-        grid = quantize(cfg.model_d, len(np.atleast_1d(policy.r1)))
-        rep = throughput_ltsc(cfg, policy, ec.compression(), grid=grid)
-    else:
-        rep = throughput_ltsc(cfg, policy, ec.compression(), quad_n=ec["quad.n"])
-    return rep.expected_reward, rep.expected_length
-
-
 def run_optimize(ec: ExperimentConfig, outdir: str) -> int:
-    backend = ec["backend"]
     lcsit = ec["csi"] == "lcsit"
-    _require(not (lcsit and ec["regime"] != "ltsc"),
-             "csi: per-node optimization runs under the ltsc regime only")
-    _require(not (lcsit and backend != "analytic"),
-             "backend: per-node optimization supports the analytic backend only")
-    _require(not (ec["regime"] == "stsc" and ec["T"] != 2 and backend == "analytic"),
-             "T: stsc analytics support T = 2 only")
-    _require(not (ec["regime"] == "stsc" and ec["compression"] == "adaptive"),
-             "compression: adaptive compression needs the ltsc regime")
-
-    gs, q = ec.grid_spec(), ec["quad.n"]
-    mc = {"sessions": ec["mc.sessions"], "seed": ec["mc.seed"],
-          "batch_size": ec["mc.batch"], "workers": ec["mc.workers"]}
+    classes = ("bc-lcsit", "sl-lcsit") if lcsit else ("bc", "sl")
     header = ([ec["sweep.key"]] if ec["sweep.key"] else []) + \
         ["mode", "eta", "r1", "r2", "alpha",
          "expected_reward", "expected_length", "converged"]
     rows = []
     for value, point in _sweep_points(ec):
-        cfg, comp = point.system(), point.compression()
-        classes = ("bc-lcsit", "sl-lcsit") if lcsit else ("bc", "sl")
-        optima = _optimize(cfg, comp, classes, backend, gs, q, mc, point.n_nodes())
+        ev = _evaluator(point, ec["backend"])
+        optima = _optimize(ev.cfg, ev.comp, classes, ev.backend, point.grid_spec(),
+                           ev.quad_n, ev.mc, point.n_nodes())
         prefix = [value] if value is not None else []
         for mode, res in zip(("bc", "sl"), (optima[c] for c in classes)):
-            if backend == "analytic":
-                er, el = _reward_length(point, cfg, res.policy)
-            else:
-                rep = estimate(cfg, res.policy, comp, n_sessions=mc["sessions"],
-                               master_seed=mc["seed"], batch_size=mc["batch_size"],
-                               workers=mc["workers"])
-                er, el = rep.expected_reward, rep.expected_length
+            rep = ev.report(res.policy)
             rows.append(prefix + [mode, res.eta] + _policy_cells(res.policy)
-                        + [er, el, res.metadata.get("converged", True)])
+                        + [rep.expected_reward, rep.expected_length,
+                           res.metadata.get("converged", True)])
     path = _write_artifacts(outdir, "optimize", header, rows, ec)
     print(f"optimize: wrote {path} ({len(rows)} rows)")
     return 0

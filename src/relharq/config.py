@@ -53,10 +53,7 @@ from dataclasses import dataclass, field
 from .channel import CompressionPolicy, RatePolicy, SystemConfig
 from .fading import FadingModel
 from .optimize import GridSpec
-
-
-class ConfigError(ValueError):
-    """Invalid experiment config; the message names the offending key."""
+from .tables import ConfigError  # noqa: F401  (re-exported: relharq.config.ConfigError)
 
 
 def db_to_linear(x_db: float) -> float:

@@ -120,10 +120,6 @@ class QuadratureGrid:
     edges: np.ndarray
     source_model: FadingModel
 
-    def expect(self, values: np.ndarray) -> float:
-        """Sum_i w_i values[..., i] along the last axis."""
-        return values @ self.weights
-
     def node_index(self, x) -> np.ndarray:
         return np.searchsorted(self.edges, x, side="right")
 

@@ -36,29 +36,20 @@ from .channel import (
     CompressionPolicy,
     RatePolicy,
     SystemConfig,
-    adaptive_gain,
+    _split_gain,
+    check_supported,
     conservative_gain,
     infer_s_hat,
     slot_threshold,
 )
 from .fading import QuadratureGrid, cdf_of_max, cdf_of_min, quantize
-from .tables import ProbabilityTable, ThroughputReport, expected_length
+from .tables import ProbabilityTable, ThroughputReport
 
 DEFAULT_QUAD_N = 256
 
 
 def _pos(x):
     return np.maximum(x, 0.0)
-
-
-def _check_ltsc(cfg: SystemConfig):
-    if cfg.channel_regime != "ltsc":
-        raise ValueError("LTSC analytics require channel_regime='ltsc'")
-    if cfg.bc_layer2_interference:
-        raise ValueError(
-            "the BC layer-2 residual-interference variant has no LTSC closed form; "
-            "it is available in the simulator and the STSC analytics"
-        )
 
 
 def node_tables(
@@ -75,7 +66,7 @@ def node_tables(
     r1/r2/alpha broadcast against the node axis, so a scalar tuple gives
     (nd, T) and per-node policies pass nd-vectors.
     """
-    _check_ltsc(cfg)
+    check_supported(cfg, comp, regime="ltsc")
     P, cmax, T = cfg.power, cfg.backhaul_capacity, cfg.max_rounds
     s_min = cfg.s_min
     d = grid.nodes
@@ -91,7 +82,7 @@ def node_tables(
     abar = 1.0 - alpha
 
     a = conservative_gain(d, s_min, P, cmax)
-    b = 1.0 + a / d
+    b = _split_gain(a, d)  # 1 + a/d; a dead link (d = 0) has a = 0 and b = 1
     # approximate per-BC-slot layer-2 credit (1/2)log2(c/b), c = b + abar P a
     g2 = 0.5 * np.log2(1.0 + abar * P * a / b)
 
@@ -122,7 +113,7 @@ def node_tables(
             # +inf means "layer 1 cannot decode at l"; the interval is empty,
             # substitute a dummy so a_hat stays finite
             s_hat = np.where(np.isposinf(s_hat), 1.0, s_hat)
-            a_sl = adaptive_gain(d, s_hat, P, cmax)
+            a_sl = conservative_gain(d, s_hat, P, cmax)
         else:
             a_sl = a
         for k in range(l + 1, T + 1):
@@ -200,30 +191,6 @@ def _mass_average(grid: QuadratureGrid, p1, p2o, p2d) -> ProbabilityTable:
     )
 
 
-def _check_k(k: int, T: int):
-    if not 1 <= k <= T:
-        raise ValueError(f"k={k} outside 1..{T}")
-
-
-def p1_out(k, cfg, policy, grid=None, quad_n=DEFAULT_QUAD_N, single_slot_thresholds=False):
-    _check_k(k, cfg.max_rounds)
-    table = probability_table(cfg, policy, grid=grid, quad_n=quad_n,
-                              single_slot_thresholds=single_slot_thresholds)
-    return float(table.p1_out[k - 1])
-
-
-def p2_out(k, cfg, policy, comp=CompressionPolicy("constant"), grid=None,
-           quad_n=DEFAULT_QUAD_N):
-    _check_k(k, cfg.max_rounds)
-    return float(probability_table(cfg, policy, comp, grid, quad_n).p2_out[k - 1])
-
-
-def p2_dec(k, cfg, policy, comp=CompressionPolicy("constant"), grid=None,
-           quad_n=DEFAULT_QUAD_N):
-    _check_k(k, cfg.max_rounds)
-    return float(probability_table(cfg, policy, comp, grid, quad_n).p2_dec[k - 1])
-
-
 def throughput_ltsc(
     cfg: SystemConfig,
     policy: RatePolicy,
@@ -244,5 +211,4 @@ def throughput_ltsc(
         expected_reward=er,
         expected_length=el,
         table=table,
-        config_echo={"regime": "ltsc", "compression": comp.kind, "policy_mode": policy.mode},
     )

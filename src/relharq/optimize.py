@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import CompressionPolicy, RatePolicy, SystemConfig
+from .channel import CompressionPolicy, RatePolicy, SystemConfig, check_supported
 from .fading import quantize
 from .ltsc import node_reward_length, throughput_ltsc
 from .simulate import estimate
@@ -83,18 +83,17 @@ class OptimizationResult:
 
 
 class _Evaluator:
-    """eta over a (r1, r2) block at fixed alpha; analytic or Monte Carlo."""
+    """eta of one scenario by regime and backend: over a (r1, r2) block at fixed
+    alpha (the optimizer's scan), or at one policy with its table (`report`)."""
 
-    def __init__(self, cfg, comp, backend, quad_n, mc):
-        if backend not in ("analytic", "mc"):
-            raise ValueError(f"unknown backend {backend!r}")
-        if cfg.channel_regime == "stsc" and comp.adaptive:
-            raise ValueError("adaptive compression requires the ltsc regime")
+    def __init__(self, cfg, comp, backend, quad_n, mc, per_node=False):
+        check_supported(cfg, comp, backend, per_node)
         self.cfg, self.comp, self.backend = cfg, comp, backend
         self.quad_n = quad_n
         self.mc = {"sessions": 20_000, "seed": 0, "batch_size": 1 << 16, "workers": 1,
                    **(mc or {})}
-        self.grid = quantize(cfg.model_d, quad_n) if cfg.channel_regime == "ltsc" else None
+        ltsc_closed_form = backend == "analytic" and cfg.channel_regime == "ltsc"
+        self.grid = quantize(cfg.model_d, quad_n) if ltsc_closed_form else None
         self.n_evals = 0
 
     def block(self, r1v: np.ndarray, r2v: np.ndarray, alpha: float, visit=None) -> np.ndarray:
@@ -129,13 +128,18 @@ class _Evaluator:
             out[i : i + rows] = er / (2.0 - q["p2_dec_1"])
         return out
 
-    def rethroughput(self, policy: RatePolicy):
+    def report(self, policy: RatePolicy):
+        """eta, expected_reward, expected_length and table at one policy.
+
+        A per-node policy is read on its own node grid, one node per tuple.
+        """
         if self.backend == "mc":
             return estimate(self.cfg, policy, self.comp, self.mc["sessions"],
-                            self.mc["seed"], self.mc["batch_size"], self.mc["workers"]
-                            ).throughput()
+                            self.mc["seed"], self.mc["batch_size"], self.mc["workers"])
         if self.cfg.channel_regime == "ltsc":
-            return throughput_ltsc(self.cfg, policy, self.comp, grid=self.grid)
+            grid = self.grid if policy.mode == "no_lcsit" else quantize(self.cfg.model_d,
+                                                                        policy.r1.size)
+            return throughput_ltsc(self.cfg, policy, self.comp, grid=grid)
         return throughput_stsc(self.cfg, policy, n=self.quad_n)
 
 
@@ -336,14 +340,9 @@ def _optimize(cfg: SystemConfig, comp: CompressionPolicy, classes, backend: str 
     """
     per_node = [c for c in ("bc-lcsit", "sl-lcsit") if c in classes]
     nd = n_nodes if n_nodes is not None else quad_n
-    if per_node:
-        if cfg.channel_regime != "ltsc":
-            raise ValueError("per-node policies are optimized under the ltsc regime only")
-        if backend != "analytic":
-            raise ValueError("per-node optimization supports the analytic backend only")
-        if nd < 1:
-            raise ValueError("n_nodes must be >= 1")
-    ev = _Evaluator(cfg, comp, backend, quad_n, mc)
+    if per_node and nd < 1:
+        raise ValueError("n_nodes must be >= 1")
+    ev = _Evaluator(cfg, comp, backend, quad_n, mc, per_node=bool(per_node))
     r_axis = grid_spec.r_axis()
     lattices = {"sl": (r_axis, np.array([0.0]), np.array([1.0])),
                 "bc": (r_axis, r_axis, grid_spec.alpha_axis())}

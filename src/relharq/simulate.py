@@ -20,14 +20,14 @@ from .channel import (
     CompressionPolicy,
     RatePolicy,
     SystemConfig,
-    adaptive_gain,
     backhaul_usage,
+    check_supported,
     conservative_gain,
     infer_s_hat,
     mutual_info,
 )
 from .fading import quantize
-from .tables import NumericalError, ProbabilityTable, ThroughputReport
+from .tables import NumericalError, ProbabilityTable
 
 _FEAS_TOL = 1e-9
 
@@ -60,20 +60,6 @@ class EstimateReport:
     master_seed: int
     adaptation_count: int
     feasibility_violations: int
-
-    def throughput(self) -> ThroughputReport:
-        return ThroughputReport(
-            eta=self.eta,
-            expected_reward=self.expected_reward,
-            expected_length=self.expected_length,
-            table=self.table,
-            config_echo={"backend": "monte_carlo", "n_sessions": self.n_sessions},
-        )
-
-
-def _check_sim(cfg: SystemConfig, comp: CompressionPolicy):
-    if comp.adaptive and cfg.channel_regime != "ltsc":
-        raise ValueError("adaptive compression requires the ltsc regime")
 
 
 def _resolve_rates(policy: RatePolicy, cfg: SystemConfig, d1: np.ndarray):
@@ -150,7 +136,7 @@ def _run_batch(cfg: SystemConfig, policy: RatePolicy, comp: CompressionPolicy,
                 a_d = conservative_gain(dt[ack], s_min, P, cmax)
                 sh = infer_s_hat(r1[ack], t, alpha_t[ack], dt[ack], a_d, P, s_min)
                 s_hat[ack] = sh
-                a_hat[ack] = adaptive_gain(dt[ack], sh, P, cmax)
+                a_hat[ack] = conservative_gain(dt[ack], sh, P, cmax)
                 adapted |= ack
                 ack_slot[ack] = t
                 bad = (st[ack] < sh - _FEAS_TOL) | (
@@ -184,7 +170,7 @@ def _run_batch(cfg: SystemConfig, policy: RatePolicy, comp: CompressionPolicy,
 def simulate_session(cfg: SystemConfig, policy: RatePolicy, comp: CompressionPolicy,
                      rng: np.random.Generator) -> SessionOutcome:
     """One session through the same stepper the batch estimator uses."""
-    _check_sim(cfg, comp)
+    check_supported(cfg, comp, backend="mc")
     res = _run_batch(cfg, policy, comp, rng, 1, trace=True)
     d_tr, s_tr, acc1_tr, acc2_tr, k1, k2, lengths, ack_slot, s_hat = res["trace"]
     L = int(lengths[0])
@@ -205,7 +191,7 @@ def estimate(cfg: SystemConfig, policy: RatePolicy, comp: CompressionPolicy,
              n_sessions: int, master_seed: int, batch_size: int = 1 << 16,
              workers: int = 1) -> EstimateReport:
     """Empirical tables and throughput from n_sessions independent sessions."""
-    _check_sim(cfg, comp)
+    check_supported(cfg, comp, backend="mc")
     if n_sessions < 1:
         raise ValueError("n_sessions must be >= 1")
     T = cfg.max_rounds

@@ -41,18 +41,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import RatePolicy, SystemConfig, conservative_gain, mutual_info, slot_threshold
+from .channel import (RatePolicy, SystemConfig, check_supported, conservative_gain, mutual_info,
+                      slot_threshold)
 from .fading import cdf_of_max, quantize
 from .tables import ProbabilityTable, ThroughputReport, expected_length
 
 DEFAULT_STSC_N = 128
-
-
-def _check_stsc(cfg: SystemConfig):
-    if cfg.channel_regime != "stsc":
-        raise ValueError("STSC analytics require channel_regime='stsc'")
-    if cfg.max_rounds != 2:
-        raise ValueError("STSC closed forms cover T=2 only (the simulator handles other T)")
 
 
 def stsc_quantities(cfg: SystemConfig, r1_vec, r2_vec, alpha: float, n: int = DEFAULT_STSC_N,
@@ -64,7 +58,7 @@ def stsc_quantities(cfg: SystemConfig, r1_vec, r2_vec, alpha: float, n: int = DE
     max(chunk_cells, (q1 + q2) n^2) cells together, each gathered gamma batch
     at most max(chunk_cells / 8, n^2); the outer masses are (q1, q2, n, n).
     """
-    _check_stsc(cfg)
+    check_supported(cfg, regime="stsc")
     P, cmax, s_min = cfg.power, cfg.backhaul_capacity, cfg.s_min
     ap, abp = alpha * P, (1.0 - alpha) * P
     p_int2 = ap if cfg.bc_layer2_interference else 0.0
@@ -181,14 +175,9 @@ def stsc_quantities(cfg: SystemConfig, r1_vec, r2_vec, alpha: float, n: int = DE
     }
 
 
-def _policy_tuple(policy: RatePolicy):
-    if policy.mode != "no_lcsit":
-        raise ValueError("STSC analytics cover single-tuple policies only")
-    return float(policy.r1), float(policy.r2), float(policy.alpha)
-
-
 def stsc_table(cfg: SystemConfig, policy: RatePolicy, n: int = DEFAULT_STSC_N) -> ProbabilityTable:
-    r1, r2, alpha = _policy_tuple(policy)
+    check_supported(cfg, per_node=policy.mode == "lcsit", regime="stsc")
+    r1, r2, alpha = float(policy.r1), float(policy.r2), float(policy.alpha)
     q = stsc_quantities(cfg, [r1], [r2], alpha, n)
     p1o1 = float(q["p1_out_1"][0, 0])
     p1o2 = float(q["p1_out_2"][0, 0])
@@ -201,27 +190,13 @@ def stsc_table(cfg: SystemConfig, policy: RatePolicy, n: int = DEFAULT_STSC_N) -
     )
 
 
-def stsc_p1_out_2(cfg, policy, n: int = DEFAULT_STSC_N) -> float:
-    return float(stsc_table(cfg, policy, n).p1_out[1])
-
-
-def stsc_p2_out_2(cfg, policy, n: int = DEFAULT_STSC_N) -> float:
-    return float(stsc_table(cfg, policy, n).p2_out[1])
-
-
-def stsc_p2_dec_1(cfg, policy, n: int = DEFAULT_STSC_N) -> float:
-    return float(stsc_table(cfg, policy, n).p2_dec[0])
-
-
 def throughput_stsc(cfg: SystemConfig, policy: RatePolicy, n: int = DEFAULT_STSC_N) -> ThroughputReport:
-    r1, r2, _ = _policy_tuple(policy)
     table = stsc_table(cfg, policy, n)
-    er = r1 * (1.0 - table.p1_out[1]) + r2 * (1.0 - table.p2_out[1])
+    er = float(policy.r1) * (1.0 - table.p1_out[1]) + float(policy.r2) * (1.0 - table.p2_out[1])
     el = expected_length(table.p2_dec, float(table.p2_out[1]), 2)
     return ThroughputReport(
         eta=er / el,
         expected_reward=float(er),
         expected_length=float(el),
         table=table,
-        config_echo={"regime": "stsc", "policy_mode": policy.mode},
     )

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+
+class ConfigError(ValueError):
+    """Invalid or unsupported experiment config; the message names the offending key."""
 
 
 class NumericalError(RuntimeError):
@@ -40,7 +44,6 @@ class ThroughputReport:
     expected_reward: float
     expected_length: float
     table: ProbabilityTable
-    config_echo: dict = field(default_factory=dict)
 
 
 def expected_length(p2_dec: np.ndarray, p2_out_T: float, T: int) -> float:

@@ -28,31 +28,8 @@ from relharq.stsc import stsc_table
 COARSE = GridSpec(r_max=3.0, r_step=0.25, alpha_step=0.25, refine_rounds=1)
 
 
-def rand_model(rng, allow_pointmass=True):
-    kinds = ["rayleigh", "rician"] + (["pointmass"] if allow_pointmass else [])
-    kind = kinds[rng.integers(len(kinds))]
-    if kind == "pointmass":
-        return FadingModel("pointmass", point_value=float(rng.uniform(0.2, 4.0)))
-    rho = 10.0 ** (rng.uniform(-5.0, 15.0) / 10.0)
-    k = float(rng.uniform(0.0, 8.0)) if kind == "rician" else 0.0
-    return FadingModel(kind, mean_power=rho, rician_k=k)
-
-
-def rand_system(rng, regime, T, variant=False):
-    model_d = rand_model(rng)
-    # an S atom against a continuous D parks decode events on exact ties,
-    # which no float tolerance can arbitrate; pair atoms with atoms
-    model_s = rand_model(rng, allow_pointmass=model_d.kind == "pointmass")
-    return SystemConfig(power=10.0 ** (rng.uniform(-5.0, 10.0) / 10.0),
-                        backhaul_capacity=float(rng.uniform(0.5, 4.0)),
-                        max_rounds=T, model_d=model_d, model_s=model_s,
-                        channel_regime=regime, bc_layer2_interference=variant)
-
-
-def rand_tuple(rng):
-    return RatePolicy.constant(float(rng.uniform(0.2, 2.5)),
-                               float(rng.uniform(0.0, 1.5)),
-                               float(rng.uniform(0.6, 0.98)))
+# the random scenarios of the validate job: same draws, one copy
+rand_system, rand_tuple = cli._rand_system, cli._rand_tuple
 
 
 def mc_sigma(analytic, se, n):

@@ -8,15 +8,14 @@ from relharq.channel import (
     CompressionPolicy,
     RatePolicy,
     SystemConfig,
-    adaptive_gain,
     backhaul_usage,
     conservative_gain,
     infer_s_hat,
-    layer_mi,
     mutual_info,
     slot_threshold,
 )
 from relharq.fading import FadingModel
+from relharq.simulate import simulate_session
 
 
 def make_cfg(**kw):
@@ -90,13 +89,18 @@ class TestBackhaul:
         assert conservative_gain(1.0, 0.0, 1.0, 1.0) == pytest.approx(1.5, abs=1e-12)
 
     def test_adaptive_gain_frozen(self):
+        # the adaptive gain is the conservative one at the inferred bound s_hat:
         # beta=3, (1+2.4)/(1+(1+2.4)) = 3.4/4.4
-        assert adaptive_gain(1.0, 2.4, 1.0, 1.0) == pytest.approx(3 * 3.4 / 4.4, abs=1e-12)
-        assert adaptive_gain(2.0, 0.0, 1.0, 1.0) == conservative_gain(2.0, 0.0, 1.0, 1.0)
+        assert conservative_gain(1.0, 2.4, 1.0, 1.0) == pytest.approx(3 * 3.4 / 4.4, abs=1e-12)
 
     def test_gain_domain_error(self):
+        # a dead relay link forwards nothing; a negative gain is no gain at all
+        assert conservative_gain(0.0, 0.0, 1.0, 1.0) == 0.0
+        assert conservative_gain(0.0, 2.0, 1.0, 1e3) == 0.0
+        assert np.array_equal(conservative_gain(np.array([0.0, 1.0]), 0.0, 1.0, 1.0),
+                              [0.0, conservative_gain(1.0, 0.0, 1.0, 1.0)])
         with pytest.raises(ValueError):
-            conservative_gain(0.0, 0.0, 1.0, 1.0)
+            conservative_gain(-1e-9, 0.0, 1.0, 1.0)
 
     @given(
         d=st.floats(1e-3, 1e3),
@@ -185,37 +189,40 @@ class TestSlotThreshold:
 
 
 class TestLayerMi:
+    """The per-slot MI each layer accumulates in the simulator's session stepper."""
+
+    @staticmethod
+    def first_slots(alpha, variant=False):
+        # D = 1, S = 1 frozen; r2 is out of reach, so both slots are recorded
+        cfg = make_cfg(model_d=FadingModel("pointmass", point_value=1.0),
+                       model_s=FadingModel("pointmass", point_value=1.0),
+                       bc_layer2_interference=variant)
+        out = simulate_session(cfg, RatePolicy.constant(0.1, 50.0, alpha), CompressionPolicy(),
+                               np.random.default_rng(0))
+        return out, conservative_gain(1.0, 1.0, 1.0, 1.0)
+
     def test_branches(self):
-        cfg = make_cfg()
-        tup = (1.0, 0.5, 0.8)
-        assert layer_mi("bc", 1, cfg, 1.5, 1.0, 1.0, tup) == pytest.approx(
-            mutual_info(0.8, 0.2, 1.5, 1.0, 1.0)
-        )
-        assert layer_mi("bc", 2, cfg, 1.5, 1.0, 1.0, tup) == pytest.approx(
-            mutual_info(0.2, 0.0, 1.5, 1.0, 1.0)
-        )
-        assert layer_mi("sl", 2, cfg, 1.5, 1.0, 1.0, tup) == pytest.approx(
-            mutual_info(1.0, 0.0, 1.5, 1.0, 1.0)
-        )
+        out, a = self.first_slots(0.8)
+        assert out.acc_mi_1[0] == pytest.approx(mutual_info(0.8, 0.2, a, 1.0, 1.0))
+        assert out.acc_mi_2[0] == pytest.approx(mutual_info(0.2, 0.0, a, 1.0, 1.0))
+        # layer 1 decoded in slot 1, so slot 2 is single-layer at full power
+        assert out.acc_mi_2[1] - out.acc_mi_2[0] == pytest.approx(
+            mutual_info(1.0, 0.0, a, 1.0, 1.0))
 
     def test_alpha_one_degenerates(self):
-        cfg = make_cfg()
-        tup = (1.0, 0.5, 1.0)
-        assert layer_mi("bc", 2, cfg, 1.5, 1.0, 1.0, tup) == 0.0
-        assert layer_mi("bc", 1, cfg, 1.5, 1.0, 1.0, tup) == layer_mi(
-            "sl", 2, cfg, 1.5, 1.0, 1.0, tup
-        )
+        out, _ = self.first_slots(1.0)
+        assert out.acc_mi_2[0] == 0.0
+        assert out.acc_mi_1[0] == out.acc_mi_2[1]
 
     def test_interference_variant(self):
-        cfg = make_cfg(bc_layer2_interference=True)
-        tup = (1.0, 0.5, 0.8)
-        assert layer_mi("bc", 2, cfg, 1.5, 1.0, 1.0, tup) == pytest.approx(
-            mutual_info(0.2, 0.8, 1.5, 1.0, 1.0)
-        )
+        out, a = self.first_slots(0.8, variant=True)
+        assert out.acc_mi_2[0] == pytest.approx(mutual_info(0.2, 0.8, a, 1.0, 1.0))
 
     def test_sl_layer1_rejected(self):
-        with pytest.raises(ValueError):
-            layer_mi("sl", 1, make_cfg(), 1.0, 1.0, 1.0, (1.0, 0.5, 0.8))
+        # a single-layer slot carries no layer-1 MI
+        out, _ = self.first_slots(0.8)
+        assert out.slot_m1_decoded == 1
+        assert out.acc_mi_1[1] == out.acc_mi_1[0]
 
 
 class TestConfigTypes:

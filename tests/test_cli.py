@@ -150,6 +150,36 @@ class TestExitCodes:
         rows = read_rows(tmp_path / "analytic.csv")
         assert all(np.isfinite(float(c)) for c in rows[1])
 
+    @pytest.mark.parametrize("job", ["analytic", "optimize"])
+    def test_ltsc_interference_variant_is_config_error(self, tmp_path, capsys, job):
+        path = write_cfg(tmp_path, COARSE + "bc_layer2_interference = true\n")
+        assert cli.main([job, "--config", path, "--out", str(tmp_path)]) == 2
+        assert "bc_layer2_interference:" in capsys.readouterr().err
+
+    def test_stsc_optimize_t_sweep_is_config_error(self, tmp_path, capsys):
+        # every sweep point is checked, not only the base config's T = 2
+        path = write_cfg(tmp_path, "regime = stsc\nquad.n = 8\ngrid.r_max = 2.0\n"
+                                   "grid.r_step = 0.5\ngrid.alpha_step = 0.5\n"
+                                   "grid.refine = 0\nsweep.key = T\nsweep.values = 2,3\n")
+        assert cli.main(["optimize", "--config", path, "--out", str(tmp_path)]) == 2
+        assert "T:" in capsys.readouterr().err
+
+    def test_stsc_simulate_runs_at_any_horizon(self, tmp_path):
+        path = write_cfg(tmp_path, "regime = stsc\nT = 3\npolicy = 1.0,0.2,0.9\n"
+                                   "mc.sessions = 2000\n")
+        assert cli.main(["simulate", "--config", path, "--out", str(tmp_path)]) == 0
+        rows = read_rows(tmp_path / "simulate.csv")
+        assert "p2_dec_3" in rows[0]
+        assert all(np.isfinite(float(c)) for c in rows[1])
+
+    @pytest.mark.parametrize("job", ["analytic", "simulate"])
+    def test_dead_relay_link_runs(self, tmp_path, job):
+        path = write_cfg(tmp_path, "fading_D.dist = pointmass\nfading_D.value = 0.0\n"
+                                   "policy = 1.0,0.2,0.9\nmc.sessions = 2000\n")
+        assert cli.main([job, "--config", path, "--out", str(tmp_path)]) == 0
+        rows = read_rows(tmp_path / f"{job}.csv")
+        assert all(np.isfinite(float(c)) for c in rows[1])
+
     def test_figure_rejects_caption_conflicts(self, tmp_path):
         path = write_cfg(tmp_path, "T = 3\n")
         assert cli.main(["figure", "2", "--config", path,
@@ -187,6 +217,19 @@ class TestArtifacts:
                          "--out", str(out2)]) == 0
         assert (out1 / "analytic.csv").read_bytes() == \
             (out2 / "analytic.csv").read_bytes()
+
+    @pytest.mark.parametrize("compression", ["constant", "adaptive"])
+    def test_dead_relay_link_is_a_relay_without_backhaul(self, tmp_path, compression):
+        # a = 0 both when D = 0 and when Cmax = 0: the relay forwards nothing
+        base = (f"T = 3\ncompression = {compression}\nfading_D.dist = pointmass\n"
+                "policy = 1.0,0.2,0.9\nsweep.key = P_dB\nsweep.values = -3.0,0.0,10.0\n")
+        dead = write_cfg(tmp_path, base + "fading_D.value = 0.0\n", name="dead.cfg")
+        cut = write_cfg(tmp_path, base + "fading_D.value = 1.0\nCmax = 0.0\n",
+                        name="cut.cfg")
+        for path, out in ((dead, tmp_path / "dead"), (cut, tmp_path / "cut")):
+            assert cli.main(["analytic", "--config", path, "--out", str(out)]) == 0
+        assert (tmp_path / "dead" / "analytic.csv").read_bytes() == \
+            (tmp_path / "cut" / "analytic.csv").read_bytes()
 
     def test_csv_is_crlf_terminated(self, tmp_path):
         path = write_cfg(tmp_path, COARSE)

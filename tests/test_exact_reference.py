@@ -15,7 +15,7 @@ import pytest
 
 from relharq import ltsc
 from relharq import optimize as opt
-from relharq.channel import (CompressionPolicy, RatePolicy, SystemConfig, adaptive_gain,
+from relharq.channel import (CompressionPolicy, RatePolicy, SystemConfig,
                              conservative_gain, infer_s_hat, mutual_info,
                              slot_threshold)
 from relharq.fading import FadingModel, QuadratureGrid, quantize
@@ -88,7 +88,7 @@ def reference_node_tables(
             # +inf means "layer 1 cannot decode at l"; the interval is empty,
             # substitute a dummy so a_hat stays finite
             s_hat = np.where(np.isposinf(s_hat), 1.0, s_hat)
-            a_sl = adaptive_gain(d, s_hat, P, cmax)
+            a_sl = conservative_gain(d, s_hat, P, cmax)
         else:
             a_sl = a
         prev = same_slot

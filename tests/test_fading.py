@@ -127,8 +127,8 @@ def test_quantize_mass_and_mean(model):
     grid = quantize(model, 200)
     assert abs(grid.weights.sum() - 1.0) < 1e-12
     assert np.all(np.diff(grid.nodes) > 0)
-    assert grid.expect(np.ones_like(grid.nodes)) == pytest.approx(1.0, abs=1e-12)
-    mean = grid.expect(grid.nodes)
+    assert np.ones_like(grid.nodes) @ grid.weights == pytest.approx(1.0, abs=1e-12)
+    mean = grid.nodes @ grid.weights
     assert abs(mean - model.mean_power) < 0.01 * model.mean_power
 
 
@@ -139,12 +139,12 @@ def test_quantize_convergence_envelope():
     exact = []
     ref = quantize(model, 1 << 15)
     for f in fns:
-        exact.append(ref.expect(f(ref.nodes)))
+        exact.append(f(ref.nodes) @ ref.weights)
     for f, tgt in zip(fns, exact):
         errs = []
         for n in (128, 256, 512):
             g = quantize(model, n)
-            errs.append(abs(g.expect(f(g.nodes)) - tgt))
+            errs.append(abs(f(g.nodes) @ g.weights - tgt))
         assert errs[2] <= errs[0] + 1e-12
         assert errs[2] <= errs[1] + 1e-12
 

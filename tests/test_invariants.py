@@ -5,7 +5,8 @@ import pathlib
 
 import numpy as np
 
-from relharq import cli, optimize, simulate
+import relharq
+from relharq import cli, config, optimize, simulate, tables
 
 SRC = pathlib.Path(simulate.__file__).parent
 
@@ -39,6 +40,13 @@ def test_no_assert_statements_in_the_package():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_export_resolves():
+    # a deleted helper must not leave a stale name in the public API
+    assert [name for name in relharq.__all__ if not hasattr(relharq, name)] == []
+    assert relharq.ConfigError is config.ConfigError is tables.ConfigError
+    assert issubclass(relharq.ConfigError, ValueError)
 
 
 def test_feasibility_violation_raises_and_exits_3(tmp_path, monkeypatch):

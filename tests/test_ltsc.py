@@ -4,14 +4,7 @@ import pytest
 from relharq import ltsc
 from relharq.channel import CompressionPolicy, RatePolicy, SystemConfig
 from relharq.fading import FadingModel, quantize
-from relharq.ltsc import (
-    node_tables,
-    p1_out,
-    p2_dec,
-    p2_out,
-    probability_table,
-    throughput_ltsc,
-)
+from relharq.ltsc import node_tables, probability_table, throughput_ltsc
 
 CONST = CompressionPolicy("constant")
 ADAPT = CompressionPolicy("adaptive")
@@ -56,26 +49,21 @@ class TestP1Out:
         cfg = rand_cfg(np.random.default_rng(0))
         pol = RatePolicy.constant(0.0, 0.5, 0.7)
         for k in range(1, cfg.max_rounds + 1):
-            assert p1_out(k, cfg, pol) == 0.0
+            assert probability_table(cfg, pol).p1_out[k - 1] == 0.0
 
     def test_degenerate_decode_boundary(self):
         # f_I(1,0,1.5,2.5,1) = 1.0178 >= 1 -> no outage; s=2.0 gives 0.9240 < 1
         pol = RatePolicy.constant(1.0, 0.0, 1.0)
-        assert p1_out(1, pm_cfg(1.0, 2.5), pol) == 0.0
-        assert p1_out(1, pm_cfg(1.0, 2.0), pol) == 1.0
+        assert probability_table(pm_cfg(1.0, 2.5), pol).p1_out[0] == 0.0
+        assert probability_table(pm_cfg(1.0, 2.0), pol).p1_out[0] == 1.0
 
     def test_k_dependence(self):
         # two slots accumulate: s=2.0 fails one slot but 2 slots carry 1.848 bits
         pol = RatePolicy.constant(1.0, 0.0, 1.0)
         cfg = pm_cfg(1.0, 2.0, T=2)
-        assert p1_out(2, cfg, pol) == 0.0
+        assert probability_table(cfg, pol).p1_out[1] == 0.0
         # degraded variant: every retransmission must decode from one slot
-        assert p1_out(2, cfg, pol, single_slot_thresholds=True) == 1.0
-
-    def test_k_range_checked(self):
-        cfg = pm_cfg(1.0, 2.0, T=2)
-        with pytest.raises(ValueError):
-            p1_out(3, cfg, RatePolicy.constant(1, 0, 1))
+        assert probability_table(cfg, pol, single_slot_thresholds=True).p1_out[1] == 1.0
 
 
 class TestP2:
@@ -90,20 +78,21 @@ class TestP2:
     def test_alpha_one_k1_is_certain_outage(self):
         cfg = pm_cfg(1.0, 10.0, T=2)
         pol = RatePolicy.constant(0.5, 0.1, 1.0)
-        assert p2_out(1, cfg, pol) == 1.0
+        assert probability_table(cfg, pol).p2_out[0] == 1.0
 
     def test_deterministic_chain_example(self):
         # D=1, S=5, (1, 0.2, 0.9): layer 1 decodes in slot 1 (I1=1.0405) and
         # layer 2 immediately after (I2bc=0.3208 >= 0.2), so no outage anywhere
         cfg = pm_cfg(1.0, 5.0, T=2)
         pol = RatePolicy.constant(1.0, 0.2, 0.9)
-        assert p2_out(2, cfg, pol) == 0.0
-        assert p2_dec(1, cfg, pol) == 1.0
+        table = probability_table(cfg, pol)
+        assert table.p2_out[1] == 0.0
+        assert table.p2_dec[0] == 1.0
 
     def test_both_layers_slot1(self):
         cfg = pm_cfg(1.0, 10.0, T=2)
         pol = RatePolicy.constant(0.5, 0.1, 0.9)
-        assert p2_dec(1, cfg, pol) == 1.0
+        assert probability_table(cfg, pol).p2_dec[0] == 1.0
 
     def test_huge_r1_never_decodes(self):
         cfg = SystemConfig(

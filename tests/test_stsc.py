@@ -5,14 +5,7 @@ import pytest
 
 from relharq.channel import RatePolicy, SystemConfig, conservative_gain, mutual_info
 from relharq.fading import FadingModel
-from relharq.stsc import (
-    stsc_p1_out_2,
-    stsc_p2_dec_1,
-    stsc_p2_out_2,
-    stsc_quantities,
-    stsc_table,
-    throughput_stsc,
-)
+from relharq.stsc import stsc_quantities, stsc_table, throughput_stsc
 
 
 def pm_cfg(d, s, cmax=1.0, P=1.0, variant=False):
@@ -114,7 +107,7 @@ class TestDegenerateBoundaries:
         assert t.p2_dec[1] == 1.0
 
         pol = RatePolicy.constant(0.9 * i1, i2 + 1.1 * sl, 0.6)
-        assert stsc_p2_out_2(cfg, pol) == 1.0
+        assert stsc_table(cfg, pol).p2_out[1] == 1.0
 
     def test_alpha_one_leaves_only_the_retry(self):
         # no layer-2 power in slot 1, so its only chance is the slot-2 retry
@@ -129,7 +122,7 @@ class TestDegenerateBoundaries:
         assert throughput_stsc(cfg, pol).expected_length == 2.0
 
         pol = RatePolicy.constant(0.1, f + 1e-6, 1.0)
-        assert stsc_p2_out_2(cfg, pol) == 1.0
+        assert stsc_table(cfg, pol).p2_out[1] == 1.0
 
 
 class TestReductions:
@@ -181,8 +174,9 @@ class TestTableInvariants:
                 channel_regime="stsc",
                 bc_layer2_interference=True,
             )
-            assert stsc_p2_out_2(variant, pol, n=48) >= stsc_p2_out_2(base, pol, n=48) - 1e-12
-            assert stsc_p2_dec_1(variant, pol, n=48) <= stsc_p2_dec_1(base, pol, n=48) + 1e-12
+            worse, best = stsc_table(variant, pol, n=48), stsc_table(base, pol, n=48)
+            assert worse.p2_out[1] >= best.p2_out[1] - 1e-12
+            assert worse.p2_dec[0] <= best.p2_dec[0] + 1e-12
 
     def test_grid_refinement_stability(self):
         cfg = SystemConfig(
