@@ -23,7 +23,8 @@ import sys
 import numpy as np
 
 from .channel import CompressionPolicy, RatePolicy, SystemConfig
-from .config import ConfigError, ExperimentConfig, load_config, parse_config_text
+from .config import (ConfigError, ExperimentConfig, _parse_value, load_config,
+                     parse_config_text)
 from .fading import FadingModel
 from .ltsc import probability_table
 from .optimize import _Evaluator, _optimize, optimize_no_lcsit
@@ -490,13 +491,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_cli_overrides(ec: ExperimentConfig, args) -> ExperimentConfig:
-    for key, value, lo in (("mc.seed", args.seed, 0),
-                           ("mc.sessions", args.sessions, 1),
-                           ("mc.workers", args.workers, 1)):
+    for key, value in (("mc.seed", args.seed), ("mc.sessions", args.sessions),
+                       ("mc.workers", args.workers)):
         if value is not None:
-            if value < lo:
-                raise ConfigError(f"{key}: must be >= {lo}")
-            ec = ec.with_value(key, value)
+            ec = ec.with_value(key, _parse_value(key, str(value)))
     return ec
 
 

@@ -86,7 +86,7 @@ _SCHEMA = [
     ("csi", "enum", "none", ("none", "lcsit")),
     ("policy", "policy", "optimize", None),
     ("backend", "enum", "analytic", ("analytic", "mc")),
-    ("mc.sessions", "int", 100_000, (1, None)),
+    ("mc.sessions", "int", 100_000, (2, None)),  # one session has no std error
     ("mc.seed", "int", 0, (0, None)),
     ("mc.batch", "int", 65_536, (1, None)),
     ("mc.workers", "int", 1, (1, None)),

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special, stats
 
 _TAIL_Q = 1.0 - 1e-6  # quantile where the grid truncates the upper tail
 
@@ -58,7 +58,10 @@ class FadingModel:
             out = -np.expm1(-np.maximum(x, 0.0) / self.mean_power)
         else:
             xp = np.maximum(x, 0.0) / self._ncx2_scale()
-            out = stats.ncx2.cdf(xp, df=2, nc=2.0 * self.rician_k)
+            nc = 2.0 * self.rician_k
+            # chndtr is the kernel ncx2.cdf calls for nc > 0, without its
+            # argument checks; at nc = 0 ncx2.cdf takes the central chi2
+            out = special.chndtr(xp, 2.0, nc) if nc > 0 else stats.ncx2.cdf(xp, df=2, nc=nc)
         out = np.where(x < 0, 0.0, out)
         return out if out.shape else float(out)
 

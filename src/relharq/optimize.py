@@ -118,7 +118,7 @@ class _Evaluator:
             if visit is not None:
                 visit(reward, length)
             return (reward @ self.grid.weights) / (length @ self.grid.weights)
-        # chunk r1 so the (q1, q2, nd, ns) mass tensor stays bounded
+        # chunk r1 so stsc_quantities' (q1, nd, ns) arrays stay bounded
         rows = max(1, int(24_000_000 // max(1, len(r2v) * self.quad_n**2)))
         out = np.empty((len(r1v), len(r2v)))
         for i in range(0, len(r1v), rows):

@@ -21,42 +21,84 @@ width because every inner expectation is continuous across its gate.
 
 r1/r2 accept vectors (the optimizer's tuple grids); alpha stays scalar per call.
 
-Evaluation rule: the S2 cdf inside the inner (D2, S2) expectations is
-evaluated only on the (d1, s1) cells whose outer mass is nonzero for some
-tuple (m_fail for q_miss and gamma, m_mid for phi).  Elsewhere the
-expectations are 0 and multiply a zero mass, so every total sees the same
-addends.  The layer-1 residual cdf serves both q_miss and gamma's lower edge;
-the layer-2 residual cdf is evaluated once per cell.  Cells go in runs of d1
-rows, and chunk_cells bounds each such support chunk's temporaries.  The D2
-sum runs on dense (ns, nd2) blocks, zero off the support, because a BLAS
-matrix-vector product may sum a row differently when the block shape changes.
-Gamma's max(cdf2 - cdf1, 0) is formed only on the (r1, r2, d1) blocks holding
-a live row: one where m_fail is nonzero and max(cdf2) > min(cdf1) over D2, or
-either is NaN.  Every other row integrates to exactly +0.0 or meets a zero
-m_fail, so those blocks stay 0 and the totals see the same addends.  The live
-blocks are gathered in batches of at most chunk_cells / 8 cells.
+Evaluation rule: the slot-2 threshold separates.  At residual rate res and
+D2 node j it is u(res) - c_j, with u = slot_threshold(res, 1, p_sig, p_int, 0, 1)
+per (d1, s1) cell and c = a/b per node, so each inner expectation over
+(D2, S2) is one monotone function of one scalar, G(u) = sum_j w_j
+Pr[S2 < u - c_j] (`node_cdf_sum`): q_miss = G(u1), phi_miss = G(u_phi), and,
+F being monotone, gamma's inner sum is G(max(u1, u2)) - G(u1), so
+p1_out(2) + gamma = sum m_fail max(G(u1), G(u2)).  G is taken only on the
+support: for G(u1) the (r1, d1, s1) cells with nonzero m_fail; for G(u_phi)
+the (r2, d1, s1) cells where F2 exceeds the smallest F1, outside which m_mid is
+0 for every r1; for G(u2) the cells where u2 exceeds some live u1.  Elsewhere
+G stays 0 and meets a zero mass or loses the max, so an inner NaN off the
+support reaches no total.  The (r1, r2, d1, s1) masses are formed a few r1
+rows at a time, in blocks of about BLOCK_CELLS cells that stay in cache.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .channel import (RatePolicy, SystemConfig, check_supported, conservative_gain, mutual_info,
-                      slot_threshold)
-from .fading import cdf_of_max, quantize
+from .channel import (RatePolicy, SystemConfig, _split_gain, check_supported,
+                      conservative_gain, mutual_info, slot_threshold)
+from .fading import FadingModel, cdf_of_max, quantize
 from .tables import ProbabilityTable, ThroughputReport, expected_length
 
 DEFAULT_STSC_N = 128
+BLOCK_CELLS = 2**16  # 512 KB per block array, a few of which fit a 2 MB L2 cache
+
+
+def node_cdf_sum(model: FadingModel, c, w, chunk_cells: int = 1_000_000):
+    """G(u) = sum_j w_j Pr[S < u - c_j] as a function of a 1-D array u.
+
+    Rayleigh S has a closed form over the sorted c: with k = #{c_j < u},
+    G(u) = W_k - S_k exp(-(u - c_{k-1}) / rho), where W_k = w_0 + ... + w_{k-1}
+    and S_k = sum_{j<k} w_j exp(-(c_{k-1} - c_j) / rho) is a running sum whose
+    exponents are all <= 0, so nothing overflows; k = 0 gives 0.  Point-mass S
+    gives the prefix weight W_k with k = #{j : u - c_j > value}, the nodes whose
+    indicator is 1.  Rician S, and Rayleigh S with a non-finite c, sum the cdf
+    over the nodes.  Both hold at most chunk_cells (u, node) pairs at a time.
+    """
+    order = np.argsort(c, kind="stable")
+    c, w = np.asarray(c, dtype=float)[order], np.asarray(w, dtype=float)[order]
+    W = np.concatenate(([0.0], np.cumsum(w)))
+    step = max(1, chunk_cells // len(c))
+
+    def chunked(rows):  # rows maps an (m, n) block of u - c to m values of G
+        def g(u):
+            out = np.empty(u.shape)
+            for i in range(0, len(u), step):
+                out[i : i + step] = rows(u[i : i + step, None] - c)
+            return out
+        return g
+
+    if model.kind == "pointmass":
+        return chunked(lambda x: W[np.sum(x > model.point_value, axis=1)])
+    if model.kind == "rician" or not np.isfinite(c).all():
+        return chunked(lambda x: model.cdf_strict(x) @ w)
+    rho = model.mean_power
+    decay = np.exp(-np.diff(c, prepend=c[0]) / rho)
+    S = np.zeros_like(W)
+    for j in range(len(c)):
+        S[j + 1] = S[j] * decay[j] + w[j]
+
+    def g(u):
+        k = np.searchsorted(c, u, side="left")  # NaN sorts last: k = n, G = NaN
+        on = k > 0
+        out = np.zeros(u.shape)
+        out[on] = W[k[on]] - S[k[on]] * np.exp((c[k[on] - 1] - u[on]) / rho)
+        return out
+    return g
 
 
 def stsc_quantities(cfg: SystemConfig, r1_vec, r2_vec, alpha: float, n: int = DEFAULT_STSC_N,
-                    chunk_cells: int = 16_000_000):
+                    chunk_cells: int = 1_000_000):
     """The four independent table entries for every (r1, r2) pair at one alpha.
 
     Returns dict of (Q1, Q2) arrays: p1_out_1, p1_out_2, p2_dec_1, p2_out_2.
-    The residual cdfs of one support chunk hold at most
-    max(chunk_cells, (q1 + q2) n^2) cells together, each gathered gamma batch
-    at most max(chunk_cells / 8, n^2); the outer masses are (q1, q2, n, n).
+    The largest arrays are (q, n, n) per rate axis; a Rician G holds at most
+    max(chunk_cells, n) (cell, D2 node) pairs at once.
     """
     check_supported(cfg, regime="stsc")
     P, cmax, s_min = cfg.power, cfg.backhaul_capacity, cfg.s_min
@@ -67,19 +109,13 @@ def stsc_quantities(cfg: SystemConfig, r1_vec, r2_vec, alpha: float, n: int = DE
     r2 = np.atleast_1d(np.asarray(r2_vec, dtype=float))
     q1, q2 = len(r1), len(r2)
 
-    grid_d = quantize(cfg.model_d, n)
-    grid_s = quantize(cfg.model_s, n)
-    d1 = grid_d.nodes
-    wd = grid_d.weights
-    s1 = grid_s.nodes
-    nd, ns = len(d1), len(s1)
+    grid_d, grid_s = quantize(cfg.model_d, n), quantize(cfg.model_s, n)
+    d1, wd, s1 = grid_d.nodes, grid_d.weights, grid_s.nodes
     a1 = conservative_gain(d1, s_min, P, cmax)
-    d2, wd2, a2 = d1, wd, a1  # D2 is i.i.d. with D1
-    nd2 = len(d2)
+    # D2 is i.i.d. with D1: G sums over the same nodes, each at its c = a/b
+    G = node_cdf_sum(cfg.model_s, a1 / _split_gain(a1, d1), wd, chunk_cells)
 
     Fs1 = cfg.model_s.cdf_strict
-    Fs2 = cfg.model_s.cdf_strict
-
     # S1 bin boundaries and the exact slot-1 indicator masses per bin.  Bin
     # masses come from the cdf at the edges (not the nominal quantile weights)
     # so the three-way partition telescopes to total mass 1 exactly.
@@ -87,6 +123,9 @@ def stsc_quantities(cfg: SystemConfig, r1_vec, r2_vec, alpha: float, n: int = DE
     hi = np.concatenate((grid_s.edges, [np.inf]))
     F_lo = Fs1(lo)
     w_bin = Fs1(hi) - F_lo
+
+    def total(x):
+        return np.einsum("d,...ds->...", wd, x)
 
     lam1 = slot_threshold(r1[:, None], 1, ap, abp, a1, d1)          # (q1, nd)
     lam2 = slot_threshold(r2[:, None], 1, abp, p_int2, a1, d1)      # (q2, nd)
@@ -96,97 +135,58 @@ def stsc_quantities(cfg: SystemConfig, r1_vec, r2_vec, alpha: float, n: int = DE
         return Fs1(np.clip(c[..., None], lo, hi))
 
     F1, F2 = cdf_in_bins(lam1), cdf_in_bins(lam2)                   # (q1|q2, nd, ns)
-    m_fail = F1 - F_lo                                              # mass S1 < lam1
-    # clip is monotone, so F(clip(max(lam1, lam2))) is one of F1, F2
-    m_below_max = cdf_of_max(lam1[:, None, :, None], lam2[None, :, :, None],
-                             F1[:, None], F2[None]) - F_lo          # (q1, q2, nd, ns)
-    m_mid = m_below_max - m_fail[:, None]                           # mass lam1 <= S1 < lam2
-    m_done = w_bin - m_below_max
+    m_fail, m_below2 = F1 - F_lo, F2 - F_lo                         # mass S1 < lam1 | lam2
 
-    # per-(d1, s1-node) slot-1 quantities
+    # per-(d1, s1-node) slot-1 quantities, and the slot-2 thresholds u at c = 0
     i1 = mutual_info(ap, abp, a1[:, None], s1, d1[:, None])         # (nd, ns)
     i2 = mutual_info(abp, p_int2, a1[:, None], s1, d1[:, None])     # (nd, ns)
-    h = r1[:, None, None] - i1                                      # (q1, nd, ns)
     r2p = r2[:, None, None] - i2                                    # (q2, nd, ns)
+    u1 = slot_threshold(r1[:, None, None] - i1, 1, ap, abp, 0.0, 1.0)  # (q1, nd, ns)
+    u2 = slot_threshold(r2p, 1, abp, p_int2, 0.0, 1.0)              # (q2, nd, ns)
+    u_phi = slot_threshold(r2p, 1, P, 0.0, 0.0, 1.0)                # (q2, nd, ns)
 
-    # smooth inner expectations over (D2, S2), on the support cells only
-    def support_chunks(cells, cells_per_d1_row):
-        # runs of d1 rows holding about chunk_cells, each with its support
-        # cells as (local d1 row, s1 node) index arrays
-        step = max(1, chunk_cells // cells_per_d1_row)
-        for i in range(0, nd, step):
-            rows = slice(i, min(i + step, nd))
-            di, si = np.nonzero(cells[rows])
-            if len(di):
-                yield rows, di, si
-
-    def residual_cdf(res, p_sig, p_int, di, si):
-        # Pr[S2 < threshold(res)] at every D2 node: res (..., rows, ns) ->
-        # (..., rows, ns, nd2), on the support cells and 0 elsewhere; dense, so
-        # each D2 sum runs on the (ns, nd2) blocks of a full evaluation
-        out = np.zeros(res.shape + (nd2,))
-        out[..., di, si, :] = Fs2(slot_threshold(res[..., di, si, None], 1, p_sig, p_int,
-                                                 a2, d2))
+    def on_support(u, cells):
+        out = np.zeros(u.shape)
+        out[cells] = G(u[cells])
         return out
 
-    # phi: layer 2 misses its slot-2 single-layer window; weighted by m_mid
-    phi_miss = np.zeros((q2, nd, ns))
-    for rows, di, si in support_chunks(np.any(m_mid != 0, axis=(0, 1)), q2 * ns * nd2):
-        phi_miss[:, rows] = residual_cdf(r2p[:, rows], P, 0.0, di, si) @ wd2
-
-    # q_miss (layer 1 misses slot 2) and gamma (S2 in [layer-1 residual
-    # threshold, layer-2 BC residual threshold)), both weighted by m_fail.  The
-    # layer-1 residual cdf serves both; the layer-2 one is evaluated once per cell.
-    q_miss = np.zeros((q1, nd, ns))
-    gam = np.zeros((q1, q2, nd, ns))
     fails = m_fail != 0
-    batch = max(1, chunk_cells // (8 * ns * nd2))                   # gamma blocks per gather
-    for rows, di, si in support_chunks(fails.any(axis=0), (q1 + q2) * ns * nd2):
-        cdf1 = residual_cdf(h[:, rows], ap, abp, di, si)            # (q1, rows, ns, nd2)
-        cdf2 = residual_cdf(r2p[:, rows], abp, p_int2, di, si)      # (q2, rows, ns, nd2)
-        q_miss[:, rows] = cdf1 @ wd2
-        # a (r1, r2, d1, s1) row reaches gamma unless max(cdf2 - cdf1, 0) is 0
-        # at every D2 node or m_fail is 0 on it; NaN rows stay live
-        live = ~(cdf2.max(axis=-1)[None] <= cdf1.min(axis=-1)[:, None])
-        live &= fails[:, None, rows]
-        bi, bj, bd = np.nonzero(live.any(axis=-1))
-        for k in range(0, len(bi), batch):
-            i, j, d = bi[k : k + batch], bj[k : k + batch], bd[k : k + batch]
-            gap = cdf2[j, d]
-            gap -= cdf1[i, d]
-            np.maximum(gap, 0.0, out=gap)
-            gam[i, j, rows.start + d] = gap @ wd2
+    u1_live = np.where(fails, u1, np.inf).min(axis=0)               # NaN stays NaN
+    g1 = on_support(u1, fails)
+    g2 = on_support(u2, fails.any(axis=0) & ~(u2 <= u1_live))
+    # m_mid below is F2 - F1 where lam2 > lam1, else 0; F is monotone, so it is
+    # nonzero only where F2 exceeds the smallest F1
+    g_phi = on_support(u_phi, ~(F2 <= F1.min(axis=0)))
 
-    def total(x):
-        return np.einsum("d,...ds->...", wd, x)
+    p1_out_1 = np.repeat(total(m_fail)[:, None], q2, axis=1)        # (q1, q2)
+    p1_out_2 = np.repeat(total(m_fail * g1)[:, None], q2, axis=1)
+    p2_dec_1, p2_out_2 = np.empty((q1, q2)), np.empty((q1, q2))
+    step = max(1, BLOCK_CELLS // m_below2.size)                     # r1 rows per block
+    for i in range(0, q1, step):
+        rows = slice(i, i + step)
+        # clip is monotone, so F(clip(max(lam1, lam2))) is one of F1, F2
+        m_below_max = cdf_of_max(lam1[rows, None, :, None], lam2[None, :, :, None],
+                                 m_fail[rows, None], m_below2[None])
+        m_mid = m_below_max - m_fail[rows, None]                    # mass lam1 <= S1 < lam2
+        p2_dec_1[rows] = total(np.subtract(w_bin, m_below_max, out=m_below_max))
+        # G(max(u1, u2)) = max(G(u1), G(u2)); the max of the values keeps gamma >= 0
+        g_max = np.maximum(g1[rows, None], g2[None], out=m_below_max)
+        g_max *= m_fail[rows, None]
+        m_mid *= g_phi
+        p2_out_2[rows] = total(g_max) + total(m_mid)                # p1_out_2 + gamma + phi
 
-    p1_out_1 = total(m_fail)                                        # (q1,)
-    p1_out_2 = total(m_fail * q_miss)                               # (q1,)
-    p2_dec_1 = total(m_done)                                        # (q1, q2)
-    phi = total(m_mid * phi_miss[None, :])                          # (q1, q2)
-    gamma = total(m_fail[:, None] * gam)                            # (q1, q2)
-    p2_out_2 = p1_out_2[:, None] + phi + gamma
-
-    return {
-        "p1_out_1": np.broadcast_to(p1_out_1[:, None], (q1, q2)).copy(),
-        "p1_out_2": np.broadcast_to(p1_out_2[:, None], (q1, q2)).copy(),
-        "p2_dec_1": p2_dec_1,
-        "p2_out_2": p2_out_2,
-    }
+    return {"p1_out_1": p1_out_1, "p1_out_2": p1_out_2, "p2_dec_1": p2_dec_1,
+            "p2_out_2": p2_out_2}
 
 
 def stsc_table(cfg: SystemConfig, policy: RatePolicy, n: int = DEFAULT_STSC_N) -> ProbabilityTable:
     check_supported(cfg, per_node=policy.mode == "lcsit", regime="stsc")
     r1, r2, alpha = float(policy.r1), float(policy.r2), float(policy.alpha)
-    q = stsc_quantities(cfg, [r1], [r2], alpha, n)
-    p1o1 = float(q["p1_out_1"][0, 0])
-    p1o2 = float(q["p1_out_2"][0, 0])
-    p2d1 = float(q["p2_dec_1"][0, 0])
-    p2o2 = float(q["p2_out_2"][0, 0])
+    q = {k: float(v[0, 0]) for k, v in stsc_quantities(cfg, [r1], [r2], alpha, n).items()}
     return ProbabilityTable(
-        p1_out=np.array([p1o1, p1o2]),
-        p2_out=np.array([1.0 - p2d1, p2o2]),
-        p2_dec=np.array([p2d1, 1.0 - p2d1 - p2o2]),
+        p1_out=np.array([q["p1_out_1"], q["p1_out_2"]]),
+        p2_out=np.array([1.0 - q["p2_dec_1"], q["p2_out_2"]]),
+        p2_dec=np.array([q["p2_dec_1"], 1.0 - q["p2_dec_1"] - q["p2_out_2"]]),
     )
 
 
@@ -194,9 +194,5 @@ def throughput_stsc(cfg: SystemConfig, policy: RatePolicy, n: int = DEFAULT_STSC
     table = stsc_table(cfg, policy, n)
     er = float(policy.r1) * (1.0 - table.p1_out[1]) + float(policy.r2) * (1.0 - table.p2_out[1])
     el = expected_length(table.p2_dec, float(table.p2_out[1]), 2)
-    return ThroughputReport(
-        eta=er / el,
-        expected_reward=float(er),
-        expected_length=float(el),
-        table=table,
-    )
+    return ThroughputReport(eta=er / el, expected_reward=float(er), expected_length=float(el),
+                            table=table)

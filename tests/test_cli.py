@@ -113,6 +113,16 @@ class TestExitCodes:
         path = write_cfg(tmp_path, COARSE)
         assert cli.main(["simulate", "--config", path, "--sessions", "0"]) == 2
 
+    def test_one_session_is_config_error(self, tmp_path, capsys):
+        # one session has no standard error, which the CSV cannot carry
+        path = write_cfg(tmp_path, COARSE.replace("mc.sessions = 8000", "mc.sessions = 1"))
+        assert cli.main(["simulate", "--config", path, "--out", str(tmp_path)]) == 2
+        assert "mc.sessions" in capsys.readouterr().err
+        path = write_cfg(tmp_path, COARSE)
+        assert cli.main(["simulate", "--config", path, "--sessions", "1",
+                         "--out", str(tmp_path)]) == 2
+        assert "mc.sessions" in capsys.readouterr().err
+
     def test_analytic_needs_explicit_tuple(self, tmp_path):
         path = write_cfg(tmp_path, "policy = optimize\n")
         assert cli.main(["analytic", "--config", path,

@@ -1,11 +1,15 @@
 """Exact-equality oracles for the LTSC and STSC evaluators and the optimizer.
 
-The evaluators share one S-link cdf pass per threshold array and evaluate the
-STSC inner expectations only on cells that carry outer mass.  The optimizer
+The evaluators share one S-link cdf pass per threshold array.  The optimizer
 finds every policy class in one lattice pass and runs Dinkelbach on per-node
 candidate fronts.  All of these are meant to change no bit of any result, so
 the straightforward forms they replaced are kept here as references and
 compared with np.array_equal and ==.
+
+The one exception is the STSC inner expectation over (D2, S2): it is now one
+function G of one threshold per cell (`stsc.node_cdf_sum`), summed in another
+order than the reference's per-node residual cdfs, so p1_out_2 and p2_out_2
+are compared within STSC_ATOL; p1_out_1 and p2_dec_1 stay exact.
 """
 
 import tracemalloc
@@ -26,6 +30,7 @@ from relharq.tables import NumericalError
 
 CONST = CompressionPolicy("constant")
 ADAPT = CompressionPolicy("adaptive")
+STSC_ATOL = 16 * np.finfo(float).eps  # 3.6e-15; the largest move seen is 8.9e-16
 
 
 def _pos(x):
@@ -310,21 +315,30 @@ def test_constant_block_evaluates_fewer_cdf_points_than_cells(monkeypatch):
     assert sum(points) > 10 * q1 * q2 * nd
 
 
+def assert_stsc_quantities_close(got, want):
+    assert sorted(got) == sorted(want)
+    for key in ("p1_out_1", "p2_dec_1"):
+        assert np.array_equal(got[key], want[key]), key
+    for key in ("p1_out_2", "p2_out_2"):
+        assert got[key].shape == want[key].shape
+        assert np.all(np.abs(got[key] - want[key]) <= STSC_ATOL), key
+
+
 @pytest.mark.parametrize("s_kind", sorted(S_MODELS))
 @pytest.mark.parametrize("variant", [False, True], ids=["clean-sic", "interference"])
 @pytest.mark.parametrize("n", [9, 16])
-# chunked: several d1-row chunks, and several gamma block batches at n = 9;
-# one-block: one d1 row per chunk and one (r1, r2, d1) block per batch
+# chunked: the Rician G runs over several chunks of support cells;
+# one-block: one support cell per chunk
 @pytest.mark.parametrize("chunk_cells", [16_000_000, 3000, 1],
                          ids=["one-chunk", "chunked", "one-block"])
 @pytest.mark.parametrize("r1, r2", [
     (np.linspace(0.0, 2.5, 6), np.linspace(0.0, 1.5, 5)),
     ([0.9], [0.5]),  # one tuple: the outer masses leave most cells empty
-    # the live-block gate may assume no order along r1 or r2
+    # the support of G(u2) may assume no order along r1 or r2
     ([1.7, 0.0, 2.5, 0.4, 1.1, 0.8, 2.0], [0.9, 0.0, 1.5, 0.3, 0.6]),
 ], ids=["block", "tuple", "unsorted"])
 def test_stsc_quantities_match_reference(s_kind, variant, n, chunk_cells, r1, r2):
-    # alpha = 0 leaves every gamma block dead, alpha = 1 nearly every one live
+    # alpha = 0 leaves gamma 0 everywhere, alpha = 1 live on nearly every cell
     for P in (0.7, 4.0):
         cfg = SystemConfig(power=P, backhaul_capacity=1.2, max_rounds=2,
                            model_d=D_RICIAN, model_s=S_MODELS[s_kind],
@@ -332,9 +346,7 @@ def test_stsc_quantities_match_reference(s_kind, variant, n, chunk_cells, r1, r2
         for alpha in (0.0, 0.6, 0.95, 1.0):
             got = stsc_quantities(cfg, r1, r2, alpha, n=n, chunk_cells=chunk_cells)
             want = reference_stsc_quantities(cfg, r1, r2, alpha, n=n)
-            assert sorted(got) == sorted(want)
-            for key in want:
-                assert np.array_equal(got[key], want[key]), key
+            assert_stsc_quantities_close(got, want)
 
 
 @pytest.mark.parametrize("s_kind", sorted(S_MODELS))
@@ -344,8 +356,7 @@ def test_stsc_quantities_pointmass_relay_link_match_reference(s_kind):
     r1, r2 = np.linspace(0.0, 2.5, 4), np.linspace(0.0, 1.5, 3)
     got = stsc_quantities(cfg, r1, r2, 0.9, n=12)
     want = reference_stsc_quantities(cfg, r1, r2, 0.9, n=12)
-    for key in want:
-        assert np.array_equal(got[key], want[key]), key
+    assert_stsc_quantities_close(got, want)
 
 
 # ---------------------------------------------------------------- optimizer

@@ -37,6 +37,18 @@ def test_rician_k0_equals_rayleigh():
     assert np.max(np.abs(ric.cdf(x) - ray.cdf(x))) < 1e-9
 
 
+@pytest.mark.parametrize("k", [0.5, 1.0, 2.0, 7.5])
+def test_rician_cdf_matches_scipy_ncx2_bit_for_bit(k):
+    model = FadingModel("rician", mean_power=3.0, rician_k=k)
+    rng = np.random.default_rng(1)
+    x = np.concatenate([rng.exponential(3.0, 20_000), rng.uniform(-5.0, 0.0, 100),
+                        [0.0, -0.0, -1e-300, 5e-324, 1e300, np.inf, -np.inf]])
+    scale = model.mean_power / (2.0 * (k + 1.0))
+    want = np.where(x < 0, 0.0, stats.ncx2.cdf(np.maximum(x, 0.0) / scale, df=2, nc=2.0 * k))
+    assert np.array_equal(model.cdf(x), want)
+    assert model.cdf(np.inf) == 1.0 and model.cdf(-np.inf) == 0.0 and model.cdf(-2.0) == 0.0
+
+
 def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         FadingModel("rayleigh", mean_power=0.0)

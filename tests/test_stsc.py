@@ -5,7 +5,8 @@ import pytest
 
 from relharq.channel import RatePolicy, SystemConfig, conservative_gain, mutual_info
 from relharq.fading import FadingModel
-from relharq.stsc import stsc_quantities, stsc_table, throughput_stsc
+from relharq import stsc
+from relharq.stsc import node_cdf_sum, stsc_quantities, stsc_table, throughput_stsc
 
 
 def pm_cfg(d, s, cmax=1.0, P=1.0, variant=False):
@@ -211,6 +212,98 @@ class TestVectorizedPath:
                 assert q["p2_out_2"][i, j] == pytest.approx(t.p2_out[1], abs=1e-12)
 
 
+def dense_cdf_sum(model, c, w, u):
+    """G(u) = sum_j w_j F(u - c_j), one node at a time in the order of sorted c."""
+    g = np.zeros(u.shape)
+    for j in np.argsort(c, kind="stable"):
+        g = g + w[j] * model.cdf_strict(u - c[j])
+    return g
+
+
+def g_points(c, rng, size=400):
+    """Random u around the nodes, every node itself, +-inf and NaN."""
+    span = np.ptp(c) + 1.0
+    return np.concatenate([rng.uniform(c.min() - span, c.max() + span, size), c,
+                           [np.inf, -np.inf, np.nan, -1e300, 1e300]])
+
+
+G_CASES = {
+    "spread": lambda rng: (np.sort(rng.uniform(0.0, 4.0, 32)), rng.dirichlet(np.ones(32))),
+    "tied": lambda rng: (np.repeat([0.0, 0.3, 1.2, 2.5], [1, 3, 4, 2]), np.full(10, 0.1)),
+    "cmax-0": lambda rng: (np.zeros(16), np.full(16, 1 / 16)),
+    "one-node": lambda rng: (np.array([0.7]), np.array([1.0])),
+    "unsorted": lambda rng: (rng.uniform(0.0, 4.0, 9), np.full(9, 1 / 9)),
+}
+
+
+class TestNodeCdfSum:
+    """The closed forms of G against the plain sum over the nodes."""
+
+    @pytest.mark.parametrize("case", sorted(G_CASES))
+    @pytest.mark.parametrize("rho", [0.3, 1.0, 25.0])
+    def test_rayleigh_closed_form(self, case, rho):
+        rng = np.random.default_rng(3)
+        c, w = G_CASES[case](rng)
+        model = FadingModel("rayleigh", rho)
+        u = g_points(c, rng)
+        np.testing.assert_allclose(node_cdf_sum(model, c, w)(u), dense_cdf_sum(model, c, w, u),
+                                   rtol=0, atol=1e-15)
+
+    def test_rayleigh_no_overflow_far_from_the_nodes(self):
+        # c / rho reaches 2000, where a naive exp(c / rho) overflows
+        c, w = np.linspace(0.0, 20.0, 64), np.full(64, 1 / 64)
+        model = FadingModel("rayleigh", 0.01)
+        u = g_points(c, np.random.default_rng(4))
+        with np.errstate(over="raise"):
+            got = node_cdf_sum(model, c, w)(u)
+        np.testing.assert_allclose(got, dense_cdf_sum(model, c, w, u), rtol=0, atol=1e-15)
+
+    def test_rayleigh_keeps_precision_at_a_heavy_node(self):
+        # at u = c_j only the lighter nodes below count; a form that folded
+        # node j in would cancel its weight against itself
+        c, w = np.arange(6.0), 1e-6 ** np.arange(5.0, -1.0, -1.0)
+        model = FadingModel("rayleigh", 0.5)
+        u = np.concatenate([c, c + 0.25])
+        np.testing.assert_allclose(node_cdf_sum(model, c, w)(u), dense_cdf_sum(model, c, w, u),
+                                   rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("case", sorted(G_CASES))
+    @pytest.mark.parametrize("value", [0.0, 1.3])
+    def test_pointmass_prefix_weight_is_exact(self, case, value):
+        rng = np.random.default_rng(5)
+        c, w = G_CASES[case](rng)
+        model = FadingModel("pointmass", point_value=value)
+        u = np.concatenate([g_points(c, rng), c + value, np.nextafter(c + value, np.inf)])
+        for chunk_cells in (1, 1_000_000):
+            got = node_cdf_sum(model, c, w, chunk_cells)(u)
+            assert np.array_equal(got, dense_cdf_sum(model, c, w, u))
+
+    @pytest.mark.parametrize("case", sorted(G_CASES))
+    def test_rician_sum_in_chunks(self, case):
+        rng = np.random.default_rng(6)
+        c, w = G_CASES[case](rng)
+        model = FadingModel("rician", 1.5, rician_k=2.0)
+        u = g_points(c, rng, size=100)
+        want = dense_cdf_sum(model, c, w, u)
+        for chunk_cells in (1, 50, 1_000_000):
+            np.testing.assert_allclose(node_cdf_sum(model, c, w, chunk_cells)(u), want,
+                                       rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("s_kind", ["rayleigh", "rician"])
+def test_row_blocks_change_no_bit(s_kind, monkeypatch):
+    # the (r1, r2, d1, s1) masses in one block, or one r1 row per block
+    cfg = rand_cfg(np.random.default_rng(17))
+    cfg = SystemConfig(cfg.power, cfg.backhaul_capacity, 2, cfg.model_d,
+                       FadingModel(s_kind, 1.5, rician_k=1.0), channel_regime="stsc")
+    r1, r2 = np.linspace(0.0, 2.5, 9), np.linspace(0.0, 1.5, 7)
+    whole = stsc_quantities(cfg, r1, r2, 0.7, n=24)
+    monkeypatch.setattr(stsc, "BLOCK_CELLS", 1)
+    rows = stsc_quantities(cfg, r1, r2, 0.7, n=24)
+    for key in whole:
+        assert np.array_equal(rows[key], whole[key]), key
+
+
 class TestMemory:
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
     def test_design_block_peak_is_bounded(self, alpha):
@@ -229,6 +322,23 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 96e6
+
+    def test_fine_rician_tuple_peak_is_bounded(self):
+        # one tuple at n = 256 with Rician S: the generic G holds at most
+        # chunk_cells (1M) (cell, node) pairs per temporary; 689 MB when the
+        # residual cdfs were dense (q, rows, n, n) tensors
+        cfg = SystemConfig(
+            power=1.0, backhaul_capacity=1.5, max_rounds=2,
+            model_d=FadingModel("rician", 4.0, rician_k=2.0),
+            model_s=FadingModel("rician", 1.0, rician_k=1.0), channel_regime="stsc",
+        )
+        tracemalloc.start()
+        try:
+            stsc_quantities(cfg, [0.9], [0.5], 0.95, n=256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
 
 
 class TestPreconditions:
