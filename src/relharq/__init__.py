@@ -9,17 +9,17 @@ Carlo simulator, and throughput optimizers for fixed and per-node policies.
 from .channel import (CompressionPolicy, RatePolicy, SystemConfig,
                       backhaul_usage, check_supported, conservative_gain,
                       infer_s_hat, mutual_info, slot_threshold)
-from .config import (ConfigError, ExperimentConfig, load_config,
+from .config import (ConfigError, ExperimentConfig, GridSpec, load_config,
                      parse_config_text)
 from .fading import FadingModel, QuadratureGrid, quantize
 from .ltsc import probability_table, throughput_ltsc
-from .optimize import (GridSpec, OptimizationResult, optimize_lcsit,
-                       optimize_no_lcsit, optimize_single_layer)
+from .optimize import (OptimizationResult, optimize_lcsit, optimize_no_lcsit,
+                       optimize_single_layer)
 from .simulate import (EstimateReport, SessionOutcome, estimate,
                        simulate_session)
 from .stsc import stsc_table, throughput_stsc
 from .tables import (NumericalError, ProbabilityTable, ThroughputReport,
-                     expected_length)
+                     reward_length)
 
 __version__ = "0.1.0"
 
@@ -28,9 +28,9 @@ __all__ = [
     "FadingModel", "GridSpec", "NumericalError", "OptimizationResult",
     "ProbabilityTable", "QuadratureGrid", "RatePolicy", "SessionOutcome",
     "SystemConfig", "ThroughputReport", "backhaul_usage", "check_supported",
-    "conservative_gain", "estimate", "expected_length", "infer_s_hat",
-    "load_config", "mutual_info", "optimize_lcsit", "optimize_no_lcsit",
-    "optimize_single_layer", "parse_config_text", "probability_table",
-    "quantize", "simulate_session", "slot_threshold", "stsc_table",
-    "throughput_ltsc", "throughput_stsc",
+    "conservative_gain", "estimate", "infer_s_hat", "load_config",
+    "mutual_info", "optimize_lcsit", "optimize_no_lcsit", "optimize_single_layer",
+    "parse_config_text", "probability_table", "quantize", "reward_length",
+    "simulate_session", "slot_threshold", "stsc_table", "throughput_ltsc",
+    "throughput_stsc",
 ]

@@ -27,7 +27,7 @@ from .config import (ConfigError, ExperimentConfig, _parse_value, load_config,
                      parse_config_text)
 from .fading import FadingModel
 from .ltsc import probability_table
-from .optimize import _Evaluator, _optimize, optimize_no_lcsit
+from .optimize import _Evaluator, _optimize
 from .simulate import estimate
 from .stsc import stsc_table
 from .tables import NumericalError
@@ -48,19 +48,14 @@ def _cell(value) -> str:
     return repr(x)
 
 
-def _write_csv(path: str, header: list, rows: list) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
-
-
 def _write_artifacts(outdir: str, job: str, header: list, rows: list,
                      ec: ExperimentConfig) -> str:
     os.makedirs(outdir, exist_ok=True)
     csv_path = os.path.join(outdir, f"{job}.csv")
-    _write_csv(csv_path, header, rows)
+    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\r\n")
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
     with open(os.path.join(outdir, f"{job}.config"), "w", encoding="utf-8") as fh:
         fh.write(ec.render())
     return csv_path
@@ -89,63 +84,57 @@ def _sweep_points(ec: ExperimentConfig):
     return [(v, ec.with_value(key, v)) for v in ec.sweep_values()]
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ConfigError(message)
+def _evaluator(ec: ExperimentConfig, backend: str) -> _Evaluator:
+    """The library evaluator of one sweep point; it rejects an unsupported scenario."""
+    return _Evaluator(ec.system(), ec.compression(), backend, ec["quad.n"], ec.mc_kwargs())
+
+
+def _write_sweep(ec: ExperimentConfig, outdir: str, job: str, header: list, point_rows) -> int:
+    """Write <job>.csv from point_rows(point), the rows of one sweep point, led by
+    the swept value in a column named after sweep.key when there is a sweep."""
+    key = ec["sweep.key"]
+    rows = [([value] if key else []) + row
+            for value, point in _sweep_points(ec) for row in point_rows(point)]
+    path = _write_artifacts(outdir, job, ([key] if key else []) + header, rows, ec)
+    print(f"{job}: wrote {path} ({len(rows)} rows)")
+    return 0
 
 
 def _check_single_tuple_job(ec: ExperimentConfig) -> None:
-    _require(ec["csi"] == "none",
-             "csi: per-node policy tables are not expressible in a flat config; "
-             "use csi = none (the optimize job handles csi = lcsit)")
-    _require(ec["sweep.key"] != "T",
-             "sweep.key: sweeping T changes the table column set; "
-             "only the optimize job sweeps T")
-
-
-def _evaluator(ec: ExperimentConfig, backend: str) -> _Evaluator:
-    """The library evaluator of one sweep point; it rejects an unsupported scenario."""
-    mc = {"sessions": ec["mc.sessions"], "seed": ec["mc.seed"],
-          "batch_size": ec["mc.batch"], "workers": ec["mc.workers"]}
-    return _Evaluator(ec.system(), ec.compression(), backend, ec["quad.n"], mc)
+    if ec["csi"] != "none":
+        raise ConfigError("csi: per-node policy tables are not expressible in a flat config; "
+                          "use csi = none (the optimize job handles csi = lcsit)")
+    if ec["sweep.key"] == "T":
+        raise ConfigError("sweep.key: sweeping T changes the table column set; "
+                          "only the optimize job sweeps T")
 
 
 def run_analytic(ec: ExperimentConfig, outdir: str) -> int:
     _check_single_tuple_job(ec)
     policy = ec.rate_policy()
-    header = ([ec["sweep.key"]] if ec["sweep.key"] else []) + \
-        ["eta", "expected_reward", "expected_length"] + _table_header(ec["T"])
-    rows = []
-    for value, point in _sweep_points(ec):
+
+    def point_rows(point):
         rep = _evaluator(point, "analytic").report(policy)
-        prefix = [value] if value is not None else []
-        rows.append(prefix + [rep.eta, rep.expected_reward, rep.expected_length]
-                    + _table_cells(rep.table))
-    path = _write_artifacts(outdir, "analytic", header, rows, ec)
-    print(f"analytic: wrote {path} ({len(rows)} rows)")
-    return 0
+        return [[rep.eta, rep.expected_reward, rep.expected_length] + _table_cells(rep.table)]
+
+    header = ["eta", "expected_reward", "expected_length"] + _table_header(ec["T"])
+    return _write_sweep(ec, outdir, "analytic", header, point_rows)
 
 
 def run_simulate(ec: ExperimentConfig, outdir: str) -> int:
     _check_single_tuple_job(ec)
     policy = ec.rate_policy()
-    header = ([ec["sweep.key"]] if ec["sweep.key"] else []) + \
-        ["eta", "eta_se", "expected_reward", "expected_length",
-         "n_sessions", "master_seed", "adaptations"] + \
-        _table_header(ec["T"], with_se=True)
-    rows = []
-    for value, point in _sweep_points(ec):
+
+    def point_rows(point):
         rep = _evaluator(point, "mc").report(policy)
         se = rep.table.std_errors
-        prefix = [value] if value is not None else []
-        rows.append(prefix + [rep.eta, rep.eta_std_error, rep.expected_reward,
-                              rep.expected_length, rep.n_sessions, rep.master_seed,
-                              rep.adaptation_count]
-                    + _table_cells(rep.table)
-                    + [*se["p1_out"], *se["p2_out"], *se["p2_dec"]])
-    path = _write_artifacts(outdir, "simulate", header, rows, ec)
-    print(f"simulate: wrote {path} ({len(rows)} rows)")
-    return 0
+        return [[rep.eta, rep.eta_std_error, rep.expected_reward, rep.expected_length,
+                 rep.n_sessions, rep.master_seed, rep.adaptation_count]
+                + _table_cells(rep.table) + [*se["p1_out"], *se["p2_out"], *se["p2_dec"]]]
+
+    header = ["eta", "eta_se", "expected_reward", "expected_length",
+              "n_sessions", "master_seed", "adaptations"] + _table_header(ec["T"], with_se=True)
+    return _write_sweep(ec, outdir, "simulate", header, point_rows)
 
 
 def _policy_cells(policy: RatePolicy) -> list:
@@ -156,25 +145,23 @@ def _policy_cells(policy: RatePolicy) -> list:
 
 
 def run_optimize(ec: ExperimentConfig, outdir: str) -> int:
-    lcsit = ec["csi"] == "lcsit"
-    classes = ("bc-lcsit", "sl-lcsit") if lcsit else ("bc", "sl")
-    header = ([ec["sweep.key"]] if ec["sweep.key"] else []) + \
-        ["mode", "eta", "r1", "r2", "alpha",
-         "expected_reward", "expected_length", "converged"]
-    rows = []
-    for value, point in _sweep_points(ec):
+    classes = ("bc-lcsit", "sl-lcsit") if ec["csi"] == "lcsit" else ("bc", "sl")
+
+    def point_rows(point):
         ev = _evaluator(point, ec["backend"])
-        optima = _optimize(ev.cfg, ev.comp, classes, ev.backend, point.grid_spec(),
-                           ev.quad_n, ev.mc, point.n_nodes())
-        prefix = [value] if value is not None else []
-        for mode, res in zip(("bc", "sl"), (optima[c] for c in classes)):
+        optima = _optimize(ev, classes, point.grid_spec(), point.n_nodes())
+        rows = []
+        for mode, cls in zip(("bc", "sl"), classes):
+            res = optima[cls]
             rep = ev.report(res.policy)
-            rows.append(prefix + [mode, res.eta] + _policy_cells(res.policy)
+            rows.append([mode, res.eta] + _policy_cells(res.policy)
                         + [rep.expected_reward, rep.expected_length,
                            res.metadata.get("converged", True)])
-    path = _write_artifacts(outdir, "optimize", header, rows, ec)
-    print(f"optimize: wrote {path} ({len(rows)} rows)")
-    return 0
+        return rows
+
+    header = ["mode", "eta", "r1", "r2", "alpha",
+              "expected_reward", "expected_length", "converged"]
+    return _write_sweep(ec, outdir, "optimize", header, point_rows)
 
 
 # ---------------------------------------------------------------- validate
@@ -317,52 +304,31 @@ _FIGURE_OVERRIDABLE = frozenset(
 
 
 def _figure_base(params: dict, sweep_key: str, sweep_default: list,
-                 overrides: ExperimentConfig | None) -> ExperimentConfig:
+                 overrides: ExperimentConfig) -> ExperimentConfig:
     ec = parse_config_text("").with_values({
         **_FIGURE_KNOBS, **params, "sweep.key": sweep_key,
         "sweep.values": ",".join(repr(float(v)) for v in sweep_default)})
-    if overrides is not None:
-        for key in sorted(overrides.explicit):
-            if key in _FIGURE_OVERRIDABLE:
-                ec = ec.with_value(key, overrides[key])
-            elif overrides[key] != ec[key]:
-                raise ConfigError(
-                    f"{key}: fixed by the figure caption; only "
-                    f"{', '.join(sorted(_FIGURE_OVERRIDABLE))} may change")
+    for key in sorted(overrides.explicit):
+        if key in _FIGURE_OVERRIDABLE:
+            ec = ec.with_value(key, overrides[key])
+        elif overrides[key] != ec[key]:
+            raise ConfigError(
+                f"{key}: fixed by the figure caption; only "
+                f"{', '.join(sorted(_FIGURE_OVERRIDABLE))} may change")
     return ec
 
 
-def _optimized_quartet(ec: ExperimentConfig, cfg: SystemConfig) -> list:
-    """eta for (bc lcsit, sl lcsit, bc no-lcsit, sl no-lcsit), constant comp."""
+def _figure_quartet(ec):
+    """eta for (bc lcsit, sl lcsit, bc no-lcsit, sl no-lcsit) per sweep point."""
     classes = ("bc-lcsit", "sl-lcsit", "bc", "sl")
-    optima = _optimize(cfg, ec.compression(), classes, grid_spec=ec.grid_spec(),
-                       quad_n=ec["quad.n"], n_nodes=ec.n_nodes())
-    return [optima[c].eta for c in classes]
-
-
-def _figure_quartet_rows(ec: ExperimentConfig, first_col_int: bool = False):
     rows = []
     for value, point in _sweep_points(ec):
-        label = int(value) if first_col_int else value
-        rows.append([label] + _optimized_quartet(point, point.system()))
+        optima = _optimize(_evaluator(point, "analytic"), classes, point.grid_spec(),
+                           point.n_nodes())
+        label = int(value) if ec["sweep.key"] == "T" else value
+        rows.append([label] + [optima[c].eta for c in classes])
         print(f"  {ec['sweep.key']}={label}: eta={rows[-1][1:]}", flush=True)
     return rows
-
-
-def _figure_2(ec):  # throughput vs relay-link SNR
-    return (["rho_D_dB", "eta_bc_lcsit", "eta_sl_lcsit",
-             "eta_bc_nolcsit", "eta_sl_nolcsit"], _figure_quartet_rows(ec))
-
-
-def _figure_3(ec):  # throughput vs backhaul capacity
-    return (["c_max", "eta_bc_lcsit", "eta_sl_lcsit",
-             "eta_bc_nolcsit", "eta_sl_nolcsit"], _figure_quartet_rows(ec))
-
-
-def _figure_4(ec):  # throughput vs max transmissions
-    return (["T", "eta_bc_lcsit", "eta_sl_lcsit",
-             "eta_bc_nolcsit", "eta_sl_nolcsit"],
-            _figure_quartet_rows(ec, first_col_int=True))
 
 
 def _figure_5(ec):
@@ -372,45 +338,36 @@ def _figure_5(ec):
     are re-estimated by Monte Carlo with one common seed so the gap carries a
     confidence interval.
     """
-    header = ["K", "eta_adaptive", "eta_constant", "se_adaptive", "se_constant",
-              "eta_adaptive_analytic", "eta_constant_analytic"]
-    gs, q = ec.grid_spec(), ec["quad.n"]
     rows = []
     for value, point in _sweep_points(ec):
-        cfg = point.system()
-        cells = [value]
-        analytic = []
+        mc, analytic = [], []
         for kind in ("adaptive", "constant"):
-            comp = CompressionPolicy(kind)
-            res = optimize_no_lcsit(cfg, comp, grid_spec=gs, quad_n=q)
-            rep = estimate(cfg, res.policy, comp, **point.mc_kwargs())
-            cells.append(rep.eta)
-            cells.append(rep.eta_std_error)
+            point_kind = point.with_value("compression", kind)
+            res = _optimize(_evaluator(point_kind, "analytic"), ["bc"], point.grid_spec())["bc"]
+            mc.append(_evaluator(point_kind, "mc").report(res.policy))
             analytic.append(res.eta)
-        # interleave: etas, then ses, then the analytic optimizer values
-        rows.append([cells[0], cells[1], cells[3], cells[2], cells[4]] + analytic)
-        print(f"  K={value}: adaptive={cells[1]:.4f} constant={cells[3]:.4f}",
-              flush=True)
-    return header, rows
+        rows.append([value] + [rep.eta for rep in mc] + [rep.eta_std_error for rep in mc]
+                    + analytic)
+        print(f"  K={value}: adaptive={mc[0].eta:.4f} constant={mc[1].eta:.4f}", flush=True)
+    return rows
 
 
 def _figure_6(ec):
     """Frozen vs per-slot fading, both SNRs swept together (rho_D = rho_S)."""
-    header = ["rho_dB", "eta_bc_ltsc", "eta_sl_ltsc", "eta_bc_stsc", "eta_sl_stsc"]
-    gs, q = ec.grid_spec(), ec["quad.n"]
-    comp = CompressionPolicy("constant")
     rows = []
     for value, point in _sweep_points(ec):
         point = point.with_value("fading_S.rho_dB", value)
         etas = []
         for regime in ("ltsc", "stsc"):
-            cfg = point.with_value("regime", regime).system()
-            optima = _optimize(cfg, comp, ("bc", "sl"), grid_spec=gs, quad_n=q)
+            optima = _optimize(_evaluator(point.with_value("regime", regime), "analytic"),
+                               ("bc", "sl"), point.grid_spec())
             etas += [optima["bc"].eta, optima["sl"].eta]
         rows.append([value] + etas)
         print(f"  rho_dB={value}: eta={etas}", flush=True)
-    return header, rows
+    return rows
 
+
+_QUARTET = ["eta_bc_lcsit", "eta_sl_lcsit", "eta_bc_nolcsit", "eta_sl_nolcsit"]
 
 _FIGURES = {
     2: {"params": {"regime": "ltsc", "T": 2, "P_dB": 0.0, "Cmax": 1.0,
@@ -418,44 +375,50 @@ _FIGURES = {
                    "fading_S.dist": "rayleigh", "fading_S.rho_dB": 0.0},
         "sweep_key": "fading_D.rho_dB",
         "sweep_default": np.arange(-5.0, 20.1, 2.5),
-        "runner": _figure_2},
+        "header": ["rho_D_dB", *_QUARTET],  # throughput vs relay-link SNR
+        "runner": _figure_quartet},
     3: {"params": {"regime": "ltsc", "T": 2, "P_dB": 0.0,
                    "fading_D.dist": "rician", "fading_D.K": 0.0,
                    "fading_D.rho_dB": 0.0,
                    "fading_S.dist": "rayleigh", "fading_S.rho_dB": 0.0},
         "sweep_key": "Cmax",
         "sweep_default": [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0],
-        "runner": _figure_3},
+        "header": ["c_max", *_QUARTET],  # throughput vs backhaul capacity
+        "runner": _figure_quartet},
     4: {"params": {"regime": "ltsc", "P_dB": 0.0, "Cmax": 1.0,
                    "fading_D.dist": "rician", "fading_D.K": 0.0,
                    "fading_D.rho_dB": 10.0,
                    "fading_S.dist": "rayleigh", "fading_S.rho_dB": 0.0},
         "sweep_key": "T",
         "sweep_default": [1, 2, 3, 4, 5, 6],
-        "runner": _figure_4},
+        "header": ["T", *_QUARTET],  # throughput vs max transmissions
+        "runner": _figure_quartet},
     5: {"params": {"regime": "ltsc", "T": 2, "P_dB": 0.0, "Cmax": 2.0,
                    "fading_D.dist": "rician", "fading_D.rho_dB": 20.0,
                    "fading_S.dist": "rayleigh", "fading_S.rho_dB": 20.0},
         "sweep_key": "fading_D.K",
         "sweep_default": [0.0, 2.0, 5.0, 10.0],
+        "header": ["K", "eta_adaptive", "eta_constant", "se_adaptive", "se_constant",
+                   "eta_adaptive_analytic", "eta_constant_analytic"],
         "runner": _figure_5},
     6: {"params": {"T": 2, "P_dB": 0.0, "Cmax": 5.0,
                    "fading_D.dist": "rician", "fading_D.K": 0.0,
                    "fading_S.dist": "rayleigh"},
         "sweep_key": "fading_D.rho_dB",
         "sweep_default": np.arange(-5.0, 20.1, 2.5),
+        "header": ["rho_dB", "eta_bc_ltsc", "eta_sl_ltsc", "eta_bc_stsc", "eta_sl_stsc"],
         "runner": _figure_6},
 }
 
 
-def run_figure(number: int, overrides: ExperimentConfig | None, outdir: str | None) -> int:
+def run_figure(number: int, overrides: ExperimentConfig, outdir: str | None) -> int:
     spec = _FIGURES[number]
     ec = _figure_base(spec["params"], spec["sweep_key"], spec["sweep_default"],
                       overrides)
     print(f"figure{number}: sweeping {spec['sweep_key']} over "
           f"{ec['sweep.values']}", flush=True)
-    header, rows = spec["runner"](ec)
-    path = _write_artifacts(outdir or ec["out"], f"figure{number}", header, rows, ec)
+    rows = spec["runner"](ec)
+    path = _write_artifacts(outdir or ec["out"], f"figure{number}", spec["header"], rows, ec)
     print(f"figure{number}: wrote {path} ({len(rows)} rows)")
     return 0
 
@@ -501,20 +464,13 @@ def _apply_cli_overrides(ec: ExperimentConfig, args) -> ExperimentConfig:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "figure":
-            overrides = load_config(args.config) if args.config else None
-            if overrides is not None:
-                overrides = _apply_cli_overrides(overrides, args)
-            elif args.seed is not None or args.sessions is not None \
-                    or args.workers is not None:
-                overrides = _apply_cli_overrides(parse_config_text(""), args)
-            return run_figure(args.number, overrides, args.out)
         ec = parse_config_text("") if args.config is None else load_config(args.config)
         ec = _apply_cli_overrides(ec, args)
-        outdir = args.out or ec["out"]
+        if args.command == "figure":  # ec's explicit keys override the caption's knobs
+            return run_figure(args.number, ec, args.out)
         job = {"analytic": run_analytic, "simulate": run_simulate,
                "optimize": run_optimize, "validate": run_validate}[args.command]
-        return job(ec, outdir)
+        return job(ec, args.out or ec["out"])
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

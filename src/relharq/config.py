@@ -50,9 +50,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .channel import CompressionPolicy, RatePolicy, SystemConfig
 from .fading import FadingModel
-from .optimize import GridSpec
 from .tables import ConfigError  # noqa: F401  (re-exported: relharq.config.ConfigError)
 
 
@@ -65,6 +66,34 @@ def db_to_linear(x_db: float) -> float:
     if not (math.isfinite(value) and value > 0.0):
         raise ConfigError(f"{x_db!r} dB has no finite positive linear value")
     return value
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """Optimizer search lattice: rates on [0, r_max] and alpha on [0, 1]."""
+
+    r_max: float = 6.0
+    r_step: float = 0.05
+    alpha_step: float = 0.02
+    refine_rounds: int = 3
+
+    def __post_init__(self):
+        if self.r_max < 0 or self.r_step <= 0 or not 0 < self.alpha_step <= 1:
+            raise ValueError("empty search grid")
+        if self.refine_rounds < 0:
+            raise ValueError("refine_rounds must be >= 0")
+
+    def r_axis(self) -> np.ndarray:
+        return _axis(0.0, self.r_max, self.r_step)
+
+    def alpha_axis(self) -> np.ndarray:
+        return _axis(0.0, 1.0, self.alpha_step)
+
+
+def _axis(lo: float, hi: float, step: float) -> np.ndarray:
+    if hi <= lo:
+        return np.array([lo])
+    return np.linspace(lo, hi, int(round((hi - lo) / step)) + 1)
 
 
 # (key, kind, default, constraint); order fixes the echo layout.
@@ -222,10 +251,13 @@ class ExperimentConfig:
         if not raw:
             raise ConfigError("sweep.values: required when sweep.key is set")
         for v in self.sweep_values():
-            if not math.isfinite(v):
-                raise ConfigError("sweep.values: values must be finite")
-            if key == "T" and (v != int(v) or v < 1):
-                raise ConfigError("sweep.values: T sweep values must be integers >= 1")
+            # figure 4 renders its T values as 1.0,2.0,...: T takes integer-valued floats
+            if key == "T" and not v.is_integer():
+                raise ConfigError("sweep.values: T sweep values must be integers")
+            try:  # the rule a config line meets
+                _parse_value(key, str(int(v)) if key == "T" else repr(v))
+            except ConfigError as err:
+                raise ConfigError(f"sweep.values: {err}") from None
 
     def sweep_values(self) -> list:
         raw = self.values["sweep.values"]

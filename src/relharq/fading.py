@@ -112,7 +112,10 @@ def cdf_of_max(u, v, Fu, Fv):
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Equal-mass quantile grid: nodes are bin medians, weights sum to 1 exactly.
+    """Equal-mass quantile grid: nodes are bin medians, each weight the double 1/n.
+
+    The weights sum to 1 only up to rounding: the running sum of n copies of
+    1/n misses 1.0 for 284 of n = 1..299 (n = 10 gives 0.9999999999999999).
 
     edges has len(nodes)-1 interior bin boundaries so a drawn gain can be
     mapped back to its node with searchsorted (used by per-node rate policies).
@@ -121,7 +124,6 @@ class QuadratureGrid:
     nodes: np.ndarray
     weights: np.ndarray
     edges: np.ndarray
-    source_model: FadingModel
 
     def node_index(self, x) -> np.ndarray:
         return np.searchsorted(self.edges, x, side="right")
@@ -136,10 +138,9 @@ def quantize(model: FadingModel, n: int) -> QuadratureGrid:
             nodes=np.array([model.point_value]),
             weights=np.array([1.0]),
             edges=np.array([]),
-            source_model=model,
         )
     probs = np.minimum((np.arange(n) + 0.5) / n, _TAIL_Q)
     nodes = model.ppf(probs)
     weights = np.full(n, 1.0 / n)
     edges = model.ppf(np.arange(1, n) / n)
-    return QuadratureGrid(nodes=nodes, weights=weights, edges=edges, source_model=model)
+    return QuadratureGrid(nodes=nodes, weights=weights, edges=edges)

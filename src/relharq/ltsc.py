@@ -43,7 +43,7 @@ from .channel import (
     slot_threshold,
 )
 from .fading import QuadratureGrid, cdf_of_max, cdf_of_min, quantize
-from .tables import ProbabilityTable, ThroughputReport
+from .tables import ProbabilityTable, ThroughputReport, reward_length
 
 DEFAULT_QUAD_N = 256
 
@@ -59,7 +59,6 @@ def node_tables(
     alpha,
     grid: QuadratureGrid,
     comp: CompressionPolicy = CompressionPolicy("constant"),
-    single_slot_thresholds: bool = False,
 ):
     """Per-node conditional tables (p1, p2_out, p2_dec), each shaped (..., nd, T).
 
@@ -72,13 +71,7 @@ def node_tables(
     d = grid.nodes
     F = cfg.model_s.cdf_strict
 
-    r1 = np.asarray(r1, dtype=float)[..., None] if np.ndim(r1) == 0 else np.asarray(r1, dtype=float)
-    r2 = np.asarray(r2, dtype=float)[..., None] if np.ndim(r2) == 0 else np.asarray(r2, dtype=float)
-    alpha = (
-        np.asarray(alpha, dtype=float)[..., None]
-        if np.ndim(alpha) == 0
-        else np.asarray(alpha, dtype=float)
-    )
+    r1, r2, alpha = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (r1, r2, alpha))
     abar = 1.0 - alpha
 
     a = conservative_gain(d, s_min, P, cmax)
@@ -91,8 +84,7 @@ def node_tables(
     # layer-1 decode-within-l thresholds at their (r1, alpha, node) shape; x[0] = +inf
     x = [np.inf]
     for l in range(1, T + 1):
-        l_eff = 1 if single_slot_thresholds else l
-        x.append(slot_threshold(r1, l_eff, alpha * P, abar * P, a, d))
+        x.append(slot_threshold(r1, l, alpha * P, abar * P, a, d))
     Fx = [F(v) for v in x]
     p1 = np.empty(shape + (T,))
     p2o = np.empty(shape + (T,))
@@ -147,24 +139,7 @@ def node_tables(
 
 def node_reward_length(cfg, r1, r2, alpha, grid, comp):
     """Per-node E[R|d], E[L|d] (optimizer hook); shapes broadcast like node_tables."""
-    return _reward_length(r1, r2, *node_tables(cfg, r1, r2, alpha, grid, comp))
-
-
-def _reward_length(r1, r2, p1, p2o, p2d):
-    """E[R|d], E[L|d] from one node_tables result."""
-    T = p1.shape[-1]
-    r1 = np.asarray(r1, dtype=float)[..., None] if np.ndim(r1) == 0 else np.asarray(r1)
-    r2 = np.asarray(r2, dtype=float)[..., None] if np.ndim(r2) == 0 else np.asarray(r2)
-    reward = r1 * (1.0 - p1[..., T - 1]) + r2 * (1.0 - p2o[..., T - 1])
-    t = np.arange(1, T)
-    length = p2d[..., : T - 1] @ t + T * (p2d[..., T - 1] + p2o[..., T - 1])
-    return reward, length
-
-
-def _policy_arrays(policy: RatePolicy, grid: QuadratureGrid):
-    if policy.mode == "lcsit" and policy.r1.shape != grid.nodes.shape:
-        raise ValueError("lcsit policy must supply one tuple per quadrature node")
-    return policy.r1, policy.r2, policy.alpha
+    return reward_length(r1, r2, *node_tables(cfg, r1, r2, alpha, grid, comp))
 
 
 def probability_table(
@@ -173,22 +148,9 @@ def probability_table(
     comp: CompressionPolicy = CompressionPolicy("constant"),
     grid: QuadratureGrid | None = None,
     quad_n: int = DEFAULT_QUAD_N,
-    single_slot_thresholds: bool = False,
 ) -> ProbabilityTable:
     """Mass-averaged ProbabilityTable over the D grid."""
-    grid = grid or quantize(cfg.model_d, quad_n)
-    r1, r2, alpha = _policy_arrays(policy, grid)
-    return _mass_average(grid, *node_tables(cfg, r1, r2, alpha, grid, comp,
-                                            single_slot_thresholds))
-
-
-def _mass_average(grid: QuadratureGrid, p1, p2o, p2d) -> ProbabilityTable:
-    w = grid.weights
-    return ProbabilityTable(
-        p1_out=np.einsum("i,...ik->...k", w, p1),
-        p2_out=np.einsum("i,...ik->...k", w, p2o),
-        p2_dec=np.einsum("i,...ik->...k", w, p2d),
-    )
+    return throughput_ltsc(cfg, policy, comp, grid, quad_n).table
 
 
 def throughput_ltsc(
@@ -200,15 +162,11 @@ def throughput_ltsc(
 ) -> ThroughputReport:
     """eta = E[R]/E[L]; per-node policies are assembled node-by-node before averaging."""
     grid = grid or quantize(cfg.model_d, quad_n)
-    r1, r2, alpha = _policy_arrays(policy, grid)
-    tables = node_tables(cfg, r1, r2, alpha, grid, comp)
-    reward, length = _reward_length(r1, r2, *tables)
+    if policy.mode == "lcsit" and policy.r1.shape != grid.nodes.shape:
+        raise ValueError("lcsit policy must supply one tuple per quadrature node")
+    tables = node_tables(cfg, policy.r1, policy.r2, policy.alpha, grid, comp)
+    reward, length = reward_length(policy.r1, policy.r2, *tables)
     er = float(reward @ grid.weights)
     el = float(length @ grid.weights)
-    table = _mass_average(grid, *tables)
-    return ThroughputReport(
-        eta=er / el,
-        expected_reward=er,
-        expected_length=el,
-        table=table,
-    )
+    table = ProbabilityTable(*(np.einsum("i,...ik->...k", grid.weights, t) for t in tables))
+    return ThroughputReport(eta=er / el, expected_reward=er, expected_length=el, table=table)

@@ -35,43 +35,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import CompressionPolicy, RatePolicy, SystemConfig, check_supported
+from .config import GridSpec
 from .fading import quantize
 from .ltsc import node_reward_length, throughput_ltsc
 from .simulate import estimate
-from .stsc import stsc_quantities, throughput_stsc
-from .tables import NumericalError
+from .stsc import quantity_tables, stsc_quantities, throughput_stsc
+from .tables import NumericalError, reward_length
 
 DEFAULT_QUAD_N = 64
 _MARGIN = 8 * np.finfo(float).eps  # 16 unit roundoffs, see _front
 _PAIR_CELLS = 16  # the pairwise test of _front holds at most 16 bools per block cell
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Search lattice: rates on [0, r_max] and alpha on [0, 1]."""
-
-    r_max: float = 6.0
-    r_step: float = 0.05
-    alpha_step: float = 0.02
-    refine_rounds: int = 3
-
-    def __post_init__(self):
-        if self.r_max < 0 or self.r_step <= 0 or not 0 < self.alpha_step <= 1:
-            raise ValueError("empty search grid")
-        if self.refine_rounds < 0:
-            raise ValueError("refine_rounds must be >= 0")
-
-    def r_axis(self) -> np.ndarray:
-        return _axis(0.0, self.r_max, self.r_step)
-
-    def alpha_axis(self) -> np.ndarray:
-        return _axis(0.0, 1.0, self.alpha_step)
-
-
-def _axis(lo: float, hi: float, step: float) -> np.ndarray:
-    if hi <= lo:
-        return np.array([lo])
-    return np.linspace(lo, hi, int(round((hi - lo) / step)) + 1)
+# r1 rows x quad_n^2 cells per stsc_quantities call, which bounds its (q1, n, n)
+# arrays at 4 MB each; its (q2, n, n) arrays are formed once per call
+_STSC_R1_CELLS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -84,13 +60,17 @@ class OptimizationResult:
 
 class _Evaluator:
     """eta of one scenario by regime and backend: over a (r1, r2) block at fixed
-    alpha (the optimizer's scan), or at one policy with its table (`report`)."""
+    alpha (the optimizer's scan), or at one policy with its table (`report`).
 
-    def __init__(self, cfg, comp, backend, quad_n, mc, per_node=False):
-        check_supported(cfg, comp, backend, per_node)
+    mc holds the Monte Carlo budget as keywords of `estimate` (n_sessions,
+    master_seed, batch_size, workers); keys left out keep their defaults here.
+    """
+
+    def __init__(self, cfg, comp, backend, quad_n, mc=None):
+        check_supported(cfg, comp, backend)
         self.cfg, self.comp, self.backend = cfg, comp, backend
         self.quad_n = quad_n
-        self.mc = {"sessions": 20_000, "seed": 0, "batch_size": 1 << 16, "workers": 1,
+        self.mc = {"n_sessions": 20_000, "master_seed": 0, "batch_size": 1 << 16, "workers": 1,
                    **(mc or {})}
         ltsc_closed_form = backend == "analytic" and cfg.channel_regime == "ltsc"
         self.grid = quantize(cfg.model_d, quad_n) if ltsc_closed_form else None
@@ -104,11 +84,8 @@ class _Evaluator:
             for i, r1 in enumerate(r1v):
                 for j, r2 in enumerate(r2v):
                     # common random numbers: every tuple sees the same seed
-                    out[i, j] = estimate(
-                        self.cfg, RatePolicy.constant(r1, r2, alpha), self.comp,
-                        self.mc["sessions"], self.mc["seed"],
-                        self.mc["batch_size"], self.mc["workers"],
-                    ).eta
+                    out[i, j] = estimate(self.cfg, RatePolicy.constant(r1, r2, alpha),
+                                         self.comp, **self.mc).eta
             return out
         if self.cfg.channel_regime == "ltsc":
             reward, length = node_reward_length(
@@ -118,14 +95,13 @@ class _Evaluator:
             if visit is not None:
                 visit(reward, length)
             return (reward @ self.grid.weights) / (length @ self.grid.weights)
-        # chunk r1 so stsc_quantities' (q1, nd, ns) arrays stay bounded
-        rows = max(1, int(24_000_000 // max(1, len(r2v) * self.quad_n**2)))
+        rows = max(1, _STSC_R1_CELLS // self.quad_n**2)
         out = np.empty((len(r1v), len(r2v)))
         for i in range(0, len(r1v), rows):
             r1c = r1v[i : i + rows]
             q = stsc_quantities(self.cfg, r1c, r2v, alpha, n=self.quad_n)
-            er = r1c[:, None] * (1 - q["p1_out_2"]) + r2v[None, :] * (1 - q["p2_out_2"])
-            out[i : i + rows] = er / (2.0 - q["p2_dec_1"])
+            reward, length = reward_length(r1c[:, None], r2v[None, :], *quantity_tables(q))
+            out[i : i + rows] = reward / length
         return out
 
     def report(self, policy: RatePolicy):
@@ -134,8 +110,7 @@ class _Evaluator:
         A per-node policy is read on its own node grid, one node per tuple.
         """
         if self.backend == "mc":
-            return estimate(self.cfg, policy, self.comp, self.mc["sessions"],
-                            self.mc["seed"], self.mc["batch_size"], self.mc["workers"])
+            return estimate(self.cfg, policy, self.comp, **self.mc)
         if self.cfg.channel_regime == "ltsc":
             grid = self.grid if policy.mode == "no_lcsit" else quantize(self.cfg.model_d,
                                                                         policy.r1.size)
@@ -328,26 +303,25 @@ def _dinkelbach(node_rl, grid, base, lattice, fronts, tol, max_iter, policy_clas
                   "seed_eta": base.eta})
 
 
-def _optimize(cfg: SystemConfig, comp: CompressionPolicy, classes, backend: str = "analytic",
-              grid_spec: GridSpec = GridSpec(), quad_n: int = DEFAULT_QUAD_N,
-              mc: dict | None = None, n_nodes: int | None = None,
-              tol: float = 1e-6, max_iter: int = 50) -> dict:
+def _optimize(ev: _Evaluator, classes, grid_spec: GridSpec = GridSpec(),
+              n_nodes: int | None = None, tol: float = 1e-6, max_iter: int = 50) -> dict:
     """The optima of the requested policy classes from one pass; see the module docstring.
 
-    classes names some of "sl", "bc" (single-layer and two-layer tuples) and
-    "sl-lcsit", "bc-lcsit" (their per-node tables); the result maps each to
-    its OptimizationResult.
+    ev evaluates the scenario; classes names some of "sl", "bc" (single-layer
+    and two-layer tuples) and "sl-lcsit", "bc-lcsit" (their per-node tables);
+    the result maps each to its OptimizationResult.
     """
     per_node = [c for c in ("bc-lcsit", "sl-lcsit") if c in classes]
-    nd = n_nodes if n_nodes is not None else quad_n
-    if per_node and nd < 1:
-        raise ValueError("n_nodes must be >= 1")
-    ev = _Evaluator(cfg, comp, backend, quad_n, mc, per_node=bool(per_node))
+    nd = n_nodes if n_nodes is not None else ev.quad_n
+    if per_node:
+        check_supported(ev.cfg, ev.comp, ev.backend, per_node=True)
+        if nd < 1:
+            raise ValueError("n_nodes must be >= 1")
     r_axis = grid_spec.r_axis()
     lattices = {"sl": (r_axis, np.array([0.0]), np.array([1.0])),
                 "bc": (r_axis, r_axis, grid_spec.alpha_axis())}
     fronts = {c[:2]: [] for c in per_node}
-    share = nd == quad_n  # the scan's blocks are then the per-node blocks
+    share = nd == ev.quad_n  # the scan's blocks are then the per-node blocks
 
     def visit(kind):
         if not (share and kind in fronts):
@@ -368,10 +342,10 @@ def _optimize(cfg: SystemConfig, comp: CompressionPolicy, classes, backend: str 
             "grid": (grid_spec.r_max, grid_spec.r_step, grid_spec.alpha_step),
             "single_layer_seed": seed}, ev.n_evals - n_sl)
     if per_node:
-        grid = ev.grid if share else quantize(cfg.model_d, nd)
+        grid = ev.grid if share else quantize(ev.cfg.model_d, nd)
 
         def node_rl(r1, r2, alpha):
-            return node_reward_length(cfg, r1, r2, alpha, grid, comp)
+            return node_reward_length(ev.cfg, r1, r2, alpha, grid, ev.comp)
 
     for cls in per_node:
         kind = cls[:2]
@@ -388,7 +362,7 @@ def optimize_single_layer(cfg: SystemConfig, comp=CompressionPolicy("constant"),
                           quad_n: int = DEFAULT_QUAD_N, mc: dict | None = None
                           ) -> OptimizationResult:
     """Best single-message benchmark: maximize eta(R1, 0, 1) over R1."""
-    return _optimize(cfg, comp, ["sl"], backend, grid_spec, quad_n, mc)["sl"]
+    return _optimize(_Evaluator(cfg, comp, backend, quad_n, mc), ["sl"], grid_spec)["sl"]
 
 
 def optimize_no_lcsit(cfg: SystemConfig, comp=CompressionPolicy("constant"),
@@ -396,7 +370,7 @@ def optimize_no_lcsit(cfg: SystemConfig, comp=CompressionPolicy("constant"),
                       quad_n: int = DEFAULT_QUAD_N, mc: dict | None = None
                       ) -> OptimizationResult:
     """Best fixed tuple (R1, R2, alpha); never worse than the single-layer slice."""
-    return _optimize(cfg, comp, ["bc"], backend, grid_spec, quad_n, mc)["bc"]
+    return _optimize(_Evaluator(cfg, comp, backend, quad_n, mc), ["bc"], grid_spec)["bc"]
 
 
 def optimize_lcsit(cfg: SystemConfig, comp=CompressionPolicy("constant"),
@@ -415,5 +389,5 @@ def optimize_lcsit(cfg: SystemConfig, comp=CompressionPolicy("constant"),
     (R1(d), 0, 1) slice.
     """
     cls = "sl-lcsit" if single_layer else "bc-lcsit"
-    return _optimize(cfg, comp, [cls], backend, grid_spec, quad_n, mc, n_nodes,
+    return _optimize(_Evaluator(cfg, comp, backend, quad_n, mc), [cls], grid_spec, n_nodes,
                      tol, max_iter)[cls]

@@ -148,6 +148,9 @@ def _run_batch(cfg: SystemConfig, policy: RatePolicy, comp: CompressionPolicy,
             d_tr[t - 1], s_tr[t - 1] = dt, st
             acc1_tr[t - 1], acc2_tr[t - 1] = acc1, acc2
 
+    # a NaN never reaches a rate, so it would pass for an outage
+    if np.isnan(acc1).any() or np.isnan(acc2).any():
+        raise NumericalError("mutual information is NaN in a Monte Carlo session")
     lengths = np.where(k2 > 0, k2, T)
     reward = r1 * (k1 > 0) + r2 * (k2 > 0)
     out = {
@@ -230,7 +233,6 @@ def estimate(cfg: SystemConfig, policy: RatePolicy, comp: CompressionPolicy,
 
     table = ProbabilityTable(
         p1_out=p1_out, p2_out=p2_out, p2_dec=p2_dec,
-        provenance="monte_carlo", n_sessions=n,
         std_errors={"p1_out": binom_se(p1_out), "p2_out": binom_se(p2_out),
                     "p2_dec": binom_se(p2_dec)},
     )

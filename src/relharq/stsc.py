@@ -43,7 +43,7 @@ import numpy as np
 from .channel import (RatePolicy, SystemConfig, _split_gain, check_supported,
                       conservative_gain, mutual_info, slot_threshold)
 from .fading import FadingModel, cdf_of_max, quantize
-from .tables import ProbabilityTable, ThroughputReport, expected_length
+from .tables import ProbabilityTable, ThroughputReport, reward_length
 
 DEFAULT_STSC_N = 128
 BLOCK_CELLS = 2**16  # 512 KB per block array, a few of which fit a 2 MB L2 cache
@@ -135,28 +135,30 @@ def stsc_quantities(cfg: SystemConfig, r1_vec, r2_vec, alpha: float, n: int = DE
         return Fs1(np.clip(c[..., None], lo, hi))
 
     F1, F2 = cdf_in_bins(lam1), cdf_in_bins(lam2)                   # (q1|q2, nd, ns)
-    m_fail, m_below2 = F1 - F_lo, F2 - F_lo                         # mass S1 < lam1 | lam2
-
-    # per-(d1, s1-node) slot-1 quantities, and the slot-2 thresholds u at c = 0
-    i1 = mutual_info(ap, abp, a1[:, None], s1, d1[:, None])         # (nd, ns)
-    i2 = mutual_info(abp, p_int2, a1[:, None], s1, d1[:, None])     # (nd, ns)
-    r2p = r2[:, None, None] - i2                                    # (q2, nd, ns)
-    u1 = slot_threshold(r1[:, None, None] - i1, 1, ap, abp, 0.0, 1.0)  # (q1, nd, ns)
-    u2 = slot_threshold(r2p, 1, abp, p_int2, 0.0, 1.0)              # (q2, nd, ns)
-    u_phi = slot_threshold(r2p, 1, P, 0.0, 0.0, 1.0)                # (q2, nd, ns)
+    # m_mid below is F2 - F1 where lam2 > lam1, else 0; F is monotone, so it is
+    # nonzero only where F2 exceeds the smallest F1
+    phi_cells = ~(F2 <= F1.min(axis=0))
+    # mass S1 < lam1 | lam2, in place: each (q, nd, ns) array is dropped when done
+    m_fail, m_below2 = np.subtract(F1, F_lo, out=F1), np.subtract(F2, F_lo, out=F2)
 
     def on_support(u, cells):
         out = np.zeros(u.shape)
         out[cells] = G(u[cells])
         return out
 
+    # per-(d1, s1-node) slot-1 quantities, and the slot-2 thresholds u at c = 0
+    i1 = mutual_info(ap, abp, a1[:, None], s1, d1[:, None])         # (nd, ns)
+    i2 = mutual_info(abp, p_int2, a1[:, None], s1, d1[:, None])     # (nd, ns)
+    u1 = slot_threshold(r1[:, None, None] - i1, 1, ap, abp, 0.0, 1.0)  # (q1, nd, ns)
     fails = m_fail != 0
     u1_live = np.where(fails, u1, np.inf).min(axis=0)               # NaN stays NaN
     g1 = on_support(u1, fails)
+    del u1
+    r2p = r2[:, None, None] - i2                                    # (q2, nd, ns)
+    u2 = slot_threshold(r2p, 1, abp, p_int2, 0.0, 1.0)
     g2 = on_support(u2, fails.any(axis=0) & ~(u2 <= u1_live))
-    # m_mid below is F2 - F1 where lam2 > lam1, else 0; F is monotone, so it is
-    # nonzero only where F2 exceeds the smallest F1
-    g_phi = on_support(u_phi, ~(F2 <= F1.min(axis=0)))
+    del u2
+    g_phi = on_support(slot_threshold(r2p, 1, P, 0.0, 0.0, 1.0), phi_cells)
 
     p1_out_1 = np.repeat(total(m_fail)[:, None], q2, axis=1)        # (q1, q2)
     p1_out_2 = np.repeat(total(m_fail * g1)[:, None], q2, axis=1)
@@ -179,20 +181,21 @@ def stsc_quantities(cfg: SystemConfig, r1_vec, r2_vec, alpha: float, n: int = DE
             "p2_out_2": p2_out_2}
 
 
+def quantity_tables(q: dict):
+    """(p1_out, p2_out, p2_dec), each (..., 2), from the four entries of stsc_quantities."""
+    return (np.stack([q["p1_out_1"], q["p1_out_2"]], axis=-1),
+            np.stack([1.0 - q["p2_dec_1"], q["p2_out_2"]], axis=-1),
+            np.stack([q["p2_dec_1"], 1.0 - q["p2_dec_1"] - q["p2_out_2"]], axis=-1))
+
+
 def stsc_table(cfg: SystemConfig, policy: RatePolicy, n: int = DEFAULT_STSC_N) -> ProbabilityTable:
     check_supported(cfg, per_node=policy.mode == "lcsit", regime="stsc")
-    r1, r2, alpha = float(policy.r1), float(policy.r2), float(policy.alpha)
-    q = {k: float(v[0, 0]) for k, v in stsc_quantities(cfg, [r1], [r2], alpha, n).items()}
-    return ProbabilityTable(
-        p1_out=np.array([q["p1_out_1"], q["p1_out_2"]]),
-        p2_out=np.array([1.0 - q["p2_dec_1"], q["p2_out_2"]]),
-        p2_dec=np.array([q["p2_dec_1"], 1.0 - q["p2_dec_1"] - q["p2_out_2"]]),
-    )
+    q = stsc_quantities(cfg, [float(policy.r1)], [float(policy.r2)], float(policy.alpha), n)
+    return ProbabilityTable(*(t[0, 0] for t in quantity_tables(q)))
 
 
 def throughput_stsc(cfg: SystemConfig, policy: RatePolicy, n: int = DEFAULT_STSC_N) -> ThroughputReport:
     table = stsc_table(cfg, policy, n)
-    er = float(policy.r1) * (1.0 - table.p1_out[1]) + float(policy.r2) * (1.0 - table.p2_out[1])
-    el = expected_length(table.p2_dec, float(table.p2_out[1]), 2)
-    return ThroughputReport(eta=er / el, expected_reward=float(er), expected_length=float(el),
-                            table=table)
+    er, el = reward_length(policy.r1, policy.r2, table.p1_out, table.p2_out, table.p2_dec)
+    return ThroughputReport(eta=float(er / el), expected_reward=float(er),
+                            expected_length=float(el), table=table)

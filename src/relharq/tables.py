@@ -18,18 +18,12 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class ProbabilityTable:
-    """p1_out(k), p2_out(k), p2_dec(k) for k = 1..T, with provenance."""
+    """p1_out(k), p2_out(k), p2_dec(k) for k = 1..T."""
 
     p1_out: np.ndarray
     p2_out: np.ndarray
     p2_dec: np.ndarray
-    provenance: str = "analytic"          # analytic | monte_carlo
-    n_sessions: int | None = None         # monte_carlo only
     std_errors: dict | None = None        # monte_carlo only: same keys, per-k arrays
-
-    @property
-    def T(self) -> int:
-        return len(self.p1_out)
 
     def total_probability_gap(self) -> float:
         """|sum_k p2_dec(k) + p2_out(T) - 1|; zero up to float error by construction."""
@@ -46,7 +40,12 @@ class ThroughputReport:
     table: ProbabilityTable
 
 
-def expected_length(p2_dec: np.ndarray, p2_out_T: float, T: int) -> float:
-    """E[L] = sum_{t<T} t p2_dec(t) + T (p2_dec(T) + p2_out(T))."""
-    t = np.arange(1, T)
-    return float(t @ p2_dec[: T - 1] + T * (p2_dec[T - 1] + p2_out_T))
+def reward_length(r1, r2, p1_out, p2_out, p2_dec):
+    """E[R] = r1 (1 - p1_out(T)) + r2 (1 - p2_out(T)) and E[L] = sum_{t<T} t p2_dec(t)
+    + T (p2_dec(T) + p2_out(T)) from (..., T) tables, the rates broadcasting
+    against their leading axes: the renewal-reward pair behind every eta."""
+    T = p1_out.shape[-1]
+    reward = (np.asarray(r1, dtype=float) * (1.0 - p1_out[..., T - 1])
+              + np.asarray(r2, dtype=float) * (1.0 - p2_out[..., T - 1]))
+    length = p2_dec[..., : T - 1] @ np.arange(1, T) + T * (p2_dec[..., T - 1] + p2_out[..., T - 1])
+    return reward, length

@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from relharq import cli
+from relharq import cli, optimize
 from relharq.channel import RatePolicy
 from relharq.config import (ConfigError, db_to_linear, load_config,
                             parse_config_text)
@@ -69,6 +69,9 @@ class TestConfigGrammar:
         ("sweep.key = P_dB", "required when sweep.key"),
         ("sweep.key = out\nsweep.values = 1", "not sweepable"),
         ("sweep.key = T\nsweep.values = 1.5,2", "integers"),
+        ("sweep.key = T\nsweep.values = 0,2", "outside allowed range"),
+        ("sweep.key = Cmax\nsweep.values = 1,-1", "outside allowed range"),
+        ("sweep.key = P_dB\nsweep.values = 0,nan", "must be finite"),
     ])
     def test_rejections_name_the_key(self, line, fragment):
         with pytest.raises(ConfigError, match=fragment):
@@ -152,6 +155,27 @@ class TestExitCodes:
                                    f"sweep.values = 0.0,{db}\n")
         assert cli.main(["analytic", "--config", path, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("job, key, value, s_dist", [
+        ("analytic", "Cmax", "-1.0", "rayleigh"),
+        ("analytic", "fading_D.K", "-2", "rayleigh"),
+        ("optimize", "fading_S.value", "-1", "pointmass"),
+    ])
+    def test_swept_value_outside_schema_bounds_is_config_error(self, tmp_path, capsys,
+                                                               job, key, value, s_dist):
+        # a sweep value meets the rule a config line meets, before any point runs
+        text = COARSE.replace("fading_S.dist = rayleigh", f"fading_S.dist = {s_dist}")
+        path = write_cfg(tmp_path, text + f"sweep.key = {key}\nsweep.values = 1.0,{value}\n")
+        assert cli.main([job, "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"sweep.values: {key}: value {float(value)!r} outside allowed range" in err
+
+    def test_simulate_past_the_backhaul_overflow_is_numerical_failure(self, tmp_path):
+        # at Cmax = 1e6 the compression gain overflows to inf and the mutual
+        # information is NaN; the simulator must not count that as an outage
+        path = write_cfg(tmp_path, COARSE.replace("Cmax = 1.0", "Cmax = 1e6"))
+        for job in ("analytic", "simulate"):
+            assert cli.main([job, "--config", path, "--out", str(tmp_path)]) == 3
+
     def test_stsc_rate_past_overflow_is_an_outage(self, tmp_path):
         # 2^(2 r2) overflows at r2 = 2000; layer 2 is then a plain outage
         path = write_cfg(tmp_path, "regime = stsc\nT = 2\npolicy = 1.0,2000,0.9\n"
@@ -189,6 +213,19 @@ class TestExitCodes:
         assert cli.main([job, "--config", path, "--out", str(tmp_path)]) == 0
         rows = read_rows(tmp_path / f"{job}.csv")
         assert all(np.isfinite(float(c)) for c in rows[1])
+
+    def test_optimize_builds_one_evaluator_per_sweep_point(self, tmp_path, monkeypatch):
+        built = []
+        init = optimize._Evaluator.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(optimize._Evaluator, "__init__", counting)
+        path = write_cfg(tmp_path, COARSE + "sweep.key = P_dB\nsweep.values = 0.0,3.0\n")
+        assert cli.main(["optimize", "--config", path, "--out", str(tmp_path)]) == 0
+        assert len(built) == 2
 
     def test_figure_rejects_caption_conflicts(self, tmp_path):
         path = write_cfg(tmp_path, "T = 3\n")

@@ -250,12 +250,10 @@ class TestNodeTablesMatchReference:
                 args = (cfg, r1, r2, np.float64(alpha), grid, comp)
                 assert_tables_equal(node_tables(*args), reference_node_tables(*args))
 
-    def test_scalar_tuple_and_single_slot_thresholds(self, T, comp, s_kind):
+    def test_scalar_tuple(self, T, comp, s_kind):
         grid = quantize(D_RICIAN, 9)
-        cfg = ltsc_cfg(s_kind, T)
-        for single in (False, True):
-            args = (cfg, 0.9, 0.4, 0.85, grid, comp, single)
-            assert_tables_equal(node_tables(*args), reference_node_tables(*args))
+        args = (ltsc_cfg(s_kind, T), 0.9, 0.4, 0.85, grid, comp)
+        assert_tables_equal(node_tables(*args), reference_node_tables(*args))
 
     def test_per_node_policy(self, T, comp, s_kind):
         grid = quantize(D_RICIAN, 10)
@@ -508,7 +506,8 @@ ALL_CLASSES = ("bc-lcsit", "sl-lcsit", "bc", "sl")
 
 
 def assert_optima_match(cfg, comp, classes=ALL_CLASSES, **kw):
-    got = opt._optimize(cfg, comp, classes, **kw)
+    ev = opt._Evaluator(cfg, comp, kw.get("backend", "analytic"), kw["quad_n"], kw.get("mc"))
+    got = opt._optimize(ev, classes, kw["grid_spec"], kw.get("n_nodes"))
     want = reference_optima(cfg, comp, classes, **kw)
     assert list(got) == list(want)
     for cls in classes:
@@ -581,7 +580,7 @@ def test_optimizer_mc_backend_matches_reference():
     cfg = ltsc_cfg("rayleigh", 2, P=1.0, cmax=1.0)
     spec = GridSpec(r_max=2.0, r_step=0.5, alpha_step=0.5, refine_rounds=1)
     assert_optima_match(cfg, CONST, ("bc", "sl"), backend="mc", grid_spec=spec, quad_n=8,
-                        mc={"sessions": 300, "seed": 5})
+                        mc={"n_sessions": 300, "master_seed": 5})
 
 
 def test_optimizer_full_lattice_fallbacks_match_reference(monkeypatch):
@@ -653,7 +652,8 @@ def test_quartet_takes_about_one_lattice_pass(monkeypatch):
     kw = {"grid_spec": OPT_GRID, "quad_n": 24}
     one_pass = len(OPT_GRID.r_axis()) ** 2 * len(OPT_GRID.alpha_axis()) * 24
     cells = count_node_table_cells(monkeypatch)
-    opt._optimize(cfg, CONST, ALL_CLASSES, **kw)
+    opt._optimize(opt._Evaluator(cfg, CONST, "analytic", kw["quad_n"]), ALL_CLASSES,
+                  kw["grid_spec"])
     assert sum(cells) <= 1.5 * one_pass
     cells.clear()
     reference_optima(cfg, CONST, ALL_CLASSES, **kw)

@@ -44,7 +44,11 @@ def fading(side):
 
 SWEEPS = mostly([{}], [{"sweep.key": "T", "sweep.values": "1,2"},
                        {"sweep.key": "P_dB", "sweep.values": "-4000,0"},
-                       {"sweep.key": "fading_D.value", "sweep.values": "0,1"}])
+                       {"sweep.key": "fading_D.value", "sweep.values": "0,1"},
+                       # values outside the schema bounds of their key
+                       {"sweep.key": "Cmax", "sweep.values": "1,-1"},
+                       {"sweep.key": "fading_D.K", "sweep.values": "-2"},
+                       {"sweep.key": "fading_S.value", "sweep.values": "-1,1"}])
 
 CONFIGS = st.builds(
     lambda base, d, s, sweep: {**base, **d, **s, **sweep},

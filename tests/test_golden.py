@@ -5,7 +5,8 @@ sha256, with the digest recorded in `tests/golden/SHA256SUMS`.  The jobs are
 small but reach every branch of the analytic evaluators: LTSC tables at T=3
 with constant and adaptive compression, the per-node (lcsit) optimizer, STSC
 tables with and without the layer-2 interference variant, the STSC optimizer
-over (r1, r2) blocks, and point-mass S links under both regimes.
+over (r1, r2) blocks, point-mass S links under both regimes, and the Monte
+Carlo jobs (`simulate` under both regimes, figure 5's re-estimates).
 
 Each job's CSV is stored next to SHA256SUMS as `<job>.csv`.  To see how far
 a change moved a job, run from the root of a checkout
@@ -89,6 +90,15 @@ JOBS = {
         "regime": "ltsc", "T": 2, "Cmax": 1.0, "backend": "mc", "mc.sessions": 400,
         "mc.seed": 11, **_RICIAN_D, "fading_S.dist": "rayleigh", "fading_S.rho_dB": 3.0,
         **_COARSE}),
+    "ltsc-simulate-adaptive": (("simulate",), {
+        "regime": "ltsc", "T": 3, "Cmax": 1.5, "compression": "adaptive",
+        **_RICIAN_D, **_RICIAN_S, "policy": "0.9,0.5,0.95", "mc.sessions": 5000,
+        "mc.seed": 3, **_P_SWEEP}),
+    "stsc-simulate-rician-s": (("simulate",), {
+        "regime": "stsc", "T": 2, "Cmax": 1.5, **_RICIAN_D, **_RICIAN_S,
+        "policy": "0.9,0.5,0.95", "mc.sessions": 5000, "mc.seed": 3, **_P_SWEEP}),
+    "figure5": (("figure", "5"), {
+        **_COARSE, "mc.sessions": 3000, "sweep.key": "fading_D.K", "sweep.values": "0.0,5.0"}),
 }
 
 

@@ -42,6 +42,19 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_config_layer_imports_neither_optimizer_nor_cli():
+    # the jobs read the config layer; it must not depend on them
+    names = set()
+    for node in ast.walk(ast.parse((SRC / "config.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            if node.module is None:  # from . import x
+                names.update(alias.name for alias in node.names)
+    assert names.isdisjoint({"optimize", "cli"})
+
+
 def test_every_export_resolves():
     # a deleted helper must not leave a stale name in the public API
     assert [name for name in relharq.__all__ if not hasattr(relharq, name)] == []

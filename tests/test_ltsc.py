@@ -62,8 +62,6 @@ class TestP1Out:
         pol = RatePolicy.constant(1.0, 0.0, 1.0)
         cfg = pm_cfg(1.0, 2.0, T=2)
         assert probability_table(cfg, pol).p1_out[1] == 0.0
-        # degraded variant: every retransmission must decode from one slot
-        assert probability_table(cfg, pol, single_slot_thresholds=True).p1_out[1] == 1.0
 
 
 class TestP2:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from relharq import optimize as opt
 from relharq.channel import CompressionPolicy, RatePolicy, SystemConfig, mutual_info
 from relharq.fading import FadingModel, quantize
 from relharq.ltsc import throughput_ltsc
@@ -127,7 +128,7 @@ class TestMcBackend:
             model_d=FadingModel("rayleigh", 1.0), model_s=FadingModel("rayleigh", 1.0),
         )
         spec = GridSpec(r_max=2.0, r_step=0.5, alpha_step=0.5, refine_rounds=1)
-        mc = {"sessions": 4000, "seed": 17}
+        mc = {"n_sessions": 4000, "master_seed": 17}
         a = optimize_no_lcsit(cfg, CONST, backend="mc", grid_spec=spec, mc=mc)
         b = optimize_no_lcsit(cfg, CONST, backend="mc", grid_spec=spec, mc=mc)
         assert a.eta == b.eta
@@ -158,3 +159,25 @@ class TestValidation:
             optimize_lcsit(stsc, CONST, grid_spec=SMALL)
         with pytest.raises(ValueError, match="analytic"):
             optimize_lcsit(ltsc_cfg(), CONST, backend="mc", grid_spec=SMALL)
+
+
+class TestStscBlock:
+    def test_r1_chunks_keep_the_cell_budget_and_every_bit(self, monkeypatch):
+        cfg = SystemConfig(
+            power=2.0, backhaul_capacity=1.5, max_rounds=2,
+            model_d=FadingModel("rayleigh", 2.0), model_s=FadingModel("rayleigh", 1.0),
+            channel_regime="stsc",
+        )
+        ev = opt._Evaluator(cfg, CONST, "analytic", 16)
+        r = np.linspace(0.0, 3.0, 13)
+        whole = ev.block(r, r, 0.6)
+        rows, quantities = [], opt.stsc_quantities
+
+        def counting(cfg, r1, r2, alpha, n):
+            rows.append(len(r1))
+            return quantities(cfg, r1, r2, alpha, n=n)
+
+        monkeypatch.setattr(opt, "_STSC_R1_CELLS", 5 * 16**2 + 1)
+        monkeypatch.setattr(opt, "stsc_quantities", counting)
+        assert np.array_equal(ev.block(r, r, 0.6), whole)
+        assert rows == [5, 5, 3]

@@ -6,7 +6,7 @@ from relharq.fading import FadingModel
 from relharq.ltsc import probability_table, throughput_ltsc
 from relharq.simulate import EstimateReport, estimate, simulate_session
 from relharq.stsc import stsc_table
-from relharq.tables import expected_length
+from relharq.tables import NumericalError, reward_length
 
 CONST = CompressionPolicy("constant")
 ADAPT = CompressionPolicy("adaptive")
@@ -97,7 +97,8 @@ class TestEstimate:
         pol = RatePolicy.constant(1.0, 0.5, 0.8)
         rep = estimate(cfg, pol, CONST, 40_000, master_seed=11)
         assert rep.table.total_probability_gap() < 1e-12
-        el = expected_length(rep.table.p2_dec, float(rep.table.p2_out[-1]), 3)
+        er, el = reward_length(1.0, 0.5, rep.table.p1_out, rep.table.p2_out, rep.table.p2_dec)
+        assert rep.expected_reward == pytest.approx(er, abs=1e-12)
         assert rep.expected_length == pytest.approx(el, abs=1e-12)
 
     def test_matches_ltsc_analytics(self):
@@ -243,3 +244,15 @@ class TestPolicyResolution:
         cfg = pm_cfg(1.0, 1.0)
         with pytest.raises(ValueError, match="n_sessions"):
             estimate(cfg, RatePolicy.constant(1, 0.5, 0.9), CONST, 0, master_seed=0)
+
+
+class TestNumericalFailure:
+    @pytest.mark.parametrize("regime", ["ltsc", "stsc"])
+    def test_nan_mutual_information_raises(self, regime):
+        # 2^(2 Cmax) overflows at Cmax = 1e6, so the compression gain is inf and
+        # the mutual information NaN, which a decode test would read as an outage
+        cfg = SystemConfig(power=1.0, backhaul_capacity=1e6, max_rounds=2,
+                           model_d=FadingModel("rayleigh", 1.0),
+                           model_s=FadingModel("rayleigh", 1.0), channel_regime=regime)
+        with pytest.raises(NumericalError, match="mutual information"):
+            estimate(cfg, RatePolicy.constant(1.0, 0.2, 0.9), CONST, 500, master_seed=0)
