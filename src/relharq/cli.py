@@ -26,10 +26,7 @@ from .channel import CompressionPolicy, RatePolicy, SystemConfig
 from .config import (ConfigError, ExperimentConfig, _parse_value, load_config,
                      parse_config_text)
 from .fading import FadingModel
-from .ltsc import probability_table
 from .optimize import _Evaluator, _optimize
-from .simulate import estimate
-from .stsc import stsc_table
 from .tables import NumericalError
 
 
@@ -198,10 +195,15 @@ def _rand_tuple(rng: np.random.Generator) -> RatePolicy:
 def _validate_rows(ec: ExperimentConfig):
     """(suite, config_id, regime, variant, quantity, k, analytic, mc, sigma,
     gap, gate, status) rows for the oracle-equivalence report."""
-    mc_kwargs = ec.mc_kwargs()
-    n_mc = mc_kwargs["n_sessions"]
+    n_mc = ec["mc.sessions"]
     rng = np.random.default_rng(np.random.SeedSequence(ec["mc.seed"]))
     rows = []
+
+    def reports(cfg, policy, quad_n):
+        """(analytic table, MC report) of one random tuple under constant compression."""
+        ana, mc = (_Evaluator(cfg, CompressionPolicy("constant"), backend, quad_n,
+                              ec.mc_kwargs()).report(policy) for backend in ("analytic", "mc"))
+        return ana.table, mc
 
     def compare(suite, config_id, cfg, quantity, k, analytic, est_p, est_se,
                 slack=None):
@@ -220,8 +222,7 @@ def _validate_rows(ec: ExperimentConfig):
     for i in range(4):
         cfg = _rand_system(rng, "ltsc", T=int(rng.integers(1, 5)))
         policy = _rand_tuple(rng)
-        table = probability_table(cfg, policy, quad_n=ec["quad.n"])
-        rep = estimate(cfg, policy, CompressionPolicy("constant"), **mc_kwargs)
+        table, rep = reports(cfg, policy, ec["quad.n"])
         for k in range(cfg.max_rounds):
             compare("exact", f"ltsc-{i}", cfg, "p1_out", k + 1,
                     float(table.p1_out[k]), float(rep.table.p1_out[k]),
@@ -232,8 +233,7 @@ def _validate_rows(ec: ExperimentConfig):
         for variant in (False, True):
             cfg = SystemConfig(base.power, base.backhaul_capacity, 2,
                                base.model_d, base.model_s, "stsc", variant)
-            table = stsc_table(cfg, policy, n=256)
-            rep = estimate(cfg, policy, CompressionPolicy("constant"), **mc_kwargs)
+            table, rep = reports(cfg, policy, 256)
             for quantity, k, ana in (("p1_out", 2, float(table.p1_out[1])),
                                      ("p2_out", 2, float(table.p2_out[1])),
                                      ("p2_dec", 1, float(table.p2_dec[0]))):
@@ -251,8 +251,7 @@ def _validate_rows(ec: ExperimentConfig):
                            cfg.model_d, cfg.model_s, "ltsc", False)
         policy = RatePolicy.constant(float(rng.uniform(0.3, 2.0)),
                                      float(rng.uniform(0.05, 0.6)), alpha)
-        table = probability_table(cfg, policy, quad_n=ec["quad.n"])
-        rep = estimate(cfg, policy, CompressionPolicy("constant"), **mc_kwargs)
+        table, rep = reports(cfg, policy, ec["quad.n"])
         suite = "approx" if gated else "recorded"
         label = f"approx-{i}" if gated else f"recorded-{i}-abarP-{abar_power}"
         for quantity in ("p2_out", "p2_dec"):

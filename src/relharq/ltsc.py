@@ -7,9 +7,9 @@ l BC slots of conditional MI plus (k-l) single-layer slots; under the small
 abar*P approximation the BC credit per slot is (1/2)log2(c/b) with
 c = b + abar*P*a, which turns "layer 2 decoded by slot k" into the threshold
 event S >= thr_l(k).  Decode-by thresholds are cumulative-min'ed in k so the
-per-session event chain is an exact interval partition: the reported table
-satisfies p2_out(k) - p2_out(k+1) = p2_dec(k+1) and total probability to float
-precision even though the per-entry values inherit the approximation.
+per-session event chain is an exact interval partition (the per-entry values
+inherit the approximation): only p1 and p2_out are computed, and p2_dec(k) =
+p2_out(k-1) - p2_out(k) is their first difference (`decode_table`).
 
 The same-slot term (layer 2 finishing in the layer-1 decode slot) keeps its
 exact threshold y_l from l slots of f_I(abar*P, 0, a, S, D) >= R2; it agrees
@@ -22,10 +22,10 @@ from the feedback bound s_hat at the layer-1 decode slot.
 Evaluation rule: the S-link cdf F runs once per threshold array, at that
 array's own shape (x_l over (r1, alpha, node), a layer-2 threshold over its own
 inputs), never on the broadcast (r1, r2, node) block.  F is carried through the
-cumulative min, and F(min(u, v)), F(max(u, v)) are picked elementwise from F(u)
-and F(v): min and max return one of their arguments, so the picked double is
-the one F would have returned.  The p2_out(k) term F(min(x_{l-1}, thr_l(k)))
-is reused by p2_dec(k+1).
+cumulative min, and F(min(u, v)) is picked elementwise from F(u) and F(v):
+min returns one of its arguments, so the picked double is the one F would
+have returned.  The thresholds are walked l-major, so only
+the running thr_l(k) of one l is live at a time.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .channel import (
     infer_s_hat,
     slot_threshold,
 )
-from .fading import QuadratureGrid, cdf_of_max, cdf_of_min, quantize
+from .fading import QuadratureGrid, cdf_of_min, quantize
 from .tables import ProbabilityTable, ThroughputReport, reward_length
 
 DEFAULT_QUAD_N = 256
@@ -60,10 +60,11 @@ def node_tables(
     grid: QuadratureGrid,
     comp: CompressionPolicy = CompressionPolicy("constant"),
 ):
-    """Per-node conditional tables (p1, p2_out, p2_dec), each shaped (..., nd, T).
+    """Per-node conditional tables (p1, p2_out), each shaped (..., nd, T).
 
     r1/r2/alpha broadcast against the node axis, so a scalar tuple gives
-    (nd, T) and per-node policies pass nd-vectors.
+    (nd, T) and per-node policies pass nd-vectors.  p2_out(k) is F(x_k) plus
+    the S-mass of [x_l, min(x_{l-1}, thr_l(k))) for l = 1..k, added in order.
     """
     check_supported(cfg, comp, regime="ltsc")
     P, cmax, T = cfg.power, cfg.backhaul_capacity, cfg.max_rounds
@@ -87,19 +88,16 @@ def node_tables(
         x.append(slot_threshold(r1, l, alpha * P, abar * P, a, d))
     Fx = [F(v) for v in x]
     p1 = np.empty(shape + (T,))
-    p2o = np.empty(shape + (T,))
-    p2d = np.empty(shape + (T,))
     for k in range(1, T + 1):
         p1[..., k - 1] = Fx[k]
+    p2o = p1.copy()
 
-    # thr[l][k]: S-threshold for "layer 2 decoded by slot k given layer 1 at
-    # slot l", and Fthr[l][k] = F(thr[l][k]), carried through the cumulative min
-    # so each raw threshold passes through F once
-    thr, Fthr = {}, {}
+    # l-major: thr is thr_l(k), the S-threshold for "layer 2 decoded by slot k
+    # given layer 1 at slot l", cumulative-min'ed over k = l..T with F(thr)
+    # carried along, so each raw threshold passes through F once
     for l in range(1, T + 1):
-        prev = slot_threshold(r2, l, abar * P, 0.0, a, d)  # same-slot threshold
-        F_prev = F(prev)
-        thr[l], Fthr[l] = {l: prev}, {l: F_prev}
+        thr = slot_threshold(r2, l, abar * P, 0.0, a, d)  # same-slot threshold
+        F_thr = F(thr)
         if comp.adaptive:
             s_hat = infer_s_hat(r1, l, alpha, d, a, P, s_min)
             # +inf means "layer 1 cannot decode at l"; the interval is empty,
@@ -108,33 +106,20 @@ def node_tables(
             a_sl = conservative_gain(d, s_hat, P, cmax)
         else:
             a_sl = a
-        for k in range(l + 1, T + 1):
-            raw = slot_threshold(r2 - l * g2, k - l, P, 0.0, a_sl, d)
-            F_prev = cdf_of_min(prev, raw, F_prev, F(raw))
-            prev = np.minimum(prev, raw)
-            thr[l][k], Fthr[l][k] = prev, F_prev
+        for k in range(l, T + 1):
+            if k > l:
+                raw = slot_threshold(r2 - l * g2, k - l, P, 0.0, a_sl, d)
+                F_thr = cdf_of_min(thr, raw, F_thr, F(raw))
+                thr = np.minimum(thr, raw)
+            p2o[..., k - 1] += _pos(cdf_of_min(x[l - 1], thr, Fx[l - 1], F_thr) - Fx[l])
 
-    # p2_out(k) and p2_dec(k) accumulate in place in their table slices, and
-    # the slot-k thresholds are dropped after slot k, to bound the working set
-    lo_prev = {}
-    for k in range(1, T + 1):
-        # F(min(x[l-1], thr[l][k])) enters p2_out(k) now and p2_dec(k+1) next
-        lo = {l: cdf_of_min(x[l - 1], thr[l][k], Fx[l - 1], Fthr[l][k])
-              for l in range(1, k + 1)}
-        out_k = p2o[..., k - 1]
-        out_k[...] = Fx[k]
-        for l in range(1, k + 1):
-            out_k += _pos(lo[l] - Fx[l])
+    return p1, p2o
 
-        dec_k = p2d[..., k - 1]
-        dec_k[...] = _pos(Fx[k - 1] - cdf_of_max(x[k], thr[k][k], Fx[k], Fthr[k][k]))
-        for l in range(1, k):
-            dec_k += _pos(lo_prev[l] - cdf_of_max(x[l], thr[l][k], Fx[l], Fthr[l][k]))
-        lo_prev = lo
-        for l in range(1, k + 1):
-            del thr[l][k], Fthr[l][k]
 
-    return p1, p2o, p2d
+def decode_table(p2_out):
+    """p2_dec(k) = p2_out(k-1) - p2_out(k) over the last axis, p2_out(0) = 1,
+    clipped at 0: the decode events partition the outage intervals."""
+    return _pos(-np.diff(p2_out, axis=-1, prepend=1.0))
 
 
 def node_reward_length(cfg, r1, r2, alpha, grid, comp):
@@ -164,9 +149,8 @@ def throughput_ltsc(
     grid = grid or quantize(cfg.model_d, quad_n)
     if policy.mode == "lcsit" and policy.r1.shape != grid.nodes.shape:
         raise ValueError("lcsit policy must supply one tuple per quadrature node")
-    tables = node_tables(cfg, policy.r1, policy.r2, policy.alpha, grid, comp)
-    reward, length = reward_length(policy.r1, policy.r2, *tables)
-    er = float(reward @ grid.weights)
-    el = float(length @ grid.weights)
-    table = ProbabilityTable(*(np.einsum("i,...ik->...k", grid.weights, t) for t in tables))
+    p1, p2o = node_tables(cfg, policy.r1, policy.r2, policy.alpha, grid, comp)
+    er, el = (float(v @ grid.weights) for v in reward_length(policy.r1, policy.r2, p1, p2o))
+    table = ProbabilityTable(*(np.einsum("i,...ik->...k", grid.weights, t)
+                               for t in (p1, p2o, decode_table(p2o))))
     return ThroughputReport(eta=er / el, expected_reward=er, expected_length=el, table=table)

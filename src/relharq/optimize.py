@@ -100,7 +100,7 @@ class _Evaluator:
         for i in range(0, len(r1v), rows):
             r1c = r1v[i : i + rows]
             q = stsc_quantities(self.cfg, r1c, r2v, alpha, n=self.quad_n)
-            reward, length = reward_length(r1c[:, None], r2v[None, :], *quantity_tables(q))
+            reward, length = reward_length(r1c[:, None], r2v[None, :], *quantity_tables(q)[:2])
             out[i : i + rows] = reward / length
         return out
 

@@ -196,6 +196,6 @@ def stsc_table(cfg: SystemConfig, policy: RatePolicy, n: int = DEFAULT_STSC_N) -
 
 def throughput_stsc(cfg: SystemConfig, policy: RatePolicy, n: int = DEFAULT_STSC_N) -> ThroughputReport:
     table = stsc_table(cfg, policy, n)
-    er, el = reward_length(policy.r1, policy.r2, table.p1_out, table.p2_out, table.p2_dec)
+    er, el = reward_length(policy.r1, policy.r2, table.p1_out, table.p2_out)
     return ThroughputReport(eta=float(er / el), expected_reward=float(er),
                             expected_length=float(el), table=table)

@@ -40,12 +40,11 @@ class ThroughputReport:
     table: ProbabilityTable
 
 
-def reward_length(r1, r2, p1_out, p2_out, p2_dec):
-    """E[R] = r1 (1 - p1_out(T)) + r2 (1 - p2_out(T)) and E[L] = sum_{t<T} t p2_dec(t)
-    + T (p2_dec(T) + p2_out(T)) from (..., T) tables, the rates broadcasting
-    against their leading axes: the renewal-reward pair behind every eta."""
+def reward_length(r1, r2, p1_out, p2_out):
+    """E[R] = r1 (1 - p1_out(T)) + r2 (1 - p2_out(T)) and E[L] = 1 + sum_{t<T} p2_out(t)
+    (slot t+1 is sent iff layer 2 is out after slot t) from (..., T) tables, the rates
+    broadcasting against their leading axes: the renewal-reward pair behind every eta."""
     T = p1_out.shape[-1]
     reward = (np.asarray(r1, dtype=float) * (1.0 - p1_out[..., T - 1])
               + np.asarray(r2, dtype=float) * (1.0 - p2_out[..., T - 1]))
-    length = p2_dec[..., : T - 1] @ np.arange(1, T) + T * (p2_dec[..., T - 1] + p2_out[..., T - 1])
-    return reward, length
+    return reward, 1.0 + p2_out[..., : T - 1].sum(axis=-1)

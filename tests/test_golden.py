@@ -6,7 +6,8 @@ small but reach every branch of the analytic evaluators: LTSC tables at T=3
 with constant and adaptive compression, the per-node (lcsit) optimizer, STSC
 tables with and without the layer-2 interference variant, the STSC optimizer
 over (r1, r2) blocks, point-mass S links under both regimes, and the Monte
-Carlo jobs (`simulate` under both regimes, figure 5's re-estimates).
+Carlo jobs (`simulate` under both regimes, figure 5's re-estimates, and the
+`validate` suite's analytic-vs-MC report).
 
 Each job's CSV is stored next to SHA256SUMS as `<job>.csv`.  To see how far
 a change moved a job, run from the root of a checkout
@@ -99,6 +100,7 @@ JOBS = {
         "policy": "0.9,0.5,0.95", "mc.sessions": 5000, "mc.seed": 3, **_P_SWEEP}),
     "figure5": (("figure", "5"), {
         **_COARSE, "mc.sessions": 3000, "sweep.key": "fading_D.K", "sweep.values": "0.0,5.0"}),
+    "validate": (("validate",), {"mc.seed": 11, "mc.sessions": 4000}),
 }
 
 

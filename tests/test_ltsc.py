@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,24 @@ class TestThroughput:
         table = probability_table(cfg, pol, comp, grid)
         for name in ("p1_out", "p2_out", "p2_dec"):
             assert np.array_equal(getattr(rep.table, name), getattr(table, name))
+
+
+def test_scan_block_peak_is_bounded():
+    # one optimizer block, 61x61 tuples on 32 nodes at T = 6: only the running
+    # threshold of one l is live, about 14 MB; keeping every (l, k) threshold
+    # of the block would take about twice that
+    cfg = SystemConfig(1.0, 1.0, 6, FadingModel("rician", 1.0), FadingModel("rayleigh", 1.0))
+    grid = quantize(cfg.model_d, 32)
+    r = np.linspace(0.0, 6.0, 61)
+    args = (cfg, r[:, None, None], r[None, :, None], np.float64(0.9), grid, CONST)
+    ltsc.node_reward_length(*args)  # untraced first: lazily built caches are not part of the peak
+    tracemalloc.start()
+    try:
+        ltsc.node_reward_length(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 class TestLocalCsi:

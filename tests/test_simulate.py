@@ -97,7 +97,7 @@ class TestEstimate:
         pol = RatePolicy.constant(1.0, 0.5, 0.8)
         rep = estimate(cfg, pol, CONST, 40_000, master_seed=11)
         assert rep.table.total_probability_gap() < 1e-12
-        er, el = reward_length(1.0, 0.5, rep.table.p1_out, rep.table.p2_out, rep.table.p2_dec)
+        er, el = reward_length(1.0, 0.5, rep.table.p1_out, rep.table.p2_out)
         assert rep.expected_reward == pytest.approx(er, abs=1e-12)
         assert rep.expected_length == pytest.approx(el, abs=1e-12)
 
