@@ -9,13 +9,13 @@ second scenario makes that visible on purpose.
 import numpy as np
 
 from relharq import (CompressionPolicy, FadingModel, RatePolicy, SystemConfig,
-                     estimate, probability_table)
+                     estimate, throughput)
 
 SESSIONS = 200_000
 
 
 def report(label, cfg, policy):
-    table = probability_table(cfg, policy)
+    table = throughput(cfg, policy, quad_n=256).table
     mc = estimate(cfg, policy, CompressionPolicy("constant"),
                   n_sessions=SESSIONS, master_seed=7)
     abar_p = (1.0 - float(policy.alpha)) * cfg.power

@@ -12,12 +12,10 @@ from .channel import (CompressionPolicy, RatePolicy, SystemConfig,
 from .config import (ConfigError, ExperimentConfig, GridSpec, load_config,
                      parse_config_text)
 from .fading import FadingModel, QuadratureGrid, quantize
-from .ltsc import probability_table, throughput_ltsc
 from .optimize import (OptimizationResult, optimize_lcsit, optimize_no_lcsit,
-                       optimize_single_layer)
+                       optimize_single_layer, throughput)
 from .simulate import (EstimateReport, SessionOutcome, estimate,
                        simulate_session)
-from .stsc import stsc_table, throughput_stsc
 from .tables import (NumericalError, ProbabilityTable, ThroughputReport,
                      reward_length)
 
@@ -30,7 +28,6 @@ __all__ = [
     "SystemConfig", "ThroughputReport", "backhaul_usage", "check_supported",
     "conservative_gain", "estimate", "infer_s_hat", "load_config",
     "mutual_info", "optimize_lcsit", "optimize_no_lcsit", "optimize_single_layer",
-    "parse_config_text", "probability_table", "quantize", "reward_length",
-    "simulate_session", "slot_threshold", "stsc_table", "throughput_ltsc",
-    "throughput_stsc",
+    "parse_config_text", "quantize", "reward_length", "simulate_session",
+    "slot_threshold", "throughput",
 ]

@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import CompressionPolicy, RatePolicy, SystemConfig
-from .fading import FadingModel
+from .fading import DEFAULT_QUAD_N, FadingModel
 from .tables import ConfigError  # noqa: F401  (re-exported: relharq.config.ConfigError)
 
 
@@ -119,7 +119,7 @@ _SCHEMA = [
     ("mc.seed", "int", 0, (0, None)),
     ("mc.batch", "int", 65_536, (1, None)),
     ("mc.workers", "int", 1, (1, None)),
-    ("quad.n", "int", 64, (2, None)),
+    ("quad.n", "int", DEFAULT_QUAD_N, (2, None)),
     ("grid.r_max", "float", 6.0, (1e-12, None)),
     ("grid.r_step", "float", 0.05, (1e-12, None)),
     ("grid.alpha_step", "float", 0.02, (1e-12, 1.0)),

@@ -19,6 +19,7 @@ import numpy as np
 from scipy import special, stats
 
 _TAIL_Q = 1.0 - 1e-6  # quantile where the grid truncates the upper tail
+DEFAULT_QUAD_N = 64  # quadrature size of every closed form: quad.n and the library defaults
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Closed-form outage/decode probabilities and throughput, long-term static channel.
+"""Closed-form per-node outage/decode tables, long-term static channel.
 
 Gains (D, S) are drawn once per session and frozen over all T slots.  Layer 1
 decodes within k slots iff S >= x_k(D) where x_k is the k-slot threshold of the
@@ -10,6 +10,7 @@ event S >= thr_l(k).  Decode-by thresholds are cumulative-min'ed in k so the
 per-session event chain is an exact interval partition (the per-entry values
 inherit the approximation): only p1 and p2_out are computed, and p2_dec(k) =
 p2_out(k-1) - p2_out(k) is their first difference (`decode_table`).
+`optimize.throughput` averages them over the D grid.
 
 The same-slot term (layer 2 finishing in the layer-1 decode slot) keeps its
 exact threshold y_l from l slots of f_I(abar*P, 0, a, S, D) >= R2; it agrees
@@ -34,7 +35,6 @@ import numpy as np
 
 from .channel import (
     CompressionPolicy,
-    RatePolicy,
     SystemConfig,
     _split_gain,
     check_supported,
@@ -42,10 +42,8 @@ from .channel import (
     infer_s_hat,
     slot_threshold,
 )
-from .fading import QuadratureGrid, cdf_of_min, quantize
-from .tables import ProbabilityTable, ThroughputReport, reward_length
-
-DEFAULT_QUAD_N = 256
+from .fading import QuadratureGrid, cdf_of_min
+from .tables import reward_length
 
 
 def _pos(x):
@@ -125,32 +123,3 @@ def decode_table(p2_out):
 def node_reward_length(cfg, r1, r2, alpha, grid, comp):
     """Per-node E[R|d], E[L|d] (optimizer hook); shapes broadcast like node_tables."""
     return reward_length(r1, r2, *node_tables(cfg, r1, r2, alpha, grid, comp))
-
-
-def probability_table(
-    cfg: SystemConfig,
-    policy: RatePolicy,
-    comp: CompressionPolicy = CompressionPolicy("constant"),
-    grid: QuadratureGrid | None = None,
-    quad_n: int = DEFAULT_QUAD_N,
-) -> ProbabilityTable:
-    """Mass-averaged ProbabilityTable over the D grid."""
-    return throughput_ltsc(cfg, policy, comp, grid, quad_n).table
-
-
-def throughput_ltsc(
-    cfg: SystemConfig,
-    policy: RatePolicy,
-    comp: CompressionPolicy = CompressionPolicy("constant"),
-    grid: QuadratureGrid | None = None,
-    quad_n: int = DEFAULT_QUAD_N,
-) -> ThroughputReport:
-    """eta = E[R]/E[L]; per-node policies are assembled node-by-node before averaging."""
-    grid = grid or quantize(cfg.model_d, quad_n)
-    if policy.mode == "lcsit" and policy.r1.shape != grid.nodes.shape:
-        raise ValueError("lcsit policy must supply one tuple per quadrature node")
-    p1, p2o = node_tables(cfg, policy.r1, policy.r2, policy.alpha, grid, comp)
-    er, el = (float(v @ grid.weights) for v in reward_length(policy.r1, policy.r2, p1, p2o))
-    table = ProbabilityTable(*(np.einsum("i,...ik->...k", grid.weights, t)
-                               for t in (p1, p2o, decode_table(p2o))))
-    return ThroughputReport(eta=er / el, expected_reward=er, expected_length=el, table=table)

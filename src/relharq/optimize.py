@@ -1,4 +1,5 @@
-"""Throughput maximization over the coding tuple (R1, R2, alpha).
+"""Closed-form throughput at one policy (`throughput`, the analytic twin of
+`simulate.estimate`) and its maximization over the coding tuple (R1, R2, alpha).
 
 Search strategy: exhaustive coarse grid, then local refinement with halved
 steps around the incumbent (a deliberate, reproducible substitution for
@@ -36,18 +37,14 @@ import numpy as np
 
 from .channel import CompressionPolicy, RatePolicy, SystemConfig, check_supported
 from .config import GridSpec
-from .fading import quantize
-from .ltsc import node_reward_length, throughput_ltsc
+from .fading import DEFAULT_QUAD_N, quantize
+from .ltsc import decode_table, node_reward_length, node_tables
 from .simulate import estimate
-from .stsc import quantity_tables, stsc_quantities, throughput_stsc
-from .tables import NumericalError, reward_length
+from .stsc import quantity_tables, stsc_quantities
+from .tables import NumericalError, ProbabilityTable, ThroughputReport, reward_length
 
-DEFAULT_QUAD_N = 64
 _MARGIN = 8 * np.finfo(float).eps  # 16 unit roundoffs, see _front
 _PAIR_CELLS = 16  # the pairwise test of _front holds at most 16 bools per block cell
-# r1 rows x quad_n^2 cells per stsc_quantities call, which bounds its (q1, n, n)
-# arrays at 4 MB each; its (q2, n, n) arrays are formed once per call
-_STSC_R1_CELLS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -95,27 +92,37 @@ class _Evaluator:
             if visit is not None:
                 visit(reward, length)
             return (reward @ self.grid.weights) / (length @ self.grid.weights)
-        rows = max(1, _STSC_R1_CELLS // self.quad_n**2)
-        out = np.empty((len(r1v), len(r2v)))
-        for i in range(0, len(r1v), rows):
-            r1c = r1v[i : i + rows]
-            q = stsc_quantities(self.cfg, r1c, r2v, alpha, n=self.quad_n)
-            reward, length = reward_length(r1c[:, None], r2v[None, :], *quantity_tables(q)[:2])
-            out[i : i + rows] = reward / length
-        return out
+        q = stsc_quantities(self.cfg, r1v, r2v, alpha, n=self.quad_n)
+        reward, length = reward_length(r1v[:, None], r2v[None, :], *quantity_tables(q)[:2])
+        return reward / length
 
     def report(self, policy: RatePolicy):
         """eta, expected_reward, expected_length and table at one policy.
 
-        A per-node policy is read on its own node grid, one node per tuple.
+        A per-node policy is read on its own node grid, one node per tuple;
+        the STSC table is one node of weight 1.
         """
         if self.backend == "mc":
             return estimate(self.cfg, policy, self.comp, **self.mc)
+        check_supported(self.cfg, self.comp, per_node=policy.mode == "lcsit")
         if self.cfg.channel_regime == "ltsc":
             grid = self.grid if policy.mode == "no_lcsit" else quantize(self.cfg.model_d,
                                                                         policy.r1.size)
-            return throughput_ltsc(self.cfg, policy, self.comp, grid=grid)
-        return throughput_stsc(self.cfg, policy, n=self.quad_n)
+            p1, p2o = node_tables(self.cfg, policy.r1, policy.r2, policy.alpha, grid, self.comp)
+            tables, weights = (p1, p2o, decode_table(p2o)), grid.weights
+        else:
+            q = stsc_quantities(self.cfg, policy.r1, policy.r2, float(policy.alpha), self.quad_n)
+            tables, weights = tuple(t[0] for t in quantity_tables(q)), np.ones(1)
+        er, el = (float(v @ weights) for v in reward_length(policy.r1, policy.r2, *tables[:2]))
+        table = ProbabilityTable(*(np.einsum("i,...ik->...k", weights, t) for t in tables))
+        return ThroughputReport(eta=er / el, expected_reward=er, expected_length=el, table=table)
+
+
+def throughput(cfg: SystemConfig, policy: RatePolicy, comp=CompressionPolicy("constant"),
+               quad_n: int = DEFAULT_QUAD_N) -> ThroughputReport:
+    """Closed-form eta = E[R]/E[L], E[R], E[L] and table at one policy, either regime;
+    a per-node (LTSC) policy is read on its own node grid, one node per tuple."""
+    return _Evaluator(cfg, comp, "analytic", quad_n).report(policy)
 
 
 def _better(cand, best):

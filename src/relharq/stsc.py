@@ -1,4 +1,4 @@
-"""Exact T=2 probabilities and throughput, short-term static channel.
+"""Exact T=2 outage/decode probabilities, short-term static channel.
 
 Gains (D_t, S_t) are redrawn i.i.d. each slot, so the two-slot events factor
 through the slot-1 pair (D1, S1) and a slot-2 threshold on S2:
@@ -40,13 +40,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import (RatePolicy, SystemConfig, _split_gain, check_supported,
-                      conservative_gain, mutual_info, slot_threshold)
+from .channel import (SystemConfig, _split_gain, check_supported, conservative_gain,
+                      mutual_info, slot_threshold)
 from .fading import FadingModel, cdf_of_max, quantize
-from .tables import ProbabilityTable, ThroughputReport, reward_length
+from .tables import ConfigError
 
-DEFAULT_STSC_N = 128
 BLOCK_CELLS = 2**16  # 512 KB per block array, a few of which fit a 2 MB L2 cache
+# r1 rows x n^2 cells per pass of stsc_quantities, which bounds its (q1, n, n)
+# arrays at 4 MB each; its (q2, n, n) arrays are formed once per pass
+R1_CELLS = 1 << 19
 
 
 def node_cdf_sum(model: FadingModel, c, w, chunk_cells: int = 1_000_000):
@@ -92,21 +94,32 @@ def node_cdf_sum(model: FadingModel, c, w, chunk_cells: int = 1_000_000):
     return g
 
 
-def stsc_quantities(cfg: SystemConfig, r1_vec, r2_vec, alpha: float, n: int = DEFAULT_STSC_N,
+def stsc_quantities(cfg: SystemConfig, r1_vec, r2_vec, alpha: float, n: int,
                     chunk_cells: int = 1_000_000):
     """The four independent table entries for every (r1, r2) pair at one alpha.
 
     Returns dict of (Q1, Q2) arrays: p1_out_1, p1_out_2, p2_dec_1, p2_out_2.
-    The largest arrays are (q, n, n) per rate axis; a Rician G holds at most
-    max(chunk_cells, n) (cell, D2 node) pairs at once.
+    r1 is taken R1_CELLS // n^2 rows per pass, which bounds the (q1, n, n)
+    arrays; the (q2, n, n) ones hold the whole r2 axis.  n > 724 is rejected
+    before any array is formed (one tuple at n = 724 peaks at about 58 MB).
+    A Rician G holds at most max(chunk_cells, n) (cell, D2 node) pairs at once.
     """
     check_supported(cfg, regime="stsc")
+    if n * n > R1_CELLS:
+        raise ConfigError(f"quad.n: {n} exceeds {int(R1_CELLS**0.5)}, the largest stsc "
+                          f"quadrature whose n x n slot-1 grid fits one r1 pass")
+    r1, r2 = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (r1_vec, r2_vec))
+    rows = R1_CELLS // (n * n)
+    parts = [_quantities(cfg, r1[i : i + rows], r2, alpha, n, chunk_cells)
+             for i in range(0, len(r1), rows)]
+    return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
+
+
+def _quantities(cfg, r1, r2, alpha, n, chunk_cells):
+    """stsc_quantities over one pass of r1 rows; r1 and r2 are 1-D float arrays."""
     P, cmax, s_min = cfg.power, cfg.backhaul_capacity, cfg.s_min
     ap, abp = alpha * P, (1.0 - alpha) * P
     p_int2 = ap if cfg.bc_layer2_interference else 0.0
-
-    r1 = np.atleast_1d(np.asarray(r1_vec, dtype=float))
-    r2 = np.atleast_1d(np.asarray(r2_vec, dtype=float))
     q1, q2 = len(r1), len(r2)
 
     grid_d, grid_s = quantize(cfg.model_d, n), quantize(cfg.model_s, n)
@@ -186,16 +199,3 @@ def quantity_tables(q: dict):
     return (np.stack([q["p1_out_1"], q["p1_out_2"]], axis=-1),
             np.stack([1.0 - q["p2_dec_1"], q["p2_out_2"]], axis=-1),
             np.stack([q["p2_dec_1"], 1.0 - q["p2_dec_1"] - q["p2_out_2"]], axis=-1))
-
-
-def stsc_table(cfg: SystemConfig, policy: RatePolicy, n: int = DEFAULT_STSC_N) -> ProbabilityTable:
-    check_supported(cfg, per_node=policy.mode == "lcsit", regime="stsc")
-    q = stsc_quantities(cfg, [float(policy.r1)], [float(policy.r2)], float(policy.alpha), n)
-    return ProbabilityTable(*(t[0, 0] for t in quantity_tables(q)))
-
-
-def throughput_stsc(cfg: SystemConfig, policy: RatePolicy, n: int = DEFAULT_STSC_N) -> ThroughputReport:
-    table = stsc_table(cfg, policy, n)
-    er, el = reward_length(policy.r1, policy.r2, table.p1_out, table.p2_out)
-    return ThroughputReport(eta=float(er / el), expected_reward=float(er),
-                            expected_length=float(el), table=table)

@@ -19,11 +19,9 @@ from relharq.channel import (CompressionPolicy, RatePolicy, SystemConfig,
                              backhaul_usage, conservative_gain,
                              slot_threshold)
 from relharq.fading import FadingModel
-from relharq.ltsc import probability_table
 from relharq.optimize import (GridSpec, optimize_lcsit, optimize_no_lcsit,
-                              optimize_single_layer)
+                              optimize_single_layer, throughput)
 from relharq.simulate import estimate
-from relharq.stsc import stsc_table
 
 COARSE = GridSpec(r_max=3.0, r_step=0.25, alpha_step=0.25, refine_rounds=1)
 
@@ -94,7 +92,7 @@ def test_criterion_01_exact_lemma_oracle_equivalence():
         if stsc:
             # exact per-slot lemmas; the analytic side carries quadrature
             # error, bounded from the observed grid-doubling increments
-            tables = [stsc_table(cfg, policy, n=n) for n in (64, 128, 256)]
+            tables = [throughput(cfg, policy, quad_n=n).table for n in (64, 128, 256)]
             entries = []
             for name in ("p1_out", "p2_out", "p2_dec"):
                 for k in range(2):
@@ -135,7 +133,7 @@ def test_criterion_02_approximate_lemma_oracle_equivalence():
         policy = RatePolicy.constant(float(rng.uniform(0.3, 2.2)),
                                      float(rng.uniform(0.05, 0.8)),
                                      1.0 - abar_power / power)
-        table = probability_table(cfg, policy, quad_n=256)
+        table = throughput(cfg, policy, quad_n=256).table
         rep = estimate(cfg, policy, CompressionPolicy("constant"),
                        n_sessions=n_sessions, master_seed=rng.integers(1 << 30),
                        batch_size=1 << 16, workers=4)
@@ -325,8 +323,7 @@ def test_criterion_09_structural_invariants():
                           T=2 if stsc else int(rng.integers(1, 5)),
                           variant=stsc and bool(rng.integers(2)))
         policy = rand_tuple(rng)
-        table = (stsc_table(cfg, policy, n=64) if stsc
-                 else probability_table(cfg, policy, quad_n=64))
+        table = throughput(cfg, policy, quad_n=64).table
         for name in ("p1_out", "p2_out", "p2_dec"):
             vals = getattr(table, name)
             assert np.all(vals >= -tol_exact) and np.all(vals <= 1 + tol_exact)

@@ -1,6 +1,7 @@
 """Config grammar, CLI exit codes, and artifact round-trips."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from relharq import cli, optimize
 from relharq.channel import RatePolicy
 from relharq.config import (ConfigError, db_to_linear, load_config,
                             parse_config_text)
-from relharq.ltsc import throughput_ltsc
+from relharq.optimize import throughput
 
 COARSE = """
 regime = ltsc
@@ -141,6 +142,20 @@ class TestExitCodes:
         assert cli.main(["analytic", "--config", path,
                          "--out", str(tmp_path)]) == 2
 
+    def test_stsc_quadrature_past_the_r1_budget_is_config_error(self, tmp_path, capsys):
+        # one r1 row of the stsc tables at n = 100000 would be a 74.5 GiB array;
+        # the job must refuse it before forming any array
+        path = write_cfg(tmp_path, "regime = stsc\npolicy = 1.0,0.2,0.9\nquad.n = 100000\n")
+        tracemalloc.start()
+        try:
+            code = cli.main(["analytic", "--config", path, "--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "quad.n" in capsys.readouterr().err
+        assert peak < 16e6
+
     @pytest.mark.parametrize("db", ["4000", "-4000"])
     @pytest.mark.parametrize("key", ["P_dB", "fading_D.rho_dB", "fading_S.rho_dB"])
     def test_db_without_finite_positive_power_is_config_error(self, tmp_path, capsys,
@@ -248,15 +263,16 @@ mc.sessions = 4000
 
 
 class TestArtifacts:
-    def test_analytic_matches_library_and_reruns_bitwise(self, tmp_path):
-        path = write_cfg(tmp_path, COARSE)
+    @pytest.mark.parametrize("regime", ["ltsc", "stsc"])
+    def test_analytic_matches_library_and_reruns_bitwise(self, tmp_path, regime):
+        path = write_cfg(tmp_path, COARSE.replace("regime = ltsc", f"regime = {regime}"))
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert cli.main(["analytic", "--config", path, "--out", str(out1)]) == 0
         rows = read_rows(out1 / "analytic.csv")
         assert rows[0][:3] == ["eta", "expected_reward", "expected_length"]
         ec = load_config(path)
-        rep = throughput_ltsc(ec.system(), ec.rate_policy(), ec.compression(),
-                              quad_n=ec["quad.n"])
+        rep = throughput(ec.system(), ec.rate_policy(), ec.compression(),
+                         quad_n=ec["quad.n"])
         assert float(rows[1][0]) == rep.eta
 
         # the sidecar echo regenerates the CSV byte for byte

@@ -1,12 +1,13 @@
 """Runtime invariants raise real errors (which `python -O` keeps) and exit 3."""
 
 import ast
+import inspect
 import pathlib
 
 import numpy as np
 
 import relharq
-from relharq import cli, config, optimize, simulate, tables
+from relharq import cli, config, optimize, simulate, stsc, tables
 
 SRC = pathlib.Path(simulate.__file__).parent
 
@@ -60,6 +61,19 @@ def test_every_export_resolves():
     assert [name for name in relharq.__all__ if not hasattr(relharq, name)] == []
     assert relharq.ConfigError is config.ConfigError is tables.ConfigError
     assert issubclass(relharq.ConfigError, ValueError)
+
+
+def test_one_quadrature_default():
+    # every closed-form entry point defaults to the config's quad.n, and the
+    # per-regime spellings with defaults of their own are gone
+    quad_n = config.parse_config_text("")["quad.n"]
+    for fn in (optimize.throughput, optimize.optimize_single_layer,
+               optimize.optimize_no_lcsit, optimize.optimize_lcsit):
+        assert inspect.signature(fn).parameters["quad_n"].default == quad_n, fn.__name__
+    n = inspect.signature(stsc.stsc_quantities).parameters["n"]
+    assert n.default is inspect.Parameter.empty
+    removed = {"probability_table", "throughput_ltsc", "stsc_table", "throughput_stsc"}
+    assert removed.isdisjoint(relharq.__all__)
 
 
 def test_feasibility_violation_raises_and_exits_3(tmp_path, monkeypatch):

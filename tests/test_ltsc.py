@@ -3,10 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from relharq import ltsc
+from relharq import ltsc, optimize
 from relharq.channel import CompressionPolicy, RatePolicy, SystemConfig
 from relharq.fading import FadingModel, quantize
-from relharq.ltsc import node_tables, probability_table, throughput_ltsc
+from relharq.ltsc import node_tables
+from relharq.optimize import throughput
 
 CONST = CompressionPolicy("constant")
 ADAPT = CompressionPolicy("adaptive")
@@ -51,19 +52,19 @@ class TestP1Out:
         cfg = rand_cfg(np.random.default_rng(0))
         pol = RatePolicy.constant(0.0, 0.5, 0.7)
         for k in range(1, cfg.max_rounds + 1):
-            assert probability_table(cfg, pol).p1_out[k - 1] == 0.0
+            assert throughput(cfg, pol, quad_n=256).table.p1_out[k - 1] == 0.0
 
     def test_degenerate_decode_boundary(self):
         # f_I(1,0,1.5,2.5,1) = 1.0178 >= 1 -> no outage; s=2.0 gives 0.9240 < 1
         pol = RatePolicy.constant(1.0, 0.0, 1.0)
-        assert probability_table(pm_cfg(1.0, 2.5), pol).p1_out[0] == 0.0
-        assert probability_table(pm_cfg(1.0, 2.0), pol).p1_out[0] == 1.0
+        assert throughput(pm_cfg(1.0, 2.5), pol, quad_n=256).table.p1_out[0] == 0.0
+        assert throughput(pm_cfg(1.0, 2.0), pol, quad_n=256).table.p1_out[0] == 1.0
 
     def test_k_dependence(self):
         # two slots accumulate: s=2.0 fails one slot but 2 slots carry 1.848 bits
         pol = RatePolicy.constant(1.0, 0.0, 1.0)
         cfg = pm_cfg(1.0, 2.0, T=2)
-        assert probability_table(cfg, pol).p1_out[1] == 0.0
+        assert throughput(cfg, pol, quad_n=256).table.p1_out[1] == 0.0
 
 
 class TestP2:
@@ -72,27 +73,27 @@ class TestP2:
         for _ in range(20):
             cfg = rand_cfg(rng)
             pol = RatePolicy.constant(float(rng.uniform(0, 3)), 0.0, float(rng.uniform(0, 1)))
-            t = probability_table(cfg, pol, quad_n=64)
+            t = throughput(cfg, pol, quad_n=64).table
             assert np.allclose(t.p2_out, t.p1_out, atol=1e-12)
 
     def test_alpha_one_k1_is_certain_outage(self):
         cfg = pm_cfg(1.0, 10.0, T=2)
         pol = RatePolicy.constant(0.5, 0.1, 1.0)
-        assert probability_table(cfg, pol).p2_out[0] == 1.0
+        assert throughput(cfg, pol, quad_n=256).table.p2_out[0] == 1.0
 
     def test_deterministic_chain_example(self):
         # D=1, S=5, (1, 0.2, 0.9): layer 1 decodes in slot 1 (I1=1.0405) and
         # layer 2 immediately after (I2bc=0.3208 >= 0.2), so no outage anywhere
         cfg = pm_cfg(1.0, 5.0, T=2)
         pol = RatePolicy.constant(1.0, 0.2, 0.9)
-        table = probability_table(cfg, pol)
+        table = throughput(cfg, pol, quad_n=256).table
         assert table.p2_out[1] == 0.0
         assert table.p2_dec[0] == 1.0
 
     def test_both_layers_slot1(self):
         cfg = pm_cfg(1.0, 10.0, T=2)
         pol = RatePolicy.constant(0.5, 0.1, 0.9)
-        assert probability_table(cfg, pol).p2_dec[0] == 1.0
+        assert throughput(cfg, pol, quad_n=256).table.p2_dec[0] == 1.0
 
     def test_huge_r1_never_decodes(self):
         cfg = SystemConfig(
@@ -100,7 +101,7 @@ class TestP2:
             model_d=FadingModel("rayleigh", 1.0), model_s=FadingModel("rayleigh", 1.0),
         )
         pol = RatePolicy.constant(100.0, 0.5, 0.9)
-        t = probability_table(cfg, pol, quad_n=128)
+        t = throughput(cfg, pol, quad_n=128).table
         assert np.all(t.p2_dec < 1e-6)
         assert t.p2_out[-1] > 1 - 1e-6
 
@@ -112,7 +113,7 @@ class TestTableInvariants:
         for _ in range(120):
             cfg = rand_cfg(rng)
             pol = rand_policy(rng)
-            t = probability_table(cfg, pol, comp, quad_n=48)
+            t = throughput(cfg, pol, comp, quad_n=48).table
             for arr in (t.p1_out, t.p2_out, t.p2_dec):
                 assert np.all(arr >= -1e-12) and np.all(arr <= 1 + 1e-12)
             assert np.all(np.diff(t.p1_out) <= 1e-12)
@@ -128,13 +129,13 @@ class TestTableInvariants:
 class TestThroughput:
     def test_zero_rates_end_at_slot_one(self):
         cfg = rand_cfg(np.random.default_rng(3))
-        rep = throughput_ltsc(cfg, RatePolicy.constant(0.0, 0.0, 0.5))
+        rep = throughput(cfg, RatePolicy.constant(0.0, 0.0, 0.5), quad_n=256)
         assert rep.eta == 0.0
         assert rep.expected_length == pytest.approx(1.0)
 
     def test_always_decode_slot_one(self):
         cfg = pm_cfg(1.0, 10.0, T=3)
-        rep = throughput_ltsc(cfg, RatePolicy.constant(0.5, 0.1, 0.9))
+        rep = throughput(cfg, RatePolicy.constant(0.5, 0.1, 0.9), quad_n=256)
         assert rep.expected_length == pytest.approx(1.0)
         assert rep.eta == pytest.approx(0.6)
 
@@ -143,7 +144,7 @@ class TestThroughput:
         for _ in range(25):
             cfg = rand_cfg(rng)
             pol = rand_policy(rng)
-            rep = throughput_ltsc(cfg, pol, quad_n=48)
+            rep = throughput(cfg, pol, quad_n=48)
             assert 1.0 - 1e-9 <= rep.expected_length <= cfg.max_rounds + 1e-9
             assert rep.eta <= float(pol.r1 + pol.r2) + 1e-9
             assert rep.eta == pytest.approx(rep.expected_reward / rep.expected_length)
@@ -160,8 +161,8 @@ class TestThroughput:
                 model_s=FadingModel("rayleigh", float(rng.uniform(0.3, 8))),
             )
             pol = rand_policy(rng)
-            eta_c = throughput_ltsc(cfg, pol, CONST, quad_n=64).eta
-            eta_a = throughput_ltsc(cfg, pol, ADAPT, quad_n=64).eta
+            eta_c = throughput(cfg, pol, CONST, quad_n=64).eta
+            eta_a = throughput(cfg, pol, ADAPT, quad_n=64).eta
             assert eta_a >= eta_c - 1e-12
 
     def test_monotone_in_cmax(self):
@@ -172,7 +173,7 @@ class TestThroughput:
                 power=1.0, backhaul_capacity=cmax, max_rounds=2,
                 model_d=FadingModel("rayleigh", 1.0), model_s=FadingModel("rayleigh", 1.0),
             )
-            etas.append(throughput_ltsc(cfg, pol, quad_n=128).eta)
+            etas.append(throughput(cfg, pol, quad_n=128).eta)
         assert np.all(np.diff(etas) >= -1e-12)
 
     @pytest.mark.parametrize("comp", [CONST, ADAPT], ids=["constant", "adaptive"])
@@ -186,14 +187,14 @@ class TestThroughput:
             calls.append(args[1:4])
             return node_tables(*args, **kwargs)
 
-        monkeypatch.setattr(ltsc, "node_tables", counting)
-        rep = throughput_ltsc(cfg, pol, comp, grid=grid)
+        monkeypatch.setattr(optimize, "node_tables", counting)
+        rep = throughput(cfg, pol, comp, quad_n=24)
         assert len(calls) == 1
         # the same arrays the separate hooks give
         reward, length = ltsc.node_reward_length(cfg, 0.9, 0.4, 0.9, grid, comp)
         assert rep.expected_reward == float(reward @ grid.weights)
         assert rep.expected_length == float(length @ grid.weights)
-        table = probability_table(cfg, pol, comp, grid)
+        table = throughput(cfg, pol, comp, quad_n=24).table
         for name in ("p1_out", "p2_out", "p2_dec"):
             assert np.array_equal(getattr(rep.table, name), getattr(table, name))
 
@@ -224,20 +225,11 @@ class TestLocalCsi:
             model_d=FadingModel("pointmass", point_value=1.3),
             model_s=FadingModel("rayleigh", 2.0),
         )
-        grid = quantize(cfg.model_d, 16)
-        const = throughput_ltsc(cfg, RatePolicy.constant(1.0, 0.3, 0.8), grid=grid)
-        per_node = throughput_ltsc(
-            cfg, RatePolicy.per_node([1.0], [0.3], [0.8]), grid=grid
+        const = throughput(cfg, RatePolicy.constant(1.0, 0.3, 0.8), quad_n=16)
+        per_node = throughput(
+            cfg, RatePolicy.per_node([1.0], [0.3], [0.8]), quad_n=16
         )
         assert per_node.eta == pytest.approx(const.eta, abs=1e-12)
-
-    def test_node_count_mismatch_rejected(self):
-        cfg = SystemConfig(
-            power=1.0, backhaul_capacity=1.0, max_rounds=2,
-            model_d=FadingModel("rayleigh", 1.0), model_s=FadingModel("rayleigh", 1.0),
-        )
-        with pytest.raises(ValueError):
-            throughput_ltsc(cfg, RatePolicy.per_node([1.0], [0.3], [0.8]), quad_n=8)
 
 
 def test_interference_variant_rejected_for_ltsc():
@@ -247,7 +239,7 @@ def test_interference_variant_rejected_for_ltsc():
         bc_layer2_interference=True,
     )
     with pytest.raises(ValueError):
-        probability_table(cfg, RatePolicy.constant(1.0, 0.3, 0.8))
+        node_tables(cfg, 1.0, 0.3, 0.8, quantize(cfg.model_d, 256))
 
 
 def test_stsc_config_rejected():
@@ -257,4 +249,4 @@ def test_stsc_config_rejected():
         channel_regime="stsc",
     )
     with pytest.raises(ValueError):
-        probability_table(cfg, RatePolicy.constant(1.0, 0.3, 0.8))
+        node_tables(cfg, 1.0, 0.3, 0.8, quantize(cfg.model_d, 256))

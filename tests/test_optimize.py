@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
 
-from relharq import optimize as opt
 from relharq.channel import CompressionPolicy, RatePolicy, SystemConfig, mutual_info
-from relharq.fading import FadingModel, quantize
-from relharq.ltsc import throughput_ltsc
+from relharq.fading import FadingModel
 from relharq.optimize import (
     GridSpec,
     optimize_lcsit,
     optimize_no_lcsit,
     optimize_single_layer,
+    throughput,
 )
-from relharq.stsc import throughput_stsc
 
 CONST = CompressionPolicy("constant")
 
@@ -76,22 +74,20 @@ class TestDominance:
         sl = optimize_single_layer(cfg, CONST, grid_spec=SMALL, quad_n=48)
         bc = optimize_no_lcsit(cfg, CONST, grid_spec=SMALL, quad_n=48)
         assert bc.eta >= sl.eta - 1e-12
-        assert throughput_stsc(cfg, bc.policy, n=48).eta == pytest.approx(bc.eta, abs=1e-9)
+        assert throughput(cfg, bc.policy, quad_n=48).eta == pytest.approx(bc.eta, abs=1e-9)
 
 
 class TestReEvaluation:
     def test_no_lcsit_consistency(self):
         cfg = ltsc_cfg()
         res = optimize_no_lcsit(cfg, CONST, grid_spec=SMALL, quad_n=24)
-        grid = quantize(cfg.model_d, 24)
-        again = throughput_ltsc(cfg, res.policy, CONST, grid=grid)
+        again = throughput(cfg, res.policy, CONST, quad_n=24)
         assert again.eta == pytest.approx(res.eta, abs=1e-9)
 
     def test_lcsit_consistency_and_trajectory(self):
         cfg = ltsc_cfg(T=3)
         res = optimize_lcsit(cfg, CONST, grid_spec=SMALL, quad_n=24)
-        grid = quantize(cfg.model_d, 24)
-        again = throughput_ltsc(cfg, res.policy, CONST, grid=grid)
+        again = throughput(cfg, res.policy, CONST, quad_n=24)
         assert again.eta == pytest.approx(res.eta, abs=1e-9)
         lam = res.metadata["lambda_trajectory"]
         assert all(b >= a - 1e-12 for a, b in zip(lam, lam[1:]))
@@ -160,24 +156,3 @@ class TestValidation:
         with pytest.raises(ValueError, match="analytic"):
             optimize_lcsit(ltsc_cfg(), CONST, backend="mc", grid_spec=SMALL)
 
-
-class TestStscBlock:
-    def test_r1_chunks_keep_the_cell_budget_and_every_bit(self, monkeypatch):
-        cfg = SystemConfig(
-            power=2.0, backhaul_capacity=1.5, max_rounds=2,
-            model_d=FadingModel("rayleigh", 2.0), model_s=FadingModel("rayleigh", 1.0),
-            channel_regime="stsc",
-        )
-        ev = opt._Evaluator(cfg, CONST, "analytic", 16)
-        r = np.linspace(0.0, 3.0, 13)
-        whole = ev.block(r, r, 0.6)
-        rows, quantities = [], opt.stsc_quantities
-
-        def counting(cfg, r1, r2, alpha, n):
-            rows.append(len(r1))
-            return quantities(cfg, r1, r2, alpha, n=n)
-
-        monkeypatch.setattr(opt, "_STSC_R1_CELLS", 5 * 16**2 + 1)
-        monkeypatch.setattr(opt, "stsc_quantities", counting)
-        assert np.array_equal(ev.block(r, r, 0.6), whole)
-        assert rows == [5, 5, 3]

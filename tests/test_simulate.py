@@ -3,9 +3,8 @@ import pytest
 
 from relharq.channel import CompressionPolicy, RatePolicy, SystemConfig, mutual_info
 from relharq.fading import FadingModel
-from relharq.ltsc import probability_table, throughput_ltsc
+from relharq.optimize import throughput
 from relharq.simulate import EstimateReport, estimate, simulate_session
-from relharq.stsc import stsc_table
 from relharq.tables import NumericalError, reward_length
 
 CONST = CompressionPolicy("constant")
@@ -109,13 +108,13 @@ class TestEstimate:
         )
         pol = RatePolicy.constant(1.2, 0.03, 0.97)  # abar*P = 0.03: approximation regime
         rep = estimate(cfg, pol, CONST, 200_000, master_seed=3)
-        tab = probability_table(cfg, pol, comp=CONST)
+        tab = throughput(cfg, pol, comp=CONST, quad_n=256).table
         se = rep.table.std_errors
         for k in range(3):
             assert abs(rep.table.p1_out[k] - tab.p1_out[k]) <= 4 * se["p1_out"][k] + 1e-9
             assert abs(rep.table.p2_out[k] - tab.p2_out[k]) <= 0.02 + 4 * se["p2_out"][k]
             assert abs(rep.table.p2_dec[k] - tab.p2_dec[k]) <= 0.02 + 4 * se["p2_dec"][k]
-        rep_eta = throughput_ltsc(cfg, pol, comp=CONST)
+        rep_eta = throughput(cfg, pol, comp=CONST, quad_n=256)
         assert abs(rep.eta - rep_eta.eta) <= 0.02 + 4 * rep.eta_std_error
 
     def test_matches_stsc_analytics(self):
@@ -127,7 +126,7 @@ class TestEstimate:
             )
             pol = RatePolicy.constant(1.4, 0.7, 0.75)
             rep = estimate(cfg, pol, CONST, 200_000, master_seed=5)
-            tab = stsc_table(cfg, pol, n=256)
+            tab = throughput(cfg, pol, quad_n=256).table
             se = rep.table.std_errors
             for k in range(2):
                 assert abs(rep.table.p1_out[k] - tab.p1_out[k]) <= 4 * se["p1_out"][k] + 2e-4
@@ -176,7 +175,7 @@ class TestAdaptive:
         rep = estimate(cfg, pol, ADAPT, 150_000, master_seed=13)
         assert rep.feasibility_violations == 0
         assert rep.adaptation_count > 0
-        tab = probability_table(cfg, pol, comp=ADAPT)
+        tab = throughput(cfg, pol, comp=ADAPT, quad_n=256).table
         se = rep.table.std_errors
         for k in range(3):
             assert abs(rep.table.p2_out[k] - tab.p2_out[k]) <= 0.02 + 4 * se["p2_out"][k]

@@ -6,7 +6,8 @@ import pytest
 from relharq.channel import RatePolicy, SystemConfig, conservative_gain, mutual_info
 from relharq.fading import FadingModel
 from relharq import stsc
-from relharq.stsc import node_cdf_sum, stsc_quantities, stsc_table, throughput_stsc
+from relharq.optimize import throughput
+from relharq.stsc import node_cdf_sum, stsc_quantities
 
 
 def pm_cfg(d, s, cmax=1.0, P=1.0, variant=False):
@@ -58,14 +59,14 @@ class TestDegenerateBoundaries:
         assert f == pytest.approx(0.5 * np.log2(8.0 / 3.0), abs=1e-12)
 
         just_under = RatePolicy.constant(2 * f - 1e-6, 0.0, 1.0)
-        t = stsc_table(cfg, just_under)
+        t = throughput(cfg, just_under, quad_n=128).table
         assert t.p1_out[0] == 1.0  # misses the first slot alone
         assert t.p1_out[1] == 0.0  # two accumulated slots suffice
         assert t.p2_out[1] == 0.0
         assert t.p2_dec[1] == 1.0
 
         just_over = RatePolicy.constant(2 * f + 1e-6, 0.0, 1.0)
-        t = stsc_table(cfg, just_over)
+        t = throughput(cfg, just_over, quad_n=128).table
         assert t.p1_out[1] == 1.0
         assert t.p2_out[1] == 1.0
         assert t.p2_dec[1] == 0.0
@@ -78,18 +79,18 @@ class TestDegenerateBoundaries:
         i2 = mutual_info(0.1, 0.0, a, 10.0, 1.0)
 
         heavy = RatePolicy.constant(1.5 * i1, 10.0, 0.9)  # r2 beyond any credit
-        t = stsc_table(cfg, heavy)
+        t = throughput(cfg, heavy, quad_n=128).table
         assert t.p1_out[0] == 1.0 and t.p1_out[1] == 0.0
         assert t.p2_out[1] == 1.0 and t.p2_dec[1] == 0.0
-        rep = throughput_stsc(cfg, heavy)
+        rep = throughput(cfg, heavy, quad_n=128)
         assert rep.expected_length == pytest.approx(2.0, abs=1e-12)
         assert rep.eta == pytest.approx(1.5 * i1 / 2.0, rel=1e-9)
 
         light = RatePolicy.constant(1.5 * i1, 1.5 * i2, 0.9)  # two credits suffice
-        t = stsc_table(cfg, light)
+        t = throughput(cfg, light, quad_n=128).table
         assert t.p1_out[1] == 0.0
         assert t.p2_out[1] == 0.0 and t.p2_dec[1] == 1.0
-        rep = throughput_stsc(cfg, light)
+        rep = throughput(cfg, light, quad_n=128)
         assert rep.eta == pytest.approx((1.5 * i1 + 1.5 * i2) / 2.0, rel=1e-9)
 
     def test_single_layer_slot2_retry_for_layer2(self):
@@ -101,14 +102,14 @@ class TestDegenerateBoundaries:
         sl = mutual_info(1.0, 0.0, a, 4.0, 1.0)
 
         pol = RatePolicy.constant(0.9 * i1, i2 + 0.9 * sl, 0.6)
-        t = stsc_table(cfg, pol)
+        t = throughput(cfg, pol, quad_n=128).table
         assert t.p1_out[0] == 0.0
         assert t.p2_out[0] == 1.0  # layer 2 short by i2 after slot 1
         assert t.p2_out[1] == 0.0  # the single-layer retry covers the rest
         assert t.p2_dec[1] == 1.0
 
         pol = RatePolicy.constant(0.9 * i1, i2 + 1.1 * sl, 0.6)
-        assert stsc_table(cfg, pol).p2_out[1] == 1.0
+        assert throughput(cfg, pol, quad_n=128).table.p2_out[1] == 1.0
 
     def test_alpha_one_leaves_only_the_retry(self):
         # no layer-2 power in slot 1, so its only chance is the slot-2 retry
@@ -116,14 +117,14 @@ class TestDegenerateBoundaries:
         f = mutual_info(1.0, 0.0, 2.0, 1.0, 1.0)
 
         pol = RatePolicy.constant(0.1, f - 1e-6, 1.0)
-        t = stsc_table(cfg, pol)
+        t = throughput(cfg, pol, quad_n=128).table
         assert t.p1_out[0] == 0.0
         assert t.p2_out[0] == 1.0
         assert t.p2_out[1] == 0.0
-        assert throughput_stsc(cfg, pol).expected_length == 2.0
+        assert throughput(cfg, pol, quad_n=128).expected_length == 2.0
 
         pol = RatePolicy.constant(0.1, f + 1e-6, 1.0)
-        assert stsc_table(cfg, pol).p2_out[1] == 1.0
+        assert throughput(cfg, pol, quad_n=128).table.p2_out[1] == 1.0
 
 
 class TestReductions:
@@ -133,14 +134,14 @@ class TestReductions:
             cfg = rand_cfg(rng)
             r1, alpha = float(rng.uniform(0, 3)), float(rng.uniform(0.1, 1))
             pol = RatePolicy.constant(r1, 0.0, alpha)
-            t = stsc_table(cfg, pol, n=64)
+            t = throughput(cfg, pol, quad_n=64).table
             assert t.p2_out[0] == pytest.approx(t.p1_out[0], abs=1e-12)
             assert t.p2_out[1] == pytest.approx(t.p1_out[1], abs=1e-12)
             assert t.p2_dec[0] == pytest.approx(1 - t.p1_out[0], abs=1e-12)
 
     def test_zero_rates(self):
         cfg = rand_cfg(np.random.default_rng(3))
-        rep = throughput_stsc(cfg, RatePolicy.constant(0.0, 0.0, 0.5), n=32)
+        rep = throughput(cfg, RatePolicy.constant(0.0, 0.0, 0.5), quad_n=32)
         assert rep.eta == 0.0
         assert rep.expected_length == 1.0
         assert rep.table.p2_dec[0] == 1.0
@@ -151,7 +152,7 @@ class TestTableInvariants:
         rng = np.random.default_rng(11)
         for _ in range(12):
             cfg, pol = rand_cfg(rng), rand_policy(rng)
-            t = stsc_table(cfg, pol, n=64)
+            t = throughput(cfg, pol, quad_n=64).table
             for arr in (t.p1_out, t.p2_out, t.p2_dec):
                 assert np.all(arr >= -1e-12) and np.all(arr <= 1 + 1e-12)
             assert t.p1_out[1] <= t.p1_out[0] + 1e-12
@@ -175,7 +176,8 @@ class TestTableInvariants:
                 channel_regime="stsc",
                 bc_layer2_interference=True,
             )
-            worse, best = stsc_table(variant, pol, n=48), stsc_table(base, pol, n=48)
+            worse = throughput(variant, pol, quad_n=48).table
+            best = throughput(base, pol, quad_n=48).table
             assert worse.p2_out[1] >= best.p2_out[1] - 1e-12
             assert worse.p2_dec[0] <= best.p2_dec[0] + 1e-12
 
@@ -189,8 +191,8 @@ class TestTableInvariants:
             channel_regime="stsc",
         )
         pol = RatePolicy.constant(1.2, 0.6, 0.8)
-        coarse = stsc_table(cfg, pol, n=32)
-        fine = stsc_table(cfg, pol, n=256)
+        coarse = throughput(cfg, pol, quad_n=32).table
+        fine = throughput(cfg, pol, quad_n=256).table
         for a, b in zip((coarse.p1_out, coarse.p2_out, coarse.p2_dec),
                         (fine.p1_out, fine.p2_out, fine.p2_dec)):
             assert np.allclose(a, b, atol=0.02)
@@ -206,7 +208,7 @@ class TestVectorizedPath:
         q = stsc_quantities(cfg, r1s, r2s, alpha, n=48)
         for i, r1 in enumerate(r1s):
             for j, r2 in enumerate(r2s):
-                t = stsc_table(cfg, RatePolicy.constant(r1, r2, alpha), n=48)
+                t = throughput(cfg, RatePolicy.constant(r1, r2, alpha), quad_n=48).table
                 assert q["p1_out_2"][i, j] == pytest.approx(t.p1_out[1], abs=1e-12)
                 assert q["p2_dec_1"][i, j] == pytest.approx(t.p2_dec[0], abs=1e-12)
                 assert q["p2_out_2"][i, j] == pytest.approx(t.p2_out[1], abs=1e-12)
@@ -304,6 +306,28 @@ def test_row_blocks_change_no_bit(s_kind, monkeypatch):
         assert np.array_equal(rows[key], whole[key]), key
 
 
+def test_r1_chunks_keep_the_cell_budget_and_every_bit(monkeypatch):
+    cfg = SystemConfig(
+        power=2.0, backhaul_capacity=1.5, max_rounds=2,
+        model_d=FadingModel("rayleigh", 2.0), model_s=FadingModel("rayleigh", 1.0),
+        channel_regime="stsc",
+    )
+    r = np.linspace(0.0, 3.0, 13)
+    whole = stsc_quantities(cfg, r, r, 0.6, n=16)
+    rows, one_pass = [], stsc._quantities
+
+    def counting(cfg, r1, *args):
+        rows.append(len(r1))
+        return one_pass(cfg, r1, *args)
+
+    monkeypatch.setattr(stsc, "R1_CELLS", 5 * 16**2 + 1)
+    monkeypatch.setattr(stsc, "_quantities", counting)
+    passes = stsc_quantities(cfg, r, r, 0.6, n=16)
+    for key in whole:
+        assert np.array_equal(passes[key], whole[key]), key
+    assert rows == [5, 5, 3]
+
+
 class TestMemory:
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
     def test_design_block_peak_is_bounded(self, alpha):
@@ -348,7 +372,7 @@ class TestPreconditions:
             model_d=FadingModel("rayleigh", 1.0), model_s=FadingModel("rayleigh", 1.0),
         )
         with pytest.raises(ValueError, match="stsc"):
-            stsc_table(cfg, RatePolicy.constant(1.0, 0.5, 0.8))
+            stsc_quantities(cfg, [1.0], [0.5], 0.8, n=128)
 
     def test_wrong_horizon_rejected(self):
         cfg = SystemConfig(
@@ -357,7 +381,7 @@ class TestPreconditions:
             channel_regime="stsc",
         )
         with pytest.raises(ValueError, match="T=2"):
-            stsc_table(cfg, RatePolicy.constant(1.0, 0.5, 0.8))
+            throughput(cfg, RatePolicy.constant(1.0, 0.5, 0.8), quad_n=128)
 
     def test_per_node_policy_rejected(self):
         cfg = SystemConfig(
@@ -367,4 +391,4 @@ class TestPreconditions:
         )
         pol = RatePolicy.per_node(np.full(4, 1.0), np.full(4, 0.5), np.full(4, 0.8))
         with pytest.raises(ValueError, match="single-tuple"):
-            stsc_table(cfg, pol)
+            throughput(cfg, pol, quad_n=128)
