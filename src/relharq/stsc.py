@@ -107,7 +107,7 @@ def stsc_quantities(cfg: SystemConfig, r1_vec, r2_vec, alpha: float, n: int,
     check_supported(cfg, regime="stsc")
     if n * n > R1_CELLS:
         raise ConfigError(f"quad.n: {n} exceeds {int(R1_CELLS**0.5)}, the largest stsc "
-                          f"quadrature whose n x n slot-1 grid fits one r1 pass")
+                          "quadrature whose n x n slot-1 grid fits one r1 pass")
     r1, r2 = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (r1_vec, r2_vec))
     rows = R1_CELLS // (n * n)
     parts = [_quantities(cfg, r1[i : i + rows], r2, alpha, n, chunk_cells)
