@@ -15,7 +15,8 @@ SESSIONS = 200_000
 
 
 def report(label, cfg, policy):
-    table = throughput(cfg, policy, quad_n=256).table
+    analytic = throughput(cfg, policy, quad_n=256)
+    table = analytic.table
     mc = estimate(cfg, policy, CompressionPolicy("constant"),
                   n_sessions=SESSIONS, master_seed=7)
     abar_p = (1.0 - float(policy.alpha)) * cfg.power
@@ -28,7 +29,7 @@ def report(label, cfg, policy):
             se = mc.table.std_errors[name][k]
             print(f"{name:<10} {k + 1:>2} {ana[k]:>10.5f} {emp[k]:>12.5f} "
                   f"{abs(ana[k] - emp[k]):>9.5f} {se:>9.5f}")
-    print(f"eta: analytic path E[R]/E[L] vs empirical "
+    print(f"eta: analytic path E[R]/E[L] {analytic.eta:.5f} vs empirical "
           f"{mc.eta:.5f} +/- {mc.eta_std_error:.5f}")
 
 

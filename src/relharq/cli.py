@@ -19,6 +19,7 @@ import csv
 import math
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -58,41 +59,42 @@ def _write_artifacts(outdir: str, job: str, header: list, rows: list,
     return csv_path
 
 
+_QUANTITIES = ("p1_out", "p2_out", "p2_dec")
+
+
 def _table_header(T: int, with_se: bool = False) -> list:
-    names = [f"{q}_{k}" for q in ("p1_out", "p2_out", "p2_dec")
-             for k in range(1, T + 1)]
-    if with_se:
-        names += [f"{q}_se_{k}" for q in ("p1_out", "p2_out", "p2_dec")
-                  for k in range(1, T + 1)]
-    return names
+    tags = ("", "_se") if with_se else ("",)
+    return [f"{q}{tag}_{k}" for tag in tags for q in _QUANTITIES for k in range(1, T + 1)]
 
 
 def _table_cells(table) -> list:
-    return [*table.p1_out, *table.p2_out, *table.p2_dec]
+    """The table's entries, then its standard errors when it has them (Monte Carlo)."""
+    se = table.std_errors or {}
+    return [x for q in _QUANTITIES for x in getattr(table, q)] + \
+        [x for q in _QUANTITIES if q in se for x in se[q]]
 
 
 # ------------------------------------------------------------- job plumbing
-
-def _sweep_points(ec: ExperimentConfig):
-    """(value, bound config) per swept point; a single (None, ec) without sweep."""
-    key = ec["sweep.key"]
-    if not key:
-        return [(None, ec)]
-    return [(v, ec.with_value(key, v)) for v in ec.sweep_values()]
-
 
 def _evaluator(ec: ExperimentConfig, backend: str) -> _Evaluator:
     """The library evaluator of one sweep point; it rejects an unsupported scenario."""
     return _Evaluator(ec.system(), ec.compression(), backend, ec["quad.n"], ec.mc_kwargs())
 
 
-def _write_sweep(ec: ExperimentConfig, outdir: str, job: str, header: list, point_rows) -> int:
-    """Write <job>.csv from point_rows(point), the rows of one sweep point, led by
-    the swept value in a column named after sweep.key when there is a sweep."""
-    key = ec["sweep.key"]
-    rows = [([value] if key else []) + row
-            for value, point in _sweep_points(ec) for row in point_rows(point)]
-    path = _write_artifacts(outdir, job, ([key] if key else []) + header, rows, ec)
+def _write_sweep(ec: ExperimentConfig, outdir: str, job: str, header: list, point_rows,
+                 lead: str | None = None) -> int:
+    """Write <job>.csv from point_rows(point), the rows of one sweep point: the only
+    loop over sweep points.  With a sweep, each row is led by the point's value of
+    sweep.key, in a column named lead (default: the key), and each point prints
+    one progress line."""
+    key, values = ec["sweep.key"], ec.sweep_values()
+    rows = [] if key else point_rows(ec)
+    for i, value in enumerate(values, 1):
+        started, point = time.perf_counter(), ec.with_value(key, value)
+        rows += [[point[key]] + row for row in point_rows(point)]
+        print(f"{job}: {key} = {point[key]} ({i}/{len(values)}) in "
+              f"{time.perf_counter() - started:.2f} s", flush=True)
+    path = _write_artifacts(outdir, job, ([lead or key] if key else []) + header, rows, ec)
     print(f"{job}: wrote {path} ({len(rows)} rows)")
     return 0
 
@@ -124,10 +126,9 @@ def run_simulate(ec: ExperimentConfig, outdir: str) -> int:
 
     def point_rows(point):
         rep = _evaluator(point, "mc").report(policy)
-        se = rep.table.std_errors
         return [[rep.eta, rep.eta_std_error, rep.expected_reward, rep.expected_length,
                  rep.n_sessions, rep.master_seed, rep.adaptation_count]
-                + _table_cells(rep.table) + [*se["p1_out"], *se["p2_out"], *se["p2_dec"]]]
+                + _table_cells(rep.table)]
 
     header = ["eta", "eta_se", "expected_reward", "expected_length",
               "n_sessions", "master_seed", "adaptations"] + _table_header(ec["T"], with_se=True)
@@ -297,18 +298,14 @@ _FIGURE_KNOBS = {
     "grid.alpha_step": 0.05, "grid.refine": 3, "mc.sessions": 200_000,
 }
 
-_FIGURE_OVERRIDABLE = frozenset(
-    ["quad.n", "grid.r_max", "grid.r_step", "grid.alpha_step", "grid.refine",
-     "grid.nodes", "mc.sessions", "mc.seed", "mc.batch", "mc.workers",
-     "sweep.values", "out"]
-)
+_FIGURE_OVERRIDABLE = frozenset([*_FIGURE_KNOBS, "grid.nodes", "mc.seed", "mc.batch",
+                                  "mc.workers", "sweep.values", "out"])
 
 
-def _figure_base(params: dict, sweep_key: str, sweep_default: list,
-                 overrides: ExperimentConfig) -> ExperimentConfig:
+def _figure_base(spec: dict, overrides: ExperimentConfig) -> ExperimentConfig:
     ec = parse_config_text("").with_values({
-        **_FIGURE_KNOBS, **params, "sweep.key": sweep_key,
-        "sweep.values": ",".join(repr(float(v)) for v in sweep_default)})
+        **_FIGURE_KNOBS, **spec["params"], "sweep.key": spec["sweep_key"],
+        "sweep.values": ",".join(repr(float(v)) for v in spec["sweep_default"])})
     for key in sorted(overrides.explicit):
         if key in _FIGURE_OVERRIDABLE:
             ec = ec.with_value(key, overrides[key])
@@ -319,53 +316,39 @@ def _figure_base(params: dict, sweep_key: str, sweep_default: list,
     return ec
 
 
-def _figure_quartet(ec):
-    """eta for (bc lcsit, sl lcsit, bc no-lcsit, sl no-lcsit) per sweep point."""
+def _quartet_rows(point):
+    """eta for (bc lcsit, sl lcsit, bc no-lcsit, sl no-lcsit) at one sweep point."""
     classes = ("bc-lcsit", "sl-lcsit", "bc", "sl")
-    rows = []
-    for value, point in _sweep_points(ec):
-        optima = _optimize(_evaluator(point, "analytic"), classes, point.grid_spec(),
-                           point.n_nodes())
-        label = int(value) if ec["sweep.key"] == "T" else value
-        rows.append([label] + [optima[c].eta for c in classes])
-        print(f"  {ec['sweep.key']}={label}: eta={rows[-1][1:]}", flush=True)
-    return rows
+    optima = _optimize(_evaluator(point, "analytic"), classes, point.grid_spec(),
+                       point.n_nodes())
+    return [[optima[c].eta for c in classes]]
 
 
-def _figure_5(ec):
-    """Adaptive vs constant relay compression across the Rician factor K.
+def _figure_5_rows(point):
+    """Adaptive vs constant relay compression at one Rician factor K.
 
     Tuples are optimized analytically per compression kind, then both optima
     are re-estimated by Monte Carlo with one common seed so the gap carries a
     confidence interval.
     """
-    rows = []
-    for value, point in _sweep_points(ec):
-        mc, analytic = [], []
-        for kind in ("adaptive", "constant"):
-            point_kind = point.with_value("compression", kind)
-            res = _optimize(_evaluator(point_kind, "analytic"), ["bc"], point.grid_spec())["bc"]
-            mc.append(_evaluator(point_kind, "mc").report(res.policy))
-            analytic.append(res.eta)
-        rows.append([value] + [rep.eta for rep in mc] + [rep.eta_std_error for rep in mc]
-                    + analytic)
-        print(f"  K={value}: adaptive={mc[0].eta:.4f} constant={mc[1].eta:.4f}", flush=True)
-    return rows
+    mc, analytic = [], []
+    for kind in ("adaptive", "constant"):
+        point_kind = point.with_value("compression", kind)
+        res = _optimize(_evaluator(point_kind, "analytic"), ["bc"], point.grid_spec())["bc"]
+        mc.append(_evaluator(point_kind, "mc").report(res.policy))
+        analytic.append(res.eta)
+    return [[rep.eta for rep in mc] + [rep.eta_std_error for rep in mc] + analytic]
 
 
-def _figure_6(ec):
-    """Frozen vs per-slot fading, both SNRs swept together (rho_D = rho_S)."""
-    rows = []
-    for value, point in _sweep_points(ec):
-        point = point.with_value("fading_S.rho_dB", value)
-        etas = []
-        for regime in ("ltsc", "stsc"):
-            optima = _optimize(_evaluator(point.with_value("regime", regime), "analytic"),
-                               ("bc", "sl"), point.grid_spec())
-            etas += [optima["bc"].eta, optima["sl"].eta]
-        rows.append([value] + etas)
-        print(f"  rho_dB={value}: eta={etas}", flush=True)
-    return rows
+def _figure_6_rows(point):
+    """Frozen vs per-slot fading at one SNR, both links alike (rho_D = rho_S)."""
+    point = point.with_value("fading_S.rho_dB", point["fading_D.rho_dB"])
+    etas = []
+    for regime in ("ltsc", "stsc"):
+        optima = _optimize(_evaluator(point.with_value("regime", regime), "analytic"),
+                           ("bc", "sl"), point.grid_spec())
+        etas += [optima["bc"].eta, optima["sl"].eta]
+    return [etas]
 
 
 _QUARTET = ["eta_bc_lcsit", "eta_sl_lcsit", "eta_bc_nolcsit", "eta_sl_nolcsit"]
@@ -377,7 +360,7 @@ _FIGURES = {
         "sweep_key": "fading_D.rho_dB",
         "sweep_default": np.arange(-5.0, 20.1, 2.5),
         "header": ["rho_D_dB", *_QUARTET],  # throughput vs relay-link SNR
-        "runner": _figure_quartet},
+        "rows": _quartet_rows},
     3: {"params": {"regime": "ltsc", "T": 2, "P_dB": 0.0,
                    "fading_D.dist": "rician", "fading_D.K": 0.0,
                    "fading_D.rho_dB": 0.0,
@@ -385,7 +368,7 @@ _FIGURES = {
         "sweep_key": "Cmax",
         "sweep_default": [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0],
         "header": ["c_max", *_QUARTET],  # throughput vs backhaul capacity
-        "runner": _figure_quartet},
+        "rows": _quartet_rows},
     4: {"params": {"regime": "ltsc", "P_dB": 0.0, "Cmax": 1.0,
                    "fading_D.dist": "rician", "fading_D.K": 0.0,
                    "fading_D.rho_dB": 10.0,
@@ -393,7 +376,7 @@ _FIGURES = {
         "sweep_key": "T",
         "sweep_default": [1, 2, 3, 4, 5, 6],
         "header": ["T", *_QUARTET],  # throughput vs max transmissions
-        "runner": _figure_quartet},
+        "rows": _quartet_rows},
     5: {"params": {"regime": "ltsc", "T": 2, "P_dB": 0.0, "Cmax": 2.0,
                    "fading_D.dist": "rician", "fading_D.rho_dB": 20.0,
                    "fading_S.dist": "rayleigh", "fading_S.rho_dB": 20.0},
@@ -401,27 +384,23 @@ _FIGURES = {
         "sweep_default": [0.0, 2.0, 5.0, 10.0],
         "header": ["K", "eta_adaptive", "eta_constant", "se_adaptive", "se_constant",
                    "eta_adaptive_analytic", "eta_constant_analytic"],
-        "runner": _figure_5},
+        "rows": _figure_5_rows},
     6: {"params": {"T": 2, "P_dB": 0.0, "Cmax": 5.0,
                    "fading_D.dist": "rician", "fading_D.K": 0.0,
                    "fading_S.dist": "rayleigh"},
         "sweep_key": "fading_D.rho_dB",
         "sweep_default": np.arange(-5.0, 20.1, 2.5),
         "header": ["rho_dB", "eta_bc_ltsc", "eta_sl_ltsc", "eta_bc_stsc", "eta_sl_stsc"],
-        "runner": _figure_6},
+        "rows": _figure_6_rows},
 }
 
 
 def run_figure(number: int, overrides: ExperimentConfig, outdir: str | None) -> int:
     spec = _FIGURES[number]
-    ec = _figure_base(spec["params"], spec["sweep_key"], spec["sweep_default"],
-                      overrides)
-    print(f"figure{number}: sweeping {spec['sweep_key']} over "
-          f"{ec['sweep.values']}", flush=True)
-    rows = spec["runner"](ec)
-    path = _write_artifacts(outdir or ec["out"], f"figure{number}", spec["header"], rows, ec)
-    print(f"figure{number}: wrote {path} ({len(rows)} rows)")
-    return 0
+    ec = _figure_base(spec, overrides)
+    lead, *header = spec["header"]
+    return _write_sweep(ec, outdir or ec["out"], f"figure{number}", header, spec["rows"],
+                        lead)
 
 
 # --------------------------------------------------------------- entrypoint

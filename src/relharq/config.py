@@ -37,7 +37,7 @@ Schema (key = default):
   grid.alpha_step = 0.02
   grid.refine = 3
   grid.nodes = 0               # per-node policy grid size; 0 = match quad.n
-  sweep.key = (empty)          # numeric key to sweep, one CSV row per value
+  sweep.key = (empty)          # numeric key to sweep: the rows of each value, led by it
   sweep.values = (empty)       # comma-separated sweep values
   out = results                # output directory
 

@@ -320,6 +320,25 @@ class TestArtifacts:
         for row in rows[1:]:
             assert all(np.isfinite(float(c)) for c in row)
 
+    def test_optimize_t_sweep_labels_rows_with_integers(self, tmp_path):
+        # a swept row is led by the point's bound value, and T binds as an int
+        path = write_cfg(tmp_path, "quad.n = 8\ngrid.r_max = 2.0\ngrid.r_step = 0.5\n"
+                                   "grid.alpha_step = 0.5\ngrid.refine = 0\n"
+                                   "sweep.key = T\nsweep.values = 2,3\n")
+        assert cli.main(["optimize", "--config", path, "--out", str(tmp_path)]) == 0
+        rows = read_rows(tmp_path / "optimize.csv")
+        assert rows[0][:2] == ["T", "mode"]
+        assert [row[:2] for row in rows[1:]] == [["2", "bc"], ["2", "sl"],
+                                                 ["3", "bc"], ["3", "sl"]]
+
+    def test_sweep_prints_one_progress_line_per_point(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, COARSE + "sweep.key = P_dB\nsweep.values = -3.0,0.0,10.0\n")
+        assert cli.main(["analytic", "--config", path, "--out", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" (")[0] for line in lines[:-1]] == [
+            "analytic: P_dB = -3.0", "analytic: P_dB = 0.0", "analytic: P_dB = 10.0"]
+        assert lines[-1].startswith("analytic: wrote ")
+
     def test_optimize_tuple_reverifies_by_analytic_run(self, tmp_path):
         opt_cfg = write_cfg(tmp_path, COARSE.replace("policy = 1.0,0.2,0.9",
                                                      "policy = optimize"))

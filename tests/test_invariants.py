@@ -76,6 +76,18 @@ def test_one_quadrature_default():
     assert removed.isdisjoint(relharq.__all__)
 
 
+def test_one_loop_over_sweep_points():
+    # every job and figure reaches its sweep points through cli._write_sweep
+    def calls(tree):
+        return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and getattr(node.func, "attr", getattr(node.func, "id", None)) == "sweep_values"]
+
+    module = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    writer = next(node for node in module.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_write_sweep")
+    assert calls(writer) and len(calls(module)) == len(calls(writer))
+
+
 def test_feasibility_violation_raises_and_exits_3(tmp_path, monkeypatch):
     run_batch = simulate._run_batch
 
