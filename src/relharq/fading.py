@@ -106,11 +106,6 @@ def cdf_of_min(u, v, Fu, Fv):
     return np.where((u <= v) | np.isnan(u), Fu, Fv)
 
 
-def cdf_of_max(u, v, Fu, Fv):
-    """F(max(u, v)) from F(u) and F(v), bit for bit, like cdf_of_min."""
-    return np.where((u >= v) | np.isnan(u), Fu, Fv)
-
-
 @dataclass(frozen=True)
 class QuadratureGrid:
     """Equal-mass quantile grid: nodes are bin medians, each weight the double 1/n.

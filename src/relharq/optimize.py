@@ -40,7 +40,7 @@ from .config import GridSpec
 from .fading import DEFAULT_QUAD_N, quantize
 from .ltsc import decode_table, node_reward_length, node_tables
 from .simulate import estimate
-from .stsc import quantity_tables, stsc_quantities
+from .stsc import quantity_tables, slot1_grid, stsc_quantities
 from .tables import NumericalError, ProbabilityTable, ThroughputReport, reward_length
 
 _MARGIN = 8 * np.finfo(float).eps  # 16 unit roundoffs, see _front
@@ -61,6 +61,8 @@ class _Evaluator:
 
     mc holds the Monte Carlo budget as keywords of `estimate` (n_sessions,
     master_seed, batch_size, workers); keys left out keep their defaults here.
+    grid holds what the closed forms share across blocks, built once here: the
+    D node grid (LTSC) or the slot-1 grid (`stsc.slot1_grid`, STSC).
     """
 
     def __init__(self, cfg, comp, backend, quad_n, mc=None):
@@ -69,8 +71,12 @@ class _Evaluator:
         self.quad_n = quad_n
         self.mc = {"n_sessions": 20_000, "master_seed": 0, "batch_size": 1 << 16, "workers": 1,
                    **(mc or {})}
-        ltsc_closed_form = backend == "analytic" and cfg.channel_regime == "ltsc"
-        self.grid = quantize(cfg.model_d, quad_n) if ltsc_closed_form else None
+        if backend != "analytic":
+            self.grid = None
+        elif cfg.channel_regime == "ltsc":
+            self.grid = quantize(cfg.model_d, quad_n)
+        else:
+            self.grid = slot1_grid(cfg, quad_n)
         self.n_evals = 0
 
     def block(self, r1v: np.ndarray, r2v: np.ndarray, alpha: float, visit=None) -> np.ndarray:
@@ -92,7 +98,7 @@ class _Evaluator:
             if visit is not None:
                 visit(reward, length)
             return (reward @ self.grid.weights) / (length @ self.grid.weights)
-        q = stsc_quantities(self.cfg, r1v, r2v, alpha, n=self.quad_n)
+        q = stsc_quantities(self.cfg, r1v, r2v, alpha, self.quad_n, grid=self.grid)
         reward, length = reward_length(r1v[:, None], r2v[None, :], *quantity_tables(q)[:2])
         return reward / length
 
@@ -111,7 +117,8 @@ class _Evaluator:
             p1, p2o = node_tables(self.cfg, policy.r1, policy.r2, policy.alpha, grid, self.comp)
             tables, weights = (p1, p2o, decode_table(p2o)), grid.weights
         else:
-            q = stsc_quantities(self.cfg, policy.r1, policy.r2, float(policy.alpha), self.quad_n)
+            q = stsc_quantities(self.cfg, policy.r1, policy.r2, float(policy.alpha), self.quad_n,
+                                grid=self.grid)
             tables, weights = tuple(t[0] for t in quantity_tables(q)), np.ones(1)
         er, el = (float(v @ weights) for v in reward_length(policy.r1, policy.r2, *tables[:2]))
         table = ProbabilityTable(*(np.einsum("i,...ik->...k", weights, t) for t in tables))

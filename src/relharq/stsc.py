@@ -29,23 +29,36 @@ Pr[S2 < u - c_j] (`node_cdf_sum`): q_miss = G(u1), phi_miss = G(u_phi), and,
 F being monotone, gamma's inner sum is G(max(u1, u2)) - G(u1), so
 p1_out(2) + gamma = sum m_fail max(G(u1), G(u2)).  G is taken only on the
 support: for G(u1) the (r1, d1, s1) cells with nonzero m_fail; for G(u_phi)
-the (r2, d1, s1) cells where F2 exceeds the smallest F1, outside which m_mid is
-0 for every r1; for G(u2) the cells where u2 exceeds some live u1.  Elsewhere
-G stays 0 and meets a zero mass or loses the max, so an inner NaN off the
-support reaches no total.  The (r1, r2, d1, s1) masses are formed a few r1
-rows at a time, in blocks of about BLOCK_CELLS cells that stay in cache.
+the (r2, d1, s1) cells where F2 exceeds the smallest F1, outside which the
+mass lam1 <= S1 < lam2 is 0 for every r1; for G(u2) the cells where u2 exceeds
+some live u1.  Elsewhere G stays 0 and meets a zero mass or loses the max, so
+an inner NaN off the support reaches no total.
+
+lam1(r1, d1) and lam2(r2, d1) do not depend on S1, so the mass S1 < max(lam1,
+lam2) is the S1 < lam1 row or the S1 < lam2 row of the whole bin axis, picked
+once per (r1, r2, d1).  p2_dec_1 and phi are therefore (q1, q2, nd) sums of
+per-row bin sums (phi's cross term one batched matmul per d1 node); only gamma
+is formed on the (r1, r2, d1, s1) block, a few r1 rows at a time in blocks of
+about BLOCK_CELLS cells.  Everything that depends on the scenario but not on
+the tuple (the quadrature nodes, the S1 bin masses, a1 and G) is one
+`Slot1Grid`, built once per evaluator and shared by all its blocks.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .channel import (SystemConfig, _split_gain, check_supported, conservative_gain,
                       mutual_info, slot_threshold)
-from .fading import FadingModel, cdf_of_max, quantize
+from .fading import FadingModel, quantize
 from .tables import ConfigError
 
-BLOCK_CELLS = 2**16  # 512 KB per block array, a few of which fit a 2 MB L2 cache
+# 512 KB per block array of the gamma pass, which also reads g1, m_fail and g2
+# rows; 2^15 to 2^18 time alike on a 2 MB L2 cache, 2^20 is slower
+BLOCK_CELLS = 2**16
 # r1 rows x n^2 cells per pass of stsc_quantities, which bounds its (q1, n, n)
 # arrays at 4 MB each; its (q2, n, n) arrays are formed once per pass
 R1_CELLS = 1 << 19
@@ -60,82 +73,118 @@ def node_cdf_sum(model: FadingModel, c, w, chunk_cells: int = 1_000_000):
     exponents are all <= 0, so nothing overflows; k = 0 gives 0.  Point-mass S
     gives the prefix weight W_k with k = #{j : u - c_j > value}, the nodes whose
     indicator is 1.  Rician S, and Rayleigh S with a non-finite c, sum the cdf
-    over the nodes.  Both hold at most chunk_cells (u, node) pairs at a time.
+    over the nodes, evaluating it only where u - c_j > 0 (or NaN): at or below 0
+    it is exactly 0.  G takes u in chunks of chunk_cells // n cells, halved for
+    the cdf sum, which holds the differences u - c_j and their live part; so at
+    most max(chunk_cells, 2n) (u, node) pairs are held at a time.
     """
     order = np.argsort(c, kind="stable")
     c, w = np.asarray(c, dtype=float)[order], np.asarray(w, dtype=float)[order]
     W = np.concatenate(([0.0], np.cumsum(w)))
     step = max(1, chunk_cells // len(c))
 
-    def chunked(rows):  # rows maps an (m, n) block of u - c to m values of G
+    def chunked(f, size):  # f maps a chunk of `size` u to their values of G
         def g(u):
             out = np.empty(u.shape)
-            for i in range(0, len(u), step):
-                out[i : i + step] = rows(u[i : i + step, None] - c)
+            for i in range(0, len(u), size):
+                out[i : i + size] = f(u[i : i + size])
             return out
         return g
 
     if model.kind == "pointmass":
-        return chunked(lambda x: W[np.sum(x > model.point_value, axis=1)])
+        return chunked(lambda u: W[np.sum(u[:, None] - c > model.point_value, axis=1)], step)
     if model.kind == "rician" or not np.isfinite(c).all():
-        return chunked(lambda x: model.cdf_strict(x) @ w)
+        def cdf_sum(u):
+            x = u[:, None] - c  # overwritten by the cdf
+            dead = x <= 0  # NaN stays live
+            x[~dead] = model.cdf_strict(x[~dead])
+            x[dead] = 0.0
+            return x @ w
+        return chunked(cdf_sum, max(1, step // 2))
     rho = model.mean_power
     decay = np.exp(-np.diff(c, prepend=c[0]) / rho)
     S = np.zeros_like(W)
     for j in range(len(c)):
         S[j + 1] = S[j] * decay[j] + w[j]
 
-    def g(u):
+    def closed_form(u):
         k = np.searchsorted(c, u, side="left")  # NaN sorts last: k = n, G = NaN
         on = k > 0
         out = np.zeros(u.shape)
         out[on] = W[k[on]] - S[k[on]] * np.exp((c[k[on] - 1] - u[on]) / rho)
         return out
-    return g
+    return chunked(closed_form, step)
 
 
-def stsc_quantities(cfg: SystemConfig, r1_vec, r2_vec, alpha: float, n: int,
-                    chunk_cells: int = 1_000_000):
-    """The four independent table entries for every (r1, r2) pair at one alpha.
+@dataclass(frozen=True)
+class Slot1Grid:
+    """The slot-1 quadrature of one scenario, shared by every tuple block:
+    D1 nodes d1 with weights wd, S1 bin nodes s1 with edges lo, hi, F_lo = Pr[S1
+    < lo] and bin masses w_bin, the conservative gain a1 at each d1, and G."""
 
-    Returns dict of (Q1, Q2) arrays: p1_out_1, p1_out_2, p2_dec_1, p2_out_2.
-    r1 is taken R1_CELLS // n^2 rows per pass, which bounds the (q1, n, n)
-    arrays; the (q2, n, n) ones hold the whole r2 axis.  n > 724 is rejected
-    before any array is formed (one tuple at n = 724 peaks at about 58 MB).
-    A Rician G holds at most max(chunk_cells, n) (cell, D2 node) pairs at once.
+    d1: np.ndarray
+    wd: np.ndarray
+    s1: np.ndarray
+    a1: np.ndarray
+    G: Callable
+    lo: np.ndarray
+    hi: np.ndarray
+    F_lo: np.ndarray
+    w_bin: np.ndarray
+
+
+def slot1_grid(cfg: SystemConfig, n: int, chunk_cells: int = 1_000_000) -> Slot1Grid:
+    """The Slot1Grid of cfg at quadrature size n.
+
+    Rejects a scenario without an stsc closed form, and n > 724 before any
+    array is formed (one tuple at n = 724 peaks at about 58 MB).  chunk_cells
+    bounds the (cell, D2 node) pairs G holds at once (`node_cdf_sum`).
     """
     check_supported(cfg, regime="stsc")
     if n * n > R1_CELLS:
         raise ConfigError(f"quad.n: {n} exceeds {int(R1_CELLS**0.5)}, the largest stsc "
                           "quadrature whose n x n slot-1 grid fits one r1 pass")
-    r1, r2 = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (r1_vec, r2_vec))
-    rows = R1_CELLS // (n * n)
-    parts = [_quantities(cfg, r1[i : i + rows], r2, alpha, n, chunk_cells)
-             for i in range(0, len(r1), rows)]
-    return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
-
-
-def _quantities(cfg, r1, r2, alpha, n, chunk_cells):
-    """stsc_quantities over one pass of r1 rows; r1 and r2 are 1-D float arrays."""
-    P, cmax, s_min = cfg.power, cfg.backhaul_capacity, cfg.s_min
-    ap, abp = alpha * P, (1.0 - alpha) * P
-    p_int2 = ap if cfg.bc_layer2_interference else 0.0
-    q1, q2 = len(r1), len(r2)
-
     grid_d, grid_s = quantize(cfg.model_d, n), quantize(cfg.model_s, n)
-    d1, wd, s1 = grid_d.nodes, grid_d.weights, grid_s.nodes
-    a1 = conservative_gain(d1, s_min, P, cmax)
+    d1, Fs1 = grid_d.nodes, cfg.model_s.cdf_strict
+    a1 = conservative_gain(d1, cfg.s_min, cfg.power, cfg.backhaul_capacity)
     # D2 is i.i.d. with D1: G sums over the same nodes, each at its c = a/b
-    G = node_cdf_sum(cfg.model_s, a1 / _split_gain(a1, d1), wd, chunk_cells)
-
-    Fs1 = cfg.model_s.cdf_strict
+    G = node_cdf_sum(cfg.model_s, a1 / _split_gain(a1, d1), grid_d.weights, chunk_cells)
     # S1 bin boundaries and the exact slot-1 indicator masses per bin.  Bin
     # masses come from the cdf at the edges (not the nominal quantile weights)
     # so the three-way partition telescopes to total mass 1 exactly.
     lo = np.concatenate(([-np.inf], grid_s.edges))
     hi = np.concatenate((grid_s.edges, [np.inf]))
     F_lo = Fs1(lo)
-    w_bin = Fs1(hi) - F_lo
+    return Slot1Grid(d1, grid_d.weights, grid_s.nodes, a1, G, lo, hi, F_lo, Fs1(hi) - F_lo)
+
+
+def stsc_quantities(cfg: SystemConfig, r1_vec, r2_vec, alpha: float, n: int,
+                    chunk_cells: int = 1_000_000, grid: Slot1Grid | None = None):
+    """The four independent table entries for every (r1, r2) pair at one alpha.
+
+    Returns dict of (Q1, Q2) arrays: p1_out_1, p1_out_2, p2_dec_1, p2_out_2.
+    grid is `slot1_grid(cfg, n, chunk_cells)`, built here when None; a caller
+    that evaluates many blocks of one scenario builds it once and passes it.
+    r1 is taken R1_CELLS // n^2 rows per pass, which bounds the (q1, n, n)
+    arrays; the (q2, n, n) ones hold the whole r2 axis.
+    """
+    if grid is None:
+        grid = slot1_grid(cfg, n, chunk_cells)
+    r1, r2 = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (r1_vec, r2_vec))
+    rows = R1_CELLS // (n * n)
+    parts = [_quantities(cfg, r1[i : i + rows], r2, alpha, grid)
+             for i in range(0, len(r1), rows)]
+    return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
+
+
+def _quantities(cfg, r1, r2, alpha, grid):
+    """stsc_quantities over one pass of r1 rows; r1 and r2 are 1-D float arrays."""
+    P = cfg.power
+    ap, abp = alpha * P, (1.0 - alpha) * P
+    p_int2 = ap if cfg.bc_layer2_interference else 0.0
+    q1, q2 = len(r1), len(r2)
+    d1, wd, s1, a1, G = grid.d1, grid.wd, grid.s1, grid.a1, grid.G
+    Fs1 = cfg.model_s.cdf_strict
 
     def total(x):
         return np.einsum("d,...ds->...", wd, x)
@@ -145,14 +194,14 @@ def _quantities(cfg, r1, r2, alpha, n, chunk_cells):
 
     def cdf_in_bins(c):
         # Pr[S1 < c] with c clipped to each bin; c broadcasts against the bin axis
-        return Fs1(np.clip(c[..., None], lo, hi))
+        return Fs1(np.clip(c[..., None], grid.lo, grid.hi))
 
     F1, F2 = cdf_in_bins(lam1), cdf_in_bins(lam2)                   # (q1|q2, nd, ns)
-    # m_mid below is F2 - F1 where lam2 > lam1, else 0; F is monotone, so it is
-    # nonzero only where F2 exceeds the smallest F1
+    # the mass lam1 <= S1 < lam2 is F2 - F1 where lam2 > lam1, else 0; F is
+    # monotone, so it is nonzero only where F2 exceeds the smallest F1
     phi_cells = ~(F2 <= F1.min(axis=0))
     # mass S1 < lam1 | lam2, in place: each (q, nd, ns) array is dropped when done
-    m_fail, m_below2 = np.subtract(F1, F_lo, out=F1), np.subtract(F2, F_lo, out=F2)
+    m_fail, m_below2 = np.subtract(F1, grid.F_lo, out=F1), np.subtract(F2, grid.F_lo, out=F2)
 
     def on_support(u, cells):
         out = np.zeros(u.shape)
@@ -173,22 +222,26 @@ def _quantities(cfg, r1, r2, alpha, n, chunk_cells):
     del u2
     g_phi = on_support(slot_threshold(r2p, 1, P, 0.0, 0.0, 1.0), phi_cells)
 
+    # S1 < max(lam1, lam2) is the S1 < lam1 row where lam1 wins (a NaN lam1
+    # included, as np.maximum propagates it), else the S1 < lam2 row
+    first = (lam1[:, None] >= lam2[None]) | np.isnan(lam1)[:, None]  # (q1, q2, nd)
+    m_below_max = np.where(first, m_fail.sum(axis=-1)[:, None], m_below2.sum(axis=-1)[None])
+    p2_dec_1 = (grid.w_bin.sum() - m_below_max) @ wd
+    # phi = sum over lam2 > lam1 of (m_below2 - m_fail) g_phi; the m_fail g_phi
+    # term is one (q1, ns) x (ns, q2) product per d1 node
+    cross = np.matmul(m_fail.transpose(1, 0, 2), g_phi.transpose(1, 2, 0))  # (nd, q1, q2)
+    phi = np.where(first, 0.0, (m_below2 * g_phi).sum(axis=-1) - cross.transpose(1, 2, 0)) @ wd
+
     p1_out_1 = np.repeat(total(m_fail)[:, None], q2, axis=1)        # (q1, q2)
     p1_out_2 = np.repeat(total(m_fail * g1)[:, None], q2, axis=1)
-    p2_dec_1, p2_out_2 = np.empty((q1, q2)), np.empty((q1, q2))
-    step = max(1, BLOCK_CELLS // m_below2.size)                     # r1 rows per block
+    p2_out_2 = np.empty((q1, q2))
+    step = max(1, BLOCK_CELLS // g2.size)                           # r1 rows per block
     for i in range(0, q1, step):
         rows = slice(i, i + step)
-        # clip is monotone, so F(clip(max(lam1, lam2))) is one of F1, F2
-        m_below_max = cdf_of_max(lam1[rows, None, :, None], lam2[None, :, :, None],
-                                 m_fail[rows, None], m_below2[None])
-        m_mid = m_below_max - m_fail[rows, None]                    # mass lam1 <= S1 < lam2
-        p2_dec_1[rows] = total(np.subtract(w_bin, m_below_max, out=m_below_max))
         # G(max(u1, u2)) = max(G(u1), G(u2)); the max of the values keeps gamma >= 0
-        g_max = np.maximum(g1[rows, None], g2[None], out=m_below_max)
+        g_max = np.maximum(g1[rows, None], g2[None])
         g_max *= m_fail[rows, None]
-        m_mid *= g_phi
-        p2_out_2[rows] = total(g_max) + total(m_mid)                # p1_out_2 + gamma + phi
+        p2_out_2[rows] = total(g_max) + phi[rows]                   # p1_out_2 + gamma + phi
 
     return {"p1_out_1": p1_out_1, "p1_out_2": p1_out_2, "p2_dec_1": p2_dec_1,
             "p2_out_2": p2_out_2}

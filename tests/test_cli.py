@@ -184,12 +184,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"sweep.values: {key}: value {float(value)!r} outside allowed range" in err
 
-    def test_simulate_past_the_backhaul_overflow_is_numerical_failure(self, tmp_path):
+    def test_simulate_past_the_backhaul_overflow_is_numerical_failure(self, tmp_path, capsys):
         # at Cmax = 1e6 the compression gain overflows to inf and the mutual
-        # information is NaN; the simulator must not count that as an outage
-        path = write_cfg(tmp_path, COARSE.replace("Cmax = 1.0", "Cmax = 1e6"))
-        for job in ("analytic", "simulate"):
-            assert cli.main([job, "--config", path, "--out", str(tmp_path)]) == 3
+        # information is NaN; the simulator must not count that as an outage,
+        # and the stsc closed form must not drop its NaN thresholds from a sum
+        for regime in ("ltsc", "stsc"):
+            text = COARSE.replace("Cmax = 1.0", "Cmax = 1e6")
+            path = write_cfg(tmp_path, text.replace("regime = ltsc", f"regime = {regime}"))
+            for job in ("analytic", "simulate"):
+                assert cli.main([job, "--config", path, "--out", str(tmp_path)]) == 3
+            assert "non-finite value reached a CSV cell" in capsys.readouterr().err
 
     def test_stsc_rate_past_overflow_is_an_outage(self, tmp_path):
         # 2^(2 r2) overflows at r2 = 2000; layer 2 is then a plain outage

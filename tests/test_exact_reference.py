@@ -8,8 +8,10 @@ compared with np.array_equal and ==.
 
 Two exceptions.  The STSC inner expectation over (D2, S2) is now one
 function G of one threshold per cell (`stsc.node_cdf_sum`), summed in another
-order than the reference's per-node residual cdfs, so p1_out_2 and p2_out_2
-are compared within STSC_ATOL; p1_out_1 and p2_dec_1 stay exact.  The LTSC
+order than the reference's per-node residual cdfs, and p2_dec_1 and phi are
+(r1, r2, d1) sums of per-row bin sums where the reference sums the (r1, r2,
+d1, s1) block, so p1_out_2, p2_dec_1 and p2_out_2 are compared within
+STSC_ATOL; p1_out_1 stays exact.  The LTSC
 decode table is now the first difference of p2_out (`ltsc.decode_table`), not
 a sum over its own thresholds, so it is compared within DEC_ATOL; p1 and
 p2_out stay exact.
@@ -33,7 +35,7 @@ from relharq.tables import NumericalError
 
 CONST = CompressionPolicy("constant")
 ADAPT = CompressionPolicy("adaptive")
-STSC_ATOL = 16 * np.finfo(float).eps  # 3.6e-15; the largest move seen is 8.9e-16
+STSC_ATOL = 16 * np.finfo(float).eps  # 3.6e-15; largest moves seen 8.9e-16, p2_dec_1 2.2e-16
 DEC_ATOL = 2 * np.finfo(float).eps  # 4.4e-16; the largest difference seen is 2.2e-16
 
 
@@ -324,9 +326,8 @@ def test_constant_block_evaluates_fewer_cdf_points_than_cells(monkeypatch):
 
 def assert_stsc_quantities_close(got, want):
     assert sorted(got) == sorted(want)
-    for key in ("p1_out_1", "p2_dec_1"):
-        assert np.array_equal(got[key], want[key]), key
-    for key in ("p1_out_2", "p2_out_2"):
+    assert np.array_equal(got["p1_out_1"], want["p1_out_1"])
+    for key in ("p1_out_2", "p2_dec_1", "p2_out_2"):
         assert got[key].shape == want[key].shape
         assert np.all(np.abs(got[key] - want[key]) <= STSC_ATOL), key
 
@@ -364,6 +365,21 @@ def test_stsc_quantities_pointmass_relay_link_match_reference(s_kind):
     got = stsc_quantities(cfg, r1, r2, 0.9, n=12)
     want = reference_stsc_quantities(cfg, r1, r2, 0.9, n=12)
     assert_stsc_quantities_close(got, want)
+
+
+def test_stsc_quantities_overflowed_backhaul_keeps_the_reference_nans():
+    # at Cmax = 1e6 lam2 and the inner expectations are NaN in places; the
+    # (r1, r2, d1) sums of p2_dec_1 and phi must carry them to the same cells
+    # as the reference's (r1, r2, d1, s1) block sums
+    cfg = SystemConfig(power=2.0, backhaul_capacity=1e6, max_rounds=2, model_d=D_RICIAN,
+                       model_s=S_MODELS["rayleigh"], channel_regime="stsc")
+    r1, r2 = np.linspace(0.0, 2.5, 4), np.linspace(0.0, 1.5, 3)
+    with np.errstate(all="ignore"):
+        got = stsc_quantities(cfg, r1, r2, 0.6, n=9)
+        want = reference_stsc_quantities(cfg, r1, r2, 0.6, n=9)
+    assert np.isnan(want["p2_dec_1"]).any()
+    for key in ("p1_out_1", "p2_dec_1", "p2_out_2"):
+        assert np.array_equal(np.isnan(got[key]), np.isnan(want[key])), key
 
 
 # ---------------------------------------------------------------- optimizer

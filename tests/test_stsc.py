@@ -3,11 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from relharq.channel import RatePolicy, SystemConfig, conservative_gain, mutual_info
+from relharq.channel import (CompressionPolicy, RatePolicy, SystemConfig, conservative_gain,
+                             mutual_info)
+from relharq.config import GridSpec
 from relharq.fading import FadingModel
 from relharq import stsc
-from relharq.optimize import throughput
-from relharq.stsc import node_cdf_sum, stsc_quantities
+from relharq.optimize import _Evaluator, _optimize, throughput
+from relharq.stsc import node_cdf_sum, quantity_tables, stsc_quantities
+from relharq.tables import reward_length
 
 
 def pm_cfg(d, s, cmax=1.0, P=1.0, variant=False):
@@ -214,6 +217,43 @@ class TestVectorizedPath:
                 assert q["p2_out_2"][i, j] == pytest.approx(t.p2_out[1], abs=1e-12)
 
 
+class TestSlot1Grid:
+    """The per-scenario slot-1 grid is built once per evaluator."""
+
+    def test_optimize_quantizes_once_per_evaluator(self, monkeypatch):
+        kinds, passes = [], []
+        quantize, one_pass = stsc.quantize, stsc._quantities
+
+        def counting_quantize(model, n):
+            kinds.append(model.kind)
+            return quantize(model, n)
+
+        def counting_pass(cfg, r1, *args):
+            passes.append(len(r1))
+            return one_pass(cfg, r1, *args)
+
+        monkeypatch.setattr(stsc, "quantize", counting_quantize)
+        monkeypatch.setattr(stsc, "_quantities", counting_pass)
+        cfg = SystemConfig(power=2.0, backhaul_capacity=1.5, max_rounds=2,
+                           model_d=FadingModel("rician", 2.0, rician_k=1.0),
+                           model_s=FadingModel("rayleigh", 1.0), channel_regime="stsc")
+        ev = _Evaluator(cfg, CompressionPolicy("constant"), "analytic", 12)
+        _optimize(ev, ["sl", "bc"], GridSpec(r_max=2.0, r_step=0.5, alpha_step=0.25,
+                                             refine_rounds=2))
+        assert len(passes) > 5
+        assert kinds == ["rician", "rayleigh"]  # D, then S
+
+    @pytest.mark.parametrize("seed", [23, 29, 31])
+    def test_block_is_the_quantities_reward_over_length(self, seed):
+        cfg = rand_cfg(np.random.default_rng(seed))
+        ev = _Evaluator(cfg, CompressionPolicy("constant"), "analytic", 16)
+        r1, r2 = np.linspace(0.0, 2.5, 7), np.linspace(0.0, 1.5, 5)
+        for alpha in (0.0, 0.6, 1.0):
+            q = stsc_quantities(cfg, r1, r2, alpha, n=16)
+            reward, length = reward_length(r1[:, None], r2[None, :], *quantity_tables(q)[:2])
+            assert np.array_equal(ev.block(r1, r2, alpha), reward / length)
+
+
 def dense_cdf_sum(model, c, w, u):
     """G(u) = sum_j w_j F(u - c_j), one node at a time in the order of sorted c."""
     g = np.zeros(u.shape)
@@ -291,6 +331,25 @@ class TestNodeCdfSum:
             np.testing.assert_allclose(node_cdf_sum(model, c, w, chunk_cells)(u), want,
                                        rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("case", sorted(G_CASES))
+    @pytest.mark.parametrize("model", [FadingModel("rician", 1.5, rician_k=2.0),
+                                       FadingModel("rayleigh", 1.5)], ids=["rician", "rayleigh"])
+    def test_node_sum_skips_only_exact_zeros(self, case, model):
+        # the summed form evaluates the cdf only where u - c_j > 0 or is NaN;
+        # elsewhere it is exactly 0, so G is the dense sum over all nodes bit for
+        # bit.  Rayleigh S takes this form when some c_j is infinite.
+        rng = np.random.default_rng(7)
+        c, w = G_CASES[case](rng)
+        u = g_points(c, rng, size=100)
+        if model.kind == "rayleigh":
+            c, w = np.append(c, np.inf), np.append(w, 0.5)
+        order = np.argsort(c, kind="stable")
+        with np.errstate(invalid="ignore"):  # inf - inf
+            want = model.cdf_strict(u[:, None] - c[order]) @ w[order]
+            got = node_cdf_sum(model, c, w)(u)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.isnan(got[np.isnan(u)]).all()
+
 
 @pytest.mark.parametrize("s_kind", ["rayleigh", "rician"])
 def test_row_blocks_change_no_bit(s_kind, monkeypatch):
@@ -342,6 +401,24 @@ class TestMemory:
         tracemalloc.start()
         try:
             stsc_quantities(cfg, r, r, alpha, n=32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 96e6
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_fine_design_block_peak_is_bounded(self, alpha):
+        # one 61x61 block at quad.n 128; the (q2, n, n) arrays still span the
+        # whole r2 axis.  106 MB at alpha = 1 when G took its support in one piece
+        cfg = SystemConfig(
+            power=1.0, backhaul_capacity=5.0, max_rounds=2,
+            model_d=FadingModel("rician", 10.0), model_s=FadingModel("rayleigh", 10.0),
+            channel_regime="stsc",
+        )
+        r = np.linspace(0.0, 6.0, 61)
+        tracemalloc.start()
+        try:
+            stsc_quantities(cfg, r, r, alpha, n=128)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

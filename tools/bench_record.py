@@ -1,0 +1,79 @@
+"""Record one point of the benchmark trajectory as BENCH_<n>.json at the repo root.
+
+    python3 tools/bench_record.py 11
+
+Runs `perfbench/run.py` on each of its four workloads at seed 0 for 15 s,
+once untraced (the end-to-end metrics) and once traced (the per-layer
+metrics), one run at a time.  The file holds, per workload and mode, the run's
+last output line (correct, attempted, failed, metrics) with the iteration
+count and timing tails of its record in `perfbench/_work/results/`, plus the
+host (nproc, CPU, memory, Python, numpy and scipy versions), the line count
+and digest of `src/relharq`, and the wall time of the whole recording (about
+4 minutes on a 2-core host).  Exits 1 when a run fails or a job's output does
+not check out; the file is written either way.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("mc", "design-ltsc", "design-stsc", "point-fine")
+SEED, SECONDS = 0, 15
+MODES = ((0, "end_to_end"), (1, "per_layer"))
+
+
+def run(workload: str, trace: int) -> tuple:
+    """One benchmark run: the JSON of its last output line and its full record."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+            "--seconds", str(SECONDS), "--trace", str(trace)]
+    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(argv[1:])} exited {proc.returncode}: {proc.stderr.strip()}")
+    summary = json.loads(proc.stdout.strip().splitlines()[-1])
+    results = ROOT / "perfbench" / "_work" / "results"
+    record = json.loads((results / f"{workload}-seed{SEED}-trace{trace}.json").read_text(
+        encoding="utf-8"))
+    return summary, record
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("n", type=int, help="the file is named BENCH_<n>.json")
+    args = parser.parse_args(argv)
+
+    started = time.monotonic()
+    mem_gb = round(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2**30, 1)
+    bench = {"seed": SEED, "seconds": SECONDS, "host": None, "src_relharq": None,
+             "workloads": {}}
+    ok = True
+    try:
+        for workload in WORKLOADS:
+            entry = bench["workloads"][workload] = {}
+            for trace, mode in MODES:
+                print(f"{workload} {mode} ...", file=sys.stderr, flush=True)
+                summary, record = run(workload, trace)
+                ok &= summary["correct"]
+                entry[mode] = {**summary, "iterations": len(record["iterations"]),
+                               "tails": record["tails"]}
+                bench["host"] = {**record["host"], "mem_total_gb": mem_gb}
+                bench["src_relharq"] = record["provenance"]
+    except RuntimeError as err:
+        print(f"benchmark run failed: {err}", file=sys.stderr)
+        bench["error"] = str(err)
+        ok = False
+    bench["record_wall_s"] = round(time.monotonic() - started, 1)
+    path = ROOT / f"BENCH_{args.n}.json"
+    path.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {path} in {bench['record_wall_s']} s", file=sys.stderr)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
