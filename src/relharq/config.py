@@ -1,45 +1,12 @@
 """Flat key=value experiment configs.
 
 Grammar: UTF-8 text, one `key = value` per line; blank lines and lines whose
-first non-space character is `#` are ignored.  Keys are dotted lowercase
-identifiers from the schema below; unknown or duplicate keys are rejected with
-the offending key named.  dB enters here and nowhere else: `P_dB` and the
-`*.rho_dB` mean powers are converted to linear units when the config is turned
-into a SystemConfig, and `fading_*.value` (the pointmass atom) is already a
-linear power gain.
-
-Schema (key = default):
-
-  regime = ltsc                # ltsc | stsc
-  T = 2                        # max transmissions per session
-  P_dB = 0.0                   # transmit power, dB
-  Cmax = 1.0                   # backhaul capacity, bits/symbol
-  fading_D.dist = rician       # rayleigh | rician | pointmass (relay link)
-  fading_D.rho_dB = 0.0        # mean power, dB (rayleigh/rician)
-  fading_D.K = 0.0             # Rician factor (rician)
-  fading_D.value = 1.0         # atom, linear (pointmass)
-  fading_S.dist = rayleigh     # side-information link
-  fading_S.rho_dB = 0.0
-  fading_S.K = 0.0
-  fading_S.value = 1.0
-  bc_layer2_interference = false  # layer-2 MI keeps residual layer-1 power
-  compression = constant       # constant | adaptive
-  csi = none                   # none | lcsit
-  policy = optimize            # "optimize" or explicit "r1,r2,alpha"
-  backend = analytic           # analytic | mc (optimize job)
-  mc.sessions = 100000
-  mc.seed = 0
-  mc.batch = 65536
-  mc.workers = 1
-  quad.n = 64                  # quadrature size for analytic tables
-  grid.r_max = 6.0             # optimizer search grid
-  grid.r_step = 0.05
-  grid.alpha_step = 0.02
-  grid.refine = 3
-  grid.nodes = 0               # per-node policy grid size; 0 = match quad.n
-  sweep.key = (empty)          # numeric key to sweep: the rows of each value, led by it
-  sweep.values = (empty)       # comma-separated sweep values
-  out = results                # output directory
+first non-space character is `#` are ignored.  Keys are the dotted lowercase
+identifiers of `_SCHEMA` below, whose rows give each key's kind, default, bounds
+and meaning; unknown or duplicate keys are rejected with the offending key
+named.  dB enters here and nowhere else: `P_dB` and the `*.rho_dB` mean powers
+are converted to linear units when the config is turned into a SystemConfig,
+and `fading_*.value` (the pointmass atom) is already a linear power gain.
 
 The effective config (all defaults made explicit) is echoed next to every CSV
 artifact in the same grammar, so any row is regenerable from its sidecar.
@@ -99,9 +66,11 @@ def _axis(lo: float, hi: float, step: float) -> np.ndarray:
 # (key, kind, default, constraint); order fixes the echo layout.
 _SCHEMA = [
     ("regime", "enum", "ltsc", ("ltsc", "stsc")),
-    ("T", "int", 2, (1, None)),
-    ("P_dB", "float", 0.0, None),
-    ("Cmax", "float", 1.0, (0.0, None)),
+    ("T", "int", 2, (1, None)),                        # max transmissions per session
+    ("P_dB", "float", 0.0, None),                      # transmit power, dB
+    ("Cmax", "float", 1.0, (0.0, None)),               # backhaul capacity, bits/symbol
+    # relay link D: rho_dB is the mean power (rayleigh/rician), K the Rician
+    # factor, value the linear pointmass atom; S (side information) alike
     ("fading_D.dist", "enum", "rician", ("rayleigh", "rician", "pointmass")),
     ("fading_D.rho_dB", "float", 0.0, None),
     ("fading_D.K", "float", 0.0, (0.0, None)),
@@ -110,24 +79,28 @@ _SCHEMA = [
     ("fading_S.rho_dB", "float", 0.0, None),
     ("fading_S.K", "float", 0.0, (0.0, None)),
     ("fading_S.value", "float", 1.0, (0.0, None)),
-    ("bc_layer2_interference", "bool", False, None),
+    ("bc_layer2_interference", "bool", False, None),   # layer-2 MI keeps residual layer-1 power
     ("compression", "enum", "constant", ("constant", "adaptive")),
     ("csi", "enum", "none", ("none", "lcsit")),
-    ("policy", "policy", "optimize", None),
-    ("backend", "enum", "analytic", ("analytic", "mc")),
+    ("policy", "policy", "optimize", None),            # "optimize" or "r1,r2,alpha"
+    ("backend", "enum", "analytic", ("analytic", "mc")),  # of the optimize job
     ("mc.sessions", "int", 100_000, (2, None)),  # one session has no std error
     ("mc.seed", "int", 0, (0, None)),
     ("mc.batch", "int", 65_536, (1, None)),
     ("mc.workers", "int", 1, (1, None)),
-    ("quad.n", "int", DEFAULT_QUAD_N, (2, None)),
+    ("quad.n", "int", DEFAULT_QUAD_N, (2, None)),      # analytic quadrature size
+    # optimizer search lattice; grid.nodes is the per-node policy grid size,
+    # 0 = match quad.n
     ("grid.r_max", "float", 6.0, (1e-12, None)),
     ("grid.r_step", "float", 0.05, (1e-12, None)),
     ("grid.alpha_step", "float", 0.02, (1e-12, 1.0)),
     ("grid.refine", "int", 3, (0, None)),
     ("grid.nodes", "int", 0, (0, None)),
+    # a numeric key to sweep over comma-separated values: the rows of each
+    # value, led by it
     ("sweep.key", "str", "", None),
     ("sweep.values", "str", "", None),
-    ("out", "str", "results", None),
+    ("out", "str", "results", None),                   # output directory
 ]
 _KINDS = {key: kind for key, kind, _, _ in _SCHEMA}
 _DEFAULTS = {key: default for key, _, default, _ in _SCHEMA}

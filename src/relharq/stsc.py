@@ -74,9 +74,10 @@ def node_cdf_sum(model: FadingModel, c, w, chunk_cells: int = 1_000_000):
     gives the prefix weight W_k with k = #{j : u - c_j > value}, the nodes whose
     indicator is 1.  Rician S, and Rayleigh S with a non-finite c, sum the cdf
     over the nodes, evaluating it only where u - c_j > 0 (or NaN): at or below 0
-    it is exactly 0.  G takes u in chunks of chunk_cells // n cells, halved for
-    the cdf sum, which holds the differences u - c_j and their live part; so at
-    most max(chunk_cells, 2n) (u, node) pairs are held at a time.
+    it is exactly 0; a large Rician cdf runs as two bit-identical halves on two
+    threads (`fading._chndtr`).  G takes u in chunks of chunk_cells // n cells,
+    halved for the cdf sum, which holds the differences u - c_j and their live
+    part; so at most max(chunk_cells, 2n) (u, node) pairs are held at a time.
     """
     order = np.argsort(c, kind="stable")
     c, w = np.asarray(c, dtype=float)[order], np.asarray(w, dtype=float)[order]

@@ -1,11 +1,14 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import stats
+from scipy import special, stats
 
-from relharq.fading import FadingModel, quantize
+from relharq import fading
+from relharq.fading import SPLIT_POINTS, FadingModel, quantize
 
 RAY1 = FadingModel("rayleigh", mean_power=1.0)
 
@@ -47,6 +50,86 @@ def test_rician_cdf_matches_scipy_ncx2_bit_for_bit(k):
     want = np.where(x < 0, 0.0, stats.ncx2.cdf(np.maximum(x, 0.0) / scale, df=2, nc=2.0 * k))
     assert np.array_equal(model.cdf(x), want)
     assert model.cdf(np.inf) == 1.0 and model.cdf(-np.inf) == 0.0 and model.cdf(-2.0) == 0.0
+
+
+RIC = FadingModel("rician", mean_power=3.0, rician_k=2.0)
+EDGE_VALUES = [np.nan, np.inf, -np.inf, -1.0, -1e-300, 0.0, -0.0, 5e-324, 1e300]
+
+
+def rician_cdf_one_shot(model, x):
+    """One chndtr call over the whole array, with cdf's x < 0 rule."""
+    scale = model.mean_power / (2.0 * (model.rician_k + 1.0))
+    return np.where(x < 0, 0.0, special.chndtr(np.maximum(x, 0.0) / scale, 2.0,
+                                                2.0 * model.rician_k))
+
+
+def rician_points(size):
+    """Exponential draws with the edge values at both ends, so in both halves."""
+    x = np.random.default_rng(3).exponential(3.0, size)
+    x[: len(EDGE_VALUES)] = x[-len(EDGE_VALUES):] = EDGE_VALUES
+    return x
+
+
+@pytest.mark.parametrize("size", [SPLIT_POINTS - 1, SPLIT_POINTS, SPLIT_POINTS + 1,
+                                  2 * SPLIT_POINTS + 3])
+def test_rician_cdf_in_halves_equals_one_shot(size):
+    x = rician_points(size)
+    want = rician_cdf_one_shot(RIC, x)
+    assert np.isnan(want[0]) and want[1] == 1.0
+    assert np.array_equal(RIC.cdf(x), want, equal_nan=True)
+    assert np.array_equal(RIC.cdf_strict(x), want, equal_nan=True)
+
+
+def test_rician_cdf_in_halves_keeps_shape_and_views():
+    x = rician_points(3 * 5 * (SPLIT_POINTS // 7)).reshape(3, 5, -1)
+    got = RIC.cdf(x)
+    assert got.shape == x.shape
+    assert np.array_equal(got, rician_cdf_one_shot(RIC, x), equal_nan=True)
+    view = rician_points(4 * SPLIT_POINTS + 2).reshape(2 * SPLIT_POINTS + 1, 2)[::2].T
+    assert not view.flags.c_contiguous and view.size > SPLIT_POINTS
+    got = RIC.cdf(view)
+    assert got.shape == view.shape
+    assert np.array_equal(got, rician_cdf_one_shot(RIC, view), equal_nan=True)
+
+
+@pytest.mark.parametrize("size, submits", [(SPLIT_POINTS - 1, 0), (SPLIT_POINTS, 2)])
+def test_rician_cdf_splits_from_the_threshold_on(monkeypatch, size, submits):
+    calls = []
+    submit = fading._POOL.submit
+
+    def counting_submit(*args, **kwargs):
+        calls.append(args[0])
+        return submit(*args, **kwargs)
+
+    monkeypatch.setattr(fading._POOL, "submit", counting_submit)
+    RIC.cdf(rician_points(size))
+    assert calls == [special.chndtr] * submits
+
+
+def test_rician_cdf_from_outer_threads_at_once():
+    # three callers on two cores share the pool, with frequent thread switches
+    x = rician_points(3 * SPLIT_POINTS)
+    want = rician_cdf_one_shot(RIC, x)
+    got = []
+    start = threading.Barrier(3)
+
+    def work():
+        start.wait()
+        got.extend(RIC.cdf(x) for _ in range(4))
+
+    threads = [threading.Thread(target=work) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 12
+    assert all(np.array_equal(result, want, equal_nan=True) for result in got)
 
 
 def test_invalid_parameters_rejected():

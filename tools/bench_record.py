@@ -4,13 +4,15 @@
 
 Runs `perfbench/run.py` on each of its four workloads at seed 0 for 15 s,
 once untraced (the end-to-end metrics) and once traced (the per-layer
-metrics), one run at a time.  The file holds, per workload and mode, the run's
-last output line (correct, attempted, failed, metrics) with the iteration
-count and timing tails of its record in `perfbench/_work/results/`, plus the
-host (nproc, CPU, memory, Python, numpy and scipy versions), the line count
-and digest of `src/relharq`, and the wall time of the whole recording (about
-4 minutes on a 2-core host).  Exits 1 when a run fails or a job's output does
-not check out; the file is written either way.
+metrics), one run at a time, then the acceptance tests once.  The file holds,
+per workload and mode, the run's last output line (correct, attempted, failed,
+metrics) with the iteration count and timing tails of its record in
+`perfbench/_work/results/`; the call time of each acceptance criterion, read
+from pytest's `--durations` report; the host (nproc, CPU, memory, Python,
+numpy and scipy versions), the line count and digest of `src/relharq`, and the
+wall time of the whole recording (about 5 minutes on a 2-core host).  Exits 1
+when a run fails, a job's output does not check out or an acceptance test
+fails; the file is written either way.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -27,6 +30,8 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("mc", "design-ltsc", "design-stsc", "point-fine")
 SEED, SECONDS = 0, 15
 MODES = ((0, "end_to_end"), (1, "per_layer"))
+# a --durations line: "17.20s call     tests/test_acceptance.py::test_criterion_01_..."
+CRITERION_CALL = re.compile(r"^([0-9.]+)s call\s+\S+::test_criterion_(\d+)_", re.MULTILINE)
 
 
 def run(workload: str, trace: int) -> tuple:
@@ -43,6 +48,17 @@ def run(workload: str, trace: int) -> tuple:
     return summary, record
 
 
+def criteria() -> tuple:
+    """Whether the acceptance tests pass, and each criterion's call time in s."""
+    argv = [sys.executable, "-m", "pytest", "tests/test_acceptance.py", "-q", "-p",
+            "no:cacheprovider", "--durations=0", "--durations-min=0"]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, check=False)
+    times = {num: float(secs) for secs, num in CRITERION_CALL.findall(proc.stdout)}
+    return proc.returncode == 0, dict(sorted(times.items()))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("n", type=int, help="the file is named BENCH_<n>.json")
@@ -51,7 +67,7 @@ def main(argv=None) -> int:
     started = time.monotonic()
     mem_gb = round(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2**30, 1)
     bench = {"seed": SEED, "seconds": SECONDS, "host": None, "src_relharq": None,
-             "workloads": {}}
+             "workloads": {}, "acceptance": None}
     ok = True
     try:
         for workload in WORKLOADS:
@@ -68,6 +84,10 @@ def main(argv=None) -> int:
         print(f"benchmark run failed: {err}", file=sys.stderr)
         bench["error"] = str(err)
         ok = False
+    print("acceptance tests ...", file=sys.stderr, flush=True)
+    passed, call_s = criteria()
+    bench["acceptance"] = {"passed": passed, "criterion_call_s": call_s}
+    ok &= passed
     bench["record_wall_s"] = round(time.monotonic() - started, 1)
     path = ROOT / f"BENCH_{args.n}.json"
     path.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
