@@ -9,6 +9,11 @@ The gain entering the channel math is the power gain itself; rho is its mean.
 Expectations over a gain are taken on an equal-mass quantile grid (bin medians),
 which is robust for integrands with clamp kinks.
 
+The Rician cdf and ppf call the scipy.special kernels behind scipy's ncx2
+distribution (chndtr and chndtrix; the central chi2 chdtr and gammaincinv at
+nc = 0), which give its values bit for bit; importing scipy's stats subpackage
+would be most of a CLI job's start-up.
+
 A large Rician cdf runs as two halves on two threads (`_chndtr`): its kernel is
 elementwise, so each half gives the doubles it gives inside the whole array.
 """
@@ -20,7 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 _TAIL_Q = 1.0 - 1e-6  # quantile where the grid truncates the upper tail
 DEFAULT_QUAD_N = 64  # quadrature size of every closed form: quad.n and the library defaults
@@ -83,9 +88,9 @@ class FadingModel:
         else:
             xp = np.maximum(x, 0.0) / self._ncx2_scale()
             nc = 2.0 * self.rician_k
-            # chndtr is the kernel ncx2.cdf calls for nc > 0, without its
-            # argument checks; at nc = 0 ncx2.cdf takes the central chi2
-            out = _chndtr(xp, nc) if nc > 0 else stats.ncx2.cdf(xp, df=2, nc=nc)
+            # the kernels ncx2.cdf calls: chndtr for nc > 0, the central chi2
+            # chdtr at nc = 0; xp is >= 0 or NaN, where they give its values
+            out = _chndtr(xp, nc) if nc > 0 else special.chdtr(2.0, xp)
         out = np.where(x < 0, 0.0, out)
         return out if out.shape else float(out)
 
@@ -105,7 +110,11 @@ class FadingModel:
         elif self.kind == "rayleigh":
             out = -self.mean_power * np.log1p(-q)
         else:
-            out = stats.ncx2.ppf(q, df=2, nc=2.0 * self.rician_k) * self._ncx2_scale()
+            # the kernels ncx2.ppf calls; they give its 0, +inf and NaN at
+            # q = 0, q = 1 and q outside [0, 1] (the sign of a NaN may differ)
+            nc = 2.0 * self.rician_k
+            x = special.chndtrix(q, 2.0, nc) if nc > 0 else 2.0 * special.gammaincinv(1.0, q)
+            out = x * self._ncx2_scale()
         return out if out.shape else float(out)
 
     def sample(self, rng: np.random.Generator, size=None):

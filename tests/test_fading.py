@@ -40,16 +40,37 @@ def test_rician_k0_equals_rayleigh():
     assert np.max(np.abs(ric.cdf(x) - ray.cdf(x))) < 1e-9
 
 
-@pytest.mark.parametrize("k", [0.5, 1.0, 2.0, 7.5])
+# k = 0 runs the central chi2 kernels, every other k the noncentral ones
+RICIAN_KS = [0.0, 0.5, 1.0, 2.0, 7.5]
+
+
+@pytest.mark.parametrize("k", RICIAN_KS)
 def test_rician_cdf_matches_scipy_ncx2_bit_for_bit(k):
     model = FadingModel("rician", mean_power=3.0, rician_k=k)
     rng = np.random.default_rng(1)
     x = np.concatenate([rng.exponential(3.0, 20_000), rng.uniform(-5.0, 0.0, 100),
-                        [0.0, -0.0, -1e-300, 5e-324, 1e300, np.inf, -np.inf]])
+                        [0.0, -0.0, -1e-300, 5e-324, 1e300, np.inf, -np.inf, np.nan]])
     scale = model.mean_power / (2.0 * (k + 1.0))
     want = np.where(x < 0, 0.0, stats.ncx2.cdf(np.maximum(x, 0.0) / scale, df=2, nc=2.0 * k))
-    assert np.array_equal(model.cdf(x), want)
+    assert np.isnan(want[-1])
+    assert np.array_equal(model.cdf(x), want, equal_nan=True)
     assert model.cdf(np.inf) == 1.0 and model.cdf(-np.inf) == 0.0 and model.cdf(-2.0) == 0.0
+
+
+@pytest.mark.parametrize("k", RICIAN_KS)
+def test_rician_ppf_matches_scipy_ncx2_bit_for_bit(k):
+    model = FadingModel("rician", mean_power=3.0, rician_k=k)
+    scale = model.mean_power / (2.0 * (k + 1.0))
+    # the probabilities and edges quantize asks for, then ncx2.ppf's edge cases
+    qs = [0.0, 1.0, -0.1, 1.1, np.nan]
+    for n in (1, 2, 10, 64, 160, 256, 724):
+        qs += [np.minimum((np.arange(n) + 0.5) / n, fading._TAIL_Q), np.arange(1, n) / n]
+    q = np.concatenate([np.atleast_1d(part) for part in qs])
+    want = stats.ncx2.ppf(q, df=2, nc=2.0 * k) * scale
+    assert want[:2].tolist() == [0.0, np.inf] and np.isnan(want[2:5]).all()
+    assert np.array_equal(model.ppf(q), want, equal_nan=True)
+    got = model.ppf(0.3)
+    assert type(got) is float and got == stats.ncx2.ppf(0.3, df=2, nc=2.0 * k) * scale
 
 
 RIC = FadingModel("rician", mean_power=3.0, rician_k=2.0)

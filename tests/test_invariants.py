@@ -2,7 +2,10 @@
 
 import ast
 import inspect
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 
@@ -54,6 +57,15 @@ def test_config_layer_imports_neither_optimizer_nor_cli():
             if node.module is None:  # from . import x
                 names.update(alias.name for alias in node.names)
     assert names.isdisjoint({"optimize", "cli"})
+
+
+def test_the_package_does_not_import_scipy_stats():
+    # scipy.stats took most of a CLI job's start-up; scipy.special has the kernels
+    code = ("import sys, relharq, relharq.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC.parent)}, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_every_export_resolves():

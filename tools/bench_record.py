@@ -9,10 +9,12 @@ per workload and mode, the run's last output line (correct, attempted, failed,
 metrics) with the iteration count and timing tails of its record in
 `perfbench/_work/results/`; the call time of each acceptance criterion, read
 from pytest's `--durations` report; the host (nproc, CPU, memory, Python,
-numpy and scipy versions), the line count and digest of `src/relharq`, and the
-wall time of the whole recording (about 5 minutes on a 2-core host).  Exits 1
-when a run fails, a job's output does not check out or an acceptance test
-fails; the file is written either way.
+numpy and scipy versions), the line count and digest of `src/relharq`, the
+HEAD commit with whether `src/` matches it (`src_matches_head` is false when
+the file is recorded from an uncommitted tree, whose `git_commit` is then the
+parent), and the wall time of the whole recording (about 5 minutes on a 2-core
+host).  Exits 1 when a run fails, a job's output does not check out or an
+acceptance test fails; the file is written either way.
 """
 
 from __future__ import annotations
@@ -48,6 +50,14 @@ def run(workload: str, trace: int) -> tuple:
     return summary, record
 
 
+def src_matches_head():
+    """Whether `src/` is HEAD's (no staged, unstaged or untracked change), so
+    whether `git_commit` names the measured tree; None outside a git checkout."""
+    proc = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=ROOT,
+                          capture_output=True, text=True, check=False)
+    return proc.stdout == "" if proc.returncode == 0 else None
+
+
 def criteria() -> tuple:
     """Whether the acceptance tests pass, and each criterion's call time in s."""
     argv = [sys.executable, "-m", "pytest", "tests/test_acceptance.py", "-q", "-p",
@@ -79,7 +89,8 @@ def main(argv=None) -> int:
                 entry[mode] = {**summary, "iterations": len(record["iterations"]),
                                "tails": record["tails"]}
                 bench["host"] = {**record["host"], "mem_total_gb": mem_gb}
-                bench["src_relharq"] = record["provenance"]
+                bench["src_relharq"] = {**record["provenance"],
+                                        "src_matches_head": src_matches_head()}
     except RuntimeError as err:
         print(f"benchmark run failed: {err}", file=sys.stderr)
         bench["error"] = str(err)
