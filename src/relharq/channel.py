@@ -118,14 +118,17 @@ def _split_gain(a, d):
     return 1.0 + ratio
 
 
+def _info(p, p_bar, b, g):
+    """f_I from b = 1 + a/d and g = s b + a = s + a(1 + s/d): the one copy of its formula."""
+    return 0.5 * np.log2(1.0 + p * g / (b + p_bar * g))
+
+
 def mutual_info(p, p_bar, a, s, d):
-    """f_I(P, Pbar, a, s, d) in bits/symbol."""
-    p = np.asarray(p, dtype=float)
-    p_bar = np.asarray(p_bar, dtype=float)
-    s = np.asarray(s, dtype=float)
+    """f_I(P, Pbar, a, s, d) in bits/symbol: `_split_gain`, then `_info`, which
+    the simulator calls directly on the b and g it forms once per session or slot."""
     b = _split_gain(a, d)
-    g = s * b + np.asarray(a, dtype=float)  # s + a(1 + s/d)
-    out = 0.5 * np.log2(1.0 + p * g / (b + p_bar * g))
+    g = np.asarray(s, dtype=float) * b + np.asarray(a, dtype=float)
+    out = _info(np.asarray(p, dtype=float), np.asarray(p_bar, dtype=float), b, g)
     return out if out.shape else float(out)
 
 

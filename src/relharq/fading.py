@@ -129,7 +129,13 @@ class FadingModel:
         sigma = math.sqrt(self.mean_power / (2.0 * (k + 1.0)))
         g1 = rng.standard_normal(size)
         g2 = rng.standard_normal(size)
-        return (nu + sigma * g1) ** 2 + (sigma * g2) ** 2
+        if np.ndim(g1) == 0:  # floats at size None, 0-d arrays at size ()
+            return (nu + sigma * g1) ** 2 + (sigma * g2) ** 2
+        # the same operations in place over the two draws
+        g1 *= sigma
+        g1 += nu
+        g2 *= sigma
+        return np.add(np.square(g1, out=g1), np.square(g2, out=g2), out=g1)
 
 
 def cdf_of_min(u, v, Fu, Fv):

@@ -18,15 +18,14 @@ are views of it).  The single-layer slice (r2 = 0, alpha = 1) is scanned and
 refined once and seeds the rest; the two-layer lattice is streamed by alpha
 once and refined once; Dinkelbach then runs for the per-node classes from
 those incumbents.  Its per-node values E[R|d], E[L|d] do not depend on
-lambda, so each alpha block is reduced once to a per-node front: the rows
+lambda, so each alpha block is reduced once to a per-node front, the rows
 that can be the first argmax of R - lambda L for some lambda >= 0 after
-rounding (`_front`: a row goes when an earlier row is at least as good in
-both R and L, or any row is better in both by 16 unit roundoffs).  Dinkelbach
-takes np.argmax over each front in lattice order, so every pick, tie, lambda
-and iteration count is the one a full-lattice scan gives.  When n_nodes ==
-quad_n the fronts come from the scan's own blocks; otherwise the node grid is
-evaluated once, one block at a time.  A block whose front stays large, and
-every block while lambda < 0, is evaluated in full again.
+rounding (`_front`).  Dinkelbach takes np.argmax over each front in lattice
+order, so every pick, tie, lambda and iteration count is the one a
+full-lattice scan gives.  When n_nodes == quad_n the fronts come from the
+scan's own blocks; otherwise the node grid is evaluated once, one block at a
+time.  A block whose front stays large, and every block while lambda < 0, is
+evaluated in full again.
 """
 
 from __future__ import annotations

@@ -4,6 +4,18 @@ Sessions run slot by slot on the accumulated-mutual-information decode rule
 alone; none of the closed-form outage expressions enter, so these estimates
 are an independent oracle for the analytic tables.
 
+Evaluation rule: a slot forms each session's channel terms once.  The
+compression gain a, b = 1 + a/d and g = s b + a are formed once per session
+under LTSC, where the gains are frozen (an adaptation overwrites b and g at
+the sessions it acknowledges), and once per slot under STSC.  Each layer then
+takes one f_I pass (`channel._info`); layer 2 selects its powers per session,
+against layer 1 or alone, before its pass.  Selecting an elementwise op's
+operands and then computing equals computing and then selecting, so every
+element takes the float operations `mutual_info` would, in the same order,
+and every counter and trace is bit-identical to a stepper that calls
+`mutual_info` per slot and layer (the reference in
+`tests/test_exact_reference.py`).
+
 Determinism: session batch b draws from the b-th spawn of the master
 SeedSequence and batch counters are reduced in batch order, so a report is
 bit-identical for any worker count and across repeated runs.
@@ -20,11 +32,12 @@ from .channel import (
     CompressionPolicy,
     RatePolicy,
     SystemConfig,
+    _info,
+    _split_gain,
     backhaul_usage,
     check_supported,
     conservative_gain,
     infer_s_hat,
-    mutual_info,
 )
 from .fading import quantize
 from .tables import NumericalError, ProbabilityTable
@@ -63,14 +76,19 @@ class EstimateReport:
 
 
 def _resolve_rates(policy: RatePolicy, cfg: SystemConfig, d1: np.ndarray):
-    """Per-session (r1, r2, alpha) arrays; lcsit tuples follow the slot-1 draw."""
+    """(r1, r2, alpha): floats for a single tuple, per-session arrays for lcsit
+    tuples, which follow the slot-1 draw."""
     if policy.mode == "no_lcsit":
-        n = len(d1)
-        return (np.full(n, float(policy.r1)), np.full(n, float(policy.r2)),
-                np.full(n, float(policy.alpha)), None)
+        return float(policy.r1), float(policy.r2), float(policy.alpha), None
     grid = quantize(cfg.model_d, len(policy.r1))
     idx = grid.node_index(d1)
     return policy.r1[idx], policy.r2[idx], policy.alpha[idx], grid
+
+
+def _take(x, idx):
+    """x at idx as an array, whether x is per session or one float, so that
+    infer_s_hat runs the same array loops for a single tuple as for lcsit ones."""
+    return x[idx] if np.ndim(x) else np.full(idx.size, x)
 
 
 def _run_batch(cfg: SystemConfig, policy: RatePolicy, comp: CompressionPolicy,
@@ -80,21 +98,21 @@ def _run_batch(cfg: SystemConfig, policy: RatePolicy, comp: CompressionPolicy,
     cmax, s_min = cfg.backhaul_capacity, cfg.s_min
     ltsc = cfg.channel_regime == "ltsc"
 
+    def gains(d, s):
+        a = conservative_gain(d, s_min, P, cmax)
+        b = _split_gain(a, d)
+        return a, b, s * b + a
+
+    dt = cfg.model_d.sample(rng, n)
+    st = cfg.model_s.sample(rng, n)
+    r1, r2, alpha, grid = _resolve_rates(policy, cfg, dt)
     if ltsc:
-        d0 = cfg.model_d.sample(rng, n)
-        s0 = cfg.model_s.sample(rng, n)
-        d1 = d0
-    else:
-        d1 = cfg.model_d.sample(rng, n)
-        s1 = cfg.model_s.sample(rng, n)
-    r1, r2, alpha, grid = _resolve_rates(policy, cfg, d1)
+        a, b, g = gains(dt, st)
 
     acc1 = np.zeros(n)
     acc2 = np.zeros(n)
     k1 = np.zeros(n, dtype=np.int64)   # 0 = undecoded
     k2 = np.zeros(n, dtype=np.int64)
-    adapted = np.zeros(n, dtype=bool)
-    a_hat = np.zeros(n)
     s_hat = np.full(n, np.nan)
     ack_slot = np.zeros(n, dtype=np.int64)
     violations = 0
@@ -104,43 +122,37 @@ def _run_batch(cfg: SystemConfig, policy: RatePolicy, comp: CompressionPolicy,
         acc1_tr, acc2_tr = np.zeros((T, n)), np.zeros((T, n))
 
     for t in range(1, T + 1):
-        if ltsc:
-            dt, st = d0, s0
-        elif t == 1:
-            dt, st = d1, s1
-        else:
-            dt = cfg.model_d.sample(rng, n)
-            st = cfg.model_s.sample(rng, n)
+        if not ltsc:
+            if t > 1:
+                dt = cfg.model_d.sample(rng, n)
+                st = cfg.model_s.sample(rng, n)
+            a, b, g = gains(dt, st)
         alpha_t = alpha if (policy.mode == "no_lcsit" or ltsc) else policy.alpha[grid.node_index(dt)]
-
-        a_t = conservative_gain(dt, s_min, P, cmax)
-        if comp.adaptive:
-            a_t = np.where(adapted, a_hat, a_t)
 
         pend1 = k1 == 0
         pend2 = k2 == 0
         p_sig1, p_sig2 = alpha_t * P, (1.0 - alpha_t) * P
         p_int2 = p_sig1 if cfg.bc_layer2_interference else 0.0
-        i1 = mutual_info(p_sig1, p_sig2, a_t, st, dt)
-        i2 = np.where(pend1,
-                      mutual_info(p_sig2, p_int2, a_t, st, dt),
-                      mutual_info(P, 0.0, a_t, st, dt))
-        acc1 = np.where(pend1, acc1 + i1, acc1)
-        acc2 = np.where(pend2, acc2 + i2, acc2)
-        k1[pend1 & (acc1 >= r1)] = t
-        k2[pend2 & (k1 > 0) & (acc2 >= r2)] = t
+        i1 = _info(p_sig1, p_sig2, b, g)
+        # layer 2 faces layer 1 until layer 1 is decoded, then has the whole slot
+        i2 = _info(np.where(pend1, p_sig2, P), np.where(pend1, p_int2, 0.0), b, g)
+        np.add(acc1, i1, out=acc1, where=pend1)
+        np.add(acc2, i2, out=acc2, where=pend2)
+        np.copyto(k1, t, where=pend1 & (acc1 >= r1))
+        np.copyto(k2, t, where=pend2 & (k1 > 0) & (acc2 >= r2))
 
         if comp.adaptive:
-            ack = (k1 == t) & (k2 == 0)  # layer-1-only feedback this slot
-            if np.any(ack):
-                a_d = conservative_gain(dt[ack], s_min, P, cmax)
-                sh = infer_s_hat(r1[ack], t, alpha_t[ack], dt[ack], a_d, P, s_min)
+            ack = np.flatnonzero((k1 == t) & (k2 == 0))  # layer-1-only feedback this slot
+            if ack.size:
+                d_a, s_a = dt[ack], st[ack]
+                sh = infer_s_hat(_take(r1, ack), t, _take(alpha_t, ack), d_a, a[ack], P, s_min)
                 s_hat[ack] = sh
-                a_hat[ack] = conservative_gain(dt[ack], sh, P, cmax)
-                adapted |= ack
+                a_hat = conservative_gain(d_a, sh, P, cmax)
+                b[ack] = b_hat = _split_gain(a_hat, d_a)
+                g[ack] = s_a * b_hat + a_hat
                 ack_slot[ack] = t
-                bad = (st[ack] < sh - _FEAS_TOL) | (
-                    backhaul_usage(a_hat[ack], dt[ack], st[ack], P) > cmax + _FEAS_TOL
+                bad = (s_a < sh - _FEAS_TOL) | (
+                    backhaul_usage(a_hat, d_a, s_a, P) > cmax + _FEAS_TOL
                 )
                 violations += int(np.count_nonzero(bad))
 
@@ -161,7 +173,7 @@ def _run_batch(cfg: SystemConfig, policy: RatePolicy, comp: CompressionPolicy,
         "sum_R": float(reward.sum()),
         "sum_R2": float((reward * reward).sum()),
         "sum_RL": float((reward * lengths).sum()),
-        "adaptations": int(np.count_nonzero(adapted)),
+        "adaptations": int(np.count_nonzero(ack_slot)),
         "violations": violations,
         "n": n,
     }
@@ -195,8 +207,10 @@ def estimate(cfg: SystemConfig, policy: RatePolicy, comp: CompressionPolicy,
              workers: int = 1) -> EstimateReport:
     """Empirical tables and throughput from n_sessions independent sessions."""
     check_supported(cfg, comp, backend="mc")
-    if n_sessions < 1:
-        raise ValueError("n_sessions must be >= 1")
+    for name, value in (("n_sessions", n_sessions), ("batch_size", batch_size),
+                        ("workers", workers)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1")
     T = cfg.max_rounds
     sizes = [batch_size] * (n_sessions // batch_size)
     if n_sessions % batch_size:

@@ -1,8 +1,10 @@
-"""Exact-equality oracles for the LTSC and STSC evaluators and the optimizer.
+"""Exact-equality oracles for the LTSC and STSC evaluators, the optimizer and
+the Monte Carlo stepper.
 
 The evaluators share one S-link cdf pass per threshold array.  The optimizer
 finds every policy class in one lattice pass and runs Dinkelbach on per-node
-candidate fronts.  All of these are meant to change no bit of any result, so
+candidate fronts.  The stepper forms each session's gains once and takes one
+mutual-information pass per layer and slot.  All of these are meant to change no bit of any result, so
 the straightforward forms they replaced are kept here as references and
 compared with np.array_equal and ==.
 
@@ -24,9 +26,10 @@ import pytest
 
 from relharq import ltsc
 from relharq import optimize as opt
+from relharq import simulate as sim
 from relharq.channel import (CompressionPolicy, RatePolicy, SystemConfig,
-                             conservative_gain, infer_s_hat, mutual_info,
-                             slot_threshold)
+                             backhaul_usage, check_supported, conservative_gain,
+                             infer_s_hat, mutual_info, slot_threshold)
 from relharq.fading import FadingModel, QuadratureGrid, quantize
 from relharq.ltsc import node_tables
 from relharq.optimize import GridSpec, OptimizationResult
@@ -701,3 +704,177 @@ def test_lcsit_peak_memory_is_no_higher_than_reference(n_nodes):
     # both peak inside node_tables on one (41, 41, 32) scan block, about 5 MB;
     # the driver's own Python objects (dicts, closure cells) add under 1 KiB
     assert peaks[0] <= peaks[1] + 4096
+
+
+# ---- the Monte Carlo stepper
+
+
+def reference_run_batch(cfg: SystemConfig, policy: RatePolicy, comp: CompressionPolicy,
+                        rng: np.random.Generator, n: int, trace: bool = False):
+    """simulate._run_batch as written before each slot formed its gains once:
+    a, b and g are recomputed by three mutual_info calls per slot, and layer 2
+    takes both of its branches in full."""
+    T, P = cfg.max_rounds, cfg.power
+    cmax, s_min = cfg.backhaul_capacity, cfg.s_min
+    ltsc = cfg.channel_regime == "ltsc"
+
+    if ltsc:
+        d0 = cfg.model_d.sample(rng, n)
+        s0 = cfg.model_s.sample(rng, n)
+        d1 = d0
+    else:
+        d1 = cfg.model_d.sample(rng, n)
+        s1 = cfg.model_s.sample(rng, n)
+    if policy.mode == "no_lcsit":
+        r1, r2, alpha = (np.full(n, float(policy.r1)), np.full(n, float(policy.r2)),
+                         np.full(n, float(policy.alpha)))
+    else:
+        grid = quantize(cfg.model_d, len(policy.r1))
+        idx = grid.node_index(d1)
+        r1, r2, alpha = policy.r1[idx], policy.r2[idx], policy.alpha[idx]
+
+    acc1 = np.zeros(n)
+    acc2 = np.zeros(n)
+    k1 = np.zeros(n, dtype=np.int64)   # 0 = undecoded
+    k2 = np.zeros(n, dtype=np.int64)
+    adapted = np.zeros(n, dtype=bool)
+    a_hat = np.zeros(n)
+    s_hat = np.full(n, np.nan)
+    ack_slot = np.zeros(n, dtype=np.int64)
+    violations = 0
+
+    if trace:
+        d_tr, s_tr = np.zeros((T, n)), np.zeros((T, n))
+        acc1_tr, acc2_tr = np.zeros((T, n)), np.zeros((T, n))
+
+    for t in range(1, T + 1):
+        if ltsc:
+            dt, st = d0, s0
+        elif t == 1:
+            dt, st = d1, s1
+        else:
+            dt = cfg.model_d.sample(rng, n)
+            st = cfg.model_s.sample(rng, n)
+        alpha_t = alpha if (policy.mode == "no_lcsit" or ltsc) else policy.alpha[grid.node_index(dt)]
+
+        a_t = conservative_gain(dt, s_min, P, cmax)
+        if comp.adaptive:
+            a_t = np.where(adapted, a_hat, a_t)
+
+        pend1 = k1 == 0
+        pend2 = k2 == 0
+        p_sig1, p_sig2 = alpha_t * P, (1.0 - alpha_t) * P
+        p_int2 = p_sig1 if cfg.bc_layer2_interference else 0.0
+        i1 = mutual_info(p_sig1, p_sig2, a_t, st, dt)
+        i2 = np.where(pend1,
+                      mutual_info(p_sig2, p_int2, a_t, st, dt),
+                      mutual_info(P, 0.0, a_t, st, dt))
+        acc1 = np.where(pend1, acc1 + i1, acc1)
+        acc2 = np.where(pend2, acc2 + i2, acc2)
+        k1[pend1 & (acc1 >= r1)] = t
+        k2[pend2 & (k1 > 0) & (acc2 >= r2)] = t
+
+        if comp.adaptive:
+            ack = (k1 == t) & (k2 == 0)  # layer-1-only feedback this slot
+            if np.any(ack):
+                a_d = conservative_gain(dt[ack], s_min, P, cmax)
+                sh = infer_s_hat(r1[ack], t, alpha_t[ack], dt[ack], a_d, P, s_min)
+                s_hat[ack] = sh
+                a_hat[ack] = conservative_gain(dt[ack], sh, P, cmax)
+                adapted |= ack
+                ack_slot[ack] = t
+                bad = (st[ack] < sh - sim._FEAS_TOL) | (
+                    backhaul_usage(a_hat[ack], dt[ack], st[ack], P) > cmax + sim._FEAS_TOL
+                )
+                violations += int(np.count_nonzero(bad))
+
+        if trace:
+            d_tr[t - 1], s_tr[t - 1] = dt, st
+            acc1_tr[t - 1], acc2_tr[t - 1] = acc1, acc2
+
+    if np.isnan(acc1).any() or np.isnan(acc2).any():
+        raise NumericalError("mutual information is NaN in a Monte Carlo session")
+    lengths = np.where(k2 > 0, k2, T)
+    reward = r1 * (k1 > 0) + r2 * (k2 > 0)
+    out = {
+        "c1": np.bincount(k1, minlength=T + 1),
+        "c2": np.bincount(k2, minlength=T + 1),
+        "sum_L": int(lengths.sum()),
+        "sum_L2": int((lengths * lengths).sum()),
+        "sum_R": float(reward.sum()),
+        "sum_R2": float((reward * reward).sum()),
+        "sum_RL": float((reward * lengths).sum()),
+        "adaptations": int(np.count_nonzero(adapted)),
+        "violations": violations,
+        "n": n,
+    }
+    if trace:
+        out["trace"] = (d_tr, s_tr, acc1_tr, acc2_tr, k1, k2, lengths, ack_slot, s_hat)
+    return out
+
+
+MC_D = FadingModel("rician", 2.0, rician_k=1.5)
+MC_S = FadingModel("rayleigh", 1.2)
+MC_SINGLE = RatePolicy.constant(0.9, 0.45, 0.8)
+# four D nodes, each with its own tuple; one node sends a single layer
+MC_PER_NODE = RatePolicy.per_node([0.5, 0.8, 1.1, 1.4], [0.6, 0.4, 0.0, 0.3],
+                                  [0.7, 0.85, 1.0, 0.9])
+# (regime, compression, policy, D, S, bc_layer2_interference); the simulator
+# takes adaptive compression under LTSC only (test_simulate.py::test_adaptive_needs_ltsc)
+MC_CASES = {
+    "ltsc-constant-single": ("ltsc", CONST, MC_SINGLE, MC_D, MC_S, False),
+    "ltsc-constant-per-node": ("ltsc", CONST, MC_PER_NODE, MC_D, MC_S, False),
+    "ltsc-adaptive-single": ("ltsc", ADAPT, MC_SINGLE, MC_D, MC_S, False),
+    "ltsc-adaptive-per-node": ("ltsc", ADAPT, MC_PER_NODE, MC_D, MC_S, False),
+    "ltsc-adaptive-bc": ("ltsc", ADAPT, MC_SINGLE, MC_D, MC_S, True),
+    "ltsc-adaptive-pointmass-s": ("ltsc", ADAPT, MC_SINGLE, MC_D,
+                                  FadingModel("pointmass", point_value=0.7), False),
+    "ltsc-adaptive-dead-relay": ("ltsc", ADAPT, MC_SINGLE,
+                                 FadingModel("pointmass", point_value=0.0), MC_S, False),
+    "stsc-single": ("stsc", CONST, MC_SINGLE, MC_D, MC_S, False),
+    "stsc-per-node": ("stsc", CONST, MC_PER_NODE, MC_D, MC_S, False),
+    "stsc-bc-rician-s": ("stsc", CONST, MC_SINGLE, MC_D,
+                         FadingModel("rician", 1.0, rician_k=2.0), True),
+    "stsc-bc-pointmass-s": ("stsc", CONST, MC_PER_NODE, MC_D,
+                            FadingModel("pointmass", point_value=0.7), True),
+    "stsc-dead-relay": ("stsc", CONST, MC_SINGLE,
+                        FadingModel("pointmass", point_value=0.0), MC_S, True),
+}
+
+
+def assert_batches_equal(got, want):
+    assert got.keys() == want.keys()
+    for key in want:
+        if key == "trace":
+            for g, w in zip(got[key], want[key], strict=True):
+                assert g.dtype == w.dtype and np.array_equal(g, w, equal_nan=True)
+        elif isinstance(want[key], np.ndarray):
+            assert np.array_equal(got[key], want[key])
+        else:
+            assert type(got[key]) is type(want[key]) and got[key] == want[key], key
+
+
+@pytest.mark.parametrize("n", [1, 7, 4096])
+@pytest.mark.parametrize("T", [1, 2, 3, 5])
+@pytest.mark.parametrize("case", sorted(MC_CASES))
+def test_run_batch_matches_reference(case, T, n):
+    regime, comp, policy, model_d, model_s, bc = MC_CASES[case]
+    cfg = SystemConfig(power=1.5, backhaul_capacity=0.8, max_rounds=T, model_d=model_d,
+                       model_s=model_s, channel_regime=regime, bc_layer2_interference=bc)
+    check_supported(cfg, comp, backend="mc")
+    for trace in (False, True):
+        runs = [f(cfg, policy, comp, np.random.default_rng(7 * T + n), n, trace=trace)
+                for f in (sim._run_batch, reference_run_batch)]
+        assert_batches_equal(*runs)
+    if comp.adaptive and n == 4096 and T > 1:
+        assert runs[0]["adaptations"] > 0  # the adaptive branch ran
+
+
+@pytest.mark.parametrize("regime, comp", [("ltsc", CONST), ("ltsc", ADAPT), ("stsc", CONST)])
+def test_run_batch_overflowed_backhaul_raises_like_reference(regime, comp):
+    # 2^(2 Cmax) overflows at Cmax = 1e6: the gains are inf and f_I is NaN
+    cfg = SystemConfig(power=1.0, backhaul_capacity=1e6, max_rounds=2, model_d=MC_D,
+                       model_s=MC_S, channel_regime=regime)
+    for run in (sim._run_batch, reference_run_batch):
+        with pytest.raises(NumericalError, match="mutual information"):
+            run(cfg, MC_SINGLE, comp, np.random.default_rng(0), 64)

@@ -185,6 +185,21 @@ def test_sampler_mean_power(model):
     assert abs(x.mean() - model.mean_power) < 3 * math.sqrt(var / n)
 
 
+@pytest.mark.parametrize("size", [None, (), 1, 65537, (3, 5)])
+@pytest.mark.parametrize("k", [0.0, 2.5])
+def test_rician_sample_equals_the_two_normal_expression(size, k):
+    model = FadingModel("rician", mean_power=1.7, rician_k=k)
+    nu = math.sqrt(model.mean_power * k / (k + 1.0))
+    sigma = math.sqrt(model.mean_power / (2.0 * (k + 1.0)))
+    rng = np.random.default_rng(11)
+    g1, g2 = rng.standard_normal(size), rng.standard_normal(size)
+    want = (nu + sigma * g1) ** 2 + (sigma * g2) ** 2
+    got = model.sample(np.random.default_rng(11), size)
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want)
+
+
 def test_pointmass_sampler_constant():
     rng = np.random.default_rng(0)
     x = FadingModel("pointmass", point_value=2.0).sample(rng, 100)

@@ -244,6 +244,14 @@ class TestPolicyResolution:
         with pytest.raises(ValueError, match="n_sessions"):
             estimate(cfg, RatePolicy.constant(1, 0.5, 0.9), CONST, 0, master_seed=0)
 
+    @pytest.mark.parametrize("knob, value", [("batch_size", 0), ("batch_size", -5),
+                                             ("workers", 0), ("workers", -1)])
+    def test_bad_batch_size_or_workers(self, knob, value):
+        cfg = pm_cfg(1.0, 1.0)
+        with pytest.raises(ValueError, match=f"{knob} must be >= 1"):
+            estimate(cfg, RatePolicy.constant(1, 0.5, 0.9), CONST, 100, master_seed=0,
+                     **{knob: value})
+
 
 class TestNumericalFailure:
     @pytest.mark.parametrize("regime", ["ltsc", "stsc"])
