@@ -81,6 +81,9 @@ class RatePolicy:
             raise ValueError("alpha must be in [0, 1]")
         if self.mode == "no_lcsit" and not (self.r1.ndim == self.r2.ndim == self.alpha.ndim == 0):
             raise ValueError("no_lcsit policy takes a single tuple")
+        if self.mode == "lcsit" and not (self.r1.ndim == self.r2.ndim == self.alpha.ndim == 1
+                                         and self.r1.size == self.r2.size == self.alpha.size > 0):
+            raise ValueError("lcsit policy takes 1-D r1, r2 and alpha of one length >= 1")
 
     @classmethod
     def constant(cls, r1: float, r2: float, alpha: float) -> "RatePolicy":

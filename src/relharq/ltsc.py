@@ -61,8 +61,10 @@ def node_tables(
     """Per-node conditional tables (p1, p2_out), each shaped (..., nd, T).
 
     r1/r2/alpha broadcast against the node axis, so a scalar tuple gives
-    (nd, T) and per-node policies pass nd-vectors.  p2_out(k) is F(x_k) plus
-    the S-mass of [x_l, min(x_{l-1}, thr_l(k))) for l = 1..k, added in order.
+    (nd, T) and per-node policies pass nd-vectors.  p1(k) = F(x_k) is built at
+    the thresholds' own (r1, alpha, node) shape and returned as a read-only
+    view at the block shape.  p2_out(k) is F(x_k) plus the S-mass of
+    [x_l, min(x_{l-1}, thr_l(k))) for l = 1..k, added in order.
     """
     check_supported(cfg, comp, regime="ltsc")
     P, cmax, T = cfg.power, cfg.backhaul_capacity, cfg.max_rounds
@@ -85,9 +87,7 @@ def node_tables(
     for l in range(1, T + 1):
         x.append(slot_threshold(r1, l, alpha * P, abar * P, a, d))
     Fx = [F(v) for v in x]
-    p1 = np.empty(shape + (T,))
-    for k in range(1, T + 1):
-        p1[..., k - 1] = Fx[k]
+    p1 = np.broadcast_to(np.stack(Fx[1:], axis=-1), shape + (T,))
     p2o = p1.copy()
 
     # l-major: thr is thr_l(k), the S-threshold for "layer 2 decoded by slot k

@@ -22,10 +22,12 @@ lambda, so each alpha block is reduced once to a per-node front, the rows
 that can be the first argmax of R - lambda L for some lambda >= 0 after
 rounding (`_front`).  Dinkelbach takes np.argmax over each front in lattice
 order, so every pick, tie, lambda and iteration count is the one a
-full-lattice scan gives.  When n_nodes == quad_n the fronts come from the
-scan's own blocks; otherwise the node grid is evaluated once, one block at a
-time.  A block whose front stays large, and every block while lambda < 0, is
-evaluated in full again.
+full-lattice scan gives.  Every block, scanned or not, comes from
+`_Evaluator.block` as per-node (E[R], E[L], weights): when n_nodes == quad_n
+the scan keeps the front of each block it forms; otherwise the node grid is
+passed to `block` and evaluated once, one alpha block at a time.  A block
+whose front stays large, and every block while lambda < 0, is formed in full
+again the same way.
 """
 
 from __future__ import annotations
@@ -55,8 +57,9 @@ class OptimizationResult:
 
 
 class _Evaluator:
-    """eta of one scenario by regime and backend: over a (r1, r2) block at fixed
-    alpha (the optimizer's scan), or at one policy with its table (`report`).
+    """One scenario by regime and backend: per-node E[R], E[L] and node weights
+    over a (r1, r2) block at fixed alpha (`block`, the optimizer's scan), or eta
+    and the table at one policy (`report`).
 
     mc holds the Monte Carlo budget as keywords of `estimate` (n_sessions,
     master_seed, batch_size, workers); keys left out keep their defaults here.
@@ -78,28 +81,29 @@ class _Evaluator:
             self.grid = slot1_grid(cfg, quad_n)
         self.n_evals = 0
 
-    def block(self, r1v: np.ndarray, r2v: np.ndarray, alpha: float, visit=None) -> np.ndarray:
-        """eta over the block; visit(reward, length) sees the LTSC per-node values."""
+    def block(self, r1v: np.ndarray, r2v: np.ndarray, alpha: float, grid=None):
+        """Per-node (reward, length, weights) over the block: E[R|d] and E[L|d]
+        shaped (q1, q2, nd), the node weights (nd,); eta is their weighted ratio.
+
+        LTSC is read on `grid` (default: the evaluator's D node grid); the STSC
+        quantities and a Monte Carlo eta (with length 1) are one node of weight 1.
+        """
         self.n_evals += len(r1v) * len(r2v)
         if self.backend == "mc":
-            out = np.empty((len(r1v), len(r2v)))
-            for i, r1 in enumerate(r1v):
-                for j, r2 in enumerate(r2v):
-                    # common random numbers: every tuple sees the same seed
-                    out[i, j] = estimate(self.cfg, RatePolicy.constant(r1, r2, alpha),
-                                         self.comp, **self.mc).eta
-            return out
+            # common random numbers: every tuple sees the same seed
+            eta = [[self.report(RatePolicy.constant(r1, r2, alpha)).eta for r2 in r2v]
+                   for r1 in r1v]
+            return np.array(eta)[..., None], np.ones((len(r1v), len(r2v), 1)), np.ones(1)
         if self.cfg.channel_regime == "ltsc":
+            grid = grid or self.grid
             reward, length = node_reward_length(
-                self.cfg, r1v[:, None, None], r2v[None, :, None], np.float64(alpha),
-                self.grid, self.comp,
+                self.cfg, r1v[:, None, None], r2v[None, :, None], np.float64(alpha), grid,
+                self.comp,
             )
-            if visit is not None:
-                visit(reward, length)
-            return (reward @ self.grid.weights) / (length @ self.grid.weights)
+            return reward, length, grid.weights
         q = stsc_quantities(self.cfg, r1v, r2v, alpha, self.quad_n, grid=self.grid)
         reward, length = reward_length(r1v[:, None], r2v[None, :], *quantity_tables(q)[:2])
-        return reward / length
+        return reward[..., None], length[..., None], np.ones(1)
 
     def report(self, policy: RatePolicy):
         """eta, expected_reward, expected_length and table at one policy.
@@ -146,9 +150,13 @@ def _better(cand, best):
     return cand[2:] < best[2:]
 
 
-def _scan(ev: _Evaluator, r1_axis, r2_axis, alpha_axis, best=None, visit=None):
+def _scan(ev: _Evaluator, r1_axis, r2_axis, alpha_axis, best=None, fronts=None):
+    """Best (eta, alpha, r1, r2) over the lattice; appends each block's _front to fronts."""
     for alpha in alpha_axis:
-        eta = ev.block(r1_axis, r2_axis, float(alpha), visit)
+        reward, length, weights = ev.block(r1_axis, r2_axis, float(alpha))
+        if fronts is not None:
+            fronts.append(_front(reward, length))
+        eta = (reward @ weights) / (length @ weights)
         flat = int(np.argmax(eta))  # first max: lexicographic-min (r1, r2)
         i, j = divmod(flat, eta.shape[1])
         cand = (float(eta[i, j]), float(alpha), float(r1_axis[i]), float(r2_axis[j]))
@@ -176,12 +184,6 @@ def _result(ev: _Evaluator, best, extra_meta, n_evals):
     policy = RatePolicy.constant(best[2], best[3], best[1])
     meta = {"grid_eta": best[0], "n_evals": n_evals, **extra_meta}
     return OptimizationResult(policy=policy, eta=best[0], backend=ev.backend, metadata=meta)
-
-
-def _node_block(node_rl, lattice, alpha):
-    """Per-node (E[R|d], E[L|d]) over the (r1, r2) lattice at alpha, shaped (q1, q2, nd)."""
-    r1_axis, r2_axis, _ = lattice
-    return node_rl(r1_axis[:, None, None], r2_axis[None, :, None], np.float64(alpha))
 
 
 def _compact(keep, *arrays):
@@ -256,11 +258,12 @@ def _front(reward: np.ndarray, length: np.ndarray):
     return pos, r, l
 
 
-def _dinkelbach(node_rl, grid, base, lattice, fronts, tol, max_iter, policy_class):
-    """Per-node tuples over `lattice` by Dinkelbach, from the incumbent `base`.
+def _dinkelbach(ev: _Evaluator, grid, base, lattice, fronts, tol, max_iter, policy_class):
+    """Per-node tuples over `lattice` on the node grid `grid` by Dinkelbach, from
+    the incumbent `base`.
 
     fronts[a] holds the candidates of alpha block a (see _front); a block
-    without one, and every block while lam < 0, is evaluated in full again.
+    without one, and every block while lam < 0, is formed in full again.
     """
     r1_axis, r2_axis, alpha_axis = lattice
     nd = len(grid.nodes)
@@ -269,7 +272,7 @@ def _dinkelbach(node_rl, grid, base, lattice, fronts, tol, max_iter, policy_clas
     r2n = np.full(nd, float(base.policy.r2))
     an = np.full(nd, float(base.policy.alpha))
 
-    reward_inc, length_inc = node_rl(r1n, r2n, an)
+    reward_inc, length_inc = node_reward_length(ev.cfg, r1n, r2n, an, grid, ev.comp)
     lam = float((reward_inc @ grid.weights) / (length_inc @ grid.weights))
     trajectory = [lam]
     converged = False
@@ -280,7 +283,8 @@ def _dinkelbach(node_rl, grid, base, lattice, fronts, tol, max_iter, policy_clas
         for alpha, front in zip(alpha_axis, fronts):
             if front is None or not lam >= 0:
                 pos = None
-                reward, length = (x.reshape(-1, nd) for x in _node_block(node_rl, lattice, alpha))
+                reward, length = (x.reshape(-1, nd)
+                                  for x in ev.block(r1_axis, r2_axis, alpha, grid)[:2])
             else:
                 pos, reward, length = front
             score = reward - lam * length
@@ -295,7 +299,7 @@ def _dinkelbach(node_rl, grid, base, lattice, fronts, tol, max_iter, policy_clas
                 new_a[gain] = alpha
                 best_score = np.where(gain, top, best_score)
         r1n, r2n, an = new_r1, new_r2, new_a
-        reward_inc, length_inc = node_rl(r1n, r2n, an)
+        reward_inc, length_inc = node_reward_length(ev.cfg, r1n, r2n, an, grid, ev.comp)
         lam_new = float((reward_inc @ grid.weights) / (length_inc @ grid.weights))
         if lam_new < lam - 1e-12:
             raise NumericalError(
@@ -333,22 +337,17 @@ def _optimize(ev: _Evaluator, classes, grid_spec: GridSpec = GridSpec(),
     r_axis = grid_spec.r_axis()
     lattices = {"sl": (r_axis, np.array([0.0]), np.array([1.0])),
                 "bc": (r_axis, r_axis, grid_spec.alpha_axis())}
-    fronts = {c[:2]: [] for c in per_node}
     share = nd == ev.quad_n  # the scan's blocks are then the per-node blocks
-
-    def visit(kind):
-        if not (share and kind in fronts):
-            return None
-        return lambda reward, length: fronts[kind].append(_front(reward, length))
+    fronts = {c[:2]: [] for c in per_node} if share else {}
 
     out = {}
-    best = _scan(ev, *lattices["sl"], visit=visit("sl"))
+    best = _scan(ev, *lattices["sl"], fronts=fronts.get("sl"))
     best = _refine(ev, grid_spec, best, frozen_r2=0.0, frozen_alpha=1.0)
     out["sl"] = _result(ev, best, {"policy_class": "single_layer",
                                    "grid": (grid_spec.r_max, grid_spec.r_step)}, ev.n_evals)
     if "bc" in classes or "bc-lcsit" in classes:
         seed, n_sl = best, ev.n_evals
-        best = _scan(ev, *lattices["bc"], best=seed, visit=visit("bc"))
+        best = _scan(ev, *lattices["bc"], best=seed, fronts=fronts.get("bc"))
         best = _refine(ev, grid_spec, best)
         out["bc"] = _result(ev, best, {
             "policy_class": "no_lcsit",
@@ -356,16 +355,12 @@ def _optimize(ev: _Evaluator, classes, grid_spec: GridSpec = GridSpec(),
             "single_layer_seed": seed}, ev.n_evals - n_sl)
     if per_node:
         grid = ev.grid if share else quantize(ev.cfg.model_d, nd)
-
-        def node_rl(r1, r2, alpha):
-            return node_reward_length(ev.cfg, r1, r2, alpha, grid, ev.comp)
-
     for cls in per_node:
         kind = cls[:2]
         if not share:  # one node-grid block at a time, as the scan holds one
-            fronts[kind] = [_front(*_node_block(node_rl, lattices[kind], a))
+            fronts[kind] = [_front(*ev.block(*lattices[kind][:2], a, grid)[:2])
                             for a in lattices[kind][2]]
-        out[cls] = _dinkelbach(node_rl, grid, out[kind], lattices[kind], fronts[kind], tol,
+        out[cls] = _dinkelbach(ev, grid, out[kind], lattices[kind], fronts[kind], tol,
                                max_iter, "lcsit" if kind == "bc" else "lcsit_single_layer")
     return {c: out[c] for c in classes}
 

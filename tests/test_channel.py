@@ -245,6 +245,17 @@ class TestConfigTypes:
         p = RatePolicy.per_node([1.0, 2.0], [0.1, 0.2], [0.5, 0.9])
         assert p.r1.shape == (2,)
 
+    @pytest.mark.parametrize("r1, r2, alpha", [
+        ([1.0, 1.2], [0.5], [0.9, 0.9]),              # lengths differ
+        ([1.0], [0.5, 0.4], [0.9]),
+        ([1.0, 1.2], [0.5, 0.4], 0.9),                # a scalar among node tables
+        ([[1.0, 1.2]], [[0.5, 0.4]], [[0.9, 0.9]]),   # 2-D
+        ([], [], []),                                 # no node
+    ], ids=["r2-short", "r2-long", "scalar-alpha", "2-d", "empty"])
+    def test_per_node_policy_takes_aligned_node_tables(self, r1, r2, alpha):
+        with pytest.raises(ValueError, match="lcsit"):
+            RatePolicy.per_node(r1, r2, alpha)
+
     def test_compression_policy(self):
         assert not CompressionPolicy("constant").adaptive
         assert CompressionPolicy("adaptive").adaptive

@@ -33,8 +33,8 @@ from relharq.channel import (CompressionPolicy, RatePolicy, SystemConfig,
 from relharq.fading import FadingModel, QuadratureGrid, quantize
 from relharq.ltsc import node_tables
 from relharq.optimize import GridSpec, OptimizationResult
-from relharq.stsc import stsc_quantities
-from relharq.tables import NumericalError
+from relharq.stsc import quantity_tables, stsc_quantities
+from relharq.tables import NumericalError, reward_length
 
 CONST = CompressionPolicy("constant")
 ADAPT = CompressionPolicy("adaptive")
@@ -387,9 +387,55 @@ def test_stsc_quantities_overflowed_backhaul_keeps_the_reference_nans():
 
 # ---------------------------------------------------------------- optimizer
 
+def reference_block_eta(ev, r1v, r2v, alpha):
+    """_Evaluator.block before it returned per-node values: eta over the block,
+    the LTSC weighted ratio, the STSC reward over length, one MC run per tuple."""
+    if ev.backend == "mc":
+        out = np.empty((len(r1v), len(r2v)))
+        for i, r1 in enumerate(r1v):
+            for j, r2 in enumerate(r2v):
+                # common random numbers: every tuple sees the same seed
+                out[i, j] = sim.estimate(ev.cfg, RatePolicy.constant(r1, r2, alpha),
+                                         ev.comp, **ev.mc).eta
+        return out
+    if ev.cfg.channel_regime == "ltsc":
+        reward, length = opt.node_reward_length(
+            ev.cfg, r1v[:, None, None], r2v[None, :, None], np.float64(alpha),
+            ev.grid, ev.comp,
+        )
+        return (reward @ ev.grid.weights) / (length @ ev.grid.weights)
+    q = stsc_quantities(ev.cfg, r1v, r2v, alpha, ev.quad_n, grid=ev.grid)
+    reward, length = reward_length(r1v[:, None], r2v[None, :], *quantity_tables(q)[:2])
+    return reward / length
+
+
+@pytest.mark.parametrize("case", ["ltsc-constant", "ltsc-adaptive", "stsc-rayleigh-s",
+                                  "stsc-pointmass-s", "mc"])
+def test_block_ratio_matches_reference_eta(case):
+    # block returns per-node (E[R], E[L], weights) for every regime and backend;
+    # their weighted ratio is the eta the block used to return, bit for bit
+    backend = "mc" if case == "mc" else "analytic"
+    comp = ADAPT if case == "ltsc-adaptive" else CONST
+    if case.startswith("stsc"):
+        cfg = SystemConfig(2.0, 1.5, 2, D_RICIAN, S_MODELS[case.split("-")[1]],
+                           channel_regime="stsc")
+    else:
+        cfg = ltsc_cfg("rician", 3)
+    ev = opt._Evaluator(cfg, comp, backend, 12, {"n_sessions": 200, "master_seed": 3})
+    r1, r2 = np.linspace(0.0, 2.5, 6), np.linspace(0.0, 1.5, 4)
+    if case == "mc":
+        r1, r2 = r1[::2], r2[::2]
+    for alpha in (0.0, 0.6, 1.0):
+        reward, length, weights = ev.block(r1, r2, alpha)
+        assert reward.shape == length.shape == (len(r1), len(r2), len(weights))
+        want = reference_block_eta(ev, r1, r2, alpha)
+        assert np.array_equal((reward @ weights) / (length @ weights), want)
+
+
 def reference_scan(ev, r1_axis, r2_axis, alpha_axis, best=None):
     for alpha in alpha_axis:
-        eta = ev.block(r1_axis, r2_axis, float(alpha))
+        reward, length, weights = ev.block(r1_axis, r2_axis, float(alpha))
+        eta = (reward @ weights) / (length @ weights)
         flat = int(np.argmax(eta))  # first max: lexicographic-min (r1, r2)
         i, j = divmod(flat, eta.shape[1])
         cand = (float(eta[i, j]), float(alpha), float(r1_axis[i]), float(r2_axis[j]))

@@ -100,6 +100,26 @@ def test_one_loop_over_sweep_points():
     assert calls(writer) and len(calls(module)) == len(calls(writer))
 
 
+def test_one_per_block_evaluator():
+    # _Evaluator.block gives every regime and backend as per-node (E[R], E[L],
+    # weights), so the optimizer calls the simulator only through report
+    module = ast.parse((SRC / "optimize.py").read_text(encoding="utf-8"))
+    evaluator = next(node for node in module.body
+                     if isinstance(node, ast.ClassDef) and node.name == "_Evaluator")
+    report = next(node for node in evaluator.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "report")
+
+    def estimate_calls(tree):
+        return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and getattr(node.func, "attr", getattr(node.func, "id", None)) == "estimate"]
+
+    assert len(estimate_calls(module)) == len(estimate_calls(report)) == 1
+    functions = [node for node in ast.walk(module) if isinstance(node, ast.FunctionDef)]
+    assert "_node_block" not in {fn.name for fn in functions}
+    params = {arg.arg for fn in functions for arg in ast.walk(fn.args) if isinstance(arg, ast.arg)}
+    assert "visit" not in params
+
+
 def test_feasibility_violation_raises_and_exits_3(tmp_path, monkeypatch):
     run_batch = simulate._run_batch
 

@@ -251,7 +251,8 @@ class TestSlot1Grid:
         for alpha in (0.0, 0.6, 1.0):
             q = stsc_quantities(cfg, r1, r2, alpha, n=16)
             reward, length = reward_length(r1[:, None], r2[None, :], *quantity_tables(q)[:2])
-            assert np.array_equal(ev.block(r1, r2, alpha), reward / length)
+            reward_b, length_b, weights = ev.block(r1, r2, alpha)
+            assert np.array_equal((reward_b @ weights) / (length_b @ weights), reward / length)
 
 
 def dense_cdf_sum(model, c, w, u):
