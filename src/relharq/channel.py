@@ -109,21 +109,39 @@ class CompressionPolicy:
         return self.kind == "adaptive"
 
 
-def _split_gain(a, d):
-    """b = 1 + a/d and the a/d guard; a = 0 ignores d, a > 0 needs d > 0."""
+def _split_gain(a, d, out=None):
+    """b = 1 + a/d and the a/d guard; a = 0 ignores d, a > 0 needs d > 0.
+
+    out, an array of the broadcast shape that is neither a nor d, takes b
+    without a temporary."""
     a = np.asarray(a, dtype=float)
     d = np.asarray(d, dtype=float)
-    bad = (a > 0) & (d <= 0)
-    if np.any(bad):
+    pos = a > 0
+    if np.any(pos & (d <= 0)):
         raise ValueError("d must be > 0 where a > 0")
+    # 1 + where(a > 0, a / where(d > 0, d, 1), 0), one operation at a time
+    out = np.empty(np.broadcast_shapes(a.shape, d.shape)) if out is None else out
+    np.copyto(out, d)
+    np.copyto(out, 1.0, where=~(d > 0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(a > 0, a / np.where(d > 0, d, 1.0), 0.0)
-    return 1.0 + ratio
+        np.divide(a, out, out=out)
+    np.copyto(out, 0.0, where=~pos)
+    return np.add(1.0, out, out=out)
 
 
-def _info(p, p_bar, b, g):
-    """f_I from b = 1 + a/d and g = s b + a = s + a(1 + s/d): the one copy of its formula."""
-    return 0.5 * np.log2(1.0 + p * g / (b + p_bar * g))
+def _info(p, p_bar, b, g, out=None, work=None):
+    """f_I from b = 1 + a/d and g = s b + a = s + a(1 + s/d): the one copy of its formula.
+
+    out and work, arrays of the broadcast shape, take f_I and its denominator
+    without a temporary; p may be out and p_bar may be work (each is read
+    before its buffer is written)."""
+    shape = np.broadcast_shapes(np.shape(p), np.shape(p_bar), np.shape(b), np.shape(g))
+    out = np.empty(shape) if out is None else out
+    work = np.empty(shape) if work is None else work
+    # 0.5 log2(1 + p g / (b + p_bar g))
+    den = np.add(b, np.multiply(p_bar, g, out=work), out=work)
+    np.divide(np.multiply(p, g, out=out), den, out=out)
+    return np.multiply(0.5, np.log2(np.add(1.0, out, out=out), out=out), out=out)
 
 
 def mutual_info(p, p_bar, a, s, d):
@@ -135,25 +153,37 @@ def mutual_info(p, p_bar, a, s, d):
     return out if out.shape else float(out)
 
 
-def backhaul_usage(a, d, s, P):
-    """Wyner-Ziv rate 1/2 log2(1 + a(1/d + P/(1+Ps))) needed to ship the description."""
+def backhaul_usage(a, d, s, P, out=None, work=None):
+    """Wyner-Ziv rate 1/2 log2(1 + a(1/d + P/(1+Ps))) needed to ship the description.
+
+    out and work, arrays of the broadcast shape, take the rate and P/(1+Ps)
+    without a temporary; work may be s, which it then overwrites."""
     a = np.asarray(a, dtype=float)
     d = np.asarray(d, dtype=float)
     s = np.asarray(s, dtype=float)
     if np.any((a > 0) & (d <= 0)):
         raise ValueError("d must be > 0 where a > 0")
+    shape = np.broadcast_shapes(a.shape, d.shape, s.shape)
+    out = np.empty(shape) if out is None else out
+    work = np.empty(shape) if work is None else work
+    # 0.5 log2(1 + a (inv_d + P / (1 + P s))),  inv_d = where(a > 0, 1/d, 0)
+    tail = np.divide(P, np.add(1.0, np.multiply(P, s, out=work), out=work), out=work)
     with np.errstate(divide="ignore"):
-        inv_d = np.where(a > 0, 1.0 / d, 0.0)
-    out = 0.5 * np.log2(1.0 + a * (inv_d + P / (1.0 + P * s)))
+        inv_d = np.divide(1.0, d, out=out)
+    np.copyto(inv_d, 0.0, where=~(a > 0))
+    x = np.multiply(a, np.add(inv_d, tail, out=out), out=out)
+    out = np.multiply(0.5, np.log2(np.add(1.0, x, out=x), out=x), out=x)
     return out if out.shape else float(out)
 
 
-def conservative_gain(d, s_min, P, c_max):
+def conservative_gain(d, s_min, P, c_max, out=None, work=None):
     """Largest a whose description fits C_max even at the worst side information s_min.
 
     a_d = beta (1 + s_min P) / (1/d + (1 + s_min/d) P),  beta = 2^(2 C_max) - 1;
     saturates the backhaul exactly: backhaul_usage(a_d, d, s_min, P) = C_max.
     A dead relay link (d = 0) forwards nothing: a_d = 0, the d -> 0 limit.
+    out and work, arrays of the broadcast shape that are neither d nor s_min,
+    take a_d and 1/d (and the numerator, for an array s_min) without a temporary.
     """
     d = np.asarray(d, dtype=float)
     d_low = np.min(d, initial=np.inf)
@@ -161,14 +191,21 @@ def conservative_gain(d, s_min, P, c_max):
         raise ValueError("d must be >= 0")
     beta = np.exp2(2.0 * np.asarray(c_max, dtype=float)) - 1.0
     s_min = np.asarray(s_min, dtype=float)
+    out = np.empty(np.broadcast_shapes(d.shape, s_min.shape, beta.shape)) if out is None else out
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = beta * (1.0 + s_min * P) / (1.0 / d + (1.0 + s_min / d) * P)
+        den = np.multiply(np.add(1.0, np.divide(s_min, d, out=out), out=out), P, out=out)
+        den = np.add(np.divide(1.0, d, out=work), den, out=den)
+        # the numerator is one value for one s_min, else formed in work after 1/d
+        num = np.multiply(s_min, P, out=work if s_min.ndim else None)
+        into = num if s_min.ndim else None
+        num = np.multiply(beta, np.add(1.0, num, out=into), out=into)
+        out = np.divide(num, den, out=den)
     if d_low == 0:
-        out = np.where(d > 0, out, 0.0)
+        np.copyto(out, 0.0, where=~(d > 0))
     return out if out.shape else float(out)
 
 
-def slot_threshold(R, l, p_sig, p_int, a, d):
+def slot_threshold(R, l, p_sig, p_int, a, d, out=None):
     """Smallest s such that l slots of f_I(p_sig, p_int, a, s, d) carry rate R.
 
     Decoding within l slots happens iff s >= threshold.  With z = 2^(2R/l):
@@ -176,31 +213,35 @@ def slot_threshold(R, l, p_sig, p_int, a, d):
       p_sig - (z-1) p_int <= 0    -> +inf  (no s suffices)
       z overflows (R > 512 l)     -> +inf  (an outage at any p_int)
       otherwise                      (z-1)/(p_sig - (z-1) p_int) - a/b
+    z and the constant (z-1)/(...) are formed at the shape of R, p_sig and
+    p_int: once for a single rate.  out, an array of the broadcast shape that
+    is neither a nor d, takes the threshold without a temporary.
     """
     R = np.asarray(R, dtype=float)
     p_sig = np.asarray(p_sig, dtype=float)
     p_int = np.asarray(p_int, dtype=float)
-    b = _split_gain(a, d)
+    a = np.asarray(a, dtype=float)
+    b = _split_gain(a, d, out=out)
     with np.errstate(over="ignore"):
         z = np.exp2(2.0 * np.maximum(R, 0.0) / l)
     with np.errstate(divide="ignore", invalid="ignore"):
         den = p_sig - (z - 1.0) * p_int
-        thr = (z - 1.0) / den - np.asarray(a, dtype=float) / b
+        thr = np.asarray(np.subtract((z - 1.0) / den, np.divide(a, b, out=b), out=out))
     # against p_int = 0 an overflowed z leaves den = NaN, not <= 0
-    thr = np.where((den <= 0) | np.isposinf(z), np.inf, thr)
-    thr = np.where(R <= 0, -np.inf, thr)
+    np.copyto(thr, np.inf, where=(den <= 0) | np.isposinf(z))
+    np.copyto(thr, -np.inf, where=R <= 0)
     return thr if thr.shape else float(thr)
 
 
-def infer_s_hat(R1, k, alpha, d, a_d, P, s_min):
+def infer_s_hat(R1, k, alpha, d, a_d, P, s_min, out=None):
     """Lower bound on S implied by layer 1 decoding within k slots at power split alpha.
 
     Equals max(layer-1 decode threshold, s_min); +inf when that decode event is
-    impossible at any s (inconsistent feedback).
+    impossible at any s (inconsistent feedback).  out as in `slot_threshold`.
     """
     thr = slot_threshold(R1, k, alpha * np.asarray(P, dtype=float),
-                         (1.0 - np.asarray(alpha, dtype=float)) * P, a_d, d)
-    out = np.maximum(np.asarray(thr, dtype=float), np.asarray(s_min, dtype=float))
+                         (1.0 - np.asarray(alpha, dtype=float)) * P, a_d, d, out=out)
+    out = np.maximum(np.asarray(thr, dtype=float), np.asarray(s_min, dtype=float), out=out)
     return out if out.shape else float(out)
 
 

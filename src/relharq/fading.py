@@ -117,17 +117,28 @@ class FadingModel:
             out = x * self._ncx2_scale()
         return out if out.shape else float(out)
 
-    def sample(self, rng: np.random.Generator, size=None):
-        """Draw gains; construction is independent of ppf so the KS test is a real check."""
+    def sample(self, rng: np.random.Generator, size=None, out=None):
+        """Draw gains; construction is independent of ppf so the KS test is a real check.
+
+        out, a float64 array of shape size, takes the draws; a Rician draw
+        then allocates only its second normal draw.
+        """
         if self.kind == "pointmass":
-            return np.full(size if size is not None else (), self.point_value)
+            if out is None:
+                return np.full(size if size is not None else (), self.point_value)
+            out.fill(self.point_value)
+            return out
         if self.kind == "rayleigh":
-            return rng.exponential(self.mean_power, size=size)
+            # rng.exponential(rho) draws rho times a standard exponential, bit for bit
+            x = rng.standard_exponential(size, out=out)
+            if isinstance(x, float):
+                return x * self.mean_power
+            return np.multiply(x, self.mean_power, out=x)
         # Rician: squared magnitude of a complex amplitude with LOS component.
         k = self.rician_k
         nu = math.sqrt(self.mean_power * k / (k + 1.0))
         sigma = math.sqrt(self.mean_power / (2.0 * (k + 1.0)))
-        g1 = rng.standard_normal(size)
+        g1 = rng.standard_normal(size, out=out)
         g2 = rng.standard_normal(size)
         if np.ndim(g1) == 0:  # floats at size None, 0-d arrays at size ()
             return (nu + sigma * g1) ** 2 + (sigma * g2) ** 2

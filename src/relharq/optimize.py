@@ -108,15 +108,16 @@ class _Evaluator:
     def report(self, policy: RatePolicy):
         """eta, expected_reward, expected_length and table at one policy.
 
-        A per-node policy is read on its own node grid, one node per tuple;
-        the STSC table is one node of weight 1.
+        A per-node policy is read on its own node grid, one node per tuple
+        (the evaluator's grid when it has quad_n tuples); the STSC table is
+        one node of weight 1.
         """
         if self.backend == "mc":
             return estimate(self.cfg, policy, self.comp, **self.mc)
         check_supported(self.cfg, self.comp, per_node=policy.mode == "lcsit")
         if self.cfg.channel_regime == "ltsc":
-            grid = self.grid if policy.mode == "no_lcsit" else quantize(self.cfg.model_d,
-                                                                        policy.r1.size)
+            same = policy.mode == "no_lcsit" or policy.r1.size == self.quad_n
+            grid = self.grid if same else quantize(self.cfg.model_d, policy.r1.size)
             p1, p2o = node_tables(self.cfg, policy.r1, policy.r2, policy.alpha, grid, self.comp)
             tables, weights = (p1, p2o, decode_table(p2o)), grid.weights
         else:

@@ -16,6 +16,18 @@ and every counter and trace is bit-identical to a stepper that calls
 `mutual_info` per slot and layer (the reference in
 `tests/test_exact_reference.py`).
 
+Memory rule: `estimate` builds one workspace per worker thread
+(`_workspace`, sized to a full batch), and every batch that worker runs
+steps through it, a shorter batch through prefix views.  Every per-slot
+array is written through `out=` into it: the draws, the gains, f_I and its
+denominator, the layer-2 powers, the decode tests, the adaptive branch (in
+prefixes of the scratch rows) and the end-of-batch reductions.  A batch then
+allocates only a Rician draw's second normal draw, the adaptive branch's
+index of acknowledged sessions and a per-node policy's per-session rates.
+glibc hands each freed 512 KB temporary back to the OS, so a stepper that
+allocated its arrays per slot, or its workspace per batch, would fault
+their pages in again on every use.
+
 Determinism: session batch b draws from the b-th spawn of the master
 SeedSequence and batch counters are reduced in batch order, so a report is
 bit-identical for any worker count and across repeated runs.
@@ -23,6 +35,7 @@ bit-identical for any worker count and across repeated runs.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -75,110 +88,149 @@ class EstimateReport:
     feasibility_violations: int
 
 
-def _resolve_rates(policy: RatePolicy, cfg: SystemConfig, d1: np.ndarray):
-    """(r1, r2, alpha): floats for a single tuple, per-session arrays for lcsit
-    tuples, which follow the slot-1 draw."""
-    if policy.mode == "no_lcsit":
-        return float(policy.r1), float(policy.r2), float(policy.alpha), None
-    grid = quantize(cfg.model_d, len(policy.r1))
+def _resolve_rates(policy: RatePolicy, grid, d1: np.ndarray):
+    """(r1, r2, alpha): floats for a single tuple; for lcsit tuples, per-session
+    arrays read on the D node grid at the slot-1 draw."""
+    if grid is None:
+        return float(policy.r1), float(policy.r2), float(policy.alpha)
     idx = grid.node_index(d1)
-    return policy.r1[idx], policy.r2[idx], policy.alpha[idx], grid
+    return policy.r1[idx], policy.r2[idx], policy.alpha[idx]
 
 
 def _take(x, idx):
-    """x at idx as an array, whether x is per session or one float, so that
-    infer_s_hat runs the same array loops for a single tuple as for lcsit ones."""
-    return x[idx] if np.ndim(x) else np.full(idx.size, x)
+    """x at idx when it is per session; one float stays one float."""
+    return x[idx] if np.ndim(x) else x
+
+
+def _workspace(n: int):
+    """One worker's buffers for batches of up to n sessions: ten float rows,
+    two int64 rows (the decode slots) and three bool rows."""
+    return np.empty((10, n)), np.empty((2, n), dtype=np.int64), np.empty((3, n), dtype=bool)
 
 
 def _run_batch(cfg: SystemConfig, policy: RatePolicy, comp: CompressionPolicy,
-               rng: np.random.Generator, n: int, trace: bool = False):
-    """Simulate n sessions; returns counters (and per-slot traces when asked)."""
+               rng: np.random.Generator, n: int, trace: bool = False, ws=None, grid=None):
+    """Simulate n sessions; returns counters (and per-slot traces when asked).
+
+    ws is a `_workspace` of at least n sessions, which the batch overwrites
+    (a new one when None); grid is the D node grid of an lcsit policy (built
+    here when None)."""
     T, P = cfg.max_rounds, cfg.power
     cmax, s_min = cfg.backhaul_capacity, cfg.s_min
     ltsc = cfg.channel_regime == "ltsc"
+    if grid is None and policy.mode == "lcsit":
+        grid = quantize(cfg.model_d, policy.r1.size)
+    floats, ints, flags = (buf[:, :n] for buf in (ws or _workspace(n)))
+    # a, i, w and x are scratch; under LTSC d, s, b and g hold for the session
+    d, s, a, b, g, acc1, acc2, i, w, x = floats
+    k1, k2 = ints  # decode slot per layer, 0 = undecoded
+    pend1, pend2, hit = flags
 
-    def gains(d, s):
-        a = conservative_gain(d, s_min, P, cmax)
-        b = _split_gain(a, d)
-        return a, b, s * b + a
+    def gains():
+        conservative_gain(d, s_min, P, cmax, out=a, work=i)
+        _split_gain(a, d, out=b)
+        np.add(np.multiply(s, b, out=g), a, out=g)
 
-    dt = cfg.model_d.sample(rng, n)
-    st = cfg.model_s.sample(rng, n)
-    r1, r2, alpha, grid = _resolve_rates(policy, cfg, dt)
+    cfg.model_d.sample(rng, n, out=d)
+    cfg.model_s.sample(rng, n, out=s)
+    r1, r2, alpha = _resolve_rates(policy, grid, d)
     if ltsc:
-        a, b, g = gains(dt, st)
-
-    acc1 = np.zeros(n)
-    acc2 = np.zeros(n)
-    k1 = np.zeros(n, dtype=np.int64)   # 0 = undecoded
-    k2 = np.zeros(n, dtype=np.int64)
-    s_hat = np.full(n, np.nan)
-    ack_slot = np.zeros(n, dtype=np.int64)
-    violations = 0
+        gains()
+    acc1.fill(0.0)
+    acc2.fill(0.0)
+    k1.fill(0)
+    k2.fill(0)
+    adaptations = violations = 0
 
     if trace:
         d_tr, s_tr = np.zeros((T, n)), np.zeros((T, n))
         acc1_tr, acc2_tr = np.zeros((T, n)), np.zeros((T, n))
+        s_hat = np.full(n, np.nan)
+        ack_slot = np.zeros(n, dtype=np.int64)
 
     for t in range(1, T + 1):
         if not ltsc:
             if t > 1:
-                dt = cfg.model_d.sample(rng, n)
-                st = cfg.model_s.sample(rng, n)
-            a, b, g = gains(dt, st)
-        alpha_t = alpha if (policy.mode == "no_lcsit" or ltsc) else policy.alpha[grid.node_index(dt)]
+                cfg.model_d.sample(rng, n, out=d)
+                cfg.model_s.sample(rng, n, out=s)
+            gains()
+        alpha_t = alpha if (policy.mode == "no_lcsit" or ltsc) else policy.alpha[grid.node_index(d)]
 
-        pend1 = k1 == 0
-        pend2 = k2 == 0
+        np.equal(k1, 0, out=pend1)
+        np.equal(k2, 0, out=pend2)
         p_sig1, p_sig2 = alpha_t * P, (1.0 - alpha_t) * P
-        p_int2 = p_sig1 if cfg.bc_layer2_interference else 0.0
-        i1 = _info(p_sig1, p_sig2, b, g)
+        np.add(acc1, _info(p_sig1, p_sig2, b, g, out=i, work=w), out=acc1, where=pend1)
         # layer 2 faces layer 1 until layer 1 is decoded, then has the whole slot
-        i2 = _info(np.where(pend1, p_sig2, P), np.where(pend1, p_int2, 0.0), b, g)
-        np.add(acc1, i1, out=acc1, where=pend1)
-        np.add(acc2, i2, out=acc2, where=pend2)
-        np.copyto(k1, t, where=pend1 & (acc1 >= r1))
-        np.copyto(k2, t, where=pend2 & (k1 > 0) & (acc2 >= r2))
+        np.copyto(i, P)
+        np.copyto(i, p_sig2, where=pend1)
+        p_bar = 0.0
+        if cfg.bc_layer2_interference:
+            p_bar = w
+            np.copyto(w, 0.0)
+            np.copyto(w, p_sig1, where=pend1)
+        np.add(acc2, _info(i, p_bar, b, g, out=i, work=w), out=acc2, where=pend2)
+        np.copyto(k1, t, where=np.logical_and(pend1, np.greater_equal(acc1, r1, out=hit), out=hit))
+        decoded1 = np.greater(k1, 0, out=pend1)  # pend1 is not read again this slot
+        np.logical_and(pend2, np.greater_equal(acc2, r2, out=hit), out=hit)
+        np.copyto(k2, t, where=np.logical_and(hit, decoded1, out=hit))
 
         if comp.adaptive:
-            ack = np.flatnonzero((k1 == t) & (k2 == 0))  # layer-1-only feedback this slot
-            if ack.size:
-                d_a, s_a = dt[ack], st[ack]
-                sh = infer_s_hat(_take(r1, ack), t, _take(alpha_t, ack), d_a, a[ack], P, s_min)
-                s_hat[ack] = sh
-                a_hat = conservative_gain(d_a, sh, P, cmax)
-                b[ack] = b_hat = _split_gain(a_hat, d_a)
-                g[ack] = s_a * b_hat + a_hat
-                ack_slot[ack] = t
-                bad = (s_a < sh - _FEAS_TOL) | (
-                    backhaul_usage(a_hat, d_a, s_a, P) > cmax + _FEAS_TOL
-                )
+            # layer-1-only feedback this slot: a session is acknowledged at most once
+            np.logical_and(np.equal(k1, t, out=hit), np.equal(k2, 0, out=pend2), out=hit)
+            ack = np.flatnonzero(hit)
+            m = ack.size
+            if m:
+                # four scratch prefixes: d_a; a_d, then a_hat; s_hat, then b_hat,
+                # g_hat and the backhaul usage; a work row, then s_a.  a_d is the
+                # gains' a at these sessions, formed again: no row keeps a
+                d_a, a_hat, sh, s_a = a[:m], i[:m], w[:m], x[:m]
+                np.take(d, ack, out=d_a, mode="clip")  # "clip" takes no bounds-checked copy
+                a_d = conservative_gain(d_a, s_min, P, cmax, out=a_hat, work=sh)
+                infer_s_hat(_take(r1, ack), t, _take(alpha_t, ack), d_a, a_d, P, s_min, out=sh)
+                if trace:
+                    s_hat[ack] = sh
+                    ack_slot[ack] = t
+                conservative_gain(d_a, sh, P, cmax, out=a_hat, work=s_a)
+                np.take(s, ack, out=s_a, mode="clip")
+                bad = np.less(s_a, np.subtract(sh, _FEAS_TOL, out=sh), out=pend1[:m])
+                b_hat = _split_gain(a_hat, d_a, out=sh)
+                b[ack] = b_hat
+                g[ack] = np.add(np.multiply(s_a, b_hat, out=sh), a_hat, out=sh)
+                usage = backhaul_usage(a_hat, d_a, s_a, P, out=sh, work=s_a)
+                np.logical_or(bad, np.greater(usage, cmax + _FEAS_TOL, out=pend2[:m]), out=bad)
                 violations += int(np.count_nonzero(bad))
+                adaptations += m
 
         if trace:
-            d_tr[t - 1], s_tr[t - 1] = dt, st
+            d_tr[t - 1], s_tr[t - 1] = d, s
             acc1_tr[t - 1], acc2_tr[t - 1] = acc1, acc2
 
     # a NaN never reaches a rate, so it would pass for an outage
-    if np.isnan(acc1).any() or np.isnan(acc2).any():
+    if np.isnan(acc1, out=pend1).any() or np.isnan(acc2, out=pend1).any():
         raise NumericalError("mutual information is NaN in a Monte Carlo session")
-    lengths = np.where(k2 > 0, k2, T)
-    reward = r1 * (k1 > 0) + r2 * (k2 > 0)
+    c1 = np.bincount(k1, minlength=T + 1)
+    c2 = np.bincount(k2, minlength=T + 1)
+    if trace:
+        k1, k2 = k1.copy(), k2.copy()  # the reductions below overwrite their buffers
+    reward = np.multiply(r1, np.greater(k1, 0, out=pend1), out=a)
+    np.add(reward, np.multiply(r2, np.greater(k2, 0, out=pend2), out=i), out=reward)
+    lengths = ints[0]  # where(k2 > 0, k2, T)
+    np.copyto(lengths, T)
+    np.copyto(lengths, k2, where=pend2)
     out = {
-        "c1": np.bincount(k1, minlength=T + 1),
-        "c2": np.bincount(k2, minlength=T + 1),
+        "c1": c1,
+        "c2": c2,
         "sum_L": int(lengths.sum()),
-        "sum_L2": int((lengths * lengths).sum()),
+        "sum_L2": int(np.multiply(lengths, lengths, out=ints[1]).sum()),
         "sum_R": float(reward.sum()),
-        "sum_R2": float((reward * reward).sum()),
-        "sum_RL": float((reward * lengths).sum()),
-        "adaptations": int(np.count_nonzero(ack_slot)),
+        "sum_R2": float(np.multiply(reward, reward, out=i).sum()),
+        "sum_RL": float(np.multiply(reward, lengths, out=i).sum()),
+        "adaptations": adaptations,
         "violations": violations,
         "n": n,
     }
     if trace:
-        out["trace"] = (d_tr, s_tr, acc1_tr, acc2_tr, k1, k2, lengths, ack_slot, s_hat)
+        out["trace"] = (d_tr, s_tr, acc1_tr, acc2_tr, k1, k2, lengths.copy(), ack_slot, s_hat)
     return out
 
 
@@ -216,9 +268,14 @@ def estimate(cfg: SystemConfig, policy: RatePolicy, comp: CompressionPolicy,
     if n_sessions % batch_size:
         sizes.append(n_sessions % batch_size)
     seqs = np.random.SeedSequence(master_seed).spawn(len(sizes))
+    grid = quantize(cfg.model_d, policy.r1.size) if policy.mode == "lcsit" else None
+    local = threading.local()  # one workspace per worker thread, for every batch it runs
 
     def job(i):
-        return _run_batch(cfg, policy, comp, np.random.default_rng(seqs[i]), sizes[i])
+        if not hasattr(local, "ws"):
+            local.ws = _workspace(sizes[0])
+        return _run_batch(cfg, policy, comp, np.random.default_rng(seqs[i]), sizes[i],
+                          ws=local.ws, grid=grid)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

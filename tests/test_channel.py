@@ -8,6 +8,8 @@ from relharq.channel import (
     CompressionPolicy,
     RatePolicy,
     SystemConfig,
+    _info,
+    _split_gain,
     backhaul_usage,
     conservative_gain,
     infer_s_hat,
@@ -149,6 +151,87 @@ class TestSHat:
         if s_hat > 0:
             # attained with equality when the threshold branch is active
             assert got == pytest.approx(R1, rel=1e-6, abs=1e-7)
+
+
+def test_exp2_of_one_value_is_the_array_loop_double():
+    # for a single tuple, slot_threshold and infer_s_hat form 2^(2R/l) once, on
+    # one value, where an lcsit policy takes numpy's array loop: the Monte Carlo
+    # stepper is bit-identical across the two only if they give the same double
+    x = np.random.default_rng(0).uniform(-5.0, 50.0, 200_000)
+    one_by_one = np.array([np.exp2(v) for v in x])
+    assert np.count_nonzero(one_by_one != np.exp2(x)) == 0
+
+
+def _kernel_cases(n=4099):
+    """name -> (call(out, work), the kernel's formula as one numpy expression)."""
+    rng = np.random.default_rng(5)
+    P, c_max, s_min = 1.3, 0.8, 0.2
+    d = rng.exponential(1.5, n)
+    d[:5] = 0.0  # a dead relay link
+    s = rng.exponential(1.0, n)
+    s[5:7] = np.inf, np.nan
+    beta = np.exp2(2.0 * c_max) - 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        def gain(s_min):
+            return np.where(d > 0, beta * (1.0 + s_min * P) / (1.0 / d + (1.0 + s_min / d) * P), 0.0)
+
+        a = gain(s_min)
+        a[7] = np.nan
+        b = 1.0 + np.where(a > 0, a / np.where(d > 0, d, 1.0), 0.0)
+        g = s * b + a
+        p, p_bar = rng.uniform(0.0, 2.0, n), rng.uniform(0.0, 2.0, n)
+        r = rng.uniform(-0.5, 2.0, n)
+
+        def threshold(R, l, p_sig, p_int):
+            z = np.exp2(2.0 * np.maximum(R, 0.0) / l)
+            den = p_sig - (z - 1.0) * p_int
+            thr = np.where((den <= 0) | np.isposinf(z), np.inf, (z - 1.0) / den - a / b)
+            return np.where(R <= 0, -np.inf, thr)
+
+        return {
+            "split_gain": (lambda o, w: _split_gain(a, d, out=o), b),
+            "info": (lambda o, w: _info(0.4, 0.9, b, g, out=o, work=w),
+                     0.5 * np.log2(1.0 + 0.4 * g / (b + 0.9 * g))),
+            # powers per session, handed in the out and work buffers themselves
+            "info-aliased": (lambda o, w: _info(_fill(o, p), _fill(w, p_bar), b, g, out=o, work=w),
+                             0.5 * np.log2(1.0 + p * g / (b + p_bar * g))),
+            "backhaul_usage": (
+                lambda o, w: backhaul_usage(a, d, s, P, out=o, work=w),
+                0.5 * np.log2(1.0 + a * (np.where(a > 0, 1.0 / d, 0.0) + P / (1.0 + P * s)))),
+            "backhaul_usage-aliased": (
+                lambda o, w: backhaul_usage(a, d, _fill(w, s), P, out=o, work=w),
+                0.5 * np.log2(1.0 + a * (np.where(a > 0, 1.0 / d, 0.0) + P / (1.0 + P * s)))),
+            "conservative_gain": (lambda o, w: conservative_gain(d, s_min, P, c_max, out=o, work=w),
+                                  gain(s_min)),
+            "conservative_gain-per-session": (
+                lambda o, w: conservative_gain(d, s, P, c_max, out=o, work=w), gain(s)),
+            "slot_threshold": (lambda o, w: slot_threshold(0.9, 2, 1.1, 0.2, a, d, out=o),
+                               threshold(np.float64(0.9), 2, 1.1, 0.2)),
+            "infer_s_hat": (lambda o, w: infer_s_hat(r, 2, 0.8, d, a, P, 0.1, out=o),
+                            np.maximum(threshold(r, 2, 0.8 * P, (1.0 - 0.8) * P), 0.1)),
+        }
+
+
+def _fill(buf, values):
+    np.copyto(buf, values)
+    return buf
+
+
+@pytest.mark.parametrize("kernel", ["split_gain", "info", "info-aliased", "backhaul_usage",
+                                    "backhaul_usage-aliased", "conservative_gain",
+                                    "conservative_gain-per-session", "slot_threshold",
+                                    "infer_s_hat"])
+def test_kernel_into_buffers_equals_its_formula(kernel):
+    # with and without out/work, the same elementwise operations in the same
+    # order as the one-expression formula; the buffers start dirty
+    call, want = _kernel_cases()[kernel]
+    out, work = np.full(want.shape, np.nan), np.full(want.shape, np.nan)
+    with np.errstate(all="ignore"):  # the inf and NaN inputs warn as the formula does
+        got = call(out, work)
+        assert got is out
+        assert np.array_equal(got, want, equal_nan=True)
+        if "aliased" not in kernel:
+            assert np.array_equal(call(None, None), want, equal_nan=True)
 
 
 class TestSlotThreshold:

@@ -3,8 +3,9 @@ the Monte Carlo stepper.
 
 The evaluators share one S-link cdf pass per threshold array.  The optimizer
 finds every policy class in one lattice pass and runs Dinkelbach on per-node
-candidate fronts.  The stepper forms each session's gains once and takes one
-mutual-information pass per layer and slot.  All of these are meant to change no bit of any result, so
+candidate fronts.  The stepper forms each session's gains once, takes one
+mutual-information pass per layer and slot, and writes every per-slot array
+into a workspace that outlives the batch.  All of these are meant to change no bit of any result, so
 the straightforward forms they replaced are kept here as references and
 compared with np.array_equal and ==.
 
@@ -914,6 +915,27 @@ def test_run_batch_matches_reference(case, T, n):
         assert_batches_equal(*runs)
     if comp.adaptive and n == 4096 and T > 1:
         assert runs[0]["adaptations"] > 0  # the adaptive branch ran
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 5])
+@pytest.mark.parametrize("case", sorted(MC_CASES))
+def test_reused_workspace_matches_reference(case, T):
+    # one workspace through a full, a short, a one-session and a full batch;
+    # it starts poisoned, so any buffer read before it is written shows
+    regime, comp, policy, model_d, model_s, bc = MC_CASES[case]
+    cfg = SystemConfig(power=1.5, backhaul_capacity=0.8, max_rounds=T, model_d=model_d,
+                       model_s=model_s, channel_regime=regime, bc_layer2_interference=bc)
+    ws = sim._workspace(4096)
+    for buf, poison in zip(ws, (np.nan, -1, True), strict=True):
+        buf.fill(poison)
+    for batch, n in enumerate([4096, 7, 1, 4096]):
+        for trace in (False, True):
+            seed = 100 * T + batch
+            got = sim._run_batch(cfg, policy, comp, np.random.default_rng(seed), n,
+                                 trace=trace, ws=ws)
+            want = reference_run_batch(cfg, policy, comp, np.random.default_rng(seed), n,
+                                       trace=trace)
+            assert_batches_equal(got, want)
 
 
 @pytest.mark.parametrize("regime, comp", [("ltsc", CONST), ("ltsc", ADAPT), ("stsc", CONST)])

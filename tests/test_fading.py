@@ -200,6 +200,32 @@ def test_rician_sample_equals_the_two_normal_expression(size, k):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("size", [None, (), 1, 65537, (3, 5)])
+@pytest.mark.parametrize("rho", [1.0, 1.7, 0.37])
+def test_rayleigh_sample_equals_numpy_exponential(size, rho):
+    want = np.random.default_rng(11).exponential(rho, size)
+    got = FadingModel("rayleigh", mean_power=rho).sample(np.random.default_rng(11), size)
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("size", [1, 7, 65537, (3, 5)])
+@pytest.mark.parametrize("model", [
+    FadingModel("rayleigh", mean_power=1.7),
+    FadingModel("rician", mean_power=1.7, rician_k=0.0),
+    FadingModel("rician", mean_power=1.7, rician_k=2.5),
+    FadingModel("pointmass", point_value=0.7),
+], ids=["rayleigh", "rician-k0", "rician-k2.5", "pointmass"])
+def test_sample_into_out_equals_the_allocating_draw(model, size):
+    rngs = np.random.default_rng(11), np.random.default_rng(11)
+    want = model.sample(rngs[0], size)
+    buf = np.full(size, np.nan)  # a dirty buffer: no earlier value may survive
+    got = model.sample(rngs[1], size, out=buf)
+    assert got is buf and np.array_equal(got, want)
+    assert rngs[0].random() == rngs[1].random()  # the stream is left at the same point
+
+
 def test_pointmass_sampler_constant():
     rng = np.random.default_rng(0)
     x = FadingModel("pointmass", point_value=2.0).sample(rng, 100)

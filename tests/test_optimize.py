@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from relharq.channel import CompressionPolicy, RatePolicy, SystemConfig, mutual_info
-from relharq.fading import FadingModel
+from relharq.fading import FadingModel, quantize
+import relharq.optimize as opt
 from relharq.optimize import (
     GridSpec,
     optimize_lcsit,
@@ -156,3 +157,22 @@ class TestValidation:
         with pytest.raises(ValueError, match="analytic"):
             optimize_lcsit(ltsc_cfg(), CONST, backend="mc", grid_spec=SMALL)
 
+
+
+def test_report_reads_a_per_node_policy_on_the_evaluator_grid(monkeypatch):
+    cfg = ltsc_cfg(T=3)
+    same = RatePolicy.per_node(np.linspace(0.5, 1.2, 8), np.full(8, 0.4), np.full(8, 0.9))
+    other = RatePolicy.per_node(np.linspace(0.5, 1.2, 5), np.full(5, 0.4), np.full(5, 0.9))
+    want = throughput(cfg, same, quad_n=8).eta
+    ev = opt._Evaluator(cfg, CONST, "analytic", 8)
+    calls = []
+
+    def counting(model, n):
+        calls.append(n)
+        return quantize(model, n)
+
+    monkeypatch.setattr(opt, "quantize", counting)
+    assert ev.report(same).eta == want
+    assert calls == []  # the evaluator's own grid, built with it
+    ev.report(other)
+    assert calls == [5]  # any other node count gets its own grid

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import relharq.simulate as sim
 from relharq.channel import CompressionPolicy, RatePolicy, SystemConfig, mutual_info
-from relharq.fading import FadingModel
+from relharq.fading import FadingModel, quantize
 from relharq.optimize import throughput
 from relharq.simulate import EstimateReport, estimate, simulate_session
 from relharq.tables import NumericalError, reward_length
@@ -251,6 +254,46 @@ class TestPolicyResolution:
         with pytest.raises(ValueError, match=f"{knob} must be >= 1"):
             estimate(cfg, RatePolicy.constant(1, 0.5, 0.9), CONST, 100, master_seed=0,
                      **{knob: value})
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("regime, comp, bound", [("ltsc", CONST, 4), ("stsc", CONST, 4),
+                                                     ("ltsc", ADAPT, 6)])
+    def test_warmed_batch_allocates_no_per_slot_arrays(self, regime, comp, bound):
+        # the mc benchmark's scenarios; a Rician draw allocates its second normal
+        # draw and the adaptive branch its index of acknowledged sessions, where a
+        # stepper allocating per slot peaks at 17-21 n-length float64 temporaries
+        n = 1 << 16
+        cfg = SystemConfig(power=1.0, backhaul_capacity=1.5, max_rounds=3,
+                           model_d=FadingModel("rician", 4.0, rician_k=2.0),
+                           model_s=FadingModel("rician", 1.0, rician_k=1.0), channel_regime=regime)
+        pol = RatePolicy.constant(0.9, 0.5, 0.95)
+        ws = sim._workspace(n)
+        sim._run_batch(cfg, pol, comp, np.random.default_rng(0), n, ws=ws)
+        tracemalloc.start()
+        try:
+            res = sim._run_batch(cfg, pol, comp, np.random.default_rng(1), n, ws=ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 8 * n
+        if comp.adaptive:
+            assert res["adaptations"] > n // 4  # the adaptive branch ran at scale
+
+    def test_per_node_grid_is_built_once_per_estimate(self, monkeypatch):
+        calls = []
+
+        def counting(model, n):
+            calls.append(n)
+            return quantize(model, n)
+
+        monkeypatch.setattr(sim, "quantize", counting)
+        cfg = SystemConfig(power=1.0, backhaul_capacity=1.0, max_rounds=2,
+                           model_d=FadingModel("rician", 2.0, rician_k=1.5),
+                           model_s=FadingModel("rayleigh", 1.0))
+        pol = RatePolicy.per_node([0.5, 0.8, 1.1], [0.6, 0.4, 0.3], [0.7, 0.85, 1.0])
+        estimate(cfg, pol, CONST, 10_000, master_seed=2, batch_size=1000, workers=2)
+        assert calls == [3]
 
 
 class TestNumericalFailure:
