@@ -110,7 +110,8 @@ class CompressionPolicy:
 
 
 def _split_gain(a, d, out=None):
-    """b = 1 + a/d and the a/d guard; a = 0 ignores d, a > 0 needs d > 0.
+    """b = 1 + a/d and the a/d guard; a = 0 ignores d, a > 0 needs d > 0 (a NaN
+    d gives a NaN b wherever a > 0).
 
     out, an array of the broadcast shape that is neither a nor d, takes b
     without a temporary."""
@@ -122,7 +123,7 @@ def _split_gain(a, d, out=None):
     # 1 + where(a > 0, a / where(d > 0, d, 1), 0), one operation at a time
     out = np.empty(np.broadcast_shapes(a.shape, d.shape)) if out is None else out
     np.copyto(out, d)
-    np.copyto(out, 1.0, where=~(d > 0))
+    np.copyto(out, 1.0, where=d <= 0)
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(a, out, out=out)
     np.copyto(out, 0.0, where=~pos)
@@ -186,8 +187,8 @@ def conservative_gain(d, s_min, P, c_max, out=None, work=None):
     take a_d and 1/d (and the numerator, for an array s_min) without a temporary.
     """
     d = np.asarray(d, dtype=float)
-    d_low = np.min(d, initial=np.inf)
-    if d_low < 0:
+    d_low = np.min(d, initial=np.inf)  # NaN when any d is NaN
+    if not d_low >= 0 and np.any(d < 0):
         raise ValueError("d must be >= 0")
     beta = np.exp2(2.0 * np.asarray(c_max, dtype=float)) - 1.0
     s_min = np.asarray(s_min, dtype=float)
@@ -200,8 +201,8 @@ def conservative_gain(d, s_min, P, c_max, out=None, work=None):
         into = num if s_min.ndim else None
         num = np.multiply(beta, np.add(1.0, num, out=into), out=into)
         out = np.divide(num, den, out=den)
-    if d_low == 0:
-        np.copyto(out, 0.0, where=~(d > 0))
+    if not d_low > 0:
+        np.copyto(out, 0.0, where=d <= 0)  # a NaN d keeps its NaN
     return out if out.shape else float(out)
 
 

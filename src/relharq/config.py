@@ -68,7 +68,8 @@ _SCHEMA = [
     ("regime", "enum", "ltsc", ("ltsc", "stsc")),
     ("T", "int", 2, (1, None)),                        # max transmissions per session
     ("P_dB", "float", 0.0, None),                      # transmit power, dB
-    ("Cmax", "float", 1.0, (0.0, None)),               # backhaul capacity, bits/symbol
+    # backhaul capacity, bits/symbol; beta = 2^(2 Cmax) - 1 overflows from 512 on
+    ("Cmax", "float", 1.0, (0.0, 511.0)),
     # relay link D: rho_dB is the mean power (rayleigh/rician), K the Rician
     # factor, value the linear pointmass atom; S (side information) alike
     ("fading_D.dist", "enum", "rician", ("rayleigh", "rician", "pointmass")),

@@ -26,7 +26,13 @@ inputs), never on the broadcast (r1, r2, node) block.  F is carried through the
 cumulative min, and F(min(u, v)) is picked elementwise from F(u) and F(v):
 min returns one of its arguments, so the picked double is the one F would
 have returned.  The thresholds are walked l-major, so only
-the running thr_l(k) of one l is live at a time.
+the running thr_l(k) of one l is live at a time.  Under adaptive compression
+a layer-2 threshold depends on r1 only through a_hat, so with a Rician S, whose
+cdf is the costly kernel, F runs once per distinct a_hat per node
+(`_distinct_rows`): the r1 rows where s_hat is clamped to s_min, or where
+layer 1 cannot decode at l, all share one.  Equal inputs give equal doubles
+through the same elementwise operations, so the chain is formed on one row of
+each group and then spread to the others, exactly.
 """
 
 from __future__ import annotations
@@ -48,6 +54,44 @@ from .tables import reward_length
 
 def _pos(x):
     return np.maximum(x, 0.0)
+
+
+def _same(v):
+    return v
+
+
+def _distinct_rows(a, R):
+    """The gain a once per group of equal rows, and the map that spreads back.
+
+    slot_threshold(R, ., ., ., a, d) depends on its row (axis 0) only through
+    a when R, which carries the node axis, is constant along axis 0: rows
+    whose a has equal bits then give equal thresholds and equal cdf values.
+    So the rows of each column are grouped by the bits of a.  Returns
+    (a_rep, spread): a_rep (m, ...) holds the a of each group, NaN where a
+    column has fewer than m groups (F of NaN costs next to nothing, and no row
+    reads it), and spread(v) takes a v formed from a_rep to every row.  Where
+    R varies along axis 0, every row is its own group: (a, _same), as in an
+    empty block.
+    """
+    ndim = max(a.ndim, R.ndim)
+    if (R.ndim == ndim and R.shape[0] > 1) or a.size == 0:
+        return a, _same
+    a = a.reshape((1,) * (ndim - a.ndim) + a.shape)
+    q = a.shape[0]
+    flat = a.reshape(q, -1)
+    order = np.argsort(flat.view(np.int64), axis=0)
+    ranked = np.take_along_axis(flat, order, axis=0)
+    bits = ranked.view(np.int64)
+    first = np.ones(flat.shape, dtype=bool)
+    np.not_equal(bits[1:], bits[:-1], out=first[1:])
+    group = np.cumsum(first, axis=0) - 1
+    inv = np.empty_like(group)
+    np.put_along_axis(inv, order, group, axis=0)
+    pos, col = np.nonzero(first)
+    a_rep = np.full((group[-1].max() + 1, flat.shape[1]), np.nan)
+    a_rep[group[pos, col], col] = ranked[pos, col]
+    inv = inv.reshape(a.shape)
+    return a_rep.reshape((-1,) + a.shape[1:]), lambda v: np.take_along_axis(v, inv, axis=0)
 
 
 def node_tables(
@@ -92,7 +136,11 @@ def node_tables(
 
     # l-major: thr is thr_l(k), the S-threshold for "layer 2 decoded by slot k
     # given layer 1 at slot l", cumulative-min'ed over k = l..T with F(thr)
-    # carried along, so each raw threshold passes through F once
+    # carried along, so each raw threshold passes through F once.  One chain
+    # per distinct a_hat pays where F is the Rician kernel (75-200 ns a
+    # point); a Rayleigh or point-mass F over the block costs less than the
+    # two gathers (about 12 ns a cell each) that spread a grouped chain.
+    by_gain = comp.adaptive and cfg.model_s.kind == "rician"
     for l in range(1, T + 1):
         thr = slot_threshold(r2, l, abar * P, 0.0, a, d)  # same-slot threshold
         F_thr = F(thr)
@@ -104,12 +152,17 @@ def node_tables(
             a_sl = conservative_gain(d, s_hat, P, cmax)
         else:
             a_sl = a
+        R = r2 - l * g2
+        a_rep, spread = _distinct_rows(a_sl, R) if by_gain else (a_sl, _same)
         for k in range(l, T + 1):
+            thr_k, F_k = thr, F_thr  # drops the rows spread for k - 1
             if k > l:
-                raw = slot_threshold(r2 - l * g2, k - l, P, 0.0, a_sl, d)
+                raw = slot_threshold(R, k - l, P, 0.0, a_rep, d)
                 F_thr = cdf_of_min(thr, raw, F_thr, F(raw))
                 thr = np.minimum(thr, raw)
-            p2o[..., k - 1] += _pos(cdf_of_min(x[l - 1], thr, Fx[l - 1], F_thr) - Fx[l])
+                del raw  # not live while the chain is spread
+                thr_k, F_k = spread(thr), spread(F_thr)
+            p2o[..., k - 1] += _pos(cdf_of_min(x[l - 1], thr_k, Fx[l - 1], F_k) - Fx[l])
 
     return p1, p2o
 

@@ -46,6 +46,12 @@ class TestMutualInfo:
         # a = 0 ignores d entirely
         assert mutual_info(1, 0, 0.0, 3.0, 0.0) == pytest.approx(1.0)
 
+    def test_nan_relay_gain_propagates(self):
+        # a NaN d is no d = 1: wherever a > 0 the rate is NaN, and a = 0 ignores d
+        assert math.isnan(mutual_info(1, 0, 1.0, 1.0, np.nan))
+        assert math.isnan(_split_gain(1.0, np.nan))
+        assert mutual_info(1, 0, 0.0, 3.0, np.nan) == pytest.approx(1.0)
+
     @given(
         P=st.floats(0.01, 50),
         Pb=st.floats(0, 50),
@@ -103,6 +109,14 @@ class TestBackhaul:
                               [0.0, conservative_gain(1.0, 0.0, 1.0, 1.0)])
         with pytest.raises(ValueError):
             conservative_gain(-1e-9, 0.0, 1.0, 1.0)
+
+    def test_gain_of_a_nan_relay_gain_is_nan(self):
+        # a NaN d neither hides a dead link's a = 0 nor a negative d
+        got = conservative_gain(np.array([0.0, np.nan, 1.0]), 0.0, 1.0, 1.0)
+        assert np.array_equal(got, [0.0, np.nan, conservative_gain(1.0, 0.0, 1.0, 1.0)],
+                              equal_nan=True)
+        with pytest.raises(ValueError):
+            conservative_gain(np.array([np.nan, -1.0]), 0.0, 1.0, 1.0)
 
     @given(
         d=st.floats(1e-3, 1e3),
@@ -235,6 +249,12 @@ def test_kernel_into_buffers_equals_its_formula(kernel):
 
 
 class TestSlotThreshold:
+    def test_nan_relay_gain_propagates(self):
+        # no d = 1 in its place; the sentinels, which hold at any d, stay
+        assert math.isnan(slot_threshold(1.0, 1, 4.0, 0.0, 1.0, np.nan))
+        assert slot_threshold(0.0, 1, 4.0, 0.0, 1.0, np.nan) == -np.inf
+        assert slot_threshold(1.0, 1, 0.0, 1.0, 1.0, np.nan) == np.inf
+
     def test_sentinels(self):
         assert slot_threshold(0.0, 1, 1.0, 0.0, 1.0, 1.0) == -np.inf
         assert slot_threshold(1.0, 1, 0.0, 1.0, 1.0, 1.0) == np.inf

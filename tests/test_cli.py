@@ -184,16 +184,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"sweep.values: {key}: value {float(value)!r} outside allowed range" in err
 
-    def test_simulate_past_the_backhaul_overflow_is_numerical_failure(self, tmp_path, capsys):
-        # at Cmax = 1e6 the compression gain overflows to inf and the mutual
-        # information is NaN; the simulator must not count that as an outage,
-        # and the stsc closed form must not drop its NaN thresholds from a sum
+    def test_cmax_past_the_backhaul_overflow_is_config_error(self, tmp_path, capsys):
+        # beta = 2^(2 Cmax) - 1 overflows a double from Cmax = 512 on, so the
+        # schema stops at 511, in a config line and in a Cmax sweep alike
+        assert parse_config_text("Cmax = 511\n")["Cmax"] == 511.0
         for regime in ("ltsc", "stsc"):
-            text = COARSE.replace("Cmax = 1.0", "Cmax = 1e6")
-            path = write_cfg(tmp_path, text.replace("regime = ltsc", f"regime = {regime}"))
-            for job in ("analytic", "simulate"):
-                assert cli.main([job, "--config", path, "--out", str(tmp_path)]) == 3
-            assert "non-finite value reached a CSV cell" in capsys.readouterr().err
+            text = COARSE.replace("regime = ltsc", f"regime = {regime}")
+            for bad in ("Cmax = 1e6", "Cmax = 511.5", "sweep.key = Cmax\nsweep.values = 1,1e6"):
+                path = write_cfg(tmp_path, text.replace("Cmax = 1.0", bad))
+                for job in ("analytic", "simulate"):
+                    assert cli.main([job, "--config", path, "--out", str(tmp_path)]) == 2
+                    assert "Cmax: value" in capsys.readouterr().err
 
     def test_stsc_rate_past_overflow_is_an_outage(self, tmp_path):
         # 2^(2 r2) overflows at r2 = 2000; layer 2 is then a plain outage

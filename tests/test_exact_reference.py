@@ -1,7 +1,8 @@
 """Exact-equality oracles for the LTSC and STSC evaluators, the optimizer and
 the Monte Carlo stepper.
 
-The evaluators share one S-link cdf pass per threshold array.  The optimizer
+The evaluators share one S-link cdf pass per threshold array, and the LTSC
+node tables form an adaptive chain once per distinct compression gain.  The optimizer
 finds every policy class in one lattice pass and runs Dinkelbach on per-node
 candidate fronts.  The stepper forms each session's gains once, takes one
 mutual-information pass per layer and slot, and writes every per-slot array
@@ -20,18 +21,19 @@ a sum over its own thresholds, so it is compared within DEC_ATOL; p1 and
 p2_out stay exact.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from relharq import ltsc
+from relharq import fading, ltsc
 from relharq import optimize as opt
 from relharq import simulate as sim
-from relharq.channel import (CompressionPolicy, RatePolicy, SystemConfig,
+from relharq.channel import (CompressionPolicy, RatePolicy, SystemConfig, _split_gain,
                              backhaul_usage, check_supported, conservative_gain,
                              infer_s_hat, mutual_info, slot_threshold)
-from relharq.fading import FadingModel, QuadratureGrid, quantize
+from relharq.fading import FadingModel, QuadratureGrid, cdf_of_min, quantize
 from relharq.ltsc import node_tables
 from relharq.optimize import GridSpec, OptimizationResult
 from relharq.stsc import quantity_tables, stsc_quantities
@@ -47,7 +49,7 @@ def _pos(x):
     return np.maximum(x, 0.0)
 
 
-def reference_node_tables(
+def reference_full_block_node_tables(
     cfg: SystemConfig,
     r1,
     r2,
@@ -127,6 +129,64 @@ def reference_node_tables(
         p2d[..., k - 1] = dec_k
 
     return p1, p2o, p2d
+
+
+def reference_node_tables(
+    cfg: SystemConfig,
+    r1,
+    r2,
+    alpha,
+    grid: QuadratureGrid,
+    comp: CompressionPolicy = CONST,
+):
+    """node_tables before the adaptive chain was formed once per distinct
+    compression gain: every layer-2 threshold and its cdf at the block shape."""
+    check_supported(cfg, comp, regime="ltsc")
+    P, cmax, T = cfg.power, cfg.backhaul_capacity, cfg.max_rounds
+    s_min = cfg.s_min
+    d = grid.nodes
+    F = cfg.model_s.cdf_strict
+
+    r1, r2, alpha = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (r1, r2, alpha))
+    abar = 1.0 - alpha
+
+    a = conservative_gain(d, s_min, P, cmax)
+    b = _split_gain(a, d)  # 1 + a/d; a dead link (d = 0) has a = 0 and b = 1
+    # approximate per-BC-slot layer-2 credit (1/2)log2(c/b), c = b + abar P a
+    g2 = 0.5 * np.log2(1.0 + abar * P * a / b)
+
+    shape = np.broadcast_shapes(r1.shape, r2.shape, alpha.shape, d.shape)
+
+    # layer-1 decode-within-l thresholds at their (r1, alpha, node) shape; x[0] = +inf
+    x = [np.inf]
+    for l in range(1, T + 1):
+        x.append(slot_threshold(r1, l, alpha * P, abar * P, a, d))
+    Fx = [F(v) for v in x]
+    p1 = np.broadcast_to(np.stack(Fx[1:], axis=-1), shape + (T,))
+    p2o = p1.copy()
+
+    # l-major: thr is thr_l(k), the S-threshold for "layer 2 decoded by slot k
+    # given layer 1 at slot l", cumulative-min'ed over k = l..T with F(thr)
+    # carried along, so each raw threshold passes through F once
+    for l in range(1, T + 1):
+        thr = slot_threshold(r2, l, abar * P, 0.0, a, d)  # same-slot threshold
+        F_thr = F(thr)
+        if comp.adaptive:
+            s_hat = infer_s_hat(r1, l, alpha, d, a, P, s_min)
+            # +inf means "layer 1 cannot decode at l"; the interval is empty,
+            # substitute a dummy so a_hat stays finite
+            s_hat = np.where(np.isposinf(s_hat), 1.0, s_hat)
+            a_sl = conservative_gain(d, s_hat, P, cmax)
+        else:
+            a_sl = a
+        for k in range(l, T + 1):
+            if k > l:
+                raw = slot_threshold(r2 - l * g2, k - l, P, 0.0, a_sl, d)
+                F_thr = cdf_of_min(thr, raw, F_thr, F(raw))
+                thr = np.minimum(thr, raw)
+            p2o[..., k - 1] += _pos(cdf_of_min(x[l - 1], thr, Fx[l - 1], F_thr) - Fx[l])
+
+    return p1, p2o
 
 
 
@@ -263,12 +323,12 @@ class TestNodeTablesMatchReference:
             cfg = ltsc_cfg(s_kind, T, P=P)
             for alpha in (0.0, 0.6, 0.93, 1.0):
                 args = (cfg, r1, r2, np.float64(alpha), grid, comp)
-                assert_tables_equal(node_tables(*args), reference_node_tables(*args))
+                assert_tables_equal(node_tables(*args), reference_full_block_node_tables(*args))
 
     def test_scalar_tuple(self, T, comp, s_kind):
         grid = quantize(D_RICIAN, 9)
         args = (ltsc_cfg(s_kind, T), 0.9, 0.4, 0.85, grid, comp)
-        assert_tables_equal(node_tables(*args), reference_node_tables(*args))
+        assert_tables_equal(node_tables(*args), reference_full_block_node_tables(*args))
 
     def test_per_node_policy(self, T, comp, s_kind):
         grid = quantize(D_RICIAN, 10)
@@ -276,14 +336,14 @@ class TestNodeTablesMatchReference:
         r1, r2 = rng.uniform(0.0, 2.5, 10), rng.uniform(0.0, 1.2, 10)
         alpha = rng.uniform(0.5, 1.0, 10)
         args = (ltsc_cfg(s_kind, T, P=3.0), r1, r2, alpha, grid, comp)
-        assert_tables_equal(node_tables(*args), reference_node_tables(*args))
+        assert_tables_equal(node_tables(*args), reference_full_block_node_tables(*args))
 
     def test_pointmass_relay_link(self, T, comp, s_kind):
         cfg = ltsc_cfg(s_kind, T, model_d=D_POINT)
         grid = quantize(D_POINT, 8)
         args = (cfg, np.linspace(0.0, 2.0, 5)[:, None, None],
                 np.linspace(0.0, 1.0, 4)[None, :, None], np.float64(0.9), grid, comp)
-        assert_tables_equal(node_tables(*args), reference_node_tables(*args))
+        assert_tables_equal(node_tables(*args), reference_full_block_node_tables(*args))
 
 
 @pytest.mark.parametrize("comp", [CONST, ADAPT], ids=["constant", "adaptive"])
@@ -294,7 +354,7 @@ def test_node_tables_nan_thresholds_match_reference(comp):
     grid = quantize(D_RICIAN, 7)
     args = (ltsc_cfg("rician", 3), np.array([0.5, 600.0])[:, None, None],
             np.array([0.3, 600.0])[None, :, None], np.float64(1.0), grid, comp)
-    want = reference_node_tables(*args)
+    want = reference_full_block_node_tables(*args)
     p1, p2o, p2d = want
     assert all(np.isfinite(t).all() for t in want)
     assert np.all(p1[1] == 1.0)
@@ -324,8 +384,77 @@ def test_constant_block_evaluates_fewer_cdf_points_than_cells(monkeypatch):
     node_tables(*args)
     assert sum(points) < q1 * q2 * nd
     points.clear()
-    reference_node_tables(*args)
+    reference_full_block_node_tables(*args)
     assert sum(points) > 10 * q1 * q2 * nd
+
+
+def dead_relay_grid(n):
+    """A Rician D grid whose first node is a dead relay link, d = 0."""
+    grid = quantize(D_RICIAN, n)
+    return dataclasses.replace(grid, nodes=np.concatenate(([0.0], grid.nodes[1:])))
+
+
+# r1 = 0 rows (s_hat clamped to s_min), repeated rows, and rows that layer 1
+# cannot decode at some or all l below alpha = 1 (s_hat = +inf)
+R1_ROWS = np.array([0.0, 0.0, 0.3, 0.9, 0.9, 1.6, 2.4, 9.0, 9.0])
+
+
+@pytest.mark.parametrize("layout", ["tuple", "per-node", "block", "paired-rows"])
+@pytest.mark.parametrize("s_kind", sorted(S_MODELS))
+@pytest.mark.parametrize("comp", [CONST, ADAPT], ids=["constant", "adaptive"])
+@pytest.mark.parametrize("T", [1, 2, 3, 5])
+def test_node_tables_match_parent(T, comp, s_kind, layout):
+    # with a Rician S the adaptive chain is formed once per distinct a_hat per
+    # node and spread to the rows that share it; paired rows (r2 and alpha
+    # along the r1 axis) share nothing, since their layer-2 thresholds differ
+    # by row, and an empty r1 axis has no rows to group
+    grid = dead_relay_grid(9)
+    nd = len(grid.nodes)
+    rng = np.random.default_rng(T)
+    if layout == "tuple":
+        calls = [(r1, 0.4, alpha) for r1 in (0.0, 0.9, 9.0) for alpha in (0.5, 1.0)]
+    elif layout == "per-node":
+        calls = [(rng.choice(R1_ROWS, nd), rng.uniform(0.0, 2.0, nd),
+                  rng.choice([0.0, 0.5, 0.8, 1.0], nd)) for _ in range(4)]
+    elif layout == "block":
+        calls = [(r1[:, None, None], np.linspace(0.0, 2.0, 5)[None, :, None], np.float64(alpha))
+                 for r1 in (R1_ROWS, R1_ROWS[:0]) for alpha in (0.0, 0.5, 0.9, 1.0)]
+    else:
+        q = len(R1_ROWS)
+        calls = [(R1_ROWS[:, None], rng.uniform(0.0, 2.0, (q, 1)),
+                  rng.choice([0.5, 0.9], (q, 1)))]
+    for P in (0.5, 4.0):
+        cfg = ltsc_cfg(s_kind, T, P=P)
+        for r1, r2, alpha in calls:
+            args = (cfg, r1, r2, alpha, grid, comp)
+            for got, want in zip(node_tables(*args), reference_node_tables(*args), strict=True):
+                assert got.shape == want.shape
+                assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_adaptive_block_forms_each_distinct_gain_once(monkeypatch):
+    # one 31x31 optimizer block at quad.n 32, T = 3, Rician S: before, the
+    # three layer-2 thresholds went to the Rician kernel at the block shape
+    # (98,209 points with the layer-1 and same-slot ones); once per distinct
+    # a_hat per node they are 43,649 points, 30,970 of them not NaN padding
+    cfg = SystemConfig(1.0, 1.5, 3, FadingModel("rician", 10.0),
+                       FadingModel("rician", 1.0, rician_k=1.0))
+    r = np.linspace(0.0, 6.0, 31)
+    args = (cfg, r[:, None, None], r[None, :, None], np.float64(0.9),
+            quantize(cfg.model_d, 32), ADAPT)
+    points = []
+    chndtr = fading._chndtr
+
+    def counting(xp, nc):
+        points.append(xp.size)
+        return chndtr(xp, nc)
+
+    monkeypatch.setattr(fading, "_chndtr", counting)
+    node_tables(*args)
+    assert sum(points) < 49_000
+    points.clear()
+    reference_node_tables(*args)
+    assert sum(points) > 98_000
 
 
 def assert_stsc_quantities_close(got, want):
