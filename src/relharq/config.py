@@ -89,14 +89,16 @@ _SCHEMA = [
     ("mc.seed", "int", 0, (0, None)),
     ("mc.batch", "int", 65_536, (1, None)),
     ("mc.workers", "int", 1, (1, None)),
-    ("quad.n", "int", DEFAULT_QUAD_N, (2, None)),      # analytic quadrature size
+    # analytic quadrature size; it and grid.nodes stop at 2^20 nodes, where one
+    # float64 row is 8 MB, so a grid that cannot be allocated is a config error
+    ("quad.n", "int", DEFAULT_QUAD_N, (2, 1 << 20)),
     # optimizer search lattice; grid.nodes is the per-node policy grid size,
     # 0 = match quad.n
     ("grid.r_max", "float", 6.0, (1e-12, None)),
     ("grid.r_step", "float", 0.05, (1e-12, None)),
     ("grid.alpha_step", "float", 0.02, (1e-12, 1.0)),
     ("grid.refine", "int", 3, (0, None)),
-    ("grid.nodes", "int", 0, (0, None)),
+    ("grid.nodes", "int", 0, (0, 1 << 20)),
     # a numeric key to sweep over comma-separated values: the rows of each
     # value, led by it
     ("sweep.key", "str", "", None),

@@ -12,7 +12,11 @@ which is robust for integrands with clamp kinks.
 The Rician cdf and ppf call the scipy.special kernels behind scipy's ncx2
 distribution (chndtr and chndtrix; the central chi2 chdtr and gammaincinv at
 nc = 0), which give its values bit for bit; importing scipy's stats subpackage
-would be most of a CLI job's start-up.
+would be most of a CLI job's start-up.  scipy.special itself is imported by
+the first Rician cdf or ppf, not with this module: the Rayleigh and point-mass
+closed forms and every sampler are numpy only, so a job that never takes a
+Rician cdf or ppf (a Monte Carlo run of one tuple, say) is spared the import,
+about 0.3 s and 25 MB of a fresh `import relharq.cli`.
 
 A large Rician cdf runs as two halves on two threads (`_chndtr`): its kernel is
 elementwise, so each half gives the doubles it gives inside the whole array.
@@ -25,7 +29,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 _TAIL_Q = 1.0 - 1e-6  # quantile where the grid truncates the upper tail
 DEFAULT_QUAD_N = 64  # quadrature size of every closed form: quad.n and the library defaults
@@ -38,7 +41,10 @@ _POOL = ThreadPoolExecutor(max_workers=2)  # starts no thread until the first su
 
 def _chndtr(xp, nc):
     """special.chndtr(xp, 2, nc), bit for bit; from SPLIT_POINTS points on, the
-    two halves of the flattened array run on _POOL (chndtr releases the GIL)."""
+    two halves of the flattened array run on _POOL (chndtr releases the GIL).
+    The caller's thread imports scipy.special, so a pool thread never does."""
+    from scipy import special
+
     if xp.size < SPLIT_POINTS:
         return special.chndtr(xp, 2.0, nc)
     flat, out = xp.ravel(), np.empty(xp.size)
@@ -86,6 +92,8 @@ class FadingModel:
         elif self.kind == "rayleigh":
             out = -np.expm1(-np.maximum(x, 0.0) / self.mean_power)
         else:
+            from scipy import special
+
             xp = np.maximum(x, 0.0) / self._ncx2_scale()
             nc = 2.0 * self.rician_k
             # the kernels ncx2.cdf calls: chndtr for nc > 0, the central chi2
@@ -110,6 +118,8 @@ class FadingModel:
         elif self.kind == "rayleigh":
             out = -self.mean_power * np.log1p(-q)
         else:
+            from scipy import special
+
             # the kernels ncx2.ppf calls; they give its 0, +inf and NaN at
             # q = 0, q = 1 and q outside [0, 1] (the sign of a NaN may differ)
             nc = 2.0 * self.rician_k

@@ -196,6 +196,25 @@ class TestExitCodes:
                     assert cli.main([job, "--config", path, "--out", str(tmp_path)]) == 2
                     assert "Cmax: value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("job, key, text", [
+        ("analytic", "quad.n", COARSE.replace("quad.n = 24", "quad.n = 1000000000000")),
+        ("optimize", "grid.nodes", COARSE + "csi = lcsit\ngrid.nodes = 1000000000000\n"),
+    ], ids=["analytic", "optimize-lcsit"])
+    def test_grid_past_2_to_the_20_nodes_is_config_error(self, tmp_path, capsys,
+                                                         job, key, text):
+        # 10^12 nodes would be a 7.28 TiB row in quantize; the schema stops at
+        # 2^20, before any array is formed
+        path = write_cfg(tmp_path, text)
+        assert cli.main([job, "--config", path, "--out", str(tmp_path)]) == 2
+        assert f"{key}: value 1000000000000 outside allowed range" in capsys.readouterr().err
+
+    def test_grid_of_2_to_the_20_nodes_parses(self):
+        ec = parse_config_text(f"quad.n = {2**20}\ngrid.nodes = {2**20}\n")
+        assert ec["quad.n"] == ec["grid.nodes"] == ec.n_nodes() == 2**20
+        for key in ("quad.n", "grid.nodes"):
+            with pytest.raises(ConfigError, match=f"{key}: value {2**20 + 1} outside"):
+                parse_config_text(f"{key} = {2**20 + 1}\n")
+
     def test_stsc_rate_past_overflow_is_an_outage(self, tmp_path):
         # 2^(2 r2) overflows at r2 = 2000; layer 2 is then a plain outage
         path = write_cfg(tmp_path, "regime = stsc\nT = 2\npolicy = 1.0,2000,0.9\n"

@@ -1073,5 +1073,6 @@ def test_run_batch_overflowed_backhaul_raises_like_reference(regime, comp):
     cfg = SystemConfig(power=1.0, backhaul_capacity=1e6, max_rounds=2, model_d=MC_D,
                        model_s=MC_S, channel_regime=regime)
     for run in (sim._run_batch, reference_run_batch):
-        with pytest.raises(NumericalError, match="mutual information"):
+        with pytest.warns(RuntimeWarning), \
+                pytest.raises(NumericalError, match="mutual information"):
             run(cfg, MC_SINGLE, comp, np.random.default_rng(0), 64)

@@ -1,4 +1,6 @@
 import math
+import os
+import subprocess
 import sys
 import threading
 
@@ -151,6 +153,57 @@ def test_rician_cdf_from_outer_threads_at_once():
     assert not any(t.is_alive() for t in threads)
     assert len(got) == 12
     assert all(np.array_equal(result, want, equal_nan=True) for result in got)
+
+
+FIRST_USE_FROM_THREADS = """
+import sys, threading
+import numpy as np
+from relharq import fading
+from relharq.fading import SPLIT_POINTS, FadingModel
+
+submit, loaded_at_submit = fading._POOL.submit, []
+
+def recording_submit(*args, **kwargs):
+    loaded_at_submit.append("scipy.special" in sys.modules)
+    return submit(*args, **kwargs)
+
+fading._POOL.submit = recording_submit
+x = np.random.default_rng(3).exponential(3.0, SPLIT_POINTS + 5)
+q = np.linspace(0.0, 1.0, 257)
+pairs = [(FadingModel("rician", 3.0, rician_k=k), FadingModel("rician", rho))
+         for k, rho in ((0.5, 3.0), (2.0, 2.0), (7.5, 1.0))]
+got = {}
+start = threading.Barrier(3)
+
+def first_use(models):
+    start.wait()
+    for m in models:  # K > 0 first, on the pool; then the K = 0 kernels
+        got[m] = (m.cdf(x), m.ppf(q))
+
+threads = [threading.Thread(target=first_use, args=(pair,)) for pair in pairs]
+print([m for m in sys.modules if m.split(".")[0] == "scipy"])
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60)
+from scipy import special
+for m in got:
+    scale, nc = m.mean_power / (2.0 * (m.rician_k + 1.0)), 2.0 * m.rician_k
+    cdf = special.chndtr(x / scale, 2.0, nc) if nc > 0 else special.chdtr(2.0, x / scale)
+    ppf = special.chndtrix(q, 2.0, nc) if nc > 0 else 2.0 * special.gammaincinv(1.0, q)
+    print(np.array_equal(got[m][0], cdf) and np.array_equal(got[m][1], ppf * scale))
+print(sum(t.is_alive() for t in threads), loaded_at_submit)
+"""
+
+
+def test_first_rician_use_from_threads_at_once():
+    # scipy.special is imported by the first Rician cdf or ppf, on the calling
+    # thread before the pool gets a half; three threads meeting it at once
+    # each get the one-shot kernels' doubles
+    src = os.path.dirname(os.path.dirname(fading.__file__))
+    proc = subprocess.run([sys.executable, "-c", FIRST_USE_FROM_THREADS], capture_output=True,
+                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.splitlines() == ["[]"] + ["True"] * 6 + [f"0 {[True] * 6}"]
 
 
 def test_invalid_parameters_rejected():

@@ -68,6 +68,40 @@ def test_the_package_does_not_import_scipy_stats():
     assert proc.stdout.strip() == "[]"
 
 
+# prints the scipy modules loaded in the interpreter once the code before it ran
+LOADED_SCIPY = "import sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+
+
+def fresh_interpreter(code):
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC.parent)}, check=True)
+
+
+def test_the_package_does_not_import_scipy():
+    # scipy.special is loaded by the first Rician cdf or ppf, not by the import
+    proc = fresh_interpreter("import relharq, relharq.cli; " + LOADED_SCIPY)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_simulate_jobs_load_no_scipy(tmp_path):
+    # Monte Carlo sampling is numpy only, a Rician model included
+    ltsc = tmp_path / "ltsc.cfg"
+    ltsc.write_text(BASE, encoding="utf-8")
+    stsc = tmp_path / "stsc.cfg"
+    stsc.write_text(BASE.replace("regime = ltsc", "regime = stsc")
+                    .replace("compression = adaptive", "compression = constant")
+                    .replace("fading_S.dist = rayleigh", "fading_S.dist = rician")
+                    + "fading_S.K = 2.0\n", encoding="utf-8")
+    jobs = [["simulate", "--config", str(cfg), "--out", str(tmp_path / cfg.stem)]
+            for cfg in (ltsc, stsc)]
+    proc = fresh_interpreter(f"import relharq.cli; "
+                             f"print([relharq.cli.main(argv) for argv in {jobs!r}]); "
+                             + LOADED_SCIPY)
+    assert proc.stdout.splitlines()[-2:] == ["[0, 0]", "[]"]
+    assert (tmp_path / "ltsc" / "simulate.csv").is_file()
+    assert (tmp_path / "stsc" / "simulate.csv").is_file()
+
+
 def test_every_export_resolves():
     # a deleted helper must not leave a stale name in the public API
     assert [name for name in relharq.__all__ if not hasattr(relharq, name)] == []

@@ -304,5 +304,6 @@ class TestNumericalFailure:
         cfg = SystemConfig(power=1.0, backhaul_capacity=1e6, max_rounds=2,
                            model_d=FadingModel("rayleigh", 1.0),
                            model_s=FadingModel("rayleigh", 1.0), channel_regime=regime)
-        with pytest.raises(NumericalError, match="mutual information"):
+        with pytest.warns(RuntimeWarning), \
+                pytest.raises(NumericalError, match="mutual information"):
             estimate(cfg, RatePolicy.constant(1.0, 0.2, 0.9), CONST, 500, master_seed=0)

@@ -7,14 +7,17 @@ once untraced (the end-to-end metrics) and once traced (the per-layer
 metrics), one run at a time, then the acceptance tests once.  The file holds,
 per workload and mode, the run's last output line (correct, attempted, failed,
 metrics) with the iteration count and timing tails of its record in
-`perfbench/_work/results/`; the call time of each acceptance criterion, read
-from pytest's `--durations` report; the host (nproc, CPU, memory, Python,
-numpy and scipy versions), the line count and digest of `src/relharq`, the
-HEAD commit with whether `src/` matches it (`src_matches_head` is false when
-the file is recorded from an uncommitted tree, whose `git_commit` is then the
-parent), and the wall time of the whole recording (about 5 minutes on a 2-core
-host).  Exits 1 when a run fails, a job's output does not check out or an
-acceptance test fails; the file is written either way.
+`perfbench/_work/results/`; the cold start (the median time and peak RSS
+of a fresh `import relharq.cli` over 7 interpreters, and the number of scipy
+modules that import leaves loaded); the call time of each acceptance
+criterion, read from pytest's `--durations` report; the host (nproc, CPU,
+memory, Python, numpy and scipy versions), the line count and digest of
+`src/relharq`, the HEAD commit with whether `src/` matches it
+(`src_matches_head` is false when the file is recorded from an uncommitted
+tree, whose `git_commit` is then the parent), and the wall time of the whole
+recording (about 5 minutes on a 2-core host).  Exits 1 when a run fails, a
+job's output does not check out or an acceptance test fails; the file is
+written either way.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import argparse
 import json
 import os
 import re
+import statistics
 import subprocess
 import sys
 import time
@@ -32,6 +36,13 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("mc", "design-ltsc", "design-stsc", "point-fine")
 SEED, SECONDS = 0, 15
 MODES = ((0, "end_to_end"), (1, "per_layer"))
+COLD_STARTS = 7
+# run in a fresh interpreter: the import's wall time, its peak RSS in MB and
+# the scipy modules it loads
+COLD_START = ("import resource, sys, time; t0 = time.perf_counter(); import relharq.cli; "
+              "print(time.perf_counter() - t0, "
+              "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "
+              "sum(m.split('.')[0] == 'scipy' for m in sys.modules))")
 # a --durations line: "17.20s call     tests/test_acceptance.py::test_criterion_01_..."
 CRITERION_CALL = re.compile(r"^([0-9.]+)s call\s+\S+::test_criterion_(\d+)_", re.MULTILINE)
 
@@ -58,13 +69,30 @@ def src_matches_head():
     return proc.stdout == "" if proc.returncode == 0 else None
 
 
+def src_env() -> dict:
+    """The environment with the checkout's `src/` first on PYTHONPATH."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+
+
+def cold_start() -> dict:
+    """Median import time and peak RSS of `import relharq.cli` over fresh
+    interpreters, and the number of scipy modules it leaves loaded."""
+    runs = [subprocess.run([sys.executable, "-c", COLD_START], cwd=ROOT, env=src_env(),
+                           capture_output=True, text=True, check=True).stdout.split()
+            for _ in range(COLD_STARTS)]
+    return {"interpreters": COLD_STARTS,
+            "import_s": round(statistics.median(float(run[0]) for run in runs), 4),
+            "rss_mb": round(statistics.median(float(run[1]) for run in runs), 2),
+            "scipy_modules": max(int(run[2]) for run in runs)}
+
+
 def criteria() -> tuple:
     """Whether the acceptance tests pass, and each criterion's call time in s."""
     argv = [sys.executable, "-m", "pytest", "tests/test_acceptance.py", "-q", "-p",
             "no:cacheprovider", "--durations=0", "--durations-min=0"]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, check=False)
+    proc = subprocess.run(argv, cwd=ROOT, env=src_env(), capture_output=True, text=True,
+                          check=False)
     times = {num: float(secs) for secs, num in CRITERION_CALL.findall(proc.stdout)}
     return proc.returncode == 0, dict(sorted(times.items()))
 
@@ -77,8 +105,10 @@ def main(argv=None) -> int:
     started = time.monotonic()
     mem_gb = round(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2**30, 1)
     bench = {"seed": SEED, "seconds": SECONDS, "host": None, "src_relharq": None,
-             "workloads": {}, "acceptance": None}
+             "cold_start": None, "workloads": {}, "acceptance": None}
     ok = True
+    print("cold start ...", file=sys.stderr, flush=True)
+    bench["cold_start"] = cold_start()
     try:
         for workload in WORKLOADS:
             entry = bench["workloads"][workload] = {}
