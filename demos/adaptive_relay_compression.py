@@ -8,7 +8,7 @@ more often and the conservative quantizer wastes more of them.
 """
 
 from relharq import (CompressionPolicy, FadingModel, GridSpec, SystemConfig,
-                     estimate, optimize_no_lcsit)
+                     estimate, optima)
 
 GRID = GridSpec(r_max=6.0, r_step=0.1, alpha_step=0.05, refine_rounds=2)
 QUAD_N = 32
@@ -26,7 +26,7 @@ for k_factor in (0.0, 2.0, 5.0, 10.0):
     adapted = 0
     for kind in ("adaptive", "constant"):
         comp = CompressionPolicy(kind)
-        best = optimize_no_lcsit(cfg, comp, grid_spec=GRID, quad_n=QUAD_N)
+        best = optima(cfg, ["bc"], comp, grid_spec=GRID, quad_n=QUAD_N)["bc"]
         rep = estimate(cfg, best.policy, comp, n_sessions=SESSIONS,
                        master_seed=3)  # common seed: the gap is paired
         etas[kind] = rep.eta

@@ -6,10 +6,7 @@ to look for: with CSI the layering gain fades as the relay link hardens
 (only the side-information gain stays uncertain), without CSI it persists.
 """
 
-import numpy as np
-
-from relharq import (CompressionPolicy, FadingModel, GridSpec, SystemConfig,
-                     optimize_lcsit, optimize_no_lcsit, optimize_single_layer)
+from relharq import CompressionPolicy, FadingModel, GridSpec, SystemConfig, optima
 
 GRID = GridSpec(r_max=5.0, r_step=0.1, alpha_step=0.05, refine_rounds=2)
 QUAD_N = 32
@@ -23,12 +20,10 @@ for rho_db in (-5.0, 0.0, 5.0, 10.0, 15.0, 20.0):
         model_d=FadingModel("rician", mean_power=10 ** (rho_db / 10)),
         model_s=FadingModel("rayleigh", mean_power=1.0),
     )
-    bc_l = optimize_lcsit(cfg, comp, grid_spec=GRID, n_nodes=QUAD_N,
-                          quad_n=QUAD_N).eta
-    sl_l = optimize_lcsit(cfg, comp, grid_spec=GRID, n_nodes=QUAD_N,
-                          quad_n=QUAD_N, single_layer=True).eta
-    bc_n = optimize_no_lcsit(cfg, comp, grid_spec=GRID, quad_n=QUAD_N).eta
-    sl_n = optimize_single_layer(cfg, comp, grid_spec=GRID, quad_n=QUAD_N).eta
+    # all four policy classes from one pass over the tuple lattice
+    best = optima(cfg, ("bc-lcsit", "sl-lcsit", "bc", "sl"), comp, grid_spec=GRID,
+                  quad_n=QUAD_N)
+    bc_l, sl_l, bc_n, sl_n = (res.eta for res in best.values())
     print(f"{rho_db:>10.1f} | {bc_l:>9.4f} {sl_l:>9.4f} {bc_l - sl_l:>7.4f} | "
           f"{bc_n:>9.4f} {sl_n:>9.4f} {bc_n - sl_n:>7.4f}")
 

@@ -12,8 +12,8 @@ from .channel import (CompressionPolicy, RatePolicy, SystemConfig,
 from .config import (ConfigError, ExperimentConfig, GridSpec, load_config,
                      parse_config_text)
 from .fading import FadingModel, QuadratureGrid, quantize
-from .optimize import (OptimizationResult, optimize_lcsit, optimize_no_lcsit,
-                       optimize_single_layer, throughput)
+from .optimize import (OptimizationResult, optima, optimize_lcsit, optimize_no_lcsit,
+                       throughput)
 from .simulate import (EstimateReport, SessionOutcome, estimate,
                        simulate_session)
 from .tables import (NumericalError, ProbabilityTable, ThroughputReport,
@@ -27,7 +27,7 @@ __all__ = [
     "ProbabilityTable", "QuadratureGrid", "RatePolicy", "SessionOutcome",
     "SystemConfig", "ThroughputReport", "backhaul_usage", "check_supported",
     "conservative_gain", "estimate", "infer_s_hat", "load_config",
-    "mutual_info", "optimize_lcsit", "optimize_no_lcsit", "optimize_single_layer",
+    "mutual_info", "optima", "optimize_lcsit", "optimize_no_lcsit",
     "parse_config_text", "quantize", "reward_length", "simulate_session",
     "slot_threshold", "throughput",
 ]

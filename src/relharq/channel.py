@@ -49,9 +49,9 @@ class SystemConfig:
     def __post_init__(self):
         if not self.power > 0:
             raise ValueError("power must be > 0")
-        if self.backhaul_capacity < 0:
+        if not self.backhaul_capacity >= 0:
             raise ValueError("backhaul_capacity must be >= 0")
-        if self.max_rounds < 1:
+        if not self.max_rounds >= 1:
             raise ValueError("max_rounds must be >= 1")
         if self.channel_regime not in ("ltsc", "stsc"):
             raise ValueError(f"unknown regime {self.channel_regime!r}")
@@ -75,9 +75,10 @@ class RatePolicy:
             raise ValueError(f"unknown policy mode {self.mode!r}")
         for name in ("r1", "r2", "alpha"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if np.any(self.r1 < 0) or np.any(self.r2 < 0):
-            raise ValueError("rates must be >= 0")
-        if np.any(self.alpha < 0) or np.any(self.alpha > 1):
+        rates = np.concatenate((self.r1.ravel(), self.r2.ravel()))
+        if not np.all((rates >= 0) & (rates < np.inf)):
+            raise ValueError("rates must be finite and >= 0")
+        if not np.all((self.alpha >= 0) & (self.alpha <= 1)):
             raise ValueError("alpha must be in [0, 1]")
         if self.mode == "no_lcsit" and not (self.r1.ndim == self.r2.ndim == self.alpha.ndim == 0):
             raise ValueError("no_lcsit policy takes a single tuple")

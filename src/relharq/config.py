@@ -45,9 +45,9 @@ class GridSpec:
     refine_rounds: int = 3
 
     def __post_init__(self):
-        if self.r_max < 0 or self.r_step <= 0 or not 0 < self.alpha_step <= 1:
+        if not (0 <= self.r_max < math.inf and self.r_step > 0 and 0 < self.alpha_step <= 1):
             raise ValueError("empty search grid")
-        if self.refine_rounds < 0:
+        if not self.refine_rounds >= 0:
             raise ValueError("refine_rounds must be >= 0")
 
     def r_axis(self) -> np.ndarray:
@@ -155,8 +155,8 @@ def _parse_tuple(raw: str) -> str:
     if len(parts) != 3:
         raise ValueError('expected "optimize" or "r1,r2,alpha"')
     r1, r2, alpha = (float(p) for p in parts)
-    if r1 < 0 or r2 < 0:
-        raise ValueError("rates must be >= 0")
+    if not (0 <= r1 < math.inf and 0 <= r2 < math.inf):
+        raise ValueError("rates must be finite and >= 0")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
     return f"{r1!r},{r2!r},{alpha!r}"  # canonical form; round-trips exactly

@@ -70,9 +70,9 @@ class FadingModel:
             raise ValueError(f"unknown fading kind {self.kind!r}")
         if self.kind in ("rayleigh", "rician") and not self.mean_power > 0:
             raise ValueError("mean_power must be > 0")
-        if self.kind == "rician" and self.rician_k < 0:
+        if self.kind == "rician" and not self.rician_k >= 0:
             raise ValueError("rician_k must be >= 0")
-        if self.kind == "pointmass" and self.point_value < 0:
+        if self.kind == "pointmass" and not self.point_value >= 0:
             raise ValueError("point_value must be >= 0")
 
     @property

@@ -13,8 +13,8 @@ construction and not merely by grid luck.
 Candidate comparison key is (eta desc, alpha desc, then r1, r2 asc), which
 makes every argmax deterministic under ties.
 
-One pass serves every policy class (`_optimize`; the `optimize_*` functions
-are views of it).  The single-layer slice (r2 = 0, alpha = 1) is scanned and
+One pass serves every policy class (`_optimize`, which `optima` runs for a
+scenario).  The single-layer slice (r2 = 0, alpha = 1) is scanned and
 refined once and seeds the rest; the two-layer lattice is streamed by alpha
 once and refined once; Dinkelbach then runs for the per-node classes from
 those incumbents.  Its per-node values E[R|d], E[L|d] do not depend on
@@ -46,6 +46,8 @@ from .tables import NumericalError, ProbabilityTable, ThroughputReport, reward_l
 
 _MARGIN = 8 * np.finfo(float).eps  # 16 unit roundoffs, see _front
 _PAIR_CELLS = 16  # the pairwise test of _front holds at most 16 bools per block cell
+_TOL, _MAX_ITER = 1e-6, 50  # Dinkelbach stops once lambda moves by less than _TOL
+CLASSES = ("sl", "bc", "sl-lcsit", "bc-lcsit")
 
 
 @dataclass(frozen=True)
@@ -61,8 +63,8 @@ class _Evaluator:
     over a (r1, r2) block at fixed alpha (`block`, the optimizer's scan), or eta
     and the table at one policy (`report`).
 
-    mc holds the Monte Carlo budget as keywords of `estimate` (n_sessions,
-    master_seed, batch_size, workers); keys left out keep their defaults here.
+    mc holds the Monte Carlo budget as keywords of `estimate`; n_sessions and
+    master_seed default to 20000 and 0 here, the other keys to `estimate`'s.
     grid holds what the closed forms share across blocks, built once here: the
     D node grid (LTSC) or the slot-1 grid (`stsc.slot1_grid`, STSC).
     """
@@ -71,8 +73,7 @@ class _Evaluator:
         check_supported(cfg, comp, backend)
         self.cfg, self.comp, self.backend = cfg, comp, backend
         self.quad_n = quad_n
-        self.mc = {"n_sessions": 20_000, "master_seed": 0, "batch_size": 1 << 16, "workers": 1,
-                   **(mc or {})}
+        self.mc = {"n_sessions": 20_000, "master_seed": 0, **(mc or {})}
         if backend != "analytic":
             self.grid = None
         elif cfg.channel_regime == "ltsc":
@@ -259,9 +260,10 @@ def _front(reward: np.ndarray, length: np.ndarray):
     return pos, r, l
 
 
-def _dinkelbach(ev: _Evaluator, grid, base, lattice, fronts, tol, max_iter, policy_class):
+def _dinkelbach(ev: _Evaluator, grid, base, lattice, fronts, policy_class):
     """Per-node tuples over `lattice` on the node grid `grid` by Dinkelbach, from
-    the incumbent `base`.
+    the incumbent `base`: lambda <- E[R]/E[L] at the per-node argmax of
+    R - lambda L, one tuple search per node; lambda never decreases.
 
     fronts[a] holds the candidates of alpha block a (see _front); a block
     without one, and every block while lam < 0, is formed in full again.
@@ -278,7 +280,7 @@ def _dinkelbach(ev: _Evaluator, grid, base, lattice, fronts, tol, max_iter, poli
     trajectory = [lam]
     converged = False
 
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         best_score = reward_inc - lam * length_inc  # incumbent always a candidate
         new_r1, new_r2, new_a = r1n.copy(), r2n.copy(), an.copy()
         for alpha, front in zip(alpha_axis, fronts):
@@ -306,7 +308,7 @@ def _dinkelbach(ev: _Evaluator, grid, base, lattice, fronts, tol, max_iter, poli
             raise NumericalError(
                 f"fractional-programming iterate decreased: {lam!r} -> {lam_new!r}")
         trajectory.append(lam_new)
-        if abs(lam_new - lam) < tol:
+        if abs(lam_new - lam) < _TOL:
             lam = lam_new
             converged = True
             break
@@ -322,13 +324,15 @@ def _dinkelbach(ev: _Evaluator, grid, base, lattice, fronts, tol, max_iter, poli
 
 
 def _optimize(ev: _Evaluator, classes, grid_spec: GridSpec = GridSpec(),
-              n_nodes: int | None = None, tol: float = 1e-6, max_iter: int = 50) -> dict:
+              n_nodes: int | None = None) -> dict:
     """The optima of the requested policy classes from one pass; see the module docstring.
 
-    ev evaluates the scenario; classes names some of "sl", "bc" (single-layer
-    and two-layer tuples) and "sl-lcsit", "bc-lcsit" (their per-node tables);
-    the result maps each to its OptimizationResult.
+    ev evaluates the scenario; classes names some of CLASSES: "sl", "bc"
+    (single-layer and two-layer tuples) and "sl-lcsit", "bc-lcsit" (their
+    per-node tables); the result maps each to its OptimizationResult.
     """
+    if not set(classes) <= set(CLASSES):
+        raise ValueError(f"unknown policy classes in {classes!r}; expected some of {CLASSES}")
     per_node = [c for c in ("bc-lcsit", "sl-lcsit") if c in classes]
     nd = n_nodes if n_nodes is not None else ev.quad_n
     if per_node:
@@ -361,42 +365,36 @@ def _optimize(ev: _Evaluator, classes, grid_spec: GridSpec = GridSpec(),
         if not share:  # one node-grid block at a time, as the scan holds one
             fronts[kind] = [_front(*ev.block(*lattices[kind][:2], a, grid)[:2])
                             for a in lattices[kind][2]]
-        out[cls] = _dinkelbach(ev, grid, out[kind], lattices[kind], fronts[kind], tol,
-                               max_iter, "lcsit" if kind == "bc" else "lcsit_single_layer")
+        out[cls] = _dinkelbach(ev, grid, out[kind], lattices[kind], fronts[kind],
+                               "lcsit" if kind == "bc" else "lcsit_single_layer")
     return {c: out[c] for c in classes}
 
 
-def optimize_single_layer(cfg: SystemConfig, comp=CompressionPolicy("constant"),
-                          backend: str = "analytic", grid_spec: GridSpec = GridSpec(),
-                          quad_n: int = DEFAULT_QUAD_N, mc: dict | None = None
-                          ) -> OptimizationResult:
-    """Best single-message benchmark: maximize eta(R1, 0, 1) over R1."""
-    return _optimize(_Evaluator(cfg, comp, backend, quad_n, mc), ["sl"], grid_spec)["sl"]
+def optima(cfg: SystemConfig, classes, comp=CompressionPolicy("constant"),
+           backend: str = "analytic", grid_spec: GridSpec = GridSpec(),
+           quad_n: int = DEFAULT_QUAD_N, mc: dict | None = None) -> dict:
+    """The optima of the policy classes `classes` (some of CLASSES) from one pass,
+    as {class: OptimizationResult}: the optimizing twin of `throughput`.
+
+    "sl" is the best tuple (R1, 0, 1) and "bc" the best (R1, R2, alpha), never
+    worse; "sl-lcsit" and "bc-lcsit" are their per-node tables on the quad_n
+    node grid (Dinkelbach from those tuples; backend "analytic" only).  mc
+    takes the keywords of `estimate`.
+    """
+    return _optimize(_Evaluator(cfg, comp, backend, quad_n, mc), classes, grid_spec)
 
 
 def optimize_no_lcsit(cfg: SystemConfig, comp=CompressionPolicy("constant"),
                       backend: str = "analytic", grid_spec: GridSpec = GridSpec(),
                       quad_n: int = DEFAULT_QUAD_N, mc: dict | None = None
                       ) -> OptimizationResult:
-    """Best fixed tuple (R1, R2, alpha); never worse than the single-layer slice."""
-    return _optimize(_Evaluator(cfg, comp, backend, quad_n, mc), ["bc"], grid_spec)["bc"]
+    """optima's "bc"."""
+    return optima(cfg, ["bc"], comp, backend, grid_spec, quad_n, mc)["bc"]
 
 
 def optimize_lcsit(cfg: SystemConfig, comp=CompressionPolicy("constant"),
-                   backend: str = "analytic", grid_spec: GridSpec = GridSpec(),
-                   n_nodes: int | None = None, quad_n: int = DEFAULT_QUAD_N,
-                   mc: dict | None = None, single_layer: bool = False,
-                   tol: float = 1e-6, max_iter: int = 50) -> OptimizationResult:
-    """Per-node tuples R1(d), R2(d), alpha(d) by Dinkelbach fractional programming.
-
-    eta = E_D[R(theta(d))]/E_D[L(theta(d))] is maximized by iterating
-    lambda <- E[R]/E[L] at the per-node argmax of R - lambda L, which separates
-    into one independent tuple search per quadrature node.  The lambda sequence
-    is nondecreasing; it starts at the single-tuple incumbent (evaluated on the
-    same node grid when n_nodes is left at quad_n), so the richer class can
-    only improve on it.  single_layer restricts the per-node tuples to the
-    (R1(d), 0, 1) slice.
-    """
-    cls = "sl-lcsit" if single_layer else "bc-lcsit"
-    return _optimize(_Evaluator(cfg, comp, backend, quad_n, mc), [cls], grid_spec, n_nodes,
-                     tol, max_iter)[cls]
+                   grid_spec: GridSpec = GridSpec(), n_nodes: int | None = None,
+                   quad_n: int = DEFAULT_QUAD_N) -> OptimizationResult:
+    """optima's "bc-lcsit", its node grid n_nodes when given."""
+    ev = _Evaluator(cfg, comp, "analytic", quad_n)
+    return _optimize(ev, ["bc-lcsit"], grid_spec, n_nodes)["bc-lcsit"]

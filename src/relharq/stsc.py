@@ -62,9 +62,10 @@ BLOCK_CELLS = 2**16
 # r1 rows x n^2 cells per pass of stsc_quantities, which bounds its (q1, n, n)
 # arrays at 4 MB each; its (q2, n, n) arrays are formed once per pass
 R1_CELLS = 1 << 19
+G_CELLS = 1_000_000  # (u, node) pairs per chunk of G (`node_cdf_sum`), 8 MB a float array
 
 
-def node_cdf_sum(model: FadingModel, c, w, chunk_cells: int = 1_000_000):
+def node_cdf_sum(model: FadingModel, c, w):
     """G(u) = sum_j w_j Pr[S < u - c_j] as a function of a 1-D array u.
 
     Rayleigh S has a closed form over the sorted c: with k = #{c_j < u},
@@ -75,14 +76,14 @@ def node_cdf_sum(model: FadingModel, c, w, chunk_cells: int = 1_000_000):
     indicator is 1.  Rician S, and Rayleigh S with a non-finite c, sum the cdf
     over the nodes, evaluating it only where u - c_j > 0 (or NaN): at or below 0
     it is exactly 0; a large Rician cdf runs as two bit-identical halves on two
-    threads (`fading._chndtr`).  G takes u in chunks of chunk_cells // n cells,
+    threads (`fading._chndtr`).  G takes u in chunks of G_CELLS // n cells,
     halved for the cdf sum, which holds the differences u - c_j and their live
-    part; so at most max(chunk_cells, 2n) (u, node) pairs are held at a time.
+    part; so at most max(G_CELLS, 2n) (u, node) pairs are held at a time.
     """
     order = np.argsort(c, kind="stable")
     c, w = np.asarray(c, dtype=float)[order], np.asarray(w, dtype=float)[order]
     W = np.concatenate(([0.0], np.cumsum(w)))
-    step = max(1, chunk_cells // len(c))
+    step = max(1, G_CELLS // len(c))
 
     def chunked(f, size):  # f maps a chunk of `size` u to their values of G
         def g(u):
@@ -134,12 +135,11 @@ class Slot1Grid:
     w_bin: np.ndarray
 
 
-def slot1_grid(cfg: SystemConfig, n: int, chunk_cells: int = 1_000_000) -> Slot1Grid:
+def slot1_grid(cfg: SystemConfig, n: int) -> Slot1Grid:
     """The Slot1Grid of cfg at quadrature size n.
 
     Rejects a scenario without an stsc closed form, and n > 724 before any
-    array is formed (one tuple at n = 724 peaks at about 58 MB).  chunk_cells
-    bounds the (cell, D2 node) pairs G holds at once (`node_cdf_sum`).
+    array is formed (one tuple at n = 724 peaks at about 58 MB).
     """
     check_supported(cfg, regime="stsc")
     if n * n > R1_CELLS:
@@ -149,7 +149,7 @@ def slot1_grid(cfg: SystemConfig, n: int, chunk_cells: int = 1_000_000) -> Slot1
     d1, Fs1 = grid_d.nodes, cfg.model_s.cdf_strict
     a1 = conservative_gain(d1, cfg.s_min, cfg.power, cfg.backhaul_capacity)
     # D2 is i.i.d. with D1: G sums over the same nodes, each at its c = a/b
-    G = node_cdf_sum(cfg.model_s, a1 / _split_gain(a1, d1), grid_d.weights, chunk_cells)
+    G = node_cdf_sum(cfg.model_s, a1 / _split_gain(a1, d1), grid_d.weights)
     # S1 bin boundaries and the exact slot-1 indicator masses per bin.  Bin
     # masses come from the cdf at the edges (not the nominal quantile weights)
     # so the three-way partition telescopes to total mass 1 exactly.
@@ -160,17 +160,17 @@ def slot1_grid(cfg: SystemConfig, n: int, chunk_cells: int = 1_000_000) -> Slot1
 
 
 def stsc_quantities(cfg: SystemConfig, r1_vec, r2_vec, alpha: float, n: int,
-                    chunk_cells: int = 1_000_000, grid: Slot1Grid | None = None):
+                    grid: Slot1Grid | None = None):
     """The four independent table entries for every (r1, r2) pair at one alpha.
 
     Returns dict of (Q1, Q2) arrays: p1_out_1, p1_out_2, p2_dec_1, p2_out_2.
-    grid is `slot1_grid(cfg, n, chunk_cells)`, built here when None; a caller
+    grid is `slot1_grid(cfg, n)`, built here when None; a caller
     that evaluates many blocks of one scenario builds it once and passes it.
     r1 is taken R1_CELLS // n^2 rows per pass, which bounds the (q1, n, n)
     arrays; the (q2, n, n) ones hold the whole r2 axis.
     """
     if grid is None:
-        grid = slot1_grid(cfg, n, chunk_cells)
+        grid = slot1_grid(cfg, n)
     r1, r2 = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (r1_vec, r2_vec))
     rows = R1_CELLS // (n * n)
     parts = [_quantities(cfg, r1[i : i + rows], r2, alpha, grid)

@@ -19,8 +19,7 @@ from relharq.channel import (CompressionPolicy, RatePolicy, SystemConfig,
                              backhaul_usage, conservative_gain,
                              slot_threshold)
 from relharq.fading import FadingModel
-from relharq.optimize import (GridSpec, optimize_lcsit, optimize_no_lcsit,
-                              optimize_single_layer, throughput)
+from relharq.optimize import GridSpec, optima, throughput
 from relharq.simulate import estimate
 
 COARSE = GridSpec(r_max=3.0, r_step=0.25, alpha_step=0.25, refine_rounds=1)
@@ -209,14 +208,12 @@ def test_criterion_05_dominance_suite():
         stsc = i % 3 == 2
         cfg = rand_system(rng, "stsc" if stsc else "ltsc",
                           T=2 if stsc else int(rng.integers(1, 4)))
-        bc = optimize_no_lcsit(cfg, grid_spec=COARSE, quad_n=24)
-        sl = optimize_single_layer(cfg, grid_spec=COARSE, quad_n=24)
+        bc, sl = optima(cfg, ("bc", "sl"), grid_spec=COARSE, quad_n=24).values()
         assert bc.eta >= sl.eta - 1e-12, f"config {i}: bc {bc.eta} < sl {sl.eta}"
 
     for i in range(10):
         cfg = rand_system(rng, "ltsc", T=int(rng.integers(1, 4)))
-        bc = optimize_no_lcsit(cfg, grid_spec=COARSE, quad_n=24)
-        lc = optimize_lcsit(cfg, grid_spec=COARSE, n_nodes=24, quad_n=24)
+        bc, lc = optima(cfg, ("bc", "bc-lcsit"), grid_spec=COARSE, quad_n=24).values()
         assert lc.eta >= bc.eta - 1e-12, f"config {i}: lcsit {lc.eta} < {bc.eta}"
 
     margins, adaptations = [], 0
@@ -228,9 +225,8 @@ def test_criterion_05_dominance_suite():
                            FadingModel("rayleigh", mean_power=100.0))
         # tuples tuned for the adaptive policy, so the re-quantization path
         # actually fires when we swap the compression rule underneath them
-        tuned = optimize_no_lcsit(cfg, CompressionPolicy("adaptive"),
-                                  grid_spec=GridSpec(6.0, 0.2, 0.1, 1),
-                                  quad_n=24)
+        tuned = optima(cfg, ["bc"], CompressionPolicy("adaptive"),
+                       grid_spec=GridSpec(6.0, 0.2, 0.1, 1), quad_n=24)["bc"]
         reps = {kind: estimate(cfg, tuned.policy, CompressionPolicy(kind),
                                n_sessions=80_000, master_seed=7_000 + i)
                 for kind in ("adaptive", "constant")}
@@ -255,9 +251,8 @@ def test_criterion_06_relay_snr_trend():
         cfg = SystemConfig(1.0, 1.0, 2,
                            FadingModel("rician", mean_power=10 ** (rho_db / 10)),
                            FadingModel("rayleigh", mean_power=1.0))
-        bc_l = optimize_lcsit(cfg, grid_spec=grid, n_nodes=64, quad_n=64)
-        sl_l = optimize_lcsit(cfg, grid_spec=grid, n_nodes=64, quad_n=64,
-                              single_layer=True)
+        bc_l, sl_l = optima(cfg, ("bc-lcsit", "sl-lcsit"), grid_spec=grid,
+                            quad_n=64).values()
         # each per-node run seeds from its fixed-tuple base; reuse those etas
         gaps[rho_db] = {
             "lcsit": bc_l.eta - sl_l.eta,

@@ -16,6 +16,7 @@ from relharq.channel import (
     mutual_info,
     slot_threshold,
 )
+from relharq.config import GridSpec
 from relharq.fading import FadingModel
 from relharq.simulate import simulate_session
 
@@ -348,6 +349,31 @@ class TestConfigTypes:
             RatePolicy.constant(1.0, 0.0, 1.5)
         p = RatePolicy.per_node([1.0, 2.0], [0.1, 0.2], [0.5, 0.9])
         assert p.r1.shape == (2,)
+
+    @pytest.mark.parametrize("build", [
+        lambda: RatePolicy.constant(0.5, 0.5, math.nan),
+        lambda: RatePolicy.constant(math.nan, 0.5, 0.9),
+        lambda: RatePolicy.constant(0.5, math.nan, 0.9),
+        lambda: RatePolicy.constant(math.inf, 0.5, 0.9),
+        lambda: RatePolicy.per_node([0.5, math.nan], [0.1, 0.1], [0.9, 0.9]),
+        lambda: RatePolicy.per_node([0.5, 0.6], [0.1, 0.1], [0.9, math.nan]),
+        lambda: FadingModel("rician", 1.0, math.nan),
+        lambda: FadingModel("rayleigh", math.nan),
+        lambda: FadingModel("pointmass", point_value=math.nan),
+        lambda: make_cfg(backhaul_capacity=math.nan),
+        lambda: make_cfg(power=math.nan),
+        lambda: GridSpec(r_max=math.nan),
+        lambda: GridSpec(r_max=math.inf),
+        lambda: GridSpec(r_step=math.nan),
+        lambda: GridSpec(alpha_step=math.nan),
+    ], ids=["alpha-nan", "r1-nan", "r2-nan", "r1-inf", "per-node-r1-nan",
+            "per-node-alpha-nan", "rician-k-nan", "mean-power-nan", "point-value-nan",
+            "cmax-nan", "power-nan", "r-max-nan", "r-max-inf", "r-step-nan",
+            "alpha-step-nan"])
+    def test_non_finite_values_fail_the_checks(self, build):
+        # each check is written so that NaN fails it
+        with pytest.raises(ValueError):
+            build()
 
     @pytest.mark.parametrize("r1, r2, alpha", [
         ([1.0, 1.2], [0.5], [0.9, 0.9]),              # lengths differ

@@ -164,6 +164,14 @@ class TestExitCodes:
         assert cli.main(["analytic", "--config", path, "--out", str(tmp_path)]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("policy", ["nan,0.5,0.9", "inf,0.5,0.9", "0.5,nan,0.9"],
+                             ids=["nan-r1", "inf-r1", "nan-r2"])
+    def test_non_finite_rate_is_config_error(self, tmp_path, capsys, policy):
+        # a NaN or infinite rate would reach the CSV as a non-finite cell
+        path = write_cfg(tmp_path, f"policy = {policy}\n")
+        assert cli.main(["analytic", "--config", path, "--out", str(tmp_path)]) == 2
+        assert "policy" in capsys.readouterr().err
+
     @pytest.mark.parametrize("db", ["4000", "-4000"])
     def test_swept_db_without_finite_positive_power_is_config_error(self, tmp_path, db):
         path = write_cfg(tmp_path, "policy = 1.0,0.2,0.9\nsweep.key = P_dB\n"

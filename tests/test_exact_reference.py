@@ -27,7 +27,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from relharq import fading, ltsc
+from relharq import fading, ltsc, stsc
 from relharq import optimize as opt
 from relharq import simulate as sim
 from relharq.channel import (CompressionPolicy, RatePolicy, SystemConfig, _split_gain,
@@ -470,7 +470,7 @@ def assert_stsc_quantities_close(got, want):
 @pytest.mark.parametrize("n", [9, 16])
 # chunked: the Rician G runs over several chunks of support cells;
 # one-block: one support cell per chunk
-@pytest.mark.parametrize("chunk_cells", [16_000_000, 3000, 1],
+@pytest.mark.parametrize("g_cells", [16_000_000, 3000, 1],
                          ids=["one-chunk", "chunked", "one-block"])
 @pytest.mark.parametrize("r1, r2", [
     (np.linspace(0.0, 2.5, 6), np.linspace(0.0, 1.5, 5)),
@@ -478,14 +478,15 @@ def assert_stsc_quantities_close(got, want):
     # the support of G(u2) may assume no order along r1 or r2
     ([1.7, 0.0, 2.5, 0.4, 1.1, 0.8, 2.0], [0.9, 0.0, 1.5, 0.3, 0.6]),
 ], ids=["block", "tuple", "unsorted"])
-def test_stsc_quantities_match_reference(s_kind, variant, n, chunk_cells, r1, r2):
+def test_stsc_quantities_match_reference(s_kind, variant, n, g_cells, r1, r2, monkeypatch):
     # alpha = 0 leaves gamma 0 everywhere, alpha = 1 live on nearly every cell
+    monkeypatch.setattr(stsc, "G_CELLS", g_cells)
     for P in (0.7, 4.0):
         cfg = SystemConfig(power=P, backhaul_capacity=1.2, max_rounds=2,
                            model_d=D_RICIAN, model_s=S_MODELS[s_kind],
                            channel_regime="stsc", bc_layer2_interference=variant)
         for alpha in (0.0, 0.6, 0.95, 1.0):
-            got = stsc_quantities(cfg, r1, r2, alpha, n=n, chunk_cells=chunk_cells)
+            got = stsc_quantities(cfg, r1, r2, alpha, n=n)
             want = reference_stsc_quantities(cfg, r1, r2, alpha, n=n)
             assert_stsc_quantities_close(got, want)
 
@@ -595,8 +596,8 @@ def reference_result(ev, best, extra_meta):
     return OptimizationResult(policy=policy, eta=best[0], backend=ev.backend, metadata=meta)
 
 
-def reference_optimize_single_layer(cfg, comp, backend, grid_spec, quad_n, mc=None):
-    """optimize_single_layer before the one-pass driver."""
+def reference_sl(cfg, comp, backend, grid_spec, quad_n, mc=None):
+    """The single-layer optimum as its own search found it before the one-pass driver."""
     ev = opt._Evaluator(cfg, comp, backend, quad_n, mc)
     best = reference_scan(ev, grid_spec.r_axis(), np.array([0.0]), np.array([1.0]))
     best = reference_refine(ev, grid_spec, best, frozen_r2=0.0, frozen_alpha=1.0)
@@ -604,9 +605,9 @@ def reference_optimize_single_layer(cfg, comp, backend, grid_spec, quad_n, mc=No
                                        "grid": (grid_spec.r_max, grid_spec.r_step)})
 
 
-def reference_optimize_no_lcsit(cfg, comp, backend, grid_spec, quad_n, mc=None):
-    """optimize_no_lcsit before the one-pass driver: its own single-layer run."""
-    sl = reference_optimize_single_layer(cfg, comp, backend, grid_spec, quad_n, mc)
+def reference_bc(cfg, comp, backend, grid_spec, quad_n, mc=None):
+    """The two-layer optimum before the one-pass driver: its own single-layer run."""
+    sl = reference_sl(cfg, comp, backend, grid_spec, quad_n, mc)
     ev = opt._Evaluator(cfg, comp, backend, quad_n, mc)
     seed = (sl.eta, float(sl.policy.alpha), float(sl.policy.r1), float(sl.policy.r2))
     best = reference_scan(ev, grid_spec.r_axis(), grid_spec.r_axis(),
@@ -618,16 +619,16 @@ def reference_optimize_no_lcsit(cfg, comp, backend, grid_spec, quad_n, mc=None):
         "single_layer_seed": seed})
 
 
-def reference_optimize_lcsit(cfg, comp, grid_spec, n_nodes, quad_n, single_layer,
-                             tol=1e-6, max_iter=50):
-    """optimize_lcsit before the one-pass driver: every Dinkelbach iteration
-    evaluates the full (alpha, r1, r2, node) lattice again."""
+def reference_lcsit(cfg, comp, grid_spec, n_nodes, quad_n, kind):
+    """The per-node optimum of kind "sl" or "bc" before the one-pass driver:
+    every Dinkelbach iteration evaluates the full (alpha, r1, r2, node) lattice
+    again, at most 50 of them, until lambda moves by less than 1e-6."""
     nd = n_nodes if n_nodes is not None else quad_n
-    if single_layer:
-        base = reference_optimize_single_layer(cfg, comp, "analytic", grid_spec, quad_n)
+    if kind == "sl":
+        base = reference_sl(cfg, comp, "analytic", grid_spec, quad_n)
         r2_axis, alpha_axis = np.array([0.0]), np.array([1.0])
     else:
-        base = reference_optimize_no_lcsit(cfg, comp, "analytic", grid_spec, quad_n)
+        base = reference_bc(cfg, comp, "analytic", grid_spec, quad_n)
         r2_axis, alpha_axis = grid_spec.r_axis(), grid_spec.alpha_axis()
     r1_axis = grid_spec.r_axis()
 
@@ -644,7 +645,7 @@ def reference_optimize_lcsit(cfg, comp, grid_spec, n_nodes, quad_n, single_layer
     lam = float((reward_inc @ grid.weights) / (length_inc @ grid.weights))
     trajectory = [lam]
     converged = False
-    for _ in range(max_iter):
+    for _ in range(50):
         best_score = reward_inc - lam * length_inc
         new_r1, new_r2, new_a = r1n.copy(), r2n.copy(), an.copy()
         for alpha in alpha_axis:
@@ -667,14 +668,14 @@ def reference_optimize_lcsit(cfg, comp, grid_spec, n_nodes, quad_n, single_layer
             raise NumericalError(
                 f"fractional-programming iterate decreased: {lam!r} -> {lam_new!r}")
         trajectory.append(lam_new)
-        if abs(lam_new - lam) < tol:
+        if abs(lam_new - lam) < 1e-6:
             lam = lam_new
             converged = True
             break
         lam = lam_new
     return OptimizationResult(
         policy=RatePolicy.per_node(r1n, r2n, an), eta=lam, backend="analytic",
-        metadata={"policy_class": "lcsit_single_layer" if single_layer else "lcsit",
+        metadata={"policy_class": "lcsit_single_layer" if kind == "sl" else "lcsit",
                   "n_nodes": nd, "lambda_trajectory": trajectory,
                   "converged": converged, "iterations": len(trajectory) - 1,
                   "warning": None if converged else "fractional programming hit max_iter",
@@ -685,13 +686,10 @@ def reference_optima(cfg, comp, classes, backend="analytic", grid_spec=GridSpec(
                      quad_n=64, mc=None, n_nodes=None):
     """One reference call per class, as the CLI made them before the driver."""
     calls = {
-        "sl": lambda: reference_optimize_single_layer(cfg, comp, backend, grid_spec,
-                                                      quad_n, mc),
-        "bc": lambda: reference_optimize_no_lcsit(cfg, comp, backend, grid_spec, quad_n, mc),
-        "sl-lcsit": lambda: reference_optimize_lcsit(cfg, comp, grid_spec, n_nodes, quad_n,
-                                                     single_layer=True),
-        "bc-lcsit": lambda: reference_optimize_lcsit(cfg, comp, grid_spec, n_nodes, quad_n,
-                                                     single_layer=False),
+        "sl": lambda: reference_sl(cfg, comp, backend, grid_spec, quad_n, mc),
+        "bc": lambda: reference_bc(cfg, comp, backend, grid_spec, quad_n, mc),
+        "sl-lcsit": lambda: reference_lcsit(cfg, comp, grid_spec, n_nodes, quad_n, "sl"),
+        "bc-lcsit": lambda: reference_lcsit(cfg, comp, grid_spec, n_nodes, quad_n, "bc"),
     }
     return {c: calls[c]() for c in classes}
 
@@ -710,25 +708,27 @@ ALL_CLASSES = ("bc-lcsit", "sl-lcsit", "bc", "sl")
 
 
 def assert_optima_match(cfg, comp, classes=ALL_CLASSES, **kw):
-    ev = opt._Evaluator(cfg, comp, kw.get("backend", "analytic"), kw["quad_n"], kw.get("mc"))
-    got = opt._optimize(ev, classes, kw["grid_spec"], kw.get("n_nodes"))
+    backend, grid_spec, quad_n, mc = (kw.get("backend", "analytic"), kw["grid_spec"],
+                                      kw["quad_n"], kw.get("mc"))
+    ev = opt._Evaluator(cfg, comp, backend, quad_n, mc)
+    got = opt._optimize(ev, classes, grid_spec, kw.get("n_nodes"))
     want = reference_optima(cfg, comp, classes, **kw)
     assert list(got) == list(want)
     for cls in classes:
         assert_results_equal(got[cls], want[cls])
-    # the public functions are views of the same driver
-    views = {"sl": lambda: opt.optimize_single_layer(
-                 cfg, comp, kw.get("backend", "analytic"), kw["grid_spec"], kw["quad_n"],
-                 kw.get("mc")),
-             "bc": lambda: opt.optimize_no_lcsit(
-                 cfg, comp, kw.get("backend", "analytic"), kw["grid_spec"], kw["quad_n"],
-                 kw.get("mc")),
-             "sl-lcsit": lambda: opt.optimize_lcsit(
-                 cfg, comp, grid_spec=kw["grid_spec"], n_nodes=kw.get("n_nodes"),
-                 quad_n=kw["quad_n"], single_layer=True),
-             "bc-lcsit": lambda: opt.optimize_lcsit(
-                 cfg, comp, grid_spec=kw["grid_spec"], n_nodes=kw.get("n_nodes"),
-                 quad_n=kw["quad_n"])}
+    if kw.get("n_nodes") is None:  # the entry point: every class from one pass
+        public = opt.optima(cfg, classes, comp, backend, grid_spec, quad_n, mc)
+        assert list(public) == list(want)
+        for cls in classes:
+            assert_results_equal(public[cls], want[cls])
+    # each class on its own, through the entry point or a view of the driver
+    views = {"sl": lambda: opt.optima(cfg, ["sl"], comp, backend, grid_spec, quad_n, mc)["sl"],
+             "bc": lambda: opt.optimize_no_lcsit(cfg, comp, backend, grid_spec, quad_n, mc),
+             "sl-lcsit": lambda: opt._optimize(opt._Evaluator(cfg, comp, backend, quad_n),
+                                               ["sl-lcsit"], grid_spec,
+                                               kw.get("n_nodes"))["sl-lcsit"],
+             "bc-lcsit": lambda: opt.optimize_lcsit(cfg, comp, grid_spec=grid_spec,
+                                                    n_nodes=kw.get("n_nodes"), quad_n=quad_n)}
     for cls in classes:
         assert_results_equal(views[cls](), want[cls])
     return got
@@ -871,7 +871,7 @@ def test_lcsit_peak_memory_is_no_higher_than_reference(n_nodes):
     peaks = []
     for run in (lambda: opt.optimize_lcsit(cfg, CONST, grid_spec=spec, n_nodes=n_nodes,
                                            quad_n=32),
-                lambda: reference_optimize_lcsit(cfg, CONST, spec, n_nodes, 32, False)):
+                lambda: reference_lcsit(cfg, CONST, spec, n_nodes, 32, "bc")):
         run()  # untraced first: lazily built caches are not part of either peak
         tracemalloc.start()
         run()

