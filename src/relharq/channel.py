@@ -47,10 +47,10 @@ class SystemConfig:
                                           # STSC only)
 
     def __post_init__(self):
-        if not self.power > 0:
-            raise ValueError("power must be > 0")
-        if not self.backhaul_capacity >= 0:
-            raise ValueError("backhaul_capacity must be >= 0")
+        if not 0 < self.power < np.inf:
+            raise ValueError("power must be finite and > 0")
+        if not 0 <= self.backhaul_capacity < np.inf:
+            raise ValueError("backhaul_capacity must be finite and >= 0")
         if not self.max_rounds >= 1:
             raise ValueError("max_rounds must be >= 1")
         if self.channel_regime not in ("ltsc", "stsc"):

@@ -68,12 +68,12 @@ class FadingModel:
     def __post_init__(self):
         if self.kind not in ("rayleigh", "rician", "pointmass"):
             raise ValueError(f"unknown fading kind {self.kind!r}")
-        if self.kind in ("rayleigh", "rician") and not self.mean_power > 0:
-            raise ValueError("mean_power must be > 0")
-        if self.kind == "rician" and not self.rician_k >= 0:
-            raise ValueError("rician_k must be >= 0")
-        if self.kind == "pointmass" and not self.point_value >= 0:
-            raise ValueError("point_value must be >= 0")
+        if self.kind in ("rayleigh", "rician") and not 0 < self.mean_power < math.inf:
+            raise ValueError("mean_power must be finite and > 0")
+        if self.kind == "rician" and not 0 <= self.rician_k < math.inf:
+            raise ValueError("rician_k must be finite and >= 0")
+        if self.kind == "pointmass" and not 0 <= self.point_value < math.inf:
+            raise ValueError("point_value must be finite and >= 0")
 
     @property
     def s_min(self) -> float:
@@ -127,11 +127,12 @@ class FadingModel:
             out = x * self._ncx2_scale()
         return out if out.shape else float(out)
 
-    def sample(self, rng: np.random.Generator, size=None, out=None):
+    def sample(self, rng: np.random.Generator, size=None, out=None, work=None):
         """Draw gains; construction is independent of ppf so the KS test is a real check.
 
-        out, a float64 array of shape size, takes the draws; a Rician draw
-        then allocates only its second normal draw.
+        out, a float64 array of shape size, takes the draws; work, another,
+        takes a Rician draw's second normal draw, which is allocated when
+        work is None.  Neither changes a draw.
         """
         if self.kind == "pointmass":
             if out is None:
@@ -149,7 +150,7 @@ class FadingModel:
         nu = math.sqrt(self.mean_power * k / (k + 1.0))
         sigma = math.sqrt(self.mean_power / (2.0 * (k + 1.0)))
         g1 = rng.standard_normal(size, out=out)
-        g2 = rng.standard_normal(size)
+        g2 = rng.standard_normal(size, out=work)
         if np.ndim(g1) == 0:  # floats at size None, 0-d arrays at size ()
             return (nu + sigma * g1) ** 2 + (sigma * g2) ** 2
         # the same operations in place over the two draws

@@ -16,14 +16,26 @@ and every counter and trace is bit-identical to a stepper that calls
 `mutual_info` per slot and layer (the reference in
 `tests/test_exact_reference.py`).
 
+The per-session updates are bit masks, not masked ufuncs: on the random
+masks a slot leaves, `np.add(..., where=)` and `np.copyto(..., where=)` run
+about ten times slower than unmasked.  A bool row becomes an int64 mask of all
+ones or 0 (`_mask`).  An accumulator adds f_I & mask, which is +0.0 off the
+mask and so leaves the sum's bits alone (NaN and inf included), since a sum
+that starts at +0.0 never holds -0.0 (`_masked_add`).  A layer-2 power is
+y ^ ((x ^ y) & mask) on the doubles' bits (`_pick`), and a decode slot, 0 until
+it is set, takes t & mask by an or.  Each gives the bits of the `where=` form
+it replaces.
+
 Memory rule: `estimate` builds one workspace per worker thread
 (`_workspace`, sized to a full batch), and every batch that worker runs
 steps through it, a shorter batch through prefix views.  Every per-slot
-array is written through `out=` into it: the draws, the gains, f_I and its
-denominator, the layer-2 powers, the decode tests, the adaptive branch (in
-prefixes of the scratch rows) and the end-of-batch reductions.  A batch then
-allocates only a Rician draw's second normal draw, the adaptive branch's
-index of acknowledged sessions and a per-node policy's per-session rates.
+array is written through `out=` into it: the draws (a Rician draw's second
+normal draw into a scratch row), the gains, f_I and its denominator, the
+layer-2 powers, the masks (in the scratch row of the gain a, free once the
+gains are formed), the decode tests, the adaptive branch (in prefixes of the
+scratch rows) and the end-of-batch reductions.  A batch then allocates only
+the gains' bool temporaries (`_split_gain`), the adaptive branch's index of
+acknowledged sessions and a per-node policy's per-session rates and powers.
 glibc hands each freed 512 KB temporary back to the OS, so a stepper that
 allocated its arrays per slot, or its workspace per batch, would fault
 their pages in again on every use.
@@ -102,6 +114,33 @@ def _take(x, idx):
     return x[idx] if np.ndim(x) else x
 
 
+def _mask(flag, out):
+    """flag as an int64 mask in out: all ones where flag is true, 0 elsewhere."""
+    return np.negative(flag, out=out, dtype=np.int64)
+
+
+def _masked_add(acc, x, mask):
+    """np.add(acc, x, out=acc, where=flag) for mask = _mask(flag), bit for bit,
+    on an acc that holds no -0.0: off the mask it adds +0.0, which leaves any
+    other double (NaN and inf included) as it is.  x, a float array, is
+    overwritten."""
+    bits = x.view(np.int64)
+    np.bitwise_and(bits, mask, out=bits)
+    return np.add(acc, x, out=acc)
+
+
+def _pick(x, y, mask, out):
+    """np.where(flag, x, y) into out for mask = _mask(flag), bit for bit, as
+    y ^ ((x ^ y) & mask) on the doubles' bits; x and y are floats or arrays,
+    neither of them out."""
+    x, y = (np.asarray(v, dtype=float).view(np.int64) for v in (x, y))
+    bits = out.view(np.int64)
+    np.bitwise_xor(x, y, out=bits)
+    np.bitwise_and(bits, mask, out=bits)
+    np.bitwise_xor(bits, y, out=bits)
+    return out
+
+
 def _workspace(n: int):
     """One worker's buffers for batches of up to n sessions: ten float rows,
     two int64 rows (the decode slots) and three bool rows."""
@@ -125,14 +164,18 @@ def _run_batch(cfg: SystemConfig, policy: RatePolicy, comp: CompressionPolicy,
     d, s, a, b, g, acc1, acc2, i, w, x = floats
     k1, k2 = ints  # decode slot per layer, 0 = undecoded
     pend1, pend2, hit = flags
+    mask = a.view(np.int64)  # a is free once the gains are formed
 
     def gains():
         conservative_gain(d, s_min, P, cmax, out=a, work=i)
         _split_gain(a, d, out=b)
         np.add(np.multiply(s, b, out=g), a, out=g)
 
-    cfg.model_d.sample(rng, n, out=d)
-    cfg.model_s.sample(rng, n, out=s)
+    # a Rician draw's second normal draw goes to i, a row every batch writes:
+    # x is written only by the adaptive branch, so a batch at constant
+    # compression would fault its pages in for the draw alone
+    cfg.model_d.sample(rng, n, out=d, work=i)
+    cfg.model_s.sample(rng, n, out=s, work=i)
     r1, r2, alpha = _resolve_rates(policy, grid, d)
     if ltsc:
         gains()
@@ -151,28 +194,29 @@ def _run_batch(cfg: SystemConfig, policy: RatePolicy, comp: CompressionPolicy,
     for t in range(1, T + 1):
         if not ltsc:
             if t > 1:
-                cfg.model_d.sample(rng, n, out=d)
-                cfg.model_s.sample(rng, n, out=s)
+                cfg.model_d.sample(rng, n, out=d, work=i)
+                cfg.model_s.sample(rng, n, out=s, work=i)
             gains()
         alpha_t = alpha if (policy.mode == "no_lcsit" or ltsc) else policy.alpha[grid.node_index(d)]
 
         np.equal(k1, 0, out=pend1)
         np.equal(k2, 0, out=pend2)
         p_sig1, p_sig2 = alpha_t * P, (1.0 - alpha_t) * P
-        np.add(acc1, _info(p_sig1, p_sig2, b, g, out=i, work=w), out=acc1, where=pend1)
+        _mask(pend1, mask)
+        _masked_add(acc1, _info(p_sig1, p_sig2, b, g, out=i, work=w), mask)
         # layer 2 faces layer 1 until layer 1 is decoded, then has the whole slot
-        np.copyto(i, P)
-        np.copyto(i, p_sig2, where=pend1)
+        _pick(p_sig2, P, mask, out=i)
         p_bar = 0.0
         if cfg.bc_layer2_interference:
-            p_bar = w
-            np.copyto(w, 0.0)
-            np.copyto(w, p_sig1, where=pend1)
-        np.add(acc2, _info(i, p_bar, b, g, out=i, work=w), out=acc2, where=pend2)
-        np.copyto(k1, t, where=np.logical_and(pend1, np.greater_equal(acc1, r1, out=hit), out=hit))
+            p_bar = _pick(p_sig1, 0.0, mask, out=w)
+        _masked_add(acc2, _info(i, p_bar, b, g, out=i, work=w), _mask(pend2, mask))
+        # a decode slot is 0 until it is set, so or-ing t in at the hits sets it
+        np.logical_and(pend1, np.greater_equal(acc1, r1, out=hit), out=hit)
+        np.bitwise_or(k1, np.bitwise_and(_mask(hit, mask), t, out=mask), out=k1)
         decoded1 = np.greater(k1, 0, out=pend1)  # pend1 is not read again this slot
         np.logical_and(pend2, np.greater_equal(acc2, r2, out=hit), out=hit)
-        np.copyto(k2, t, where=np.logical_and(hit, decoded1, out=hit))
+        np.logical_and(hit, decoded1, out=hit)
+        np.bitwise_or(k2, np.bitwise_and(_mask(hit, mask), t, out=mask), out=k2)
 
         if comp.adaptive:
             # layer-1-only feedback this slot: a session is acknowledged at most once
@@ -214,9 +258,9 @@ def _run_batch(cfg: SystemConfig, policy: RatePolicy, comp: CompressionPolicy,
         k1, k2 = k1.copy(), k2.copy()  # the reductions below overwrite their buffers
     reward = np.multiply(r1, np.greater(k1, 0, out=pend1), out=a)
     np.add(reward, np.multiply(r2, np.greater(k2, 0, out=pend2), out=i), out=reward)
-    lengths = ints[0]  # where(k2 > 0, k2, T)
-    np.copyto(lengths, T)
-    np.copyto(lengths, k2, where=pend2)
+    lengths = ints[0]  # where(k2 > 0, k2, T), as k2 | (T & mask(k2 == 0))
+    _mask(np.equal(k2, 0, out=pend2), lengths)
+    np.bitwise_or(k2, np.bitwise_and(lengths, T, out=lengths), out=lengths)
     out = {
         "c1": c1,
         "c2": c2,

@@ -375,6 +375,21 @@ class TestConfigTypes:
         with pytest.raises(ValueError):
             build()
 
+    @pytest.mark.parametrize("build, field", [
+        (lambda: make_cfg(power=math.inf), "power"),
+        (lambda: make_cfg(backhaul_capacity=math.inf), "backhaul_capacity"),
+        (lambda: FadingModel("rician", 1.0, rician_k=math.inf), "rician_k"),
+        (lambda: FadingModel("rician", math.inf, rician_k=1.0), "mean_power"),
+        (lambda: FadingModel("rayleigh", math.inf), "mean_power"),
+        (lambda: FadingModel("pointmass", point_value=math.inf), "point_value"),
+    ], ids=["power-inf", "cmax-inf", "rician-k-inf", "rician-mean-power-inf",
+            "rayleigh-mean-power-inf", "point-value-inf"])
+    def test_infinite_physical_parameters_are_refused(self, build, field):
+        # the config grammar refuses each; accepted here, an infinite power, Cmax
+        # or K gave eta = nan, and an infinite gain is no fading model
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            build()
+
     @pytest.mark.parametrize("r1, r2, alpha", [
         ([1.0, 1.2], [0.5], [0.9, 0.9]),              # lengths differ
         ([1.0], [0.5, 0.4], [0.9]),

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -277,6 +278,28 @@ def test_sample_into_out_equals_the_allocating_draw(model, size):
     got = model.sample(rngs[1], size, out=buf)
     assert got is buf and np.array_equal(got, want)
     assert rngs[0].random() == rngs[1].random()  # the stream is left at the same point
+
+
+@pytest.mark.parametrize("model", [
+    FadingModel("rayleigh", mean_power=1.7),
+    FadingModel("rician", mean_power=1.7, rician_k=0.0),
+    FadingModel("rician", mean_power=1.7, rician_k=2.5),
+    FadingModel("pointmass", point_value=0.7),
+], ids=["rayleigh", "rician-k0", "rician-k2.5", "pointmass"])
+def test_sample_with_work_allocates_no_draw(model):
+    size = 65537
+    rngs = np.random.default_rng(11), np.random.default_rng(11)
+    want = model.sample(rngs[0], size)
+    buf, work = np.full(size, np.nan), np.full(size, np.nan)
+    tracemalloc.start()
+    try:
+        got = model.sample(rngs[1], size, out=buf, work=work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got is buf and np.array_equal(got, want)
+    assert rngs[0].random() == rngs[1].random()
+    assert peak < size  # a second normal draw would take 8 * size bytes
 
 
 def test_pointmass_sampler_constant():
