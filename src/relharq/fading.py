@@ -20,6 +20,8 @@ about 0.3 s and 25 MB of a fresh `import relharq.cli`.
 
 A large Rician cdf runs as two halves on two threads (`_chndtr`): its kernel is
 elementwise, so each half gives the doubles it gives inside the whole array.
+`cdf` and `cdf_strict` write into `out=`, which may be their argument itself: a
+continuous cdf then runs every step in place, without a temporary of its size.
 """
 
 from __future__ import annotations
@@ -40,20 +42,19 @@ _POOL = ThreadPoolExecutor(max_workers=2)  # starts no thread until the first su
 
 
 def _chndtr(xp, nc):
-    """special.chndtr(xp, 2, nc), bit for bit; from SPLIT_POINTS points on, the
-    two halves of the flattened array run on _POOL (chndtr releases the GIL).
-    The caller's thread imports scipy.special, so a pool thread never does."""
+    """Overwrite xp with special.chndtr(xp, 2, nc), bit for bit; from SPLIT_POINTS
+    points on, the two halves of a C-contiguous xp run on _POOL (chndtr releases
+    the GIL).  The caller's thread imports scipy.special, so a pool thread never does."""
     from scipy import special
 
-    if xp.size < SPLIT_POINTS:
-        return special.chndtr(xp, 2.0, nc)
-    flat, out = xp.ravel(), np.empty(xp.size)
-    mid = xp.size // 2
-    halves = [_POOL.submit(special.chndtr, flat[part], 2.0, nc, out=out[part])
+    if xp.size < SPLIT_POINTS or not xp.flags.c_contiguous:
+        return special.chndtr(xp, 2.0, nc, out=xp)
+    flat, mid = xp.reshape(-1), xp.size // 2
+    halves = [_POOL.submit(special.chndtr, flat[part], 2.0, nc, out=flat[part])
               for part in (slice(None, mid), slice(mid, None))]
     for half in halves:
         half.result()
-    return out.reshape(xp.shape)
+    return xp
 
 
 @dataclass(frozen=True)
@@ -84,30 +85,34 @@ class FadingModel:
     def _ncx2_scale(self) -> float:
         return self.mean_power / (2.0 * (self.rician_k + 1.0))
 
-    def cdf(self, x):
-        """F(x) = Pr[X <= x]; accepts scalars or arrays, +/-inf sentinels included."""
+    def cdf(self, x, out=None):
+        """F(x) = Pr[X <= x] of scalars or arrays, +/-inf included, and NaN at NaN;
+        out, a float64 array of x's shape (x itself, say), takes the values."""
         x = np.asarray(x, dtype=float)
+        out = np.empty(x.shape) if out is None else out
+        # continuous models: max(x, 0) maps x < 0 and -0.0 to +0.0, where F is +0.0
         if self.kind == "pointmass":
-            out = np.where(x >= self.point_value, 1.0, 0.0)
+            np.copyto(out, np.where(np.isnan(x), x, x >= self.point_value))
         elif self.kind == "rayleigh":
-            out = -np.expm1(-np.maximum(x, 0.0) / self.mean_power)
+            np.divide(np.maximum(x, 0.0, out=out), -self.mean_power, out=out)
+            np.negative(np.expm1(out, out=out), out=out)
         else:
             from scipy import special
 
-            xp = np.maximum(x, 0.0) / self._ncx2_scale()
-            nc = 2.0 * self.rician_k
+            np.divide(np.maximum(x, 0.0, out=out), self._ncx2_scale(), out=out)
             # the kernels ncx2.cdf calls: chndtr for nc > 0, the central chi2
-            # chdtr at nc = 0; xp is >= 0 or NaN, where they give its values
-            out = _chndtr(xp, nc) if nc > 0 else special.chdtr(2.0, xp)
-        out = np.where(x < 0, 0.0, out)
+            # chdtr at nc = 0; out is >= 0 or NaN, where they give its values
+            nc = 2.0 * self.rician_k
+            _chndtr(out, nc) if nc > 0 else special.chdtr(2.0, out, out=out)
         return out if out.shape else float(out)
 
-    def cdf_strict(self, x):
+    def cdf_strict(self, x, out=None):
         """Pr[X < x], the left limit; differs from cdf only at a pointmass atom."""
         if self.kind != "pointmass":
-            return self.cdf(x)
+            return self.cdf(x, out)
         x = np.asarray(x, dtype=float)
-        out = np.where(x > self.point_value, 1.0, 0.0)
+        out = np.empty(x.shape) if out is None else out
+        np.copyto(out, np.where(np.isnan(x), x, x > self.point_value))
         return out if out.shape else float(out)
 
     def ppf(self, q):

@@ -40,7 +40,7 @@ once per (r1, r2, d1).  p2_dec_1 and phi are therefore (q1, q2, nd) sums of
 per-row bin sums (phi's cross term one batched matmul per d1 node); only gamma
 is formed on the (r1, r2, d1, s1) block, a few r1 rows at a time in blocks of
 about BLOCK_CELLS cells.  Everything that depends on the scenario but not on
-the tuple (the quadrature nodes, the S1 bin masses, a1 and G) is one
+the tuple (the quadrature nodes, the S1 edge cdfs, a1 and G) is one
 `Slot1Grid`, built once per evaluator and shared by all its blocks.
 """
 
@@ -76,9 +76,10 @@ def node_cdf_sum(model: FadingModel, c, w):
     indicator is 1.  Rician S, and Rayleigh S with a non-finite c, sum the cdf
     over the nodes, evaluating it only where u - c_j > 0 (or NaN): at or below 0
     it is exactly 0; a large Rician cdf runs as two bit-identical halves on two
-    threads (`fading._chndtr`).  G takes u in chunks of G_CELLS // n cells,
-    halved for the cdf sum, which holds the differences u - c_j and their live
-    part; so at most max(G_CELLS, 2n) (u, node) pairs are held at a time.
+    threads (`fading._chndtr`).  A NaN u gives NaN.  G takes u in chunks of
+    G_CELLS // n cells, halved for the cdf sum, which writes the cdf in place
+    over the chunk's u - c_j (at most max(G_CELLS / 2, n) pairs), one slab of
+    about BLOCK_CELLS pairs at a time; `x @ w` keeps the chunk's row count and bits.
     """
     order = np.argsort(c, kind="stable")
     c, w = np.asarray(c, dtype=float)[order], np.asarray(w, dtype=float)[order]
@@ -94,13 +95,19 @@ def node_cdf_sum(model: FadingModel, c, w):
         return g
 
     if model.kind == "pointmass":
-        return chunked(lambda u: W[np.sum(u[:, None] - c > model.point_value, axis=1)], step)
+        def prefix_weight(u):  # NaN where some u - c_j is NaN, as in the cdf sum
+            x = u[:, None] - c
+            return np.where(np.isnan(x).any(axis=1), np.nan, W[(x > model.point_value).sum(1)])
+        return chunked(prefix_weight, step)
     if model.kind == "rician" or not np.isfinite(c).all():
         def cdf_sum(u):
             x = u[:, None] - c  # overwritten by the cdf
-            dead = x <= 0  # NaN stays live
-            x[~dead] = model.cdf_strict(x[~dead])
-            x[dead] = 0.0
+            rows = max(1, BLOCK_CELLS // len(c))
+            for slab in (x[i : i + rows] for i in range(0, len(x), rows)):
+                live = ~(slab <= 0)  # NaN stays live
+                part = slab[live]
+                slab.fill(0.0)
+                slab[live] = model.cdf_strict(part, part)
             return x @ w
         return chunked(cdf_sum, max(1, step // 2))
     rho = model.mean_power
@@ -111,10 +118,8 @@ def node_cdf_sum(model: FadingModel, c, w):
 
     def closed_form(u):
         k = np.searchsorted(c, u, side="left")  # NaN sorts last: k = n, G = NaN
-        on = k > 0
-        out = np.zeros(u.shape)
-        out[on] = W[k[on]] - S[k[on]] * np.exp((c[k[on] - 1] - u[on]) / rho)
-        return out
+        # the exponent is < 0 where k > 0; at k = 0, exp(0) gives W_0 - S_0 = 0
+        return W[k] - S[k] * np.exp(np.minimum((c[k - 1] - u) / rho, 0.0))
     return chunked(closed_form, step)
 
 
@@ -122,7 +127,7 @@ def node_cdf_sum(model: FadingModel, c, w):
 class Slot1Grid:
     """The slot-1 quadrature of one scenario, shared by every tuple block:
     D1 nodes d1 with weights wd, S1 bin nodes s1 with edges lo, hi, F_lo = Pr[S1
-    < lo] and bin masses w_bin, the conservative gain a1 at each d1, and G."""
+    < lo] and F_hi = Pr[S1 < hi], the conservative gain a1 at each d1, and G."""
 
     d1: np.ndarray
     wd: np.ndarray
@@ -132,7 +137,7 @@ class Slot1Grid:
     lo: np.ndarray
     hi: np.ndarray
     F_lo: np.ndarray
-    w_bin: np.ndarray
+    F_hi: np.ndarray
 
 
 def slot1_grid(cfg: SystemConfig, n: int) -> Slot1Grid:
@@ -155,8 +160,7 @@ def slot1_grid(cfg: SystemConfig, n: int) -> Slot1Grid:
     # so the three-way partition telescopes to total mass 1 exactly.
     lo = np.concatenate(([-np.inf], grid_s.edges))
     hi = np.concatenate((grid_s.edges, [np.inf]))
-    F_lo = Fs1(lo)
-    return Slot1Grid(d1, grid_d.weights, grid_s.nodes, a1, G, lo, hi, F_lo, Fs1(hi) - F_lo)
+    return Slot1Grid(d1, grid_d.weights, grid_s.nodes, a1, G, lo, hi, Fs1(lo), Fs1(hi))
 
 
 def stsc_quantities(cfg: SystemConfig, r1_vec, r2_vec, alpha: float, n: int,
@@ -178,6 +182,14 @@ def stsc_quantities(cfg: SystemConfig, r1_vec, r2_vec, alpha: float, n: int,
     return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
 
 
+def _cdf_in_bins(F, grid, c):
+    """F(clip(c, lo, hi)) on a new last axis of grid's S1 bins, from one F per c."""
+    c = c[..., None]  # F_lo where c <= lo, F_hi where c >= hi, else F(c): the clip's bits
+    out = np.where(c <= grid.lo, grid.F_lo, F(c))
+    np.copyto(out, grid.F_hi, where=c >= grid.hi)
+    return out
+
+
 def _quantities(cfg, r1, r2, alpha, grid):
     """stsc_quantities over one pass of r1 rows; r1 and r2 are 1-D float arrays."""
     P = cfg.power
@@ -193,11 +205,7 @@ def _quantities(cfg, r1, r2, alpha, grid):
     lam1 = slot_threshold(r1[:, None], 1, ap, abp, a1, d1)          # (q1, nd)
     lam2 = slot_threshold(r2[:, None], 1, abp, p_int2, a1, d1)      # (q2, nd)
 
-    def cdf_in_bins(c):
-        # Pr[S1 < c] with c clipped to each bin; c broadcasts against the bin axis
-        return Fs1(np.clip(c[..., None], grid.lo, grid.hi))
-
-    F1, F2 = cdf_in_bins(lam1), cdf_in_bins(lam2)                   # (q1|q2, nd, ns)
+    F1, F2 = _cdf_in_bins(Fs1, grid, lam1), _cdf_in_bins(Fs1, grid, lam2)  # (q1|q2, nd, ns)
     # the mass lam1 <= S1 < lam2 is F2 - F1 where lam2 > lam1, else 0; F is
     # monotone, so it is nonzero only where F2 exceeds the smallest F1
     phi_cells = ~(F2 <= F1.min(axis=0))
@@ -227,7 +235,7 @@ def _quantities(cfg, r1, r2, alpha, grid):
     # included, as np.maximum propagates it), else the S1 < lam2 row
     first = (lam1[:, None] >= lam2[None]) | np.isnan(lam1)[:, None]  # (q1, q2, nd)
     m_below_max = np.where(first, m_fail.sum(axis=-1)[:, None], m_below2.sum(axis=-1)[None])
-    p2_dec_1 = (grid.w_bin.sum() - m_below_max) @ wd
+    p2_dec_1 = ((grid.F_hi - grid.F_lo).sum() - m_below_max) @ wd
     # phi = sum over lam2 > lam1 of (m_below2 - m_fail) g_phi; the m_fail g_phi
     # term is one (q1, ns) x (ns, q2) product per d1 node
     cross = np.matmul(m_fail.transpose(1, 0, 2), g_phi.transpose(1, 2, 0))  # (nd, q1, q2)

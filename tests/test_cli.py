@@ -231,6 +231,18 @@ class TestExitCodes:
         rows = read_rows(tmp_path / "analytic.csv")
         assert all(np.isfinite(float(c)) for c in rows[1])
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+    @pytest.mark.parametrize("job", ["analytic", "simulate"])
+    def test_backhaul_overflow_inside_the_cap_exits_3(self, tmp_path, capsys, job):
+        # at Cmax = 511 and P = 10 dB the compression gain a overflows to inf, so
+        # the S-link thresholds are NaN; a NaN is read as no probability (the
+        # point-mass cdf read it as 0, and analytic exited 0 with eta = r1 + r2)
+        path = write_cfg(tmp_path, "regime = ltsc\nT = 2\nP_dB = 10\nCmax = 511\n"
+                                   "fading_S.dist = pointmass\nfading_S.value = 1.0\n"
+                                   "policy = 0.9,0.5,0.9\nquad.n = 8\nmc.sessions = 2000\n")
+        assert cli.main([job, "--config", path, "--out", str(tmp_path)]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
     @pytest.mark.parametrize("job", ["analytic", "optimize"])
     def test_ltsc_interference_variant_is_config_error(self, tmp_path, capsys, job):
         path = write_cfg(tmp_path, COARSE + "bc_layer2_interference = true\n")

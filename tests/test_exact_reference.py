@@ -19,9 +19,14 @@ STSC_ATOL; p1_out_1 stays exact.  The LTSC
 decode table is now the first difference of p2_out (`ltsc.decode_table`), not
 a sum over its own thresholds, so it is compared within DEC_ATOL; p1 and
 p2_out stay exact.
+
+The fading cdf, G and the slot-1 bin cdfs now run in place or without a
+clip; their earlier out-of-place forms are kept too (`reference_cdf`,
+`reference_node_cdf_sum`) and compared with np.array_equal.
 """
 
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -38,6 +43,8 @@ from relharq.ltsc import node_tables
 from relharq.optimize import GridSpec, OptimizationResult
 from relharq.stsc import quantity_tables, stsc_quantities
 from relharq.tables import NumericalError, reward_length
+from scipy import special
+from test_stsc import G_CASES
 
 CONST = CompressionPolicy("constant")
 ADAPT = CompressionPolicy("adaptive")
@@ -367,9 +374,9 @@ def count_cdf_points(monkeypatch):
     points = []
     cdf = FadingModel.cdf
 
-    def counting_cdf(self, x):
+    def counting_cdf(self, x, out=None):
         points.append(np.size(x))
-        return cdf(self, x)
+        return cdf(self, x, out)
 
     monkeypatch.setattr(FadingModel, "cdf", counting_cdf)
     return points
@@ -514,6 +521,152 @@ def test_stsc_quantities_overflowed_backhaul_keeps_the_reference_nans():
     assert np.isnan(want["p2_dec_1"]).any()
     for key in ("p1_out_1", "p2_dec_1", "p2_out_2"):
         assert np.array_equal(np.isnan(got[key]), np.isnan(want[key])), key
+
+
+# The STSC slot-1 closed forms in place: G's cdf sum writes the cdf over its
+# differences slab by slab, the bin cdfs pick among F_lo, F(c) and F_hi instead
+# of clipping, and the Rayleigh G is formed on every cell and zeroed at k = 0.
+
+def reference_cdf(model: FadingModel, x, strict=False):
+    """FadingModel.cdf (cdf_strict with strict) as written before it took out=:
+    out of place, with a last np.where(x < 0, 0.0, ...).  A point mass gives
+    NaN at NaN, where that form read 0."""
+    x = np.asarray(x, dtype=float)
+    if model.kind == "pointmass":
+        step = x > model.point_value if strict else x >= model.point_value
+        return np.where(np.isnan(x), x, np.where(step, 1.0, 0.0))
+    if model.kind == "rayleigh":
+        out = -np.expm1(-np.maximum(x, 0.0) / model.mean_power)
+    else:
+        xp = np.maximum(x, 0.0) / (model.mean_power / (2.0 * (model.rician_k + 1.0)))
+        nc = 2.0 * model.rician_k
+        out = special.chndtr(xp, 2.0, nc) if nc > 0 else special.chdtr(2.0, xp)
+    return np.where(x < 0, 0.0, out)
+
+
+def reference_node_cdf_sum(model: FadingModel, c, w, g_cells):
+    """stsc.node_cdf_sum as written before, at G_CELLS = g_cells: the cdf of a
+    gathered copy of each chunk's live pairs, scattered back, and the Rayleigh
+    closed form on the cells with k > 0 only."""
+    order = np.argsort(c, kind="stable")
+    c, w = np.asarray(c, dtype=float)[order], np.asarray(w, dtype=float)[order]
+    W = np.concatenate(([0.0], np.cumsum(w)))
+    step = max(1, g_cells // len(c))
+
+    def chunked(f, size):
+        def g(u):
+            out = np.empty(u.shape)
+            for i in range(0, len(u), size):
+                out[i : i + size] = f(u[i : i + size])
+            return out
+        return g
+
+    if model.kind == "pointmass":
+        def prefix_weight(u):
+            x = u[:, None] - c
+            out = W[np.sum(x > model.point_value, axis=1)]
+            out[np.isnan(x).any(axis=1)] = np.nan
+            return out
+        return chunked(prefix_weight, step)
+    if model.kind == "rician" or not np.isfinite(c).all():
+        def cdf_sum(u):
+            x = u[:, None] - c
+            dead = x <= 0
+            x[~dead] = reference_cdf(model, x[~dead], strict=True)
+            x[dead] = 0.0
+            return x @ w
+        return chunked(cdf_sum, max(1, step // 2))
+    rho = model.mean_power
+    decay = np.exp(-np.diff(c, prepend=c[0]) / rho)
+    S = np.zeros_like(W)
+    for j in range(len(c)):
+        S[j + 1] = S[j] * decay[j] + w[j]
+
+    def closed_form(u):
+        k = np.searchsorted(c, u, side="left")
+        on = k > 0
+        out = np.zeros(u.shape)
+        out[on] = W[k[on]] - S[k[on]] * np.exp((c[k[on] - 1] - u[on]) / rho)
+        return out
+    return chunked(closed_form, step)
+
+
+G_MODELS = {
+    "rayleigh": FadingModel("rayleigh", 1.5),
+    "rayleigh-narrow": FadingModel("rayleigh", 0.01),  # exp((c_{k-1} - u) / rho) overflows at k = 0
+    "rician-k0": FadingModel("rician", 1.5, rician_k=0.0),
+    "rician": FadingModel("rician", 1.5, rician_k=2.0),
+    "pointmass": FadingModel("pointmass", point_value=1.3),
+}
+
+
+def edge_points(points, rng, size=200):
+    """points, their neighbouring doubles, +-0.0, +-inf, NaN and random values."""
+    finite = points[np.isfinite(points)]
+    span = np.ptp(finite) + 1.0 if finite.size else 1.0
+    return np.concatenate([points, np.nextafter(points, np.inf), np.nextafter(points, -np.inf),
+                           [0.0, -0.0, np.inf, -np.inf, np.nan],
+                           rng.uniform(-span, 2 * span, size)])
+
+
+@pytest.mark.parametrize("kind", sorted(G_MODELS))
+@pytest.mark.parametrize("case", sorted(G_CASES))
+@pytest.mark.parametrize("inf_node", [False, True], ids=["finite", "inf-node"])
+def test_node_cdf_sum_matches_reference_bit_for_bit(kind, case, inf_node, monkeypatch):
+    # an infinite c sends a Rayleigh S to the cdf sum, and makes u = inf NaN
+    rng = np.random.default_rng(8)
+    c, w = G_CASES[case](rng)
+    if inf_node:
+        c, w = np.append(c, np.inf), np.append(w, 0.5)
+    model = G_MODELS[kind]
+    u = edge_points(np.concatenate([c, c + model.s_min]), rng)
+    # the cdf sum's slabs: one row each, a few rows, or the whole chunk
+    for g_cells, block_cells in itertools.product((1, 50, 1_000_000), (1, 64, stsc.BLOCK_CELLS)):
+        monkeypatch.setattr(stsc, "G_CELLS", g_cells)
+        monkeypatch.setattr(stsc, "BLOCK_CELLS", block_cells)
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = stsc.node_cdf_sum(model, c, w)(u)
+            want = reference_node_cdf_sum(model, c, w, g_cells)(u)
+        assert np.array_equal(got, want, equal_nan=True), (g_cells, block_cells)
+        assert np.isnan(got[np.isnan(u)]).all()
+
+
+@pytest.mark.parametrize("kind", sorted(G_MODELS))
+@pytest.mark.parametrize("n", [1, 9])
+def test_cdf_in_bins_matches_the_clip_bit_for_bit(kind, n):
+    cfg = SystemConfig(power=2.0, backhaul_capacity=1.2, max_rounds=2, model_d=D_RICIAN,
+                       model_s=G_MODELS[kind], channel_regime="stsc")
+    grid = stsc.slot1_grid(cfg, n)
+    c = edge_points(np.concatenate([grid.lo, grid.hi, grid.s1]), np.random.default_rng(9))
+    for shape in ((-1,), (-1, 1), (1, -1)):
+        thr = c.reshape(shape)
+        with np.errstate(over="ignore"):  # x / rho at x = +-DBL_MAX
+            got = stsc._cdf_in_bins(cfg.model_s.cdf_strict, grid, thr)
+            want = reference_cdf(cfg.model_s, np.clip(thr[..., None], grid.lo, grid.hi),
+                                 strict=True)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True), shape
+
+
+@pytest.mark.parametrize("kind", sorted(G_MODELS))
+@pytest.mark.parametrize("strict", [False, True], ids=["cdf", "cdf_strict"])
+@pytest.mark.parametrize("size", [1, fading.SPLIT_POINTS + 3], ids=["one-call", "halves"])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # x / rho at DBL_MAX
+def test_cdf_into_out_matches_reference_bit_for_bit(kind, strict, size):
+    model = G_MODELS[kind]
+    c, _ = G_CASES["spread"](np.random.default_rng(10))
+    x = np.resize(edge_points(np.concatenate([c, [model.s_min]]), np.random.default_rng(11)),
+                  max(size, 1000))
+    F = model.cdf_strict if strict else model.cdf
+    want = reference_cdf(model, x, strict)
+    assert np.array_equal(F(x), want, equal_nan=True)
+    y = x.copy()
+    assert F(y, out=y) is y and np.array_equal(y, want, equal_nan=True)
+    strided = np.empty((x.size, 2))[:, 0]  # not C-contiguous: one call, not halves
+    assert F(x, out=strided) is strided and np.array_equal(strided, want, equal_nan=True)
+    for v, want_v in zip(x[:40].tolist(), want[:40]):
+        got = F(v)
+        assert isinstance(got, float) and np.array_equal(got, want_v, equal_nan=True)
 
 
 # ---------------------------------------------------------------- optimizer

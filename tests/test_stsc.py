@@ -320,7 +320,8 @@ class TestNodeCdfSum:
         for g_cells in (1, 1_000_000):
             monkeypatch.setattr(stsc, "G_CELLS", g_cells)
             got = node_cdf_sum(model, c, w)(u)
-            assert np.array_equal(got, dense_cdf_sum(model, c, w, u))
+            assert np.array_equal(got, dense_cdf_sum(model, c, w, u), equal_nan=True)
+            assert np.isnan(got[np.isnan(u)]).all()
 
     @pytest.mark.parametrize("case", sorted(G_CASES))
     def test_rician_sum_in_chunks(self, case, monkeypatch):
@@ -426,22 +427,33 @@ class TestMemory:
             tracemalloc.stop()
         assert peak < 96e6
 
-    def test_fine_rician_tuple_peak_is_bounded(self):
-        # one tuple at n = 256 with Rician S: the generic G holds at most
-        # G_CELLS (1M) (cell, node) pairs per temporary; 689 MB when the
-        # residual cdfs were dense (q, rows, n, n) tensors
+    @staticmethod
+    def rician_tuple_peak(rho_d, n):
+        """Traced peak of one STSC tuple with Rician D and S at quadrature size n."""
         cfg = SystemConfig(
             power=1.0, backhaul_capacity=1.5, max_rounds=2,
-            model_d=FadingModel("rician", 4.0, rician_k=2.0),
+            model_d=FadingModel("rician", rho_d, rician_k=2.0),
             model_s=FadingModel("rician", 1.0, rician_k=1.0), channel_regime="stsc",
         )
+        cfg.model_s.cdf(1.0)  # untraced first: importing scipy.special is not part of the peak
         tracemalloc.start()
         try:
-            stsc_quantities(cfg, [0.9], [0.5], 0.95, n=256)
-            peak = tracemalloc.get_traced_memory()[1]
+            stsc_quantities(cfg, [0.9], [0.5], 0.95, n=n)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64e6
+
+    def test_fine_rician_tuple_peak_is_bounded(self):
+        # one tuple at n = 256: the generic G holds one chunk of G_CELLS / 2
+        # (cell, node) differences; 10.6 MB, against 26.5 MB when the cdf took
+        # the chunk's live pairs out of place and 689 MB when the residual cdfs
+        # were dense (q, rows, n, n) tensors
+        assert self.rician_tuple_peak(4.0, 256) < 14e6
+
+    def test_point_fine_rician_tuple_peak_is_bounded(self):
+        # the point-fine benchmark's STSC tuple at P = 0 dB, n = 160: 7.3 MB,
+        # against 23.2 MB with the out-of-place cdf in G and clip in the bins
+        assert self.rician_tuple_peak(10**0.6, 160) < 12e6
 
 
 class TestPreconditions:
