@@ -195,8 +195,10 @@ def conservative_gain(d, s_min, P, c_max, out=None, work=None):
     s_min = np.asarray(s_min, dtype=float)
     out = np.empty(np.broadcast_shapes(d.shape, s_min.shape, beta.shape)) if out is None else out
     with np.errstate(divide="ignore", invalid="ignore"):
-        den = np.multiply(np.add(1.0, np.divide(s_min, d, out=out), out=out), P, out=out)
-        den = np.add(np.divide(1.0, d, out=work), den, out=den)
+        with np.errstate(over="ignore"):  # 1/d = inf at a subnormal d gives a_d = 0
+            s_d, inv_d = np.divide(s_min, d, out=out), np.divide(1.0, d, out=work)
+        den = np.multiply(np.add(1.0, s_d, out=out), P, out=out)
+        den = np.add(inv_d, den, out=den)
         # the numerator is one value for one s_min, else formed in work after 1/d
         num = np.multiply(s_min, P, out=work if s_min.ndim else None)
         into = num if s_min.ndim else None
@@ -226,7 +228,7 @@ def slot_threshold(R, l, p_sig, p_int, a, d, out=None):
     b = _split_gain(a, d, out=out)
     with np.errstate(over="ignore"):
         z = np.exp2(2.0 * np.maximum(R, 0.0) / l)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         den = p_sig - (z - 1.0) * p_int
         thr = np.asarray(np.subtract((z - 1.0) / den, np.divide(a, b, out=b), out=out))
     # against p_int = 0 an overflowed z leaves den = NaN, not <= 0

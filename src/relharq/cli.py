@@ -147,7 +147,7 @@ def run_optimize(ec: ExperimentConfig, outdir: str) -> int:
 
     def point_rows(point):
         ev = _evaluator(point, ec["backend"])
-        optima = _optimize(ev, classes, point.grid_spec(), point.n_nodes())
+        optima = _optimize(ev, classes, point.grid_spec())
         rows = []
         for mode, cls in zip(("bc", "sl"), classes):
             res = optima[cls]
@@ -298,8 +298,8 @@ _FIGURE_KNOBS = {
     "grid.alpha_step": 0.05, "grid.refine": 3, "mc.sessions": 200_000,
 }
 
-_FIGURE_OVERRIDABLE = frozenset([*_FIGURE_KNOBS, "grid.nodes", "mc.seed", "mc.batch",
-                                  "mc.workers", "sweep.values", "out"])
+_FIGURE_OVERRIDABLE = frozenset([*_FIGURE_KNOBS, "mc.seed", "mc.batch", "mc.workers",
+                                  "sweep.values", "out"])
 
 
 def _figure_base(spec: dict, overrides: ExperimentConfig) -> ExperimentConfig:
@@ -319,8 +319,7 @@ def _figure_base(spec: dict, overrides: ExperimentConfig) -> ExperimentConfig:
 def _quartet_rows(point):
     """eta for (bc lcsit, sl lcsit, bc no-lcsit, sl no-lcsit) at one sweep point."""
     classes = ("bc-lcsit", "sl-lcsit", "bc", "sl")
-    optima = _optimize(_evaluator(point, "analytic"), classes, point.grid_spec(),
-                       point.n_nodes())
+    optima = _optimize(_evaluator(point, "analytic"), classes, point.grid_spec())
     return [[optima[c].eta for c in classes]]
 
 

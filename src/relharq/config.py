@@ -89,16 +89,15 @@ _SCHEMA = [
     ("mc.seed", "int", 0, (0, None)),
     ("mc.batch", "int", 65_536, (1, None)),
     ("mc.workers", "int", 1, (1, None)),
-    # analytic quadrature size; it and grid.nodes stop at 2^20 nodes, where one
-    # float64 row is 8 MB, so a grid that cannot be allocated is a config error
+    # analytic quadrature size, which is also the per-node policy grid; it stops
+    # at 2^20 nodes, where one float64 row is 8 MB, so a grid that cannot be
+    # allocated is a config error
     ("quad.n", "int", DEFAULT_QUAD_N, (2, 1 << 20)),
-    # optimizer search lattice; grid.nodes is the per-node policy grid size,
-    # 0 = match quad.n
+    # optimizer search lattice
     ("grid.r_max", "float", 6.0, (1e-12, None)),
     ("grid.r_step", "float", 0.05, (1e-12, None)),
     ("grid.alpha_step", "float", 0.02, (1e-12, 1.0)),
     ("grid.refine", "int", 3, (0, None)),
-    ("grid.nodes", "int", 0, (0, 1 << 20)),
     # a numeric key to sweep over comma-separated values: the rows of each
     # value, led by it
     ("sweep.key", "str", "", None),
@@ -307,9 +306,6 @@ class ExperimentConfig:
                         r_step=self.values["grid.r_step"],
                         alpha_step=self.values["grid.alpha_step"],
                         refine_rounds=self.values["grid.refine"])
-
-    def n_nodes(self) -> int:
-        return self.values["grid.nodes"] or self.values["quad.n"]
 
     def mc_kwargs(self) -> dict:
         return {"n_sessions": self.values["mc.sessions"],

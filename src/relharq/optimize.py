@@ -22,12 +22,11 @@ lambda, so each alpha block is reduced once to a per-node front, the rows
 that can be the first argmax of R - lambda L for some lambda >= 0 after
 rounding (`_front`).  Dinkelbach takes np.argmax over each front in lattice
 order, so every pick, tie, lambda and iteration count is the one a
-full-lattice scan gives.  Every block, scanned or not, comes from
-`_Evaluator.block` as per-node (E[R], E[L], weights): when n_nodes == quad_n
-the scan keeps the front of each block it forms; otherwise the node grid is
-passed to `block` and evaluated once, one alpha block at a time.  A block
-whose front stays large, and every block while lambda < 0, is formed in full
-again the same way.
+full-lattice scan gives.  Every block comes from `_Evaluator.block` as
+per-node (E[R], E[L], weights) on the quad_n quadrature grid, which is also
+the per-node policy grid, so the scan keeps the front of each block it forms.
+A block whose front stays large, and every block while lambda < 0, is formed
+in full again the same way.
 """
 
 from __future__ import annotations
@@ -82,12 +81,12 @@ class _Evaluator:
             self.grid = slot1_grid(cfg, quad_n)
         self.n_evals = 0
 
-    def block(self, r1v: np.ndarray, r2v: np.ndarray, alpha: float, grid=None):
+    def block(self, r1v: np.ndarray, r2v: np.ndarray, alpha: float):
         """Per-node (reward, length, weights) over the block: E[R|d] and E[L|d]
         shaped (q1, q2, nd), the node weights (nd,); eta is their weighted ratio.
 
-        LTSC is read on `grid` (default: the evaluator's D node grid); the STSC
-        quantities and a Monte Carlo eta (with length 1) are one node of weight 1.
+        LTSC is read on the evaluator's D node grid; the STSC quantities and a
+        Monte Carlo eta (with length 1) are one node of weight 1.
         """
         self.n_evals += len(r1v) * len(r2v)
         if self.backend == "mc":
@@ -96,12 +95,11 @@ class _Evaluator:
                    for r1 in r1v]
             return np.array(eta)[..., None], np.ones((len(r1v), len(r2v), 1)), np.ones(1)
         if self.cfg.channel_regime == "ltsc":
-            grid = grid or self.grid
             reward, length = node_reward_length(
-                self.cfg, r1v[:, None, None], r2v[None, :, None], np.float64(alpha), grid,
+                self.cfg, r1v[:, None, None], r2v[None, :, None], np.float64(alpha), self.grid,
                 self.comp,
             )
-            return reward, length, grid.weights
+            return reward, length, self.grid.weights
         q = stsc_quantities(self.cfg, r1v, r2v, alpha, self.quad_n, grid=self.grid)
         reward, length = reward_length(r1v[:, None], r2v[None, :], *quantity_tables(q)[:2])
         return reward[..., None], length[..., None], np.ones(1)
@@ -260,15 +258,16 @@ def _front(reward: np.ndarray, length: np.ndarray):
     return pos, r, l
 
 
-def _dinkelbach(ev: _Evaluator, grid, base, lattice, fronts, policy_class):
-    """Per-node tuples over `lattice` on the node grid `grid` by Dinkelbach, from
-    the incumbent `base`: lambda <- E[R]/E[L] at the per-node argmax of
+def _dinkelbach(ev: _Evaluator, base, lattice, fronts, policy_class):
+    """Per-node tuples over `lattice` on the evaluator's node grid by Dinkelbach,
+    from the incumbent `base`: lambda <- E[R]/E[L] at the per-node argmax of
     R - lambda L, one tuple search per node; lambda never decreases.
 
     fronts[a] holds the candidates of alpha block a (see _front); a block
     without one, and every block while lam < 0, is formed in full again.
     """
     r1_axis, r2_axis, alpha_axis = lattice
+    grid = ev.grid
     nd = len(grid.nodes)
     cols = np.arange(nd)
     r1n = np.full(nd, float(base.policy.r1))
@@ -287,7 +286,7 @@ def _dinkelbach(ev: _Evaluator, grid, base, lattice, fronts, policy_class):
             if front is None or not lam >= 0:
                 pos = None
                 reward, length = (x.reshape(-1, nd)
-                                  for x in ev.block(r1_axis, r2_axis, alpha, grid)[:2])
+                                  for x in ev.block(r1_axis, r2_axis, alpha)[:2])
             else:
                 pos, reward, length = front
             score = reward - lam * length
@@ -323,8 +322,7 @@ def _dinkelbach(ev: _Evaluator, grid, base, lattice, fronts, policy_class):
                   "seed_eta": base.eta})
 
 
-def _optimize(ev: _Evaluator, classes, grid_spec: GridSpec = GridSpec(),
-              n_nodes: int | None = None) -> dict:
+def _optimize(ev: _Evaluator, classes, grid_spec: GridSpec = GridSpec()) -> dict:
     """The optima of the requested policy classes from one pass; see the module docstring.
 
     ev evaluates the scenario; classes names some of CLASSES: "sl", "bc"
@@ -334,16 +332,12 @@ def _optimize(ev: _Evaluator, classes, grid_spec: GridSpec = GridSpec(),
     if not set(classes) <= set(CLASSES):
         raise ValueError(f"unknown policy classes in {classes!r}; expected some of {CLASSES}")
     per_node = [c for c in ("bc-lcsit", "sl-lcsit") if c in classes]
-    nd = n_nodes if n_nodes is not None else ev.quad_n
     if per_node:
         check_supported(ev.cfg, ev.comp, ev.backend, per_node=True)
-        if nd < 1:
-            raise ValueError("n_nodes must be >= 1")
     r_axis = grid_spec.r_axis()
     lattices = {"sl": (r_axis, np.array([0.0]), np.array([1.0])),
                 "bc": (r_axis, r_axis, grid_spec.alpha_axis())}
-    share = nd == ev.quad_n  # the scan's blocks are then the per-node blocks
-    fronts = {c[:2]: [] for c in per_node} if share else {}
+    fronts = {c[:2]: [] for c in per_node}  # the scan's blocks are the per-node blocks
 
     out = {}
     best = _scan(ev, *lattices["sl"], fronts=fronts.get("sl"))
@@ -358,14 +352,9 @@ def _optimize(ev: _Evaluator, classes, grid_spec: GridSpec = GridSpec(),
             "policy_class": "no_lcsit",
             "grid": (grid_spec.r_max, grid_spec.r_step, grid_spec.alpha_step),
             "single_layer_seed": seed}, ev.n_evals - n_sl)
-    if per_node:
-        grid = ev.grid if share else quantize(ev.cfg.model_d, nd)
     for cls in per_node:
         kind = cls[:2]
-        if not share:  # one node-grid block at a time, as the scan holds one
-            fronts[kind] = [_front(*ev.block(*lattices[kind][:2], a, grid)[:2])
-                            for a in lattices[kind][2]]
-        out[cls] = _dinkelbach(ev, grid, out[kind], lattices[kind], fronts[kind],
+        out[cls] = _dinkelbach(ev, out[kind], lattices[kind], fronts[kind],
                                "lcsit" if kind == "bc" else "lcsit_single_layer")
     return {c: out[c] for c in classes}
 
@@ -395,6 +384,8 @@ def optimize_no_lcsit(cfg: SystemConfig, comp=CompressionPolicy("constant"),
 def optimize_lcsit(cfg: SystemConfig, comp=CompressionPolicy("constant"),
                    grid_spec: GridSpec = GridSpec(), n_nodes: int | None = None,
                    quad_n: int = DEFAULT_QUAD_N) -> OptimizationResult:
-    """optima's "bc-lcsit", its node grid n_nodes when given."""
-    ev = _Evaluator(cfg, comp, "analytic", quad_n)
-    return _optimize(ev, ["bc-lcsit"], grid_spec, n_nodes)["bc-lcsit"]
+    """optima's "bc-lcsit".  n_nodes, when given, is the node grid, which is the
+    quadrature grid: it replaces quad_n.  The view is kept for
+    `perfbench/baselines.py`."""
+    return optima(cfg, ["bc-lcsit"], comp, grid_spec=grid_spec,
+                  quad_n=n_nodes or quad_n)["bc-lcsit"]

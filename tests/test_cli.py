@@ -206,8 +206,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("job, key, text", [
         ("analytic", "quad.n", COARSE.replace("quad.n = 24", "quad.n = 1000000000000")),
-        ("optimize", "grid.nodes", COARSE + "csi = lcsit\ngrid.nodes = 1000000000000\n"),
-    ], ids=["analytic", "optimize-lcsit"])
+    ], ids=["analytic"])
     def test_grid_past_2_to_the_20_nodes_is_config_error(self, tmp_path, capsys,
                                                          job, key, text):
         # 10^12 nodes would be a 7.28 TiB row in quantize; the schema stops at
@@ -217,11 +216,35 @@ class TestExitCodes:
         assert f"{key}: value 1000000000000 outside allowed range" in capsys.readouterr().err
 
     def test_grid_of_2_to_the_20_nodes_parses(self):
-        ec = parse_config_text(f"quad.n = {2**20}\ngrid.nodes = {2**20}\n")
-        assert ec["quad.n"] == ec["grid.nodes"] == ec.n_nodes() == 2**20
-        for key in ("quad.n", "grid.nodes"):
-            with pytest.raises(ConfigError, match=f"{key}: value {2**20 + 1} outside"):
-                parse_config_text(f"{key} = {2**20 + 1}\n")
+        assert parse_config_text(f"quad.n = {2**20}\n")["quad.n"] == 2**20
+        with pytest.raises(ConfigError, match=f"quad.n: value {2**20 + 1} outside"):
+            parse_config_text(f"quad.n = {2**20 + 1}\n")
+
+    @pytest.mark.parametrize("words, text", [
+        (["optimize"], COARSE + "csi = lcsit\ngrid.nodes = 6\n"),
+        (["figure", "2"], "grid.nodes = 6\n"),
+    ], ids=["optimize", "figure"])
+    def test_per_node_grid_is_the_quadrature_grid(self, tmp_path, capsys, words, text):
+        # there is no separate node-count key: a config or a figure override
+        # naming grid.nodes is an unknown key
+        path = write_cfg(tmp_path, text)
+        assert cli.main([*words, "--config", path, "--out", str(tmp_path)]) == 2
+        assert "unknown key 'grid.nodes'" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("job", ["analytic", "simulate", "optimize"])
+    @pytest.mark.parametrize("text", [
+        "P_dB = -3230\npolicy = 0.5,0.0,1.0\nquad.n = 2\nfading_D.dist = rayleigh\n",
+        "fading_D.dist = rayleigh\nfading_D.rho_dB = -3230\npolicy = 0.5,0.2,0.9\nquad.n = 4\n",
+    ], ids=["subnormal-power", "subnormal-relay-gain"])
+    def test_overflow_to_the_outage_limit_is_silent(self, tmp_path, text, job):
+        # a subnormal P or d overflows (z - 1)/den in slot_threshold and 1/d in
+        # conservative_gain; the +inf threshold (an outage) and a = 0 (a dead
+        # link) are the limits the formulas mean, so neither warns
+        path = write_cfg(tmp_path, "regime = ltsc\nfading_S.dist = rayleigh\n"
+                                   "mc.sessions = 50\ngrid.r_max = 2.0\ngrid.r_step = 0.5\n"
+                                   "grid.alpha_step = 0.25\n" + text)
+        assert cli.main([job, "--config", path, "--out", str(tmp_path)]) == 0
 
     def test_stsc_rate_past_overflow_is_an_outage(self, tmp_path):
         # 2^(2 r2) overflows at r2 = 2000; layer 2 is then a plain outage

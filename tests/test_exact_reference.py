@@ -772,11 +772,10 @@ def reference_bc(cfg, comp, backend, grid_spec, quad_n, mc=None):
         "single_layer_seed": seed})
 
 
-def reference_lcsit(cfg, comp, grid_spec, n_nodes, quad_n, kind):
+def reference_lcsit(cfg, comp, grid_spec, quad_n, kind):
     """The per-node optimum of kind "sl" or "bc" before the one-pass driver:
     every Dinkelbach iteration evaluates the full (alpha, r1, r2, node) lattice
     again, at most 50 of them, until lambda moves by less than 1e-6."""
-    nd = n_nodes if n_nodes is not None else quad_n
     if kind == "sl":
         base = reference_sl(cfg, comp, "analytic", grid_spec, quad_n)
         r2_axis, alpha_axis = np.array([0.0]), np.array([1.0])
@@ -785,7 +784,7 @@ def reference_lcsit(cfg, comp, grid_spec, n_nodes, quad_n, kind):
         r2_axis, alpha_axis = grid_spec.r_axis(), grid_spec.alpha_axis()
     r1_axis = grid_spec.r_axis()
 
-    grid = quantize(cfg.model_d, nd)
+    grid = quantize(cfg.model_d, quad_n)
     nd = len(grid.nodes)
     r1n = np.full(nd, float(base.policy.r1))
     r2n = np.full(nd, float(base.policy.r2))
@@ -836,13 +835,13 @@ def reference_lcsit(cfg, comp, grid_spec, n_nodes, quad_n, kind):
 
 
 def reference_optima(cfg, comp, classes, backend="analytic", grid_spec=GridSpec(),
-                     quad_n=64, mc=None, n_nodes=None):
+                     quad_n=64, mc=None):
     """One reference call per class, as the CLI made them before the driver."""
     calls = {
         "sl": lambda: reference_sl(cfg, comp, backend, grid_spec, quad_n, mc),
         "bc": lambda: reference_bc(cfg, comp, backend, grid_spec, quad_n, mc),
-        "sl-lcsit": lambda: reference_lcsit(cfg, comp, grid_spec, n_nodes, quad_n, "sl"),
-        "bc-lcsit": lambda: reference_lcsit(cfg, comp, grid_spec, n_nodes, quad_n, "bc"),
+        "sl-lcsit": lambda: reference_lcsit(cfg, comp, grid_spec, quad_n, "sl"),
+        "bc-lcsit": lambda: reference_lcsit(cfg, comp, grid_spec, quad_n, "bc"),
     }
     return {c: calls[c]() for c in classes}
 
@@ -864,24 +863,23 @@ def assert_optima_match(cfg, comp, classes=ALL_CLASSES, **kw):
     backend, grid_spec, quad_n, mc = (kw.get("backend", "analytic"), kw["grid_spec"],
                                       kw["quad_n"], kw.get("mc"))
     ev = opt._Evaluator(cfg, comp, backend, quad_n, mc)
-    got = opt._optimize(ev, classes, grid_spec, kw.get("n_nodes"))
+    got = opt._optimize(ev, classes, grid_spec)
     want = reference_optima(cfg, comp, classes, **kw)
     assert list(got) == list(want)
     for cls in classes:
         assert_results_equal(got[cls], want[cls])
-    if kw.get("n_nodes") is None:  # the entry point: every class from one pass
-        public = opt.optima(cfg, classes, comp, backend, grid_spec, quad_n, mc)
-        assert list(public) == list(want)
-        for cls in classes:
-            assert_results_equal(public[cls], want[cls])
+    # the entry point: every class from one pass
+    public = opt.optima(cfg, classes, comp, backend, grid_spec, quad_n, mc)
+    assert list(public) == list(want)
+    for cls in classes:
+        assert_results_equal(public[cls], want[cls])
     # each class on its own, through the entry point or a view of the driver
     views = {"sl": lambda: opt.optima(cfg, ["sl"], comp, backend, grid_spec, quad_n, mc)["sl"],
              "bc": lambda: opt.optimize_no_lcsit(cfg, comp, backend, grid_spec, quad_n, mc),
-             "sl-lcsit": lambda: opt._optimize(opt._Evaluator(cfg, comp, backend, quad_n),
-                                               ["sl-lcsit"], grid_spec,
-                                               kw.get("n_nodes"))["sl-lcsit"],
+             "sl-lcsit": lambda: opt.optima(cfg, ["sl-lcsit"], comp, backend, grid_spec,
+                                            quad_n)["sl-lcsit"],
              "bc-lcsit": lambda: opt.optimize_lcsit(cfg, comp, grid_spec=grid_spec,
-                                                    n_nodes=kw.get("n_nodes"), quad_n=quad_n)}
+                                                    quad_n=quad_n)}
     for cls in classes:
         assert_results_equal(views[cls](), want[cls])
     return got
@@ -894,18 +892,26 @@ D_RAYLEIGH = FadingModel("rayleigh", 2.0)
 @pytest.mark.parametrize("comp", [CONST, ADAPT], ids=["constant", "adaptive"])
 @pytest.mark.parametrize("T", [1, 2, 3, 4])
 def test_optimizer_matches_reference(T, comp):
-    for s_kind, n_nodes in (("rayleigh", None), ("rician", 6)):
+    for s_kind, quad_n in (("rayleigh", 16), ("rician", 6)):
         cfg = ltsc_cfg(s_kind, T, P=1.5, cmax=1.0)
-        assert_optima_match(cfg, comp, grid_spec=OPT_GRID, quad_n=16, n_nodes=n_nodes)
+        assert_optima_match(cfg, comp, grid_spec=OPT_GRID, quad_n=quad_n)
+
+
+def test_lcsit_view_node_grid_is_the_quadrature_grid():
+    # optimize_lcsit's n_nodes replaces quad_n: one grid for the scan and the nodes
+    cfg = ltsc_cfg("rician", 2, P=1.5, cmax=1.0)
+    got = opt.optimize_lcsit(cfg, ADAPT, grid_spec=OPT_GRID, n_nodes=6, quad_n=16)
+    want = opt.optima(cfg, ["bc-lcsit"], ADAPT, grid_spec=OPT_GRID, quad_n=6)["bc-lcsit"]
+    assert_results_equal(got, want)
 
 
 @pytest.mark.parametrize("comp", [CONST, ADAPT], ids=["constant", "adaptive"])
 @pytest.mark.parametrize("s_kind", sorted(S_MODELS))
 def test_optimizer_pointmass_relay_link_matches_reference(s_kind, comp):
-    # one node whatever n_nodes asks; n_nodes != quad_n evaluates the node grid apart
+    # one node whatever quad_n asks
     cfg = ltsc_cfg(s_kind, 2, model_d=D_POINT)
-    for n_nodes in (None, 1, 5):
-        got = assert_optima_match(cfg, comp, grid_spec=OPT_GRID, quad_n=16, n_nodes=n_nodes)
+    for quad_n in (16, 1, 5):
+        got = assert_optima_match(cfg, comp, grid_spec=OPT_GRID, quad_n=quad_n)
         assert got["bc-lcsit"].metadata["n_nodes"] == 1
 
 
@@ -924,8 +930,8 @@ def test_optimizer_tie_heavy_lattice_matches_reference(case, T):
         "no-information": SystemConfig(1.0, 0.0, T, D_RAYLEIGH,
                                        FadingModel("pointmass", point_value=0.0)),
     }[case]
-    for n_nodes in (None, 5):
-        assert_optima_match(cfg, CONST, grid_spec=OPT_GRID, quad_n=12, n_nodes=n_nodes)
+    for quad_n in (12, 5):
+        assert_optima_match(cfg, CONST, grid_spec=OPT_GRID, quad_n=quad_n)
 
 
 def test_optimizer_stsc_matches_reference():
@@ -945,8 +951,8 @@ def test_optimizer_full_lattice_fallbacks_match_reference(monkeypatch):
     # every block while lambda < 0 (a reward shifted below zero forces that)
     cfg = ltsc_cfg("rician", 3, P=1.5, cmax=1.0)
     monkeypatch.setattr(opt, "_PAIR_CELLS", 0)
-    for n_nodes in (None, 6):
-        assert_optima_match(cfg, CONST, grid_spec=OPT_GRID, quad_n=10, n_nodes=n_nodes)
+    for quad_n in (10, 6):
+        assert_optima_match(cfg, CONST, grid_spec=OPT_GRID, quad_n=quad_n)
     monkeypatch.undo()
     rl = opt.node_reward_length
 
@@ -955,8 +961,8 @@ def test_optimizer_full_lattice_fallbacks_match_reference(monkeypatch):
         return reward - 5.0, length
 
     monkeypatch.setattr(opt, "node_reward_length", shifted)
-    for n_nodes in (None, 6):
-        got = assert_optima_match(cfg, CONST, grid_spec=OPT_GRID, quad_n=10, n_nodes=n_nodes)
+    for quad_n in (10, 6):
+        got = assert_optima_match(cfg, CONST, grid_spec=OPT_GRID, quad_n=quad_n)
         assert got["bc-lcsit"].metadata["lambda_trajectory"][-1] < 0
 
 
@@ -1024,13 +1030,13 @@ def test_lcsit_peak_memory_is_no_higher_than_reference(n_nodes):
     peaks = []
     for run in (lambda: opt.optimize_lcsit(cfg, CONST, grid_spec=spec, n_nodes=n_nodes,
                                            quad_n=32),
-                lambda: reference_lcsit(cfg, CONST, spec, n_nodes, 32, "bc")):
+                lambda: reference_lcsit(cfg, CONST, spec, n_nodes or 32, "bc")):
         run()  # untraced first: lazily built caches are not part of either peak
         tracemalloc.start()
         run()
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
-    # both peak inside node_tables on one (41, 41, 32) scan block, about 5 MB;
+    # both peak inside node_tables on one (41, 41, nodes) scan block, about 5 MB at 32;
     # the driver's own Python objects (dicts, closure cells) add under 1 KiB
     assert peaks[0] <= peaks[1] + 4096
 

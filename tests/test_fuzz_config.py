@@ -2,8 +2,8 @@
 
 Configs are drawn across both regimes, T = 1..4, all three fading kinds with
 zero atoms, dB values at +/-4000 and at the edges of the finite positive
-doubles, zero and huge backhaul, tiny quadratures, and every csi, compression
-and backend choice.  Each config runs the analytic, simulate and optimize jobs
+doubles, zero backhaul and backhaul at and just below its cap, tiny
+quadratures, and every csi, compression and backend choice.  Each config runs the analytic, simulate and optimize jobs
 through `cli.main` on small budgets.  A job may succeed (0), reject the config
 (2) or report a numerical failure (3); a traceback or any other code fails the
 test, and a CSV written with exit 0 must hold only finite numbers.
@@ -56,7 +56,7 @@ CONFIGS = st.builds(
         "regime": st.sampled_from(["ltsc", "stsc"]),
         "T": mostly([2], [1, 3, 4]),
         "P_dB": DB,
-        "Cmax": st.sampled_from([0.0, 1.0, 1e6]),
+        "Cmax": st.sampled_from([0.0, 1.0, 510.9, 511.0]),
         "bc_layer2_interference": mostly(["false"], ["true"]),
         "compression": mostly(["constant"], ["adaptive"]),
         "csi": mostly(["none"], ["lcsit"]),
@@ -69,7 +69,6 @@ CONFIGS = st.builds(
         "grid.r_step": st.sampled_from([0.5, 1.0]),
         "grid.alpha_step": st.sampled_from([0.25, 1.0]),
         "grid.refine": st.integers(0, 1),
-        "grid.nodes": st.integers(0, 3),
     }),
     fading("D"), fading("S"), SWEEPS)
 

@@ -59,7 +59,7 @@ JOBS = {
         **_RICIAN_D, **_RICIAN_S, "policy": "0.9,0.5,0.95", "quad.n": 48, **_P_SWEEP}),
     "ltsc-optimize-lcsit": (("optimize",), {
         "regime": "ltsc", "T": 3, "Cmax": 1.5, "compression": "adaptive", "csi": "lcsit",
-        **_RICIAN_D, **_RICIAN_S, **_COARSE, "grid.nodes": 6}),
+        **_RICIAN_D, **_RICIAN_S, **_COARSE}),
     "ltsc-analytic-pointmass-s": (("analytic",), {
         "regime": "ltsc", "T": 3, "Cmax": 1.5, "compression": "adaptive",
         **_RICIAN_D, **_POINT_S, "policy": "0.9,0.5,0.95", "quad.n": 48, **_P_SWEEP}),
