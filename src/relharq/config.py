@@ -154,10 +154,7 @@ def _parse_tuple(raw: str) -> str:
     if len(parts) != 3:
         raise ValueError('expected "optimize" or "r1,r2,alpha"')
     r1, r2, alpha = (float(p) for p in parts)
-    if not (0 <= r1 < math.inf and 0 <= r2 < math.inf):
-        raise ValueError("rates must be finite and >= 0")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must be in [0, 1]")
+    RatePolicy.constant(r1, r2, alpha)  # RatePolicy's rate and alpha rules
     return f"{r1!r},{r2!r},{alpha!r}"  # canonical form; round-trips exactly
 
 

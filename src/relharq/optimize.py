@@ -24,9 +24,10 @@ rounding (`_front`).  Dinkelbach takes np.argmax over each front in lattice
 order, so every pick, tie, lambda and iteration count is the one a
 full-lattice scan gives.  Every block comes from `_Evaluator.block` as
 per-node (E[R], E[L], weights) on the quad_n quadrature grid, which is also
-the per-node policy grid, so the scan keeps the front of each block it forms.
-A block whose front stays large, and every block while lambda < 0, is formed
-in full again the same way.
+the per-node policy grid, so the scan keeps the front of each block it forms
+and `_scan` is the only code that forms a block.  The fronts hold for
+lambda >= 0 only; lambda < 0 is a negative throughput and raises
+NumericalError.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .stsc import quantity_tables, slot1_grid, stsc_quantities
 from .tables import NumericalError, ProbabilityTable, ThroughputReport, reward_length
 
 _MARGIN = 8 * np.finfo(float).eps  # 16 unit roundoffs, see _front
-_PAIR_CELLS = 16  # the pairwise test of _front holds at most 16 bools per block cell
 _TOL, _MAX_ITER = 1e-6, 50  # Dinkelbach stops once lambda moves by less than _TOL
 CLASSES = ("sl", "bc", "sl-lcsit", "bc-lcsit")
 
@@ -230,10 +230,9 @@ def _front(reward: np.ndarray, length: np.ndarray):
     the first argmax over the survivors in lattice order is the first argmax
     over the block, ties included.  NaN rows always survive.  The first rule
     runs against the previous r1 row and r2 column, then the second, by one
-    sort, and the first again over every pair of what is left.  Returns (pos,
-    reward, length), each (m, nd), pos the lattice row, padded with reward
-    -inf and length 0; or None when the m rows left for the pairwise test
-    have m^2 > _PAIR_CELLS q1 q2.
+    sort; each drops only rows that cannot be the first argmax, and `_compact`
+    keeps lattice order.  Returns (pos, reward, length), each (m, nd), pos
+    the lattice row, padded with reward -inf and length 0.
     """
     nd = reward.shape[-1]
     drop = np.zeros(reward.shape, dtype=bool)
@@ -249,11 +248,6 @@ def _front(reward: np.ndarray, length: np.ndarray):
     with np.errstate(invalid="ignore"):  # the margins of the padding are NaN
         outclassed = _outclassed(r, l)
     valid, pos, r, l = _compact(valid & ~outclassed, pos, r, l)
-    if len(valid) ** 2 > _PAIR_CELLS * len(rows):
-        return None
-    first = np.tri(len(valid), k=-1, dtype=bool)[:, :, None]  # [p, q]: q before p
-    covered = (r[None] >= r[:, None]) & (l[None] <= l[:, None]) & first & valid[None]
-    valid, pos, r, l = _compact(valid & ~covered.any(axis=1), pos, r, l)
     r[~valid] = -np.inf
     return pos, r, l
 
@@ -263,8 +257,8 @@ def _dinkelbach(ev: _Evaluator, base, lattice, fronts, policy_class):
     from the incumbent `base`: lambda <- E[R]/E[L] at the per-node argmax of
     R - lambda L, one tuple search per node; lambda never decreases.
 
-    fronts[a] holds the candidates of alpha block a (see _front); a block
-    without one, and every block while lam < 0, is formed in full again.
+    fronts[a] holds the candidates of alpha block a (see _front), which hold
+    for lam >= 0 only: a lam < 0 (a negative throughput) raises NumericalError.
     """
     r1_axis, r2_axis, alpha_axis = lattice
     grid = ev.grid
@@ -280,22 +274,17 @@ def _dinkelbach(ev: _Evaluator, base, lattice, fronts, policy_class):
     converged = False
 
     for _ in range(_MAX_ITER):
+        if not lam >= 0:
+            raise NumericalError(f"per-node search needs throughput lambda >= 0, got {lam!r}")
         best_score = reward_inc - lam * length_inc  # incumbent always a candidate
         new_r1, new_r2, new_a = r1n.copy(), r2n.copy(), an.copy()
-        for alpha, front in zip(alpha_axis, fronts):
-            if front is None or not lam >= 0:
-                pos = None
-                reward, length = (x.reshape(-1, nd)
-                                  for x in ev.block(r1_axis, r2_axis, alpha)[:2])
-            else:
-                pos, reward, length = front
+        for alpha, (pos, reward, length) in zip(alpha_axis, fronts):
             score = reward - lam * length
             pick = np.argmax(score, axis=0)
             top = score[pick, cols]
             gain = top > best_score + 1e-15
             if np.any(gain):
-                rows = pick[gain] if pos is None else pos[pick[gain], cols[gain]]
-                i, j = np.divmod(rows, len(r2_axis))
+                i, j = np.divmod(pos[pick[gain], cols[gain]], len(r2_axis))
                 new_r1[gain] = r1_axis[i]
                 new_r2[gain] = r2_axis[j]
                 new_a[gain] = alpha

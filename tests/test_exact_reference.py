@@ -32,7 +32,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from relharq import fading, ltsc, stsc
+from relharq import cli, fading, ltsc, stsc
 from relharq import optimize as opt
 from relharq import simulate as sim
 from relharq.channel import (CompressionPolicy, RatePolicy, SystemConfig, _split_gain,
@@ -946,14 +946,10 @@ def test_optimizer_mc_backend_matches_reference():
                         mc={"n_sessions": 300, "master_seed": 5})
 
 
-def test_optimizer_full_lattice_fallbacks_match_reference(monkeypatch):
-    # a block whose front is too large is evaluated again in full, and so is
-    # every block while lambda < 0 (a reward shifted below zero forces that)
+def test_negative_throughput_at_the_per_node_seed_is_refused(monkeypatch, tmp_path, capsys):
+    # the fronts hold for lambda >= 0 only; a reward shifted below zero makes the
+    # per-node seed's throughput negative, and the search refuses it
     cfg = ltsc_cfg("rician", 3, P=1.5, cmax=1.0)
-    monkeypatch.setattr(opt, "_PAIR_CELLS", 0)
-    for quad_n in (10, 6):
-        assert_optima_match(cfg, CONST, grid_spec=OPT_GRID, quad_n=quad_n)
-    monkeypatch.undo()
     rl = opt.node_reward_length
 
     def shifted(*args):
@@ -962,27 +958,35 @@ def test_optimizer_full_lattice_fallbacks_match_reference(monkeypatch):
 
     monkeypatch.setattr(opt, "node_reward_length", shifted)
     for quad_n in (10, 6):
-        got = assert_optima_match(cfg, CONST, grid_spec=OPT_GRID, quad_n=quad_n)
-        assert got["bc-lcsit"].metadata["lambda_trajectory"][-1] < 0
+        with pytest.raises(NumericalError, match="per-node search"):
+            opt.optima(cfg, ["bc-lcsit"], CONST, grid_spec=OPT_GRID, quad_n=quad_n)
+    path = tmp_path / "exp.cfg"
+    path.write_text("csi = lcsit\nquad.n = 6\ngrid.r_max = 3.0\ngrid.r_step = 0.5\n"
+                    "grid.alpha_step = 0.5\ngrid.refine = 0\n", encoding="utf-8")
+    assert cli.main(["optimize", "--config", str(path), "--out", str(tmp_path)]) == 3
+    assert "per-node search" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_front_keeps_the_first_argmax(seed, monkeypatch):
-    # near-ties one ulp apart, exact repeats, NaN rows and lam = 0, tiny or large
-    monkeypatch.setattr(opt, "_PAIR_CELLS", 10**6)  # never fall back to the full block
+@pytest.mark.parametrize("seed", range(100))
+def test_front_keeps_the_first_argmax(seed):
+    # near-ties one ulp apart, exact repeats, NaN rows and lam = 0, tiny or large;
+    # seeds from 6 on draw the shape too, the sl lattice (q2 = 1) and one node among them
     rng = np.random.default_rng(seed)
     q1, q2, nd = 9, 7, 5
+    if seed >= 6:
+        q1, q2, nd = int(rng.integers(1, 12)), int(rng.choice([1, 1, 3, 7, 12])), \
+            int(rng.integers(1, 6))
     reward = rng.choice([0.0, 0.5, 0.7, 1.2], size=(q1, q2, nd))
     length = rng.choice([1.0, 1.5, 2.0, 2.5], size=(q1, q2, nd))
     ulps = rng.integers(-3, 4, size=(2, q1, q2, nd)) * (rng.random((2, q1, q2, nd)) < 0.5)
     reward = reward + ulps[0] * np.spacing(reward + 1.0)
     length = length + ulps[1] * np.spacing(length)
     if seed % 3 == 2:
-        reward[rng.integers(q1), rng.integers(q2), 1] = np.nan
-        length[rng.integers(q1), rng.integers(q2), 3] = np.nan
+        reward[rng.integers(q1), rng.integers(q2), 1 % nd] = np.nan
+        length[rng.integers(q1), rng.integers(q2), 3 % nd] = np.nan
     pos, r_f, l_f = opt._front(reward, length)
     full_r, full_l = reward.reshape(-1, nd), length.reshape(-1, nd)
-    assert len(pos) < q1 * q2
+    assert len(pos) <= q1 * q2 and (seed >= 6 or len(pos) < q1 * q2)  # 9 x 7 always prunes
     for lam in (0.0, 1e-17, 1e-9, 0.3, 0.48, 1.0, 2.4, 1e6):
         full = full_r - lam * full_l
         front = r_f - lam * l_f
@@ -994,6 +998,23 @@ def test_front_keeps_the_first_argmax(seed, monkeypatch):
             else:
                 assert pos[pick[c], c] == want[c]
                 assert front[pick[c], c] == full[want[c], c]
+
+
+def test_per_node_search_starts_at_nonnegative_throughput():
+    # random LTSC scenarios on a tiny lattice: the single-tuple seeds of both
+    # per-node classes have eta >= 0 (the sl lattice holds r1 = 0), so the
+    # search never refuses a negative throughput
+    rng = np.random.default_rng(23)
+    spec = GridSpec(r_max=2.0, r_step=0.5, alpha_step=0.5, refine_rounds=1)
+    for k in range(60):
+        cfg = cli._rand_system(rng, "ltsc", T=int(rng.integers(1, 5)))
+        if k % 5 == 0:
+            cfg = dataclasses.replace(cfg, backhaul_capacity=0.0)
+        comp = (CONST, ADAPT)[k % 2]
+        got = opt.optima(cfg, ["bc-lcsit", "sl-lcsit"], comp, grid_spec=spec,
+                         quad_n=int(rng.integers(1, 9)))
+        for res in got.values():
+            assert res.metadata["lambda_trajectory"][0] >= 0
 
 
 def count_node_table_cells(monkeypatch):
@@ -1014,10 +1035,23 @@ def test_quartet_takes_about_one_lattice_pass(monkeypatch):
     cfg = SystemConfig(1.0, 1.0, 2, FadingModel("rician", 1.0), FadingModel("rayleigh", 1.0))
     kw = {"grid_spec": OPT_GRID, "quad_n": 24}
     one_pass = len(OPT_GRID.r_axis()) ** 2 * len(OPT_GRID.alpha_axis()) * 24
+    blocks = []
+    block = opt._Evaluator.block
+
+    def counting_block(self, *args):
+        blocks.append(args)
+        return block(self, *args)
+
+    monkeypatch.setattr(opt._Evaluator, "block", counting_block)
+    opt._optimize(opt._Evaluator(cfg, CONST, "analytic", kw["quad_n"]), ("bc", "sl"),
+                  kw["grid_spec"])
+    n_blocks = len(blocks)
     cells = count_node_table_cells(monkeypatch)
     opt._optimize(opt._Evaluator(cfg, CONST, "analytic", kw["quad_n"]), ALL_CLASSES,
                   kw["grid_spec"])
     assert sum(cells) <= 1.5 * one_pass
+    # the per-node classes form no block of their own: they read the scan's fronts
+    assert len(blocks) == 2 * n_blocks
     cells.clear()
     reference_optima(cfg, CONST, ALL_CLASSES, **kw)
     assert sum(cells) > 4 * one_pass

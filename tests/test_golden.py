@@ -152,11 +152,12 @@ def _ordered(x: np.ndarray) -> list:
     return [v if v >= 0 else -(v & 0x7FFF_FFFF_FFFF_FFFF) for v in x.view(np.int64).tolist()]
 
 
-def _distance(x: str, y: str) -> tuple:
-    """(abs, rel, ulps) between two cells; inf unless both are finite numbers alike."""
+def _distance(x: str, y: str):
+    """(abs, rel, ulps) between two cells, or None unless both are finite
+    numbers with the same entry count."""
     fx, fy = _floats(x), _floats(y)
     if fx is None or fy is None or fx.shape != fy.shape or not np.isfinite([fx, fy]).all():
-        return np.inf, np.inf, np.inf
+        return None
     dist = np.abs(fx - fy)
     scale = np.maximum(np.abs(fx), np.abs(fy))
     rel = np.divide(dist, scale, out=np.zeros_like(dist), where=dist > 0)
@@ -167,9 +168,11 @@ def _distance(x: str, y: str) -> tuple:
 def diff_report(name: str, old: bytes, new: bytes) -> list:
     """Lines saying how far `new` moved from the golden `old`, column by column.
 
-    Each changed column gives its largest absolute, relative and ulp distance
-    and how many cells moved; a changed optimizer tuple (r1, r2, alpha) is
-    listed row by row.  sha256 stays the pass/fail gate; this only measures.
+    Each changed column gives how many cells moved, their largest absolute,
+    relative and ulp distance, and how many of them cannot be compared (a
+    changed entry count, a non-numeric or non-finite cell), which the
+    distances leave out; a changed optimizer tuple (r1, r2, alpha) is listed
+    row by row.  sha256 stays the pass/fail gate; this only measures.
     """
     if old == new:
         return [f"{name}: unchanged"]
@@ -181,9 +184,14 @@ def diff_report(name: str, old: bytes, new: bytes) -> list:
     for col, key in enumerate(a[0]):
         moved = [(x[col], y[col]) for x, y in zip(a[1:], b[1:]) if x[col] != y[col]]
         if moved:
-            dist, rel, ulps = (max(t) for t in zip(*(_distance(x, y) for x, y in moved)))
-            lines.append(f"  {key}: {len(moved)}/{len(a) - 1} cells, max abs {dist:.3g}, "
-                         f"max rel {rel:.3g}, max ulps {ulps}")
+            dists = [d for d in (_distance(x, y) for x, y in moved) if d is not None]
+            line = f"  {key}: {len(moved)}/{len(a) - 1} cells"
+            if dists:
+                dist, rel, ulps = (max(t) for t in zip(*dists))
+                line += f", max abs {dist:.3g}, max rel {rel:.3g}, max ulps {ulps}"
+            if len(dists) < len(moved):
+                line += f", {len(moved) - len(dists)} not comparable"
+            lines.append(line)
     if {"r1", "r2", "alpha"} <= set(a[0]):
         cols = [a[0].index(k) for k in ("r1", "r2", "alpha")]
         for row, (x, y) in enumerate(zip(a[1:], b[1:]), start=1):
@@ -217,9 +225,18 @@ def test_diff_measures_moved_cells_and_tuples():
     assert "  eta: 1/2 cells, max abs 1.11e-16, max rel 2.22e-16, max ulps 1" in lines
     assert "  r1: 1/2 cells, max abs 0.25, max rel 0.111, max ulps 562949953421312" in lines
     assert lines[-1] == "  tuple changed in row 2 (sl): 2.0, 0.0, 1.0 -> 2.25, 0.0, 1.0"
+    # a per-node cell that changes its entry count, or a NaN, cannot be compared:
+    # it is counted, and the distances are over the comparable cells only
+    old = b"mode,eta,r1\nbc,0.5,1.0;2.0\nsl,0.25,2.0\n"
+    new = b"mode,eta,r1\nbc,nan,1.0;2.0;3.0\nsl,0.25,2.5\n"
+    lines = diff_report("job", old, new)
+    assert "  eta: 1/2 cells, 1 not comparable" in lines
+    assert "  r1: 2/2 cells, max abs 0.5, max rel 0.2, max ulps 1125899906842624, " \
+           "1 not comparable" in lines
     # ulps across zero count the doubles in between
     assert _distance("-5e-324", "5e-324")[2] == 2
-    assert _distance("1.0", "nan") == (np.inf, np.inf, np.inf)
+    assert _distance("1.0", "nan") is None
+    assert _distance("1.0;2.0", "1.0;2.0;3.0") is None
 
 
 if __name__ == "__main__":
