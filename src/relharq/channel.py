@@ -115,9 +115,16 @@ def _split_gain(a, d, out=None):
     d gives a NaN b wherever a > 0).
 
     out, an array of the broadcast shape that is neither a nor d, takes b
-    without a temporary."""
+    without a temporary.  Where every d > 0 and every a >= 0 (a NaN fails
+    both tests), b is 1 + a/d with no mask: the masked form's bits, as it
+    would only turn a -0.0 quotient into +0.0, and 1 + -0.0 is 1 + +0.0."""
     a = np.asarray(a, dtype=float)
     d = np.asarray(d, dtype=float)
+    if a.size and d.size and d.min() > 0 and a.min() >= 0:
+        out = np.empty(np.broadcast_shapes(a.shape, d.shape)) if out is None else out
+        with np.errstate(invalid="ignore"):  # inf / inf, NaN as in the masked form
+            np.divide(a, d, out=out)
+        return np.add(1.0, out, out=out)
     pos = a > 0
     if np.any(pos & (d <= 0)):
         raise ValueError("d must be > 0 where a > 0")

@@ -167,6 +167,15 @@ def node_tables(
     return p1, p2o
 
 
+def _layer1_outage(cfg: SystemConfig, r1, alpha, grid: QuadratureGrid):
+    """p1_out(T) = F(x_T) per node, node_tables' p1[..., T - 1] at the broadcast
+    shape of r1, alpha and the nodes: it depends on neither r2 nor the compression."""
+    P, d = cfg.power, grid.nodes
+    a = conservative_gain(d, cfg.s_min, P, cfg.backhaul_capacity)
+    return cfg.model_s.cdf_strict(
+        slot_threshold(r1, cfg.max_rounds, alpha * P, (1.0 - alpha) * P, a, d))
+
+
 def decode_table(p2_out):
     """p2_dec(k) = p2_out(k-1) - p2_out(k) over the last axis, p2_out(0) = 1,
     clipped at 0: the decode events partition the outage intervals."""

@@ -1,14 +1,18 @@
 """Closed-form throughput at one policy (`throughput`, the analytic twin of
 `simulate.estimate`) and its maximization over the coding tuple (R1, R2, alpha).
 
-Search strategy: exhaustive coarse grid, then local refinement with halved
-steps around the incumbent (a deliberate, reproducible substitution for
-branch-and-bound), plus Dinkelbach fractional programming for the per-node
-policies.  Dominance between nested policy classes is made structural by
-seeding each richer search with the best tuple of the poorer one: the
-two-layer search starts from the single-layer incumbent, the per-node search
-starts from the single-tuple incumbent, so the expected orderings hold by
-construction and not merely by grid luck.
+Search strategy: a coarse grid, then local refinement with halved steps
+around the incumbent, plus Dinkelbach fractional programming for the per-node
+policies.  Once a single-tuple scan has an incumbent, it bounds each (alpha,
+r1) row, eta <= (r1 + max r2)(1 - p1_out(T)), and forms only the rows whose
+bound reaches the incumbent (`_scan`): a branch-and-bound over rows in the
+manner of Land and Doig, whose skipped rows can neither win nor tie, so
+every pick is the exhaustive grid's.  A scan that keeps per-node fronts, and
+the Monte Carlo backend, form every cell.  Dominance between nested policy
+classes is made structural by seeding each richer search with the best tuple
+of the poorer one: the two-layer search starts from the single-layer
+incumbent, the per-node search starts from the single-tuple incumbent, so the
+expected orderings hold by construction and not merely by grid luck.
 
 Candidate comparison key is (eta desc, alpha desc, then r1, r2 asc), which
 makes every argmax deterministic under ties.
@@ -39,7 +43,7 @@ import numpy as np
 from .channel import CompressionPolicy, RatePolicy, SystemConfig, check_supported
 from .config import GridSpec
 from .fading import DEFAULT_QUAD_N, quantize
-from .ltsc import decode_table, node_reward_length, node_tables
+from .ltsc import _layer1_outage, decode_table, node_reward_length, node_tables
 from .simulate import estimate
 from .stsc import quantity_tables, slot1_grid, stsc_quantities
 from .tables import NumericalError, ProbabilityTable, ThroughputReport, reward_length
@@ -81,28 +85,46 @@ class _Evaluator:
             self.grid = slot1_grid(cfg, quad_n)
         self.n_evals = 0
 
-    def block(self, r1v: np.ndarray, r2v: np.ndarray, alpha: float):
+    def block(self, r1v: np.ndarray, r2v: np.ndarray, alpha: float, floor=None):
         """Per-node (reward, length, weights) over the block: E[R|d] and E[L|d]
         shaped (q1, q2, nd), the node weights (nd,); eta is their weighted ratio.
 
         LTSC is read on the evaluator's D node grid; the STSC quantities and a
         Monte Carlo eta (with length 1) are one node of weight 1.
+
+        With floor, an incumbent eta, the analytic backend leaves out every r1
+        row whose bound (r1 + max r2)(1 - p1_out(T)) on eta, taken with the
+        margin of `_reaches`, is below floor: each of its cells has an eta
+        strictly below floor, so it can neither win nor tie.  p1_out(T) is the
+        weighted F(x_T) of LTSC or the r1 side of an STSC pass, and the kept
+        rows keep the bits they have in the full block.  block then returns
+        a fourth value, the kept rows' indices into r1v, and reward and
+        length hold those rows only; the Monte Carlo backend keeps every row.
         """
         self.n_evals += len(r1v) * len(r2v)
+        rows = np.arange(len(r1v))
         if self.backend == "mc":
             # common random numbers: every tuple sees the same seed
             eta = [[self.report(RatePolicy.constant(r1, r2, alpha)).eta for r2 in r2v]
                    for r1 in r1v]
-            return np.array(eta)[..., None], np.ones((len(r1v), len(r2v), 1)), np.ones(1)
-        if self.cfg.channel_regime == "ltsc":
+            out = np.array(eta)[..., None], np.ones((len(r1v), len(r2v), 1)), np.ones(1)
+        elif self.cfg.channel_regime == "ltsc":
+            if floor is not None:
+                p1 = _layer1_outage(self.cfg, r1v[:, None], alpha, self.grid) @ self.grid.weights
+                rows = rows[_reaches(r1v, r2v, p1, floor)]
             reward, length = node_reward_length(
-                self.cfg, r1v[:, None, None], r2v[None, :, None], np.float64(alpha), self.grid,
+                self.cfg, r1v[rows, None, None], r2v[None, :, None], np.float64(alpha), self.grid,
                 self.comp,
             )
-            return reward, length, self.grid.weights
-        q = stsc_quantities(self.cfg, r1v, r2v, alpha, self.quad_n, grid=self.grid)
-        reward, length = reward_length(r1v[:, None], r2v[None, :], *quantity_tables(q)[:2])
-        return reward[..., None], length[..., None], np.ones(1)
+            out = reward, length, self.grid.weights
+        else:
+            keep = None if floor is None else lambda r1, p1: _reaches(r1, r2v, p1, floor)
+            q = stsc_quantities(self.cfg, r1v, r2v, alpha, self.quad_n, grid=self.grid, keep=keep)
+            rows = q.get("rows", rows)
+            reward, length = reward_length(r1v[rows, None], r2v[None, :],
+                                           *quantity_tables(q)[:2])
+            out = reward[..., None], length[..., None], np.ones(1)
+        return out if floor is None else (*out, rows)
 
     def report(self, policy: RatePolicy):
         """eta, expected_reward, expected_length and table at one policy.
@@ -135,6 +157,18 @@ def throughput(cfg: SystemConfig, policy: RatePolicy, comp=CompressionPolicy("co
     return _Evaluator(cfg, comp, "analytic", quad_n).report(policy)
 
 
+def _reaches(r1, r2v, p1_out, floor):
+    """The rows whose bound on eta, with its margin, is not below floor (NaN included).
+
+    E[L] >= 1 and p2_out(T) >= p1_out(T), so eta <= (r1 + max r2)(1 - p1_out(T)).
+    The margin, bound (1 + 1e-9) + 1e-12, covers the rounding of both sides,
+    probabilities that miss [0, 1] by a few ulps and node weights that do not
+    sum to exactly 1.
+    """
+    bound = (r1 + r2v.max()) * (1.0 - p1_out)
+    return ~(bound * (1.0 + 1e-9) + 1e-12 < floor)
+
+
 def _better(cand, best):
     """(eta, alpha, r1, r2): max eta, then max alpha, then lexicographic-min rates.
 
@@ -151,15 +185,28 @@ def _better(cand, best):
 
 
 def _scan(ev: _Evaluator, r1_axis, r2_axis, alpha_axis, best=None, fronts=None):
-    """Best (eta, alpha, r1, r2) over the lattice; appends each block's _front to fronts."""
+    """Best (eta, alpha, r1, r2) over the lattice; appends each block's _front to fronts.
+
+    Without fronts, each block after the first incumbent is formed on the r1
+    rows whose bound reaches it (`_Evaluator.block`'s floor): a row left out
+    holds only cells strictly below the incumbent, so the first argmax over
+    the kept rows, in lattice order, is the one over the block whenever it can
+    win, and every pick, tie and refine round is the full lattice's.
+    """
     for alpha in alpha_axis:
-        reward, length, weights = ev.block(r1_axis, r2_axis, float(alpha))
+        rows = slice(None)
+        if best is None or fronts is not None:
+            reward, length, weights = ev.block(r1_axis, r2_axis, float(alpha))
+        else:
+            reward, length, weights, rows = ev.block(r1_axis, r2_axis, float(alpha), best[0])
         if fronts is not None:
             fronts.append(_front(reward, length))
+        if not len(reward):  # every row left out
+            continue
         eta = (reward @ weights) / (length @ weights)
         flat = int(np.argmax(eta))  # first max: lexicographic-min (r1, r2)
         i, j = divmod(flat, eta.shape[1])
-        cand = (float(eta[i, j]), float(alpha), float(r1_axis[i]), float(r2_axis[j]))
+        cand = (float(eta[i, j]), float(alpha), float(r1_axis[rows][i]), float(r2_axis[j]))
         if _better(cand, best):
             best = cand
     return best

@@ -34,8 +34,9 @@ normal draw into a scratch row), the gains, f_I and its denominator, the
 layer-2 powers, the masks (in the scratch row of the gain a, free once the
 gains are formed), the decode tests, the adaptive branch (in prefixes of the
 scratch rows) and the end-of-batch reductions.  A batch then allocates only
-the gains' bool temporaries (`_split_gain`), the adaptive branch's index of
-acknowledged sessions and a per-node policy's per-session rates and powers.
+an n-byte bool temporary, the adaptive branch's index of acknowledged
+sessions and a per-node policy's per-session rates and powers; `_split_gain`
+takes no mask when every d > 0 and every a >= 0, as on continuous draws.
 glibc hands each freed 512 KB temporary back to the OS, so a stepper that
 allocated its arrays per slot, or its workspace per batch, would fault
 their pages in again on every use.

@@ -42,6 +42,12 @@ is formed on the (r1, r2, d1, s1) block, a few r1 rows at a time in blocks of
 about BLOCK_CELLS cells.  Everything that depends on the scenario but not on
 the tuple (the quadrature nodes, the S1 edge cdfs, a1 and G) is one
 `Slot1Grid`, built once per evaluator and shared by all its blocks.
+
+Each pass of r1 rows runs in two steps: its r1 side (`_r1_side`: lam1,
+m_fail, u1, g1, and so p1_out(1) and p1_out(2)), then the cell pass over the
+r2 axis (`_cells`).  A caller can read p1_out(2) in between and ask for a
+subset of rows (`stsc_quantities`' keep), which the optimizer's row bound
+does.
 """
 
 from __future__ import annotations
@@ -164,7 +170,7 @@ def slot1_grid(cfg: SystemConfig, n: int) -> Slot1Grid:
 
 
 def stsc_quantities(cfg: SystemConfig, r1_vec, r2_vec, alpha: float, n: int,
-                    grid: Slot1Grid | None = None):
+                    grid: Slot1Grid | None = None, keep=None):
     """The four independent table entries for every (r1, r2) pair at one alpha.
 
     Returns dict of (Q1, Q2) arrays: p1_out_1, p1_out_2, p2_dec_1, p2_out_2.
@@ -172,13 +178,24 @@ def stsc_quantities(cfg: SystemConfig, r1_vec, r2_vec, alpha: float, n: int,
     that evaluates many blocks of one scenario builds it once and passes it.
     r1 is taken R1_CELLS // n^2 rows per pass, which bounds the (q1, n, n)
     arrays; the (q2, n, n) ones hold the whole r2 axis.
+
+    keep, when given, maps the r1 rows of a pass and their p1_out_2, both
+    (q,), to the bool mask of the rows to finish.  The entries then hold
+    those rows only, and "rows" holds their indices into r1_vec.  Each pass
+    still forms its r1 side, and every reduction over r1, on all its rows;
+    the rest is formed row by row on the finished rows only (no cell pass
+    when there are none), so a finished row keeps the bits it has in the
+    full block.
     """
     if grid is None:
         grid = slot1_grid(cfg, n)
     r1, r2 = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (r1_vec, r2_vec))
     rows = R1_CELLS // (n * n)
-    parts = [_quantities(cfg, r1[i : i + rows], r2, alpha, grid)
+    parts = [_quantities(cfg, r1[i : i + rows], r2, alpha, grid, keep)
              for i in range(0, len(r1), rows)]
+    if keep is not None:
+        for i, part in zip(range(0, len(r1), rows), parts):
+            part["rows"] += i
     return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
 
 
@@ -190,70 +207,120 @@ def _cdf_in_bins(F, grid, c):
     return out
 
 
-def _quantities(cfg, r1, r2, alpha, grid):
+def _total(wd, x):
+    """The D1 and S1 sums of x (..., nd, ns), D1 weighted by wd."""
+    return np.einsum("d,...ds->...", wd, x)
+
+
+def _on_support(G, u, cells):
+    """G(u) on the cells, 0 elsewhere."""
+    out = np.zeros(u.shape)
+    out[cells] = G(u[cells])
+    return out
+
+
+def _quantities(cfg, r1, r2, alpha, grid, keep=None):
     """stsc_quantities over one pass of r1 rows; r1 and r2 are 1-D float arrays."""
+    side = _r1_side(cfg, r1, alpha, grid)
+    if keep is None:
+        return _cells(cfg, side, r2, alpha, grid)
+    rows = np.flatnonzero(keep(r1, side.p1_out_2))
+    if len(rows):
+        out = _cells(cfg, side, r2, alpha, grid, rows)
+    else:  # no row to finish: no cell pass
+        out = {key: np.empty((0, len(r2)))
+               for key in ("p1_out_1", "p1_out_2", "p2_dec_1", "p2_out_2")}
+    out["rows"] = rows
+    return out
+
+
+@dataclass(frozen=True)
+class _R1Side:
+    """What one pass forms from its r1 rows alone: lam1 (q1, nd); m_fail, the
+    mass S1 < lam1 per bin, and g1 = G(u1) on the cells where it is nonzero
+    (q1, nd, ns); p1_out_1 and p1_out_2 (q1,); and the reductions over the
+    pass's rows that the cell pass reads: the smallest F1 = F(clip(lam1)),
+    whether any row fails, and the smallest live u1, each (nd, ns)."""
+
+    lam1: np.ndarray
+    m_fail: np.ndarray
+    g1: np.ndarray
+    p1_out_1: np.ndarray
+    p1_out_2: np.ndarray
+    F1_min: np.ndarray
+    fails_any: np.ndarray
+    u1_live: np.ndarray
+
+
+def _r1_side(cfg, r1, alpha, grid) -> _R1Side:
+    """The r1 side of one pass: everything up to p1_out(2), which has no r2 in it."""
     P = cfg.power
     ap, abp = alpha * P, (1.0 - alpha) * P
-    p_int2 = ap if cfg.bc_layer2_interference else 0.0
-    q1, q2 = len(r1), len(r2)
-    d1, wd, s1, a1, G = grid.d1, grid.wd, grid.s1, grid.a1, grid.G
-    Fs1 = cfg.model_s.cdf_strict
-
-    def total(x):
-        return np.einsum("d,...ds->...", wd, x)
-
+    d1, s1, a1 = grid.d1, grid.s1, grid.a1
     lam1 = slot_threshold(r1[:, None], 1, ap, abp, a1, d1)          # (q1, nd)
-    lam2 = slot_threshold(r2[:, None], 1, abp, p_int2, a1, d1)      # (q2, nd)
-
-    F1, F2 = _cdf_in_bins(Fs1, grid, lam1), _cdf_in_bins(Fs1, grid, lam2)  # (q1|q2, nd, ns)
-    # the mass lam1 <= S1 < lam2 is F2 - F1 where lam2 > lam1, else 0; F is
-    # monotone, so it is nonzero only where F2 exceeds the smallest F1
-    phi_cells = ~(F2 <= F1.min(axis=0))
-    # mass S1 < lam1 | lam2, in place: each (q, nd, ns) array is dropped when done
-    m_fail, m_below2 = np.subtract(F1, grid.F_lo, out=F1), np.subtract(F2, grid.F_lo, out=F2)
-
-    def on_support(u, cells):
-        out = np.zeros(u.shape)
-        out[cells] = G(u[cells])
-        return out
-
-    # per-(d1, s1-node) slot-1 quantities, and the slot-2 thresholds u at c = 0
+    F1 = _cdf_in_bins(cfg.model_s.cdf_strict, grid, lam1)          # (q1, nd, ns)
+    F1_min = F1.min(axis=0)
+    m_fail = np.subtract(F1, grid.F_lo, out=F1)                     # mass S1 < lam1, in place
+    # the slot-2 threshold u at c = 0 of the residual rate r1 - I1(d1, s1-node)
     i1 = mutual_info(ap, abp, a1[:, None], s1, d1[:, None])         # (nd, ns)
-    i2 = mutual_info(abp, p_int2, a1[:, None], s1, d1[:, None])     # (nd, ns)
     u1 = slot_threshold(r1[:, None, None] - i1, 1, ap, abp, 0.0, 1.0)  # (q1, nd, ns)
     fails = m_fail != 0
     u1_live = np.where(fails, u1, np.inf).min(axis=0)               # NaN stays NaN
-    g1 = on_support(u1, fails)
+    g1 = _on_support(grid.G, u1, fails)
     del u1
+    return _R1Side(lam1, m_fail, g1, _total(grid.wd, m_fail), _total(grid.wd, m_fail * g1),
+                   F1_min, fails.any(axis=0), u1_live)
+
+
+def _cells(cfg, side: _R1Side, r2, alpha, grid, rows=slice(None)):
+    """The four entries of one pass from its r1 side over the r2 axis, at its r1
+    rows `rows` (an index array, or every row).  The reductions over r1 (those
+    of the r1 side, and phi's cross term, whose matmul bits depend on its row
+    count) span every row of the pass; the rest is formed on `rows` only, one
+    row independent of the others."""
+    P = cfg.power
+    ap, abp = alpha * P, (1.0 - alpha) * P
+    p_int2 = ap if cfg.bc_layer2_interference else 0.0
+    d1, wd, s1, a1, G = grid.d1, grid.wd, grid.s1, grid.a1, grid.G
+
+    lam2 = slot_threshold(r2[:, None], 1, abp, p_int2, a1, d1)      # (q2, nd)
+    F2 = _cdf_in_bins(cfg.model_s.cdf_strict, grid, lam2)          # (q2, nd, ns)
+    # the mass lam1 <= S1 < lam2 is F2 - F1 where lam2 > lam1, else 0; F is
+    # monotone, so it is nonzero only where F2 exceeds the smallest F1
+    phi_cells = ~(F2 <= side.F1_min)
+    m_below2 = np.subtract(F2, grid.F_lo, out=F2)                   # mass S1 < lam2, in place
+
+    i2 = mutual_info(abp, p_int2, a1[:, None], s1, d1[:, None])     # (nd, ns)
     r2p = r2[:, None, None] - i2                                    # (q2, nd, ns)
     u2 = slot_threshold(r2p, 1, abp, p_int2, 0.0, 1.0)
-    g2 = on_support(u2, fails.any(axis=0) & ~(u2 <= u1_live))
+    g2 = _on_support(G, u2, side.fails_any & ~(u2 <= side.u1_live))
     del u2
-    g_phi = on_support(slot_threshold(r2p, 1, P, 0.0, 0.0, 1.0), phi_cells)
+    g_phi = _on_support(G, slot_threshold(r2p, 1, P, 0.0, 0.0, 1.0), phi_cells)
+    # phi = sum over lam2 > lam1 of (m_below2 - m_fail) g_phi; the m_fail g_phi
+    # term is one (q1, ns) x (ns, q2) product per d1 node
+    cross = np.matmul(side.m_fail.transpose(1, 0, 2), g_phi.transpose(1, 2, 0))[:, rows]
+    lam1, m_fail, g1 = side.lam1[rows], side.m_fail[rows], side.g1[rows]
+    q1, q2 = len(lam1), len(r2)
 
     # S1 < max(lam1, lam2) is the S1 < lam1 row where lam1 wins (a NaN lam1
     # included, as np.maximum propagates it), else the S1 < lam2 row
     first = (lam1[:, None] >= lam2[None]) | np.isnan(lam1)[:, None]  # (q1, q2, nd)
     m_below_max = np.where(first, m_fail.sum(axis=-1)[:, None], m_below2.sum(axis=-1)[None])
     p2_dec_1 = ((grid.F_hi - grid.F_lo).sum() - m_below_max) @ wd
-    # phi = sum over lam2 > lam1 of (m_below2 - m_fail) g_phi; the m_fail g_phi
-    # term is one (q1, ns) x (ns, q2) product per d1 node
-    cross = np.matmul(m_fail.transpose(1, 0, 2), g_phi.transpose(1, 2, 0))  # (nd, q1, q2)
     phi = np.where(first, 0.0, (m_below2 * g_phi).sum(axis=-1) - cross.transpose(1, 2, 0)) @ wd
 
-    p1_out_1 = np.repeat(total(m_fail)[:, None], q2, axis=1)        # (q1, q2)
-    p1_out_2 = np.repeat(total(m_fail * g1)[:, None], q2, axis=1)
     p2_out_2 = np.empty((q1, q2))
     step = max(1, BLOCK_CELLS // g2.size)                           # r1 rows per block
     for i in range(0, q1, step):
-        rows = slice(i, i + step)
+        block = slice(i, i + step)
         # G(max(u1, u2)) = max(G(u1), G(u2)); the max of the values keeps gamma >= 0
-        g_max = np.maximum(g1[rows, None], g2[None])
-        g_max *= m_fail[rows, None]
-        p2_out_2[rows] = total(g_max) + phi[rows]                   # p1_out_2 + gamma + phi
+        g_max = np.maximum(g1[block, None], g2[None])
+        g_max *= m_fail[block, None]
+        p2_out_2[block] = _total(wd, g_max) + phi[block]            # p1_out_2 + gamma + phi
 
-    return {"p1_out_1": p1_out_1, "p1_out_2": p1_out_2, "p2_dec_1": p2_dec_1,
-            "p2_out_2": p2_out_2}
+    return {"p1_out_1": np.repeat(side.p1_out_1[rows][:, None], q2, axis=1),
+            "p1_out_2": np.repeat(side.p1_out_2[rows][:, None], q2, axis=1),
+            "p2_dec_1": p2_dec_1, "p2_out_2": p2_out_2}
 
 
 def quantity_tables(q: dict):

@@ -1075,6 +1075,113 @@ def test_lcsit_peak_memory_is_no_higher_than_reference(n_nodes):
     assert peaks[0] <= peaks[1] + 4096
 
 
+# ---- the pruned single-tuple scan: rows whose bound is below the incumbent
+
+PRUNE_GRID = GridSpec(r_max=3.0, r_step=0.25, alpha_step=0.25, refine_rounds=2)
+
+
+def pruning_scenario(k):
+    """Scenario k of the pruning draw: even k LTSC (T 1..4, constant and adaptive
+    compression in turn), odd k STSC (clean SIC and layer-2 interference in turn)."""
+    rng = np.random.default_rng([24, k])
+    if k % 2 == 0:
+        comp = (CONST, ADAPT)[k // 2 % 2]
+        cfg = cli._rand_system(rng, "ltsc", int(rng.integers(1, 5)))
+    else:
+        comp = CONST
+        cfg = cli._rand_system(rng, "stsc", 2, variant=bool(k // 2 % 2))
+    return cfg, comp, int(rng.integers(3, 11))
+
+
+def test_pruned_scan_matches_the_full_lattice(monkeypatch):
+    # every bc and sl result of the pruned scan is the full-lattice reference's,
+    # bit for bit, metadata included; every cell a pruned block left out,
+    # evaluated in full, is strictly below the incumbent it was left out against
+    block, pruned = opt._Evaluator.block, []
+
+    def recording(self, r1v, r2v, alpha, floor=None):
+        out = block(self, r1v, r2v, alpha, floor)
+        if floor is not None:
+            pruned.append((r1v, r2v, alpha, floor, out[3]))
+        return out
+
+    monkeypatch.setattr(opt._Evaluator, "block", recording)
+    kinds, skipped, cells = set(), 0, 0
+    for k in range(60):
+        cfg, comp, quad_n = pruning_scenario(k)
+        kinds.add((cfg.channel_regime, cfg.model_s.kind, comp.kind, cfg.bc_layer2_interference))
+        pruned.clear()
+        ev = opt._Evaluator(cfg, comp, "analytic", quad_n)
+        got = opt._optimize(ev, ("bc", "sl"), PRUNE_GRID)
+        assert_results_equal(got["sl"], reference_sl(cfg, comp, "analytic", PRUNE_GRID, quad_n))
+        assert_results_equal(got["bc"], reference_bc(cfg, comp, "analytic", PRUNE_GRID, quad_n))
+        full = opt._Evaluator(cfg, comp, "analytic", quad_n)
+        for r1v, r2v, alpha, floor, rows in pruned:
+            out = np.setdiff1d(np.arange(len(r1v)), rows)
+            cells += len(r1v) * len(r2v)
+            if len(out):
+                reward, length, weights = full.block(r1v, r2v, alpha)
+                eta = (reward @ weights) / (length @ weights)
+                assert np.all(eta[out] < floor), (k, alpha, r1v[out], floor)
+                skipped += eta[out].size
+    assert {(r, s) for r, s, *_ in kinds} >= {(r, s) for r in ("ltsc", "stsc")
+                                               for s in ("rayleigh", "rician", "pointmass")}
+    assert {(c, v) for _, _, c, v in kinds} == {("constant", False), ("adaptive", False),
+                                                ("constant", True)}
+    assert skipped > cells / 4
+
+
+def reference_split_gain(a, d, out=None):
+    """channel._split_gain before its unmasked branch: the masks on every call."""
+    a = np.asarray(a, dtype=float)
+    d = np.asarray(d, dtype=float)
+    pos = a > 0
+    if np.any(pos & (d <= 0)):
+        raise ValueError("d must be > 0 where a > 0")
+    out = np.empty(np.broadcast_shapes(a.shape, d.shape)) if out is None else out
+    np.copyto(out, d)
+    np.copyto(out, 1.0, where=d <= 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(a, out, out=out)
+    np.copyto(out, 0.0, where=~pos)
+    return np.add(1.0, out, out=out)
+
+
+SPLIT_EDGES = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324,
+                        2.2e-308, 1e-300, 0.5, 1.0, 3.7, 1e300, 1.7e308, -1.0])
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_split_gain_matches_the_masked_form_bit_for_bit(seed):
+    # a >= 0 against d > 0 takes the unmasked branch; a NaN, a negative a or
+    # a d <= 0 anywhere takes the masks, and d <= 0 where a > 0 still raises
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    a, d = (np.where(rng.random(n) < 0.5, rng.choice(SPLIT_EDGES, n), rng.exponential(2.0, n))
+            for _ in range(2))
+    if seed % 3 == 0:
+        a, d = np.abs(a), np.abs(d) + 5e-324  # every d > 0: mostly the unmasked branch
+        if seed % 6 == 0:
+            a[rng.integers(n)] = rng.choice([0.0, -0.0, np.inf])
+    elif seed % 3 == 1:
+        d = np.where(a > 0, np.abs(d) + 5e-324, d)  # d <= 0 only where a <= 0 or NaN
+    shapes = [(a, d), (a[:, None], d[None, :]), (a[0], d), (a, d[0]), (a[0], d[0])]
+    for x, y in shapes:
+        with np.errstate(over="ignore"):
+            try:
+                want = reference_split_gain(x, y)
+            except ValueError:
+                with pytest.raises(ValueError, match="d must be > 0"):
+                    _split_gain(x, y)
+                continue
+            for buf in (None, np.empty(np.shape(want))):
+                got = _split_gain(x, y, out=buf)
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+                if buf is not None:
+                    assert got is buf
+
+
 # ---- the Monte Carlo stepper
 
 

@@ -269,3 +269,19 @@ def test_stsc_config_rejected():
     )
     with pytest.raises(ValueError):
         node_tables(cfg, 1.0, 0.3, 0.8, quantize(cfg.model_d, 256))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_layer1_outage_is_the_tables_last_p1(seed):
+    # the optimizer's row bound reads p1_out(T) without the rest of the tables
+    rng = np.random.default_rng(seed)
+    cfg = rand_cfg(rng)
+    grid = quantize(cfg.model_d, 12)
+    r1 = np.linspace(0.0, 3.0, 7)[:, None]
+    for alpha in (0.0, 0.4, 1.0):
+        p1 = ltsc._layer1_outage(cfg, r1, alpha, grid)
+        for comp in (CONST, ADAPT):
+            want, _ = node_tables(cfg, r1[:, :, None], np.array([0.0, 1.5])[:, None],
+                                  np.float64(alpha), grid, comp)
+            assert np.array_equal(np.broadcast_to(p1[:, None], want.shape[:-1]),
+                                  want[..., -1])

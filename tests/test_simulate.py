@@ -260,9 +260,9 @@ class TestWorkspace:
     @pytest.mark.parametrize("regime, comp, bound", [("ltsc", CONST, 1), ("stsc", CONST, 1),
                                                      ("ltsc", ADAPT, 2)])
     def test_warmed_batch_allocates_no_per_slot_arrays(self, regime, comp, bound):
-        # the mc benchmark's scenarios; what a batch allocates is the gains' bool
-        # temporaries (about 0.4 n-length float64 rows) and the adaptive branch's
-        # index of acknowledged sessions (about 0.6 more), where a stepper
+        # the mc benchmark's scenarios; what a batch allocates is an n-byte bool
+        # temporary (about 0.14 n-length float64 rows) and the adaptive branch's
+        # index of acknowledged sessions (about 0.8 more), where a stepper
         # allocating per slot peaks at 17-21 n-length float64 temporaries
         n = 1 << 16
         cfg = SystemConfig(power=1.0, backhaul_capacity=1.5, max_rounds=3,

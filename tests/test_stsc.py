@@ -390,6 +390,36 @@ def test_r1_chunks_keep_the_cell_budget_and_every_bit(monkeypatch):
     assert rows == [5, 5, 3]
 
 
+@pytest.mark.parametrize("n", [9, 16, 32])
+@pytest.mark.parametrize("seed", range(4))
+def test_kept_rows_keep_every_bit(n, seed, monkeypatch):
+    # keep picks r1 rows at random; the kept rows' entries are the full
+    # block's, with r1 passes of 3 rows and gamma blocks of 2 rows, so both
+    # boundaries fall inside the kept rows
+    rng = np.random.default_rng(seed)
+    cfg = rand_cfg(rng)
+    r1, r2 = np.sort(rng.uniform(0.0, 3.0, 11)), rng.uniform(0.0, 2.0, 6)
+    monkeypatch.setattr(stsc, "R1_CELLS", 3 * n * n + 1)
+    monkeypatch.setattr(stsc, "BLOCK_CELLS", 2 * len(r2) * n * n + 1)
+    for alpha in (0.0, 0.55, 1.0):
+        full = stsc_quantities(cfg, r1, r2, alpha, n)
+        mask = rng.random(len(r1)) < (0.5, 0.2, 1.0)[seed % 3]
+        mask[3:6] = seed % 2 == 0  # one pass all kept or all left out
+        seen = []
+
+        def keep(rows, p1_out_2):
+            seen.append((rows.copy(), p1_out_2.copy()))
+            return mask[np.searchsorted(r1, rows)]
+
+        got = stsc_quantities(cfg, r1, r2, alpha, n, keep=keep)
+        assert np.array_equal(got["rows"], np.flatnonzero(mask))
+        for key in full:
+            assert np.array_equal(got[key], full[key][mask]), key
+        # each pass shows keep its own rows and their p1_out_2 from the full block
+        assert np.array_equal(np.concatenate([rows for rows, _ in seen]), r1)
+        assert np.array_equal(np.concatenate([p for _, p in seen]), full["p1_out_2"][:, 0])
+
+
 class TestMemory:
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
     def test_design_block_peak_is_bounded(self, alpha):
