@@ -13,13 +13,17 @@ The Rician cdf and ppf call the scipy.special kernels behind scipy's ncx2
 distribution (chndtr and chndtrix; the central chi2 chdtr and gammaincinv at
 nc = 0), which give its values bit for bit; importing scipy's stats subpackage
 would be most of a CLI job's start-up.  scipy.special itself is imported by
-the first Rician cdf or ppf, not with this module: the Rayleigh and point-mass
-closed forms and every sampler are numpy only, so a job that never takes a
-Rician cdf or ppf (a Monte Carlo run of one tuple, say) is spared the import,
-about 0.3 s and 25 MB of a fresh `import relharq.cli`.
+the first Rician cdf or ppf (or the first two-thread split), not with this
+module: the Rayleigh and point-mass closed forms and every sampler are numpy
+only, so a job that never takes a Rician cdf or ppf (a Monte Carlo run of one
+tuple, say) is spared the import, about 0.3 s and 25 MB of a fresh
+`import relharq.cli`.
 
-A large Rician cdf runs as two halves on two threads (`_chndtr`): its kernel is
-elementwise, so each half gives the doubles it gives inside the whole array.
+Work that splits into independent pieces runs on two threads (`_on_two_threads`):
+the calling thread and one `_POOL` thread take the pieces from one shared
+iterator.  A large Rician cdf runs its two halves so (`_chndtr`), and the STSC
+inner sum G its slabs (`stsc.node_cdf_sum`); the kernels are elementwise, so
+each piece gives the doubles it gives inside the whole array.
 `cdf` and `cdf_strict` write into `out=`, which may be their argument itself: a
 continuous cdf then runs every step in place, without a temporary of its size.
 """
@@ -27,33 +31,77 @@ continuous cdf then runs every step in place, without a temporary of its size.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
 
 _TAIL_Q = 1.0 - 1e-6  # quantile where the grid truncates the upper tail
 DEFAULT_QUAD_N = 64  # quadrature size of every closed form: quad.n and the library defaults
-# points from which the Rician cdf runs as two halves on _POOL: on 2 cores
-# 2^14 points take 4.1 ms in one call and 2.3 ms as halves, while at 2^10 the
-# hand-off of about 0.1 ms eats the gain; the LTSC node tables call it at ~2^15
+# points from which the Rician cdf runs as two halves on two threads: on 2
+# cores 2^14 points take 4.1 ms in one call and 2.3 ms as halves, while at 2^10
+# the hand-off of about 0.1 ms eats the gain.  The LTSC node tables mostly call
+# it below 2^14 (a median of 160 points in design-ltsc's optimize job); the
+# STSC inner sum G splits its chunks into slabs below it instead
 SPLIT_POINTS = 1 << 14
 _POOL = ThreadPoolExecutor(max_workers=2)  # starts no thread until the first submit
 
 
+def _on_two_threads(run, pieces):
+    """Call run(piece) for each of the pieces (a list), on the calling thread and
+    one _POOL thread, which take them in turn from one shared iterator; return
+    once every piece has run.  One piece runs on the calling thread alone.
+
+    scipy.special is imported here, on the calling thread, before the submit,
+    so a pool thread never imports it.  The caller drains the pieces itself and
+    then cancels the pool task if it has not started, so it never waits on a
+    task that cannot start (the pool may be busy, or run this very call).  An
+    exception in either thread stops both from taking another piece and is
+    raised here, once the other thread's piece has ended: no piece runs after
+    the return.
+    """
+    if len(pieces) < 2:
+        for piece in pieces:
+            run(piece)
+        return
+    from scipy import special  # noqa: F401  (the kernels run() may call)
+
+    left, lock, failed = iter(pieces), threading.Lock(), threading.Event()
+
+    def drain():
+        while True:
+            with lock:
+                piece = None if failed.is_set() else next(left, None)
+            if piece is None:
+                return
+            try:
+                run(piece)
+            except BaseException:
+                failed.set()
+                raise
+
+    helper = _POOL.submit(drain)
+    try:
+        drain()
+    finally:
+        if not helper.cancel():
+            wait([helper])
+    if not helper.cancelled():
+        helper.result()
+
+
 def _chndtr(xp, nc):
     """Overwrite xp with special.chndtr(xp, 2, nc), bit for bit; from SPLIT_POINTS
-    points on, the two halves of a C-contiguous xp run on _POOL (chndtr releases
-    the GIL).  The caller's thread imports scipy.special, so a pool thread never does."""
+    points on, the two halves of a C-contiguous xp run on two threads
+    (`_on_two_threads`; chndtr releases the GIL)."""
     from scipy import special
 
     if xp.size < SPLIT_POINTS or not xp.flags.c_contiguous:
         return special.chndtr(xp, 2.0, nc, out=xp)
     flat, mid = xp.reshape(-1), xp.size // 2
-    halves = [_POOL.submit(special.chndtr, flat[part], 2.0, nc, out=flat[part])
-              for part in (slice(None, mid), slice(mid, None))]
-    for half in halves:
-        half.result()
+    _on_two_threads(lambda part: special.chndtr(flat[part], 2.0, nc, out=flat[part]),
+                    [slice(None, mid), slice(mid, None)])
     return xp
 
 

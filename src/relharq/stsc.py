@@ -43,6 +43,9 @@ about BLOCK_CELLS cells.  Everything that depends on the scenario but not on
 the tuple (the quadrature nodes, the S1 edge cdfs, a1 and G) is one
 `Slot1Grid`, built once per evaluator and shared by all its blocks.
 
+G is most of the time of a fine Rician quadrature.  Its cdf sum runs on two
+threads, slab by slab, with the doubles of one thread (`node_cdf_sum`).
+
 Each pass of r1 rows runs in two steps: its r1 side (`_r1_side`: lam1,
 m_fail, u1, g1, and so p1_out(1) and p1_out(2)), then the cell pass over the
 r2 axis (`_cells`).  A caller can read p1_out(2) in between and ask for a
@@ -59,7 +62,7 @@ import numpy as np
 
 from .channel import (SystemConfig, _split_gain, check_supported, conservative_gain,
                       mutual_info, slot_threshold)
-from .fading import FadingModel, quantize
+from .fading import SPLIT_POINTS, FadingModel, _on_two_threads, quantize
 from .tables import ConfigError
 
 # 512 KB per block array of the gamma pass, which also reads g1, m_fail and g2
@@ -81,11 +84,15 @@ def node_cdf_sum(model: FadingModel, c, w):
     gives the prefix weight W_k with k = #{j : u - c_j > value}, the nodes whose
     indicator is 1.  Rician S, and Rayleigh S with a non-finite c, sum the cdf
     over the nodes, evaluating it only where u - c_j > 0 (or NaN): at or below 0
-    it is exactly 0; a large Rician cdf runs as two bit-identical halves on two
-    threads (`fading._chndtr`).  A NaN u gives NaN.  G takes u in chunks of
-    G_CELLS // n cells, halved for the cdf sum, which writes the cdf in place
-    over the chunk's u - c_j (at most max(G_CELLS / 2, n) pairs), one slab of
-    about BLOCK_CELLS pairs at a time; `x @ w` keeps the chunk's row count and bits.
+    it is exactly 0.  A NaN u gives NaN.  G takes u in chunks of G_CELLS // n
+    cells, halved for the cdf sum, which writes the cdf in place over the
+    chunk's u - c_j (at most max(G_CELLS / 2, n) pairs) in slabs of fewer than
+    fading.SPLIT_POINTS pairs, so a slab's cdf does not split again (for n below
+    SPLIT_POINTS; else a slab is one row).  The calling thread and one pool
+    thread take the slabs in turn (`fading._on_two_threads`); the cdf is
+    elementwise, so a slab's doubles do not depend on the thread.  Once every
+    slab is done, `x @ w` runs over the whole chunk, whose row count, and so its
+    bits, stay those of one thread.
     """
     order = np.argsort(c, kind="stable")
     c, w = np.asarray(c, dtype=float)[order], np.asarray(w, dtype=float)[order]
@@ -106,14 +113,16 @@ def node_cdf_sum(model: FadingModel, c, w):
             return np.where(np.isnan(x).any(axis=1), np.nan, W[(x > model.point_value).sum(1)])
         return chunked(prefix_weight, step)
     if model.kind == "rician" or not np.isfinite(c).all():
+        def cdf_slab(slab):  # overwrites the slab's u - c_j with their cdf
+            live = ~(slab <= 0)  # NaN stays live
+            part = slab[live]
+            slab.fill(0.0)
+            slab[live] = model.cdf_strict(part, part)
+
         def cdf_sum(u):
-            x = u[:, None] - c  # overwritten by the cdf
-            rows = max(1, BLOCK_CELLS // len(c))
-            for slab in (x[i : i + rows] for i in range(0, len(x), rows)):
-                live = ~(slab <= 0)  # NaN stays live
-                part = slab[live]
-                slab.fill(0.0)
-                slab[live] = model.cdf_strict(part, part)
+            x = u[:, None] - c
+            rows = max(1, min(BLOCK_CELLS, SPLIT_POINTS - 1) // len(c))
+            _on_two_threads(cdf_slab, [x[i : i + rows] for i in range(0, len(x), rows)])
             return x @ w
         return chunked(cdf_sum, max(1, step // 2))
     rho = model.mean_power

@@ -116,8 +116,9 @@ def test_rician_cdf_in_halves_keeps_shape_and_views():
     assert np.array_equal(got, rician_cdf_one_shot(RIC, view), equal_nan=True)
 
 
-@pytest.mark.parametrize("size, submits", [(SPLIT_POINTS - 1, 0), (SPLIT_POINTS, 2)])
+@pytest.mark.parametrize("size, submits", [(SPLIT_POINTS - 1, 0), (SPLIT_POINTS, 1)])
 def test_rician_cdf_splits_from_the_threshold_on(monkeypatch, size, submits):
+    # the halves run on the calling thread and one pool thread: one submit
     calls = []
     submit = fading._POOL.submit
 
@@ -126,8 +127,9 @@ def test_rician_cdf_splits_from_the_threshold_on(monkeypatch, size, submits):
         return submit(*args, **kwargs)
 
     monkeypatch.setattr(fading._POOL, "submit", counting_submit)
-    RIC.cdf(rician_points(size))
-    assert calls == [special.chndtr] * submits
+    x = rician_points(size)
+    assert np.array_equal(RIC.cdf(x), rician_cdf_one_shot(RIC, x), equal_nan=True)
+    assert len(calls) == submits
 
 
 def test_rician_cdf_from_outer_threads_at_once():
@@ -178,7 +180,7 @@ start = threading.Barrier(3)
 
 def first_use(models):
     start.wait()
-    for m in models:  # K > 0 first, on the pool; then the K = 0 kernels
+    for m in models:  # K > 0 first, on two threads; then the K = 0 kernels
         got[m] = (m.cdf(x), m.ppf(q))
 
 threads = [threading.Thread(target=first_use, args=(pair,)) for pair in pairs]
@@ -199,12 +201,12 @@ print(sum(t.is_alive() for t in threads), loaded_at_submit)
 
 def test_first_rician_use_from_threads_at_once():
     # scipy.special is imported by the first Rician cdf or ppf, on the calling
-    # thread before the pool gets a half; three threads meeting it at once
-    # each get the one-shot kernels' doubles
+    # thread before the one submit of its halves; three threads meeting it at
+    # once each get the one-shot kernels' doubles
     src = os.path.dirname(os.path.dirname(fading.__file__))
     proc = subprocess.run([sys.executable, "-c", FIRST_USE_FROM_THREADS], capture_output=True,
                           text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-    assert proc.stdout.splitlines() == ["[]"] + ["True"] * 6 + [f"0 {[True] * 6}"]
+    assert proc.stdout.splitlines() == ["[]"] + ["True"] * 6 + [f"0 {[True] * 3}"]
 
 
 def test_invalid_parameters_rejected():

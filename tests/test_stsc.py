@@ -1,13 +1,19 @@
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import special
 
 from relharq.channel import (CompressionPolicy, RatePolicy, SystemConfig, conservative_gain,
                              mutual_info)
 from relharq.config import GridSpec
-from relharq.fading import FadingModel
-from relharq import stsc
+from relharq.fading import SPLIT_POINTS, FadingModel
+from relharq import fading, stsc
 from relharq.optimize import _Evaluator, _optimize, throughput
 from relharq.stsc import node_cdf_sum, quantity_tables, stsc_quantities
 from relharq.tables import reward_length
@@ -352,6 +358,148 @@ class TestNodeCdfSum:
             got = node_cdf_sum(model, c, w)(u)
         assert np.array_equal(got, want, equal_nan=True)
         assert np.isnan(got[np.isnan(u)]).all()
+
+
+RICIAN_S = FadingModel("rician", 1.5, rician_k=2.0)
+
+
+def serial_rician_cdf_sum(model, c, w, u, rows):
+    """G on this thread alone: one chndtr call over each chunk of `rows` u."""
+    order = np.argsort(c, kind="stable")
+    c, w = c[order], w[order]
+    scale, nc = model.mean_power / (2.0 * (model.rician_k + 1.0)), 2.0 * model.rician_k
+    out = np.empty(len(u))
+    for i in range(0, len(u), rows):
+        x = u[i : i + rows, None] - c
+        cdf = special.chndtr(np.maximum(x, 0.0) / scale, 2.0, nc)
+        out[i : i + rows] = np.where(x <= 0, 0.0, cdf) @ w
+    return out
+
+
+class TestCdfSumOnTwoThreads:
+    """G's slabs run on the calling thread and one pool thread (`fading._on_two_threads`)."""
+
+    N, CHUNK_ROWS = 64, 2040  # 8 slabs of 16383 // 64 = 255 rows per chunk
+
+    def g_inputs(self, monkeypatch, tail_rows):
+        """c, w and u for three chunks of 8 slabs and one of tail_rows."""
+        monkeypatch.setattr(stsc, "G_CELLS", self.N * 2 * self.CHUNK_ROWS)
+        rng = np.random.default_rng(12)
+        c, w = np.sort(rng.uniform(0.0, 4.0, self.N)), rng.dirichlet(np.ones(self.N))
+        u = rng.uniform(-2.0, 8.0, 3 * self.CHUNK_ROWS + tail_rows)
+        u[:5] = u[-5:] = [np.nan, np.inf, -np.inf, 0.0, c[3]]
+        return c, w, u
+
+    def test_from_outer_threads_at_once(self, monkeypatch):
+        # three callers on two cores share the pool, with frequent thread switches
+        c, w, u = self.g_inputs(monkeypatch, tail_rows=200)  # the tail is one slab
+        want = serial_rician_cdf_sum(RICIAN_S, c, w, u, self.CHUNK_ROWS)
+        G = node_cdf_sum(RICIAN_S, c, w)
+        submits, pool_sizes, got = [], [], []
+        submit, chndtr = fading._POOL.submit, fading._chndtr
+
+        def counting_submit(*args, **kwargs):
+            submits.append(args[0])
+            return submit(*args, **kwargs)
+
+        def recording_chndtr(xp, nc):
+            if threading.current_thread() not in threads:
+                pool_sizes.append(xp.size)
+            return chndtr(xp, nc)
+
+        monkeypatch.setattr(fading._POOL, "submit", counting_submit)
+        monkeypatch.setattr(fading, "_chndtr", recording_chndtr)
+        start = threading.Barrier(3)
+
+        def work():
+            start.wait()
+            got.extend(G(u) for _ in range(3))
+
+        threads = [threading.Thread(target=work) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(got) == 9
+        assert all(np.array_equal(result, want, equal_nan=True) for result in got)
+        assert len(submits) == 9 * 3  # one per chunk of two or more slabs
+        assert max(pool_sizes) < SPLIT_POINTS  # a pool thread never splits a cdf
+
+    @pytest.mark.parametrize("raise_on", ["pool", "caller"])
+    def test_an_exception_on_either_thread_is_raised(self, monkeypatch, raise_on):
+        c, w, u = self.g_inputs(monkeypatch, tail_rows=0)
+        want = serial_rician_cdf_sum(RICIAN_S, c, w, u, self.CHUNK_ROWS)
+        G = node_cdf_sum(RICIAN_S, c, w)
+        caller = threading.current_thread()
+        pool_took, caller_raised = threading.Event(), threading.Event()
+        calls, started, ended = [], [], []
+        cdf_strict = FadingModel.cdf_strict
+
+        def failing_cdf_strict(self, x, out=None):
+            calls.append(x.size)
+            if threading.current_thread() is not caller:
+                pool_took.set()
+                started.append(x.size)
+                if raise_on == "pool":
+                    raise RuntimeError("pool")
+                caller_raised.wait(timeout=10)
+                time.sleep(0.02)  # still running when the caller's exception arrives
+                ended.append(x.size)
+            elif pool_took.wait(timeout=10) and raise_on == "caller":
+                caller_raised.set()
+                raise RuntimeError("caller")
+            return cdf_strict(self, x, out)
+
+        with monkeypatch.context() as m:
+            m.setattr(FadingModel, "cdf_strict", failing_cdf_strict)
+            with pytest.raises(RuntimeError, match=raise_on):
+                G(u)
+            pieces = len(started)
+            assert len(ended) == pieces - (raise_on == "pool")  # no piece runs on
+            time.sleep(0.1)
+            assert len(started) == pieces
+            assert len(calls) <= 3  # both threads stop: the first chunk has 8 slabs
+        assert np.array_equal(G(u), want, equal_nan=True)  # the pool serves the next call
+
+
+FIRST_G = """
+import sys
+import numpy as np
+from relharq import fading
+from relharq.fading import FadingModel
+from relharq.stsc import node_cdf_sum
+
+submit, loaded_at_submit = fading._POOL.submit, []
+
+def recording_submit(*args, **kwargs):
+    loaded_at_submit.append("scipy.special" in sys.modules)
+    return submit(*args, **kwargs)
+
+fading._POOL.submit = recording_submit
+rng = np.random.default_rng(3)
+c, w, u = np.sort(rng.uniform(0.0, 2.0, 160)), np.full(160, 1 / 160), rng.uniform(-1.0, 6.0, 1000)
+print([m for m in sys.modules if m.split(".")[0] == "scipy"])
+got = node_cdf_sum(FadingModel("rician", 1.5, rician_k=2.0), c, w)(u)  # 10 slabs of 102 rows
+from scipy import special
+x = u[:, None] - c
+want = np.where(x <= 0, 0.0, special.chndtr(np.maximum(x, 0.0) / 0.25, 2.0, 4.0)) @ w
+print(np.array_equal(got, want), loaded_at_submit)
+"""
+
+
+def test_first_rician_cdf_sum_imports_scipy_special_before_the_submit():
+    # the first Rician G, before any cdf, loads scipy.special on the calling
+    # thread, so the pool thread never imports it
+    src = os.path.dirname(os.path.dirname(stsc.__file__))
+    proc = subprocess.run([sys.executable, "-c", FIRST_G], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.splitlines() == ["[]", "True [True]"]
 
 
 @pytest.mark.parametrize("s_kind", ["rayleigh", "rician"])
