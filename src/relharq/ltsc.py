@@ -33,6 +33,10 @@ cdf is the costly kernel, F runs once per distinct a_hat per node
 layer 1 cannot decode at l, all share one.  Equal inputs give equal doubles
 through the same elementwise operations, so the chain is formed on one row of
 each group and then spread to the others, exactly.
+
+node_tables runs in two steps: the r1 side (`layer1_side`: x_l and F(x_l),
+which read no r2), then the layer-2 thresholds over the r2 axis.  The
+optimizer reads p1_out(T) = F(x_T) in between and chooses the rows it forms.
 """
 
 from __future__ import annotations
@@ -94,6 +98,20 @@ def _distinct_rows(a, R):
     return a_rep.reshape((-1,) + a.shape[1:]), lambda v: np.take_along_axis(v, inv, axis=0)
 
 
+def layer1_side(cfg: SystemConfig, r1, alpha, grid: QuadratureGrid):
+    """node_tables' prefix, which reads no r2: the gain a per node, and the
+    layer-1 decode-within-l thresholds x_l with their F(x_l), l = 1..T, two
+    lists of arrays at the broadcast shape of r1, alpha and the nodes.
+    p1_out(l) = F(x_l); each is elementwise, so the rows of x and F(x) are
+    those rows' own side."""
+    P, d = cfg.power, grid.nodes
+    r1, alpha = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (r1, alpha))
+    a = conservative_gain(d, cfg.s_min, P, cfg.backhaul_capacity)
+    x = [slot_threshold(r1, l, alpha * P, (1.0 - alpha) * P, a, d)
+         for l in range(1, cfg.max_rounds + 1)]
+    return a, x, [cfg.model_s.cdf_strict(v) for v in x]
+
+
 def node_tables(
     cfg: SystemConfig,
     r1,
@@ -101,6 +119,7 @@ def node_tables(
     alpha,
     grid: QuadratureGrid,
     comp: CompressionPolicy = CompressionPolicy("constant"),
+    side=None,
 ):
     """Per-node conditional tables (p1, p2_out), each shaped (..., nd, T).
 
@@ -108,29 +127,25 @@ def node_tables(
     (nd, T) and per-node policies pass nd-vectors.  p1(k) = F(x_k) is built at
     the thresholds' own (r1, alpha, node) shape and returned as a read-only
     view at the block shape.  p2_out(k) is F(x_k) plus the S-mass of
-    [x_l, min(x_{l-1}, thr_l(k))) for l = 1..k, added in order.
+    [x_l, min(x_{l-1}, thr_l(k))) for l = 1..k, added in order.  side, when
+    given, is `layer1_side` of these r1 and alpha, not formed again.
     """
     check_supported(cfg, comp, regime="ltsc")
     P, cmax, T = cfg.power, cfg.backhaul_capacity, cfg.max_rounds
     s_min = cfg.s_min
     d = grid.nodes
     F = cfg.model_s.cdf_strict
+    a, x, Fx = layer1_side(cfg, r1, alpha, grid) if side is None else side
+    x, Fx = [np.inf, *x], [F(np.inf), *Fx]  # x_0 = +inf
 
     r1, r2, alpha = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (r1, r2, alpha))
     abar = 1.0 - alpha
 
-    a = conservative_gain(d, s_min, P, cmax)
     b = _split_gain(a, d)  # 1 + a/d; a dead link (d = 0) has a = 0 and b = 1
     # approximate per-BC-slot layer-2 credit (1/2)log2(c/b), c = b + abar P a
     g2 = 0.5 * np.log2(1.0 + abar * P * a / b)
 
     shape = np.broadcast_shapes(r1.shape, r2.shape, alpha.shape, d.shape)
-
-    # layer-1 decode-within-l thresholds at their (r1, alpha, node) shape; x[0] = +inf
-    x = [np.inf]
-    for l in range(1, T + 1):
-        x.append(slot_threshold(r1, l, alpha * P, abar * P, a, d))
-    Fx = [F(v) for v in x]
     p1 = np.broadcast_to(np.stack(Fx[1:], axis=-1), shape + (T,))
     p2o = p1.copy()
 
@@ -165,15 +180,6 @@ def node_tables(
             p2o[..., k - 1] += _pos(cdf_of_min(x[l - 1], thr_k, Fx[l - 1], F_k) - Fx[l])
 
     return p1, p2o
-
-
-def _layer1_outage(cfg: SystemConfig, r1, alpha, grid: QuadratureGrid):
-    """p1_out(T) = F(x_T) per node, node_tables' p1[..., T - 1] at the broadcast
-    shape of r1, alpha and the nodes: it depends on neither r2 nor the compression."""
-    P, d = cfg.power, grid.nodes
-    a = conservative_gain(d, cfg.s_min, P, cfg.backhaul_capacity)
-    return cfg.model_s.cdf_strict(
-        slot_threshold(r1, cfg.max_rounds, alpha * P, (1.0 - alpha) * P, a, d))
 
 
 def decode_table(p2_out):

@@ -1,18 +1,21 @@
 """Closed-form throughput at one policy (`throughput`, the analytic twin of
 `simulate.estimate`) and its maximization over the coding tuple (R1, R2, alpha).
 
-Search strategy: a coarse grid, then local refinement with halved steps
-around the incumbent, plus Dinkelbach fractional programming for the per-node
-policies.  Once a single-tuple scan has an incumbent, it bounds each (alpha,
-r1) row, eta <= (r1 + max r2)(1 - p1_out(T)), and forms only the rows whose
-bound reaches the incumbent (`_scan`): a branch-and-bound over rows in the
-manner of Land and Doig, whose skipped rows can neither win nor tie, so
-every pick is the exhaustive grid's.  A scan that keeps per-node fronts, and
-the Monte Carlo backend, form every cell.  Dominance between nested policy
-classes is made structural by seeding each richer search with the best tuple
-of the poorer one: the two-layer search starts from the single-layer
-incumbent, the per-node search starts from the single-tuple incumbent, so the
-expected orderings hold by construction and not merely by grid luck.
+Search strategy: a coarse grid, then local refinement with halved steps around
+the incumbent, plus Dinkelbach fractional programming for the per-node
+policies.  An alpha block is formed in two steps: the r1 side of each pass of
+r1 rows (`_Evaluator.sides`), which gives each row's p1_out(T), then the cells
+of the rows `_scan` keeps, over the r2 axis (`_Evaluator.block`).  Once a
+single-tuple scan has an incumbent, it keeps only the rows whose bound eta <=
+(r1 + max r2)(1 - p1_out(T)) reaches it (`_reaches`): a branch-and-bound over
+rows in the manner of Land and Doig, whose skipped rows can neither win nor
+tie, so every pick is the exhaustive grid's.  A scan that keeps per-node
+fronts, and the Monte Carlo backend, form every cell.  Dominance between
+nested policy classes is made structural by seeding each richer search with
+the best tuple of the poorer one: the two-layer search starts from the
+single-layer incumbent, the per-node search starts from the single-tuple
+incumbent, so the expected orderings hold by construction and not merely by
+grid luck.
 
 Candidate comparison key is (eta desc, alpha desc, then r1, r2 asc), which
 makes every argmax deterministic under ties.
@@ -43,9 +46,10 @@ import numpy as np
 from .channel import CompressionPolicy, RatePolicy, SystemConfig, check_supported
 from .config import GridSpec
 from .fading import DEFAULT_QUAD_N, quantize
-from .ltsc import _layer1_outage, decode_table, node_reward_length, node_tables
+from .ltsc import decode_table, layer1_side, node_reward_length, node_tables
 from .simulate import estimate
-from .stsc import quantity_tables, slot1_grid, stsc_quantities
+from .stsc import (quantity_tables, r1_passes, r1_side, side_quantities, slot1_grid,
+                   stsc_quantities)
 from .tables import NumericalError, ProbabilityTable, ThroughputReport, reward_length
 
 _MARGIN = 8 * np.finfo(float).eps  # 16 unit roundoffs, see _front
@@ -63,7 +67,7 @@ class OptimizationResult:
 
 class _Evaluator:
     """One scenario by regime and backend: per-node E[R], E[L] and node weights
-    over a (r1, r2) block at fixed alpha (`block`, the optimizer's scan), or eta
+    over a (r1, r2) block at fixed alpha (`sides`, then `block`: the scan), or eta
     and the table at one policy (`report`).
 
     mc holds the Monte Carlo budget as keywords of `estimate`; n_sessions and
@@ -85,46 +89,43 @@ class _Evaluator:
             self.grid = slot1_grid(cfg, quad_n)
         self.n_evals = 0
 
-    def block(self, r1v: np.ndarray, r2v: np.ndarray, alpha: float, floor=None):
-        """Per-node (reward, length, weights) over the block: E[R|d] and E[L|d]
-        shaped (q1, q2, nd), the node weights (nd,); eta is their weighted ratio.
+    def sides(self, r1v: np.ndarray, alpha: float):
+        """The r1 step of a block: per pass of r1 rows, (side, p1), side the pass's
+        (r1, alpha, what `block` reads of them) and p1 their node-weighted
+        p1_out(T): node_tables' prefix in one pass (LTSC), the r1 side of each
+        `r1_passes` pass (STSC), or p1 NaN, which keeps every row (Monte Carlo)."""
+        if self.backend == "mc":
+            yield (r1v, alpha, None), np.full(len(r1v), np.nan)
+        elif self.cfg.channel_regime == "ltsc":
+            a, x, Fx = layer1_side(self.cfg, r1v[:, None, None], alpha, self.grid)
+            yield (r1v, alpha, (a, x, Fx)), Fx[-1][:, 0] @ self.grid.weights  # F(x_T)
+        else:
+            for r1 in r1_passes(r1v, self.quad_n):
+                side = r1_side(self.cfg, r1, alpha, self.grid)
+                yield (r1, alpha, side), side.p1_out_2
+                del side
 
-        LTSC is read on the evaluator's D node grid; the STSC quantities and a
-        Monte Carlo eta (with length 1) are one node of weight 1.
-
-        With floor, an incumbent eta, the analytic backend leaves out every r1
-        row whose bound (r1 + max r2)(1 - p1_out(T)) on eta, taken with the
-        margin of `_reaches`, is below floor: each of its cells has an eta
-        strictly below floor, so it can neither win nor tie.  p1_out(T) is the
-        weighted F(x_T) of LTSC or the r1 side of an STSC pass, and the kept
-        rows keep the bits they have in the full block.  block then returns
-        a fourth value, the kept rows' indices into r1v, and reward and
-        length hold those rows only; the Monte Carlo backend keeps every row.
-        """
-        self.n_evals += len(r1v) * len(r2v)
-        rows = np.arange(len(r1v))
+    def block(self, side, r2v: np.ndarray, rows: np.ndarray):
+        """Per-node (reward, length, weights) of the rows `rows` of a `sides` pass
+        over r2v: E[R|d] and E[L|d] (len(rows), q2, nd) and the node weights
+        (nd,), eta their weighted ratio; a row keeps its bits in the whole block.
+        LTSC is read on the D node grid; the STSC quantities and a Monte Carlo
+        eta (with length 1) are one node of weight 1."""
+        r1v, alpha, part = side
+        r1 = r1v[rows]
         if self.backend == "mc":
             # common random numbers: every tuple sees the same seed
-            eta = [[self.report(RatePolicy.constant(r1, r2, alpha)).eta for r2 in r2v]
-                   for r1 in r1v]
-            out = np.array(eta)[..., None], np.ones((len(r1v), len(r2v), 1)), np.ones(1)
-        elif self.cfg.channel_regime == "ltsc":
-            if floor is not None:
-                p1 = _layer1_outage(self.cfg, r1v[:, None], alpha, self.grid) @ self.grid.weights
-                rows = rows[_reaches(r1v, r2v, p1, floor)]
-            reward, length = node_reward_length(
-                self.cfg, r1v[rows, None, None], r2v[None, :, None], np.float64(alpha), self.grid,
-                self.comp,
-            )
-            out = reward, length, self.grid.weights
-        else:
-            keep = None if floor is None else lambda r1, p1: _reaches(r1, r2v, p1, floor)
-            q = stsc_quantities(self.cfg, r1v, r2v, alpha, self.quad_n, grid=self.grid, keep=keep)
-            rows = q.get("rows", rows)
-            reward, length = reward_length(r1v[rows, None], r2v[None, :],
-                                           *quantity_tables(q)[:2])
-            out = reward[..., None], length[..., None], np.ones(1)
-        return out if floor is None else (*out, rows)
+            eta = [[self.report(RatePolicy.constant(x, y, alpha)).eta for y in r2v] for x in r1]
+            return np.array(eta)[..., None], np.ones((len(r1), len(r2v), 1)), np.ones(1)
+        if self.cfg.channel_regime == "ltsc":
+            r1, r2 = r1[:, None, None], r2v[None, :, None]
+            a, x, Fx = part  # the gain a per node; x and F(x) per row
+            part = a, [v[rows] for v in x], [v[rows] for v in Fx]
+            tables = node_tables(self.cfg, r1, r2, alpha, self.grid, self.comp, part)
+            return *reward_length(r1, r2, *tables), self.grid.weights
+        q = side_quantities(self.cfg, part, r2v, alpha, self.grid, rows)
+        reward, length = reward_length(r1[:, None], r2v[None, :], *quantity_tables(q)[:2])
+        return reward[..., None], length[..., None], np.ones(1)
 
     def report(self, policy: RatePolicy):
         """eta, expected_reward, expected_length and table at one policy.
@@ -187,26 +188,34 @@ def _better(cand, best):
 def _scan(ev: _Evaluator, r1_axis, r2_axis, alpha_axis, best=None, fronts=None):
     """Best (eta, alpha, r1, r2) over the lattice; appends each block's _front to fronts.
 
-    Without fronts, each block after the first incumbent is formed on the r1
-    rows whose bound reaches it (`_Evaluator.block`'s floor): a row left out
-    holds only cells strictly below the incumbent, so the first argmax over
-    the kept rows, in lattice order, is the one over the block whenever it can
-    win, and every pick, tie and refine round is the full lattice's.
+    The one row rule: without fronts, each block after the first incumbent
+    is formed on the r1 rows whose bound reaches it (`_reaches`), pass by
+    pass of `_Evaluator.sides`.  A row left out holds only cells strictly
+    below the incumbent, so the first argmax over the kept rows, in lattice
+    order, is the one over the block whenever it can win, and every pick,
+    tie and refine round is the full lattice's.
     """
     for alpha in alpha_axis:
-        rows = slice(None)
-        if best is None or fronts is not None:
-            reward, length, weights = ev.block(r1_axis, r2_axis, float(alpha))
-        else:
-            reward, length, weights, rows = ev.block(r1_axis, r2_axis, float(alpha), best[0])
+        ev.n_evals += len(r1_axis) * len(r2_axis)
+        floor = -np.inf if best is None or fronts is not None else best[0]
+        kept = []  # (r1, reward, length, weights) of each pass's kept rows
+        for side, p1 in ev.sides(r1_axis, float(alpha)):
+            rows = np.flatnonzero(_reaches(side[0], r2_axis, p1, floor))
+            if len(rows):
+                kept.append((side[0][rows], *ev.block(side, r2_axis, rows)))
+            del side  # one pass's side at a time
+        if not kept:  # every row left out
+            continue
+        # one argmax over all passes: per-pass picks merged by _better miss a later NaN eta
+        r1, reward, length = (v[0] if len(kept) == 1 else np.concatenate(v)
+                              for v in list(zip(*kept))[:3])
+        weights = kept[0][3]
         if fronts is not None:
             fronts.append(_front(reward, length))
-        if not len(reward):  # every row left out
-            continue
         eta = (reward @ weights) / (length @ weights)
         flat = int(np.argmax(eta))  # first max: lexicographic-min (r1, r2)
         i, j = divmod(flat, eta.shape[1])
-        cand = (float(eta[i, j]), float(alpha), float(r1_axis[rows][i]), float(r2_axis[j]))
+        cand = (float(eta[i, j]), float(alpha), float(r1[i]), float(r2_axis[j]))
         if _better(cand, best):
             best = cand
     return best

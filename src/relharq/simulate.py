@@ -69,6 +69,8 @@ from .fading import quantize
 from .tables import NumericalError, ProbabilityTable
 
 _FEAS_TOL = 1e-9
+# batch_size and workers caps: one worker's workspace is 99 MiB at 2^20 sessions
+MAX_BATCH, MAX_WORKERS = 1 << 20, 64
 
 
 @dataclass(frozen=True)
@@ -304,10 +306,13 @@ def estimate(cfg: SystemConfig, policy: RatePolicy, comp: CompressionPolicy,
              workers: int = 1) -> EstimateReport:
     """Empirical tables and throughput from n_sessions independent sessions."""
     check_supported(cfg, comp, backend="mc")
-    for name, value in (("n_sessions", n_sessions), ("batch_size", batch_size),
-                        ("workers", workers)):
+    knobs = (("n_sessions", n_sessions, np.inf), ("batch_size", batch_size, MAX_BATCH),
+             ("workers", workers, MAX_WORKERS))
+    for name, value, cap in knobs:
         if value < 1:
             raise ValueError(f"{name} must be >= 1")
+        if value > cap:
+            raise ValueError(f"{name} must be <= {cap}")
     T = cfg.max_rounds
     sizes = [batch_size] * (n_sessions // batch_size)
     if n_sessions % batch_size:

@@ -46,11 +46,11 @@ the tuple (the quadrature nodes, the S1 edge cdfs, a1 and G) is one
 G is most of the time of a fine Rician quadrature.  Its cdf sum runs on two
 threads, slab by slab, with the doubles of one thread (`node_cdf_sum`).
 
-Each pass of r1 rows runs in two steps: its r1 side (`_r1_side`: lam1,
-m_fail, u1, g1, and so p1_out(1) and p1_out(2)), then the cell pass over the
-r2 axis (`_cells`).  A caller can read p1_out(2) in between and ask for a
-subset of rows (`stsc_quantities`' keep), which the optimizer's row bound
-does.
+r1 is taken in passes of R1_CELLS // n^2 rows (`r1_passes`), and each pass
+in two steps: its r1 side (`r1_side`: lam1, m_fail, u1, g1, and so p1_out(1)
+and p1_out(2)), then the cells of chosen rows over the r2 axis
+(`side_quantities`).  The optimizer reads p1_out(2) in between and chooses
+the rows.
 """
 
 from __future__ import annotations
@@ -179,33 +179,26 @@ def slot1_grid(cfg: SystemConfig, n: int) -> Slot1Grid:
 
 
 def stsc_quantities(cfg: SystemConfig, r1_vec, r2_vec, alpha: float, n: int,
-                    grid: Slot1Grid | None = None, keep=None):
+                    grid: Slot1Grid | None = None):
     """The four independent table entries for every (r1, r2) pair at one alpha.
 
     Returns dict of (Q1, Q2) arrays: p1_out_1, p1_out_2, p2_dec_1, p2_out_2.
     grid is `slot1_grid(cfg, n)`, built here when None; a caller
     that evaluates many blocks of one scenario builds it once and passes it.
-    r1 is taken R1_CELLS // n^2 rows per pass, which bounds the (q1, n, n)
-    arrays; the (q2, n, n) ones hold the whole r2 axis.
-
-    keep, when given, maps the r1 rows of a pass and their p1_out_2, both
-    (q,), to the bool mask of the rows to finish.  The entries then hold
-    those rows only, and "rows" holds their indices into r1_vec.  Each pass
-    still forms its r1 side, and every reduction over r1, on all its rows;
-    the rest is formed row by row on the finished rows only (no cell pass
-    when there are none), so a finished row keeps the bits it has in the
-    full block.
     """
     if grid is None:
         grid = slot1_grid(cfg, n)
-    r1, r2 = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (r1_vec, r2_vec))
-    rows = R1_CELLS // (n * n)
-    parts = [_quantities(cfg, r1[i : i + rows], r2, alpha, grid, keep)
-             for i in range(0, len(r1), rows)]
-    if keep is not None:
-        for i, part in zip(range(0, len(r1), rows), parts):
-            part["rows"] += i
+    r2 = np.atleast_1d(np.asarray(r2_vec, dtype=float))
+    parts = [side_quantities(cfg, r1_side(cfg, r1, alpha, grid), r2, alpha, grid)
+             for r1 in r1_passes(r1_vec, n)]
     return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
+
+
+def r1_passes(r1_vec, n: int) -> list:
+    """The r1 rows of each pass, R1_CELLS // n^2 at a time, which bounds the
+    (q1, n, n) arrays of a pass; its (q2, n, n) ones hold the whole r2 axis."""
+    r1, rows = np.atleast_1d(np.asarray(r1_vec, dtype=float)), R1_CELLS // (n * n)
+    return [r1[i : i + rows] for i in range(0, len(r1), rows)]
 
 
 def _cdf_in_bins(F, grid, c):
@@ -228,21 +221,6 @@ def _on_support(G, u, cells):
     return out
 
 
-def _quantities(cfg, r1, r2, alpha, grid, keep=None):
-    """stsc_quantities over one pass of r1 rows; r1 and r2 are 1-D float arrays."""
-    side = _r1_side(cfg, r1, alpha, grid)
-    if keep is None:
-        return _cells(cfg, side, r2, alpha, grid)
-    rows = np.flatnonzero(keep(r1, side.p1_out_2))
-    if len(rows):
-        out = _cells(cfg, side, r2, alpha, grid, rows)
-    else:  # no row to finish: no cell pass
-        out = {key: np.empty((0, len(r2)))
-               for key in ("p1_out_1", "p1_out_2", "p2_dec_1", "p2_out_2")}
-    out["rows"] = rows
-    return out
-
-
 @dataclass(frozen=True)
 class _R1Side:
     """What one pass forms from its r1 rows alone: lam1 (q1, nd); m_fail, the
@@ -261,8 +239,8 @@ class _R1Side:
     u1_live: np.ndarray
 
 
-def _r1_side(cfg, r1, alpha, grid) -> _R1Side:
-    """The r1 side of one pass: everything up to p1_out(2), which has no r2 in it."""
+def r1_side(cfg: SystemConfig, r1, alpha: float, grid: Slot1Grid) -> _R1Side:
+    """The r1 side of one pass of rows r1: everything up to p1_out(2), which has no r2."""
     P = cfg.power
     ap, abp = alpha * P, (1.0 - alpha) * P
     d1, s1, a1 = grid.d1, grid.s1, grid.a1
@@ -281,12 +259,13 @@ def _r1_side(cfg, r1, alpha, grid) -> _R1Side:
                    F1_min, fails.any(axis=0), u1_live)
 
 
-def _cells(cfg, side: _R1Side, r2, alpha, grid, rows=slice(None)):
-    """The four entries of one pass from its r1 side over the r2 axis, at its r1
-    rows `rows` (an index array, or every row).  The reductions over r1 (those
-    of the r1 side, and phi's cross term, whose matmul bits depend on its row
-    count) span every row of the pass; the rest is formed on `rows` only, one
-    row independent of the others."""
+def side_quantities(cfg: SystemConfig, side: _R1Side, r2, alpha: float, grid: Slot1Grid,
+                    rows=slice(None)):
+    """stsc_quantities' entries of one pass from its r1 side over the r2 axis, at
+    its r1 rows `rows` (an index array, or every row).  The reductions over r1
+    (those of the r1 side, and phi's cross term, whose matmul bits depend on its
+    row count) span every row of the pass; the rest is formed on `rows` only,
+    one row independent of the others, so a row keeps its bits in any subset."""
     P = cfg.power
     ap, abp = alpha * P, (1.0 - alpha) * P
     p_int2 = ap if cfg.bc_layer2_interference else 0.0

@@ -63,6 +63,8 @@ class TestConfigGrammar:
         ("P_dB = much", "bad value"),
         ("Cmax = -1", "outside allowed range"),
         ("mc.sessions = 0", "outside allowed range"),
+        ("mc.batch = 1048577", "mc.batch: value 1048577 outside allowed range"),
+        ("mc.workers = 65", "mc.workers: value 65 outside allowed range"),
         ("just a line", "expected `key = value`"),
         ("policy = 1.0,0.2", "bad value"),
         ("policy = 1.0,0.2,1.5", "bad value"),
@@ -116,6 +118,18 @@ class TestExitCodes:
     def test_zero_sessions_is_config_error(self, tmp_path):
         path = write_cfg(tmp_path, COARSE)
         assert cli.main(["simulate", "--config", path, "--sessions", "0"]) == 2
+
+    @pytest.mark.parametrize("key, value", [("mc.batch", 1 << 30), ("mc.workers", 65)])
+    def test_mc_knob_above_its_cap_is_config_error(self, tmp_path, capsys, key, value):
+        # refused before any workspace or thread exists
+        path = write_cfg(tmp_path, COARSE + f"{key} = {value}\n")
+        assert cli.main(["simulate", "--config", path, "--out", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err
+        if key == "mc.workers":
+            path = write_cfg(tmp_path, COARSE)
+            assert cli.main(["simulate", "--config", path, "--workers", str(value),
+                             "--out", str(tmp_path)]) == 2
+            assert key in capsys.readouterr().err
 
     def test_one_session_is_config_error(self, tmp_path, capsys):
         # one session has no standard error, which the CSV cannot carry

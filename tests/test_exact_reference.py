@@ -44,7 +44,7 @@ from relharq.optimize import GridSpec, OptimizationResult
 from relharq.stsc import quantity_tables, stsc_quantities
 from relharq.tables import NumericalError, reward_length
 from scipy import special
-from test_stsc import G_CASES
+from test_stsc import G_CASES, whole_block
 
 CONST = CompressionPolicy("constant")
 ADAPT = CompressionPolicy("adaptive")
@@ -710,7 +710,7 @@ def test_block_ratio_matches_reference_eta(case):
     if case == "mc":
         r1, r2 = r1[::2], r2[::2]
     for alpha in (0.0, 0.6, 1.0):
-        reward, length, weights = ev.block(r1, r2, alpha)
+        reward, length, weights = whole_block(ev, r1, r2, alpha)
         assert reward.shape == length.shape == (len(r1), len(r2), len(weights))
         want = reference_block_eta(ev, r1, r2, alpha)
         assert np.array_equal((reward @ weights) / (length @ weights), want)
@@ -718,8 +718,8 @@ def test_block_ratio_matches_reference_eta(case):
 
 def reference_scan(ev, r1_axis, r2_axis, alpha_axis, best=None):
     for alpha in alpha_axis:
-        reward, length, weights = ev.block(r1_axis, r2_axis, float(alpha))
-        eta = (reward @ weights) / (length @ weights)
+        ev.n_evals += len(r1_axis) * len(r2_axis)
+        eta = reference_block_eta(ev, r1_axis, r2_axis, float(alpha))
         flat = int(np.argmax(eta))  # first max: lexicographic-min (r1, r2)
         i, j = divmod(flat, eta.shape[1])
         cand = (float(eta[i, j]), float(alpha), float(r1_axis[i]), float(r2_axis[j]))
@@ -939,6 +939,25 @@ def test_optimizer_stsc_matches_reference():
     assert_optima_match(cfg, CONST, ("bc", "sl"), grid_spec=OPT_GRID, quad_n=12)
 
 
+def test_optimizer_stsc_passes_match_reference(monkeypatch):
+    # r1 passes of 3 rows: the scan keeps rows pass by pass and takes its
+    # argmax and fronts over their concatenation, as a scan of whole blocks
+    monkeypatch.setattr(stsc, "R1_CELLS", 3 * 12 * 12 + 1)
+    passes = []
+    sides = opt._Evaluator.sides
+
+    def counting_sides(self, r1v, alpha):
+        for side, p1 in sides(self, r1v, alpha):
+            passes.append(len(side[0]))
+            yield side, p1
+
+    monkeypatch.setattr(opt._Evaluator, "sides", counting_sides)
+    for s_kind in ("rician", "pointmass"):
+        cfg = SystemConfig(2.0, 1.5, 2, D_RAYLEIGH, S_MODELS[s_kind], channel_regime="stsc")
+        assert_optima_match(cfg, CONST, ("bc", "sl"), grid_spec=OPT_GRID, quad_n=12)
+    assert max(passes) == 3 and len(passes) > len(OPT_GRID.alpha_axis()) * 4
+
+
 def test_optimizer_mc_backend_matches_reference():
     cfg = ltsc_cfg("rayleigh", 2, P=1.0, cmax=1.0)
     spec = GridSpec(r_max=2.0, r_step=0.5, alpha_step=0.5, refine_rounds=1)
@@ -1018,6 +1037,8 @@ def test_per_node_search_starts_at_nonnegative_throughput():
 
 
 def count_node_table_cells(monkeypatch):
+    # the optimizer's blocks call node_tables, its per-node tuples and the
+    # oracles node_reward_length
     cells = []
     tables = ltsc.node_tables
 
@@ -1026,7 +1047,8 @@ def count_node_table_cells(monkeypatch):
         cells.append(out[0][..., 0].size)
         return out
 
-    monkeypatch.setattr(ltsc, "node_tables", counting)
+    for module in (ltsc, opt):
+        monkeypatch.setattr(module, "node_tables", counting)
     return cells
 
 
@@ -1036,13 +1058,13 @@ def test_quartet_takes_about_one_lattice_pass(monkeypatch):
     kw = {"grid_spec": OPT_GRID, "quad_n": 24}
     one_pass = len(OPT_GRID.r_axis()) ** 2 * len(OPT_GRID.alpha_axis()) * 24
     blocks = []
-    block = opt._Evaluator.block
+    sides = opt._Evaluator.sides
 
-    def counting_block(self, *args):
+    def counting_sides(self, *args):
         blocks.append(args)
-        return block(self, *args)
+        return sides(self, *args)
 
-    monkeypatch.setattr(opt._Evaluator, "block", counting_block)
+    monkeypatch.setattr(opt._Evaluator, "sides", counting_sides)
     opt._optimize(opt._Evaluator(cfg, CONST, "analytic", kw["quad_n"]), ("bc", "sl"),
                   kw["grid_spec"])
     n_blocks = len(blocks)
@@ -1095,35 +1117,41 @@ def pruning_scenario(k):
 
 def test_pruned_scan_matches_the_full_lattice(monkeypatch):
     # every bc and sl result of the pruned scan is the full-lattice reference's,
-    # bit for bit, metadata included; every cell a pruned block left out,
+    # bit for bit, metadata included; every cell a pruned pass left out,
     # evaluated in full, is strictly below the incumbent it was left out against
-    block, pruned = opt._Evaluator.block, []
+    sides, reaches, passes = opt._Evaluator.sides, opt._reaches, []
 
-    def recording(self, r1v, r2v, alpha, floor=None):
-        out = block(self, r1v, r2v, alpha, floor)
-        if floor is not None:
-            pruned.append((r1v, r2v, alpha, floor, out[3]))
+    def recording_sides(self, r1v, alpha):
+        for side, p1 in sides(self, r1v, alpha):
+            passes.append([side[0], alpha])
+            yield side, p1
+
+    def recording_reaches(r1, r2v, p1_out, floor):
+        out = reaches(r1, r2v, p1_out, floor)
+        passes[-1] += [r2v, floor, out]
         return out
 
-    monkeypatch.setattr(opt._Evaluator, "block", recording)
+    monkeypatch.setattr(opt._Evaluator, "sides", recording_sides)
+    monkeypatch.setattr(opt, "_reaches", recording_reaches)
     kinds, skipped, cells = set(), 0, 0
     for k in range(60):
         cfg, comp, quad_n = pruning_scenario(k)
         kinds.add((cfg.channel_regime, cfg.model_s.kind, comp.kind, cfg.bc_layer2_interference))
-        pruned.clear()
+        passes.clear()
         ev = opt._Evaluator(cfg, comp, "analytic", quad_n)
         got = opt._optimize(ev, ("bc", "sl"), PRUNE_GRID)
         assert_results_equal(got["sl"], reference_sl(cfg, comp, "analytic", PRUNE_GRID, quad_n))
         assert_results_equal(got["bc"], reference_bc(cfg, comp, "analytic", PRUNE_GRID, quad_n))
         full = opt._Evaluator(cfg, comp, "analytic", quad_n)
-        for r1v, r2v, alpha, floor, rows in pruned:
-            out = np.setdiff1d(np.arange(len(r1v)), rows)
+        for r1v, alpha, r2v, floor, kept in passes:
+            if floor == -np.inf:  # no incumbent yet: every row formed
+                assert kept.all()
+                continue
             cells += len(r1v) * len(r2v)
-            if len(out):
-                reward, length, weights = full.block(r1v, r2v, alpha)
-                eta = (reward @ weights) / (length @ weights)
-                assert np.all(eta[out] < floor), (k, alpha, r1v[out], floor)
-                skipped += eta[out].size
+            if not kept.all():
+                eta = reference_block_eta(full, r1v, r2v, alpha)[~kept]
+                assert np.all(eta < floor), (k, alpha, r1v[~kept], floor)
+                skipped += eta.size
     assert {(r, s) for r, s, *_ in kinds} >= {(r, s) for r in ("ltsc", "stsc")
                                                for s in ("rayleigh", "rician", "pointmass")}
     assert {(c, v) for _, _, c, v in kinds} == {("constant", False), ("adaptive", False),

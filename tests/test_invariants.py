@@ -147,6 +147,20 @@ def test_one_per_block_evaluator():
     assert "visit" not in params
 
 
+def test_one_row_rule():
+    # the rows a lattice block forms are chosen in one place: only _scan applies
+    # the row bound and asks the evaluator for a block
+    def calls(tree, name):
+        return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and getattr(node.func, "attr", getattr(node.func, "id", None)) == name]
+
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.rglob("*.py"))]
+    scan = next(node for tree in trees for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_scan")
+    for name in ("_reaches", "block"):
+        assert len(calls(scan, name)) == sum(len(calls(tree, name)) for tree in trees) == 1
+
+
 def test_feasibility_violation_raises_and_exits_3(tmp_path, monkeypatch):
     run_batch = simulate._run_batch
 

@@ -273,15 +273,43 @@ def test_stsc_config_rejected():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_layer1_outage_is_the_tables_last_p1(seed):
-    # the optimizer's row bound reads p1_out(T) without the rest of the tables
+    # the optimizer's row bound reads p1_out(T) = F(x_T) from the LTSC side,
+    # without the rest of the tables
     rng = np.random.default_rng(seed)
     cfg = rand_cfg(rng)
     grid = quantize(cfg.model_d, 12)
     r1 = np.linspace(0.0, 3.0, 7)[:, None]
     for alpha in (0.0, 0.4, 1.0):
-        p1 = ltsc._layer1_outage(cfg, r1, alpha, grid)
+        p1 = ltsc.layer1_side(cfg, r1, alpha, grid)[2][-1]
         for comp in (CONST, ADAPT):
             want, _ = node_tables(cfg, r1[:, :, None], np.array([0.0, 1.5])[:, None],
                                   np.float64(alpha), grid, comp)
             assert np.array_equal(np.broadcast_to(p1[:, None], want.shape[:-1]),
                                   want[..., -1])
+
+
+@pytest.mark.parametrize("s_kind", ["rayleigh", "rician", "pointmass"])
+@pytest.mark.parametrize("comp", [CONST, ADAPT], ids=["constant", "adaptive"])
+@pytest.mark.parametrize("T", [1, 2, 3, 4])
+def test_side_rows_keep_every_bit(T, comp, s_kind):
+    # random rows of an LTSC side give the whole block's tables at those rows,
+    # bit for bit; an adaptive Rician S groups the rows by gain (_distinct_rows)
+    rng = np.random.default_rng([T, comp.adaptive, len(s_kind)])
+    model_s = (FadingModel("pointmass", point_value=float(rng.uniform(0.2, 3.0)))
+               if s_kind == "pointmass" else
+               FadingModel(s_kind, float(rng.uniform(0.2, 10)), rician_k=float(rng.uniform(0, 8))))
+    cfg = SystemConfig(float(rng.uniform(0.2, 5)), float(rng.uniform(0.2, 3)), T,
+                       FadingModel("rician", float(rng.uniform(0.2, 10)), rician_k=1.0), model_s)
+    grid = quantize(cfg.model_d, 9)
+    r1 = np.sort(rng.uniform(0.0, 3.0, 13))[:, None, None]
+    r2 = np.concatenate(([0.0], rng.uniform(0.0, 2.0, 4)))[None, :, None]
+    for alpha in (0.0, 0.6, 1.0):
+        side = ltsc.layer1_side(cfg, r1, alpha, grid)
+        whole = node_tables(cfg, r1, r2, alpha, grid, comp)
+        for _ in range(3):
+            rows = np.flatnonzero(rng.random(len(r1)) < 0.5)
+            a, x, Fx = side
+            part = a, [v[rows] for v in x], [v[rows] for v in Fx]
+            got = node_tables(cfg, r1[rows], r2, alpha, grid, comp, part)
+            for g, w in zip(got, whole):
+                assert np.array_equal(g, w[rows])

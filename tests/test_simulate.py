@@ -255,6 +255,14 @@ class TestPolicyResolution:
             estimate(cfg, RatePolicy.constant(1, 0.5, 0.9), CONST, 100, master_seed=0,
                      **{knob: value})
 
+    @pytest.mark.parametrize("knob, value", [("batch_size", (1 << 20) + 1), ("workers", 65)])
+    def test_batch_size_or_workers_above_the_cap(self, knob, value):
+        # refused before any workspace or thread exists
+        cfg = pm_cfg(1.0, 1.0)
+        with pytest.raises(ValueError, match=f"{knob} must be <= {value - 1}"):
+            estimate(cfg, RatePolicy.constant(1, 0.5, 0.9), CONST, 100, master_seed=0,
+                     **{knob: value})
+
 
 class TestWorkspace:
     @pytest.mark.parametrize("regime, comp, bound", [("ltsc", CONST, 1), ("stsc", CONST, 1),

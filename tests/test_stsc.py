@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from relharq.channel import (CompressionPolicy, RatePolicy, SystemConfig, conser
                              mutual_info)
 from relharq.config import GridSpec
 from relharq.fading import SPLIT_POINTS, FadingModel
-from relharq import fading, stsc
+from relharq import fading, optimize, stsc
 from relharq.optimize import _Evaluator, _optimize, throughput
 from relharq.stsc import node_cdf_sum, quantity_tables, stsc_quantities
 from relharq.tables import reward_length
@@ -223,23 +224,38 @@ class TestVectorizedPath:
                 assert q["p2_out_2"][i, j] == pytest.approx(t.p2_out[1], abs=1e-12)
 
 
+def whole_block(ev, r1v, r2v, alpha):
+    """The optimizer's block over every row: `_Evaluator.block` on all rows of
+    each pass of `_Evaluator.sides`, concatenated in row order."""
+    parts = [ev.block(side, r2v, np.arange(len(side[0]))) for side, _ in ev.sides(r1v, alpha)]
+    return (*(np.concatenate([part[i] for part in parts]) for i in (0, 1)), parts[0][2])
+
+
+def count_passes(monkeypatch, *modules):
+    """The r1 row count of each pass's r1 side, formed through any of modules."""
+    rows, one_side = [], stsc.r1_side
+
+    def counting_side(cfg, r1, *args):
+        rows.append(len(r1))
+        return one_side(cfg, r1, *args)
+
+    for module in modules:
+        monkeypatch.setattr(module, "r1_side", counting_side)
+    return rows
+
+
 class TestSlot1Grid:
     """The per-scenario slot-1 grid is built once per evaluator."""
 
     def test_optimize_quantizes_once_per_evaluator(self, monkeypatch):
-        kinds, passes = [], []
-        quantize, one_pass = stsc.quantize, stsc._quantities
+        kinds, quantize = [], stsc.quantize
 
         def counting_quantize(model, n):
             kinds.append(model.kind)
             return quantize(model, n)
 
-        def counting_pass(cfg, r1, *args):
-            passes.append(len(r1))
-            return one_pass(cfg, r1, *args)
-
         monkeypatch.setattr(stsc, "quantize", counting_quantize)
-        monkeypatch.setattr(stsc, "_quantities", counting_pass)
+        passes = count_passes(monkeypatch, stsc, optimize)
         cfg = SystemConfig(power=2.0, backhaul_capacity=1.5, max_rounds=2,
                            model_d=FadingModel("rician", 2.0, rician_k=1.0),
                            model_s=FadingModel("rayleigh", 1.0), channel_regime="stsc")
@@ -257,7 +273,7 @@ class TestSlot1Grid:
         for alpha in (0.0, 0.6, 1.0):
             q = stsc_quantities(cfg, r1, r2, alpha, n=16)
             reward, length = reward_length(r1[:, None], r2[None, :], *quantity_tables(q)[:2])
-            reward_b, length_b, weights = ev.block(r1, r2, alpha)
+            reward_b, length_b, weights = whole_block(ev, r1, r2, alpha)
             assert np.array_equal((reward_b @ weights) / (length_b @ weights), reward / length)
 
 
@@ -524,14 +540,8 @@ def test_r1_chunks_keep_the_cell_budget_and_every_bit(monkeypatch):
     )
     r = np.linspace(0.0, 3.0, 13)
     whole = stsc_quantities(cfg, r, r, 0.6, n=16)
-    rows, one_pass = [], stsc._quantities
-
-    def counting(cfg, r1, *args):
-        rows.append(len(r1))
-        return one_pass(cfg, r1, *args)
-
     monkeypatch.setattr(stsc, "R1_CELLS", 5 * 16**2 + 1)
-    monkeypatch.setattr(stsc, "_quantities", counting)
+    rows = count_passes(monkeypatch, stsc)
     passes = stsc_quantities(cfg, r, r, 0.6, n=16)
     for key in whole:
         assert np.array_equal(passes[key], whole[key]), key
@@ -541,29 +551,31 @@ def test_r1_chunks_keep_the_cell_budget_and_every_bit(monkeypatch):
 @pytest.mark.parametrize("n", [9, 16, 32])
 @pytest.mark.parametrize("seed", range(4))
 def test_kept_rows_keep_every_bit(n, seed, monkeypatch):
-    # keep picks r1 rows at random; the kept rows' entries are the full
-    # block's, with r1 passes of 3 rows and gamma blocks of 2 rows, so both
-    # boundaries fall inside the kept rows
+    # rows picked at random from each pass's r1 side; the kept rows' entries
+    # are the full block's, with r1 passes of 3 rows and gamma blocks of 2
+    # rows, so both boundaries fall inside the kept rows
     rng = np.random.default_rng(seed)
     cfg = rand_cfg(rng)
     r1, r2 = np.sort(rng.uniform(0.0, 3.0, 11)), rng.uniform(0.0, 2.0, 6)
     monkeypatch.setattr(stsc, "R1_CELLS", 3 * n * n + 1)
     monkeypatch.setattr(stsc, "BLOCK_CELLS", 2 * len(r2) * n * n + 1)
+    grid = stsc.slot1_grid(cfg, n)
     for alpha in (0.0, 0.55, 1.0):
         full = stsc_quantities(cfg, r1, r2, alpha, n)
         mask = rng.random(len(r1)) < (0.5, 0.2, 1.0)[seed % 3]
         mask[3:6] = seed % 2 == 0  # one pass all kept or all left out
-        seen = []
-
-        def keep(rows, p1_out_2):
-            seen.append((rows.copy(), p1_out_2.copy()))
-            return mask[np.searchsorted(r1, rows)]
-
-        got = stsc_quantities(cfg, r1, r2, alpha, n, keep=keep)
-        assert np.array_equal(got["rows"], np.flatnonzero(mask))
+        seen, got = [], []
+        for rows in stsc.r1_passes(r1, n):
+            side = stsc.r1_side(cfg, rows, alpha, grid)
+            seen.append((rows, side.p1_out_2))
+            kept = np.flatnonzero(mask[np.searchsorted(r1, rows)])
+            if len(kept):
+                got.append(stsc.side_quantities(cfg, side, r2, alpha, grid, kept))
+        assert [len(rows) for rows, _ in seen] == [3, 3, 3, 2]
         for key in full:
-            assert np.array_equal(got[key], full[key][mask]), key
-        # each pass shows keep its own rows and their p1_out_2 from the full block
+            kept = [part[key] for part in got] or [np.empty((0, len(r2)))]
+            assert np.array_equal(np.concatenate(kept), full[key][mask]), key
+        # each pass's rows and their p1_out_2 are the full block's
         assert np.array_equal(np.concatenate([rows for rows, _ in seen]), r1)
         assert np.array_equal(np.concatenate([p for _, p in seen]), full["p1_out_2"][:, 0])
 
@@ -604,6 +616,23 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 96e6
+
+    def test_scan_holds_one_r1_side_at_a_time(self, monkeypatch):
+        # r1 passes of 2 rows: each pass's r1 side is freed before the next is formed
+        monkeypatch.setattr(stsc, "R1_CELLS", 2 * 8 * 8 + 1)
+        made, one_side = [], stsc.r1_side
+
+        def tracking(*args):
+            assert all(ref() is None for ref in made)
+            side = one_side(*args)
+            made.append(weakref.ref(side))
+            return side
+
+        monkeypatch.setattr(optimize, "r1_side", tracking)
+        cfg = rand_cfg(np.random.default_rng(3))
+        _optimize(_Evaluator(cfg, CompressionPolicy("constant"), "analytic", 8), ["sl", "bc"],
+                  GridSpec(r_max=2.0, r_step=0.5, alpha_step=0.5, refine_rounds=1))
+        assert len(made) > 3 * 5
 
     @staticmethod
     def rician_tuple_peak(rho_d, n):

@@ -11,7 +11,11 @@ metrics) with the iteration count and timing tails of its record in
 of a fresh `import relharq.cli` over 7 interpreters, and the number of scipy
 modules that import leaves loaded); the call time of each acceptance
 criterion, read from pytest's `--durations` report; the host (nproc, CPU,
-memory, Python, numpy and scipy versions), the line count and digest of
+memory, Python, numpy and scipy versions, and the `OPENBLAS_NUM_THREADS`,
+`OMP_NUM_THREADS` and `MKL_NUM_THREADS` of the recording's environment, null
+when unset: the acceptance tests run under them, while perfbench pins its
+jobs to one thread, and a BLAS reduction's bits can depend on its thread
+count), the line count and digest of
 `src/relharq`, the HEAD commit with whether `src/` matches it
 (`src_matches_head` is false when the file is recorded from an uncommitted
 tree, whose `git_commit` is then the parent), and the wall time of the whole
@@ -37,6 +41,7 @@ WORKLOADS = ("mc", "design-ltsc", "design-stsc", "point-fine")
 SEED, SECONDS = 0, 15
 MODES = ((0, "end_to_end"), (1, "per_layer"))
 COLD_STARTS = 7
+THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # run in a fresh interpreter: the import's wall time, its peak RSS in MB and
 # the scipy modules it loads
 COLD_START = ("import resource, sys, time; t0 = time.perf_counter(); import relharq.cli; "
@@ -118,7 +123,8 @@ def main(argv=None) -> int:
                 ok &= summary["correct"]
                 entry[mode] = {**summary, "iterations": len(record["iterations"]),
                                "tails": record["tails"]}
-                bench["host"] = {**record["host"], "mem_total_gb": mem_gb}
+                bench["host"] = {**record["host"], "mem_total_gb": mem_gb,
+                                 **{name: os.environ.get(name) for name in THREAD_ENV}}
                 bench["src_relharq"] = {**record["provenance"],
                                         "src_matches_head": src_matches_head()}
     except RuntimeError as err:
