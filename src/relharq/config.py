@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import CompressionPolicy, RatePolicy, SystemConfig
-from .fading import DEFAULT_QUAD_N, FadingModel
-from .simulate import MAX_BATCH, MAX_WORKERS
+from .fading import DEFAULT_QUAD_N, MAX_THREADS, FadingModel
+from .simulate import MAX_BATCH
 from .tables import ConfigError  # noqa: F401  (re-exported: relharq.config.ConfigError)
 
 
@@ -89,7 +89,7 @@ _SCHEMA = [
     ("mc.sessions", "int", 100_000, (2, None)),  # one session has no std error
     ("mc.seed", "int", 0, (0, None)),
     ("mc.batch", "int", 65_536, (1, MAX_BATCH)),  # 2^20: one worker's workspace is 99 MiB
-    ("mc.workers", "int", 1, (1, MAX_WORKERS)),
+    ("mc.workers", "int", 1, (1, MAX_THREADS)),
     # analytic quadrature size, which is also the per-node policy grid; it stops
     # at 2^20 nodes, where one float64 row is 8 MB, so a grid that cannot be
     # allocated is a config error

@@ -13,17 +13,18 @@ The Rician cdf and ppf call the scipy.special kernels behind scipy's ncx2
 distribution (chndtr and chndtrix; the central chi2 chdtr and gammaincinv at
 nc = 0), which give its values bit for bit; importing scipy's stats subpackage
 would be most of a CLI job's start-up.  scipy.special itself is imported by
-the first Rician cdf or ppf (or the first two-thread split), not with this
-module: the Rayleigh and point-mass closed forms and every sampler are numpy
-only, so a job that never takes a Rician cdf or ppf (a Monte Carlo run of one
-tuple, say) is spared the import, about 0.3 s and 25 MB of a fresh
-`import relharq.cli`.
+the first Rician cdf or ppf (or the first Rician G), not with this module: the
+Rayleigh and point-mass closed forms and every sampler are numpy only, so a
+job that never takes a Rician cdf or ppf (a Monte Carlo run of one tuple, say)
+is spared the import, about 0.3 s and 25 MB of a fresh `import relharq.cli`.
 
-Work that splits into independent pieces runs on two threads (`_on_two_threads`):
-the calling thread and one `_POOL` thread take the pieces from one shared
-iterator.  A large Rician cdf runs its two halves so (`_chndtr`), and the STSC
-inner sum G its slabs (`stsc.node_cdf_sum`); the kernels are elementwise, so
-each piece gives the doubles it gives inside the whole array.
+Work that splits into independent pieces runs on threads in one place,
+`_on_threads`: the calling thread and up to threads - 1 `_POOL` tasks take the
+pieces from one shared iterator.  Its users are a large Rician cdf, whose two
+halves run on two threads (`_chndtr`), the STSC inner sum G, whose slabs run
+on two (`stsc.node_cdf_sum`), and a Monte Carlo estimate, whose batches run on
+`mc.workers` (`simulate.estimate`).  The cdf kernels are elementwise, so each
+piece gives the doubles it gives inside the whole array.
 `cdf` and `cdf_strict` write into `out=`, which may be their argument itself: a
 continuous cdf then runs every step in place, without a temporary of its size.
 """
@@ -45,28 +46,22 @@ DEFAULT_QUAD_N = 64  # quadrature size of every closed form: quad.n and the libr
 # it below 2^14 (a median of 160 points in design-ltsc's optimize job); the
 # STSC inner sum G splits its chunks into slabs below it instead
 SPLIT_POINTS = 1 << 14
-_POOL = ThreadPoolExecutor(max_workers=2)  # starts no thread until the first submit
+MAX_THREADS = 64  # threads of one `_on_threads` call, the caller's included; mc.workers' cap
+_POOL = ThreadPoolExecutor(max_workers=MAX_THREADS - 1)  # starts its threads on demand
 
 
-def _on_two_threads(run, pieces):
-    """Call run(piece) for each of the pieces (a list), on the calling thread and
-    one _POOL thread, which take them in turn from one shared iterator; return
-    once every piece has run.  One piece runs on the calling thread alone.
+def _on_threads(run, pieces, threads):
+    """Call run(piece) for each of the pieces (a sized iterable, no piece None)
+    on the calling thread and min(threads, len(pieces)) - 1 _POOL tasks, which
+    take them in turn from one shared iterator; return once every piece has
+    run.  One piece, or one thread, runs on the calling thread alone.
 
-    scipy.special is imported here, on the calling thread, before the submit,
-    so a pool thread never imports it.  The caller drains the pieces itself and
-    then cancels the pool task if it has not started, so it never waits on a
-    task that cannot start (the pool may be busy, or run this very call).  An
-    exception in either thread stops both from taking another piece and is
-    raised here, once the other thread's piece has ended: no piece runs after
-    the return.
+    The caller drains the pieces itself and then cancels each pool task that
+    has not started, so it never waits on a task that cannot start (the pool
+    may be busy, or run this very call).  An exception in any thread stops
+    every thread from taking another piece and is raised here once, after the
+    other threads' pieces have ended: no piece runs after the return.
     """
-    if len(pieces) < 2:
-        for piece in pieces:
-            run(piece)
-        return
-    from scipy import special  # noqa: F401  (the kernels run() may call)
-
     left, lock, failed = iter(pieces), threading.Lock(), threading.Event()
 
     def drain():
@@ -81,27 +76,28 @@ def _on_two_threads(run, pieces):
                 failed.set()
                 raise
 
-    helper = _POOL.submit(drain)
+    helpers = [_POOL.submit(drain) for _ in range(min(threads, len(pieces)) - 1)]
     try:
         drain()
     finally:
-        if not helper.cancel():
-            wait([helper])
-    if not helper.cancelled():
-        helper.result()
+        wait([helper for helper in helpers if not helper.cancel()])
+    for helper in helpers:
+        if not helper.cancelled():
+            helper.result()
 
 
 def _chndtr(xp, nc):
     """Overwrite xp with special.chndtr(xp, 2, nc), bit for bit; from SPLIT_POINTS
     points on, the two halves of a C-contiguous xp run on two threads
-    (`_on_two_threads`; chndtr releases the GIL)."""
+    (`_on_threads`; chndtr releases the GIL, and scipy.special is imported
+    here, on the calling thread, so a pool thread never imports it)."""
     from scipy import special
 
     if xp.size < SPLIT_POINTS or not xp.flags.c_contiguous:
         return special.chndtr(xp, 2.0, nc, out=xp)
     flat, mid = xp.reshape(-1), xp.size // 2
-    _on_two_threads(lambda part: special.chndtr(flat[part], 2.0, nc, out=flat[part]),
-                    [slice(None, mid), slice(mid, None)])
+    _on_threads(lambda part: special.chndtr(flat[part], 2.0, nc, out=flat[part]),
+                [slice(None, mid), slice(mid, None)], 2)
     return xp
 
 

@@ -26,8 +26,9 @@ y ^ ((x ^ y) & mask) on the doubles' bits (`_pick`), and a decode slot, 0 until
 it is set, takes t & mask by an or.  Each gives the bits of the `where=` form
 it replaces.
 
-Memory rule: `estimate` builds one workspace per worker thread
-(`_workspace`, sized to a full batch), and every batch that worker runs
+Memory rule: `estimate` runs its batches on the calling thread and
+workers - 1 pool threads (`fading._on_threads`), and builds one workspace per
+thread (`_workspace`, sized to a full batch); every batch that thread runs
 steps through it, a shorter batch through prefix views.  Every per-slot
 array is written through `out=` into it: the draws (a Rician draw's second
 normal draw into a scratch row), the gains, f_I and its denominator, the
@@ -39,17 +40,18 @@ sessions and a per-node policy's per-session rates and powers; `_split_gain`
 takes no mask when every d > 0 and every a >= 0, as on continuous draws.
 glibc hands each freed 512 KB temporary back to the OS, so a stepper that
 allocated its arrays per slot, or its workspace per batch, would fault
-their pages in again on every use.
+their pages in again on every use.  No per-batch state outlives its fold,
+so the peak does not grow with the number of batches.
 
-Determinism: session batch b draws from the b-th spawn of the master
-SeedSequence and batch counters are reduced in batch order, so a report is
-bit-identical for any worker count and across repeated runs.
+Determinism: session batch b draws from SeedSequence(master_seed,
+spawn_key=(b,)), the b-th child of SeedSequence(master_seed).spawn(n), and
+batch counters are folded from 0 in batch order as batches finish, so a
+report is bit-identical for any worker count and across repeated runs.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,12 +67,11 @@ from .channel import (
     conservative_gain,
     infer_s_hat,
 )
-from .fading import quantize
+from .fading import MAX_THREADS, _on_threads, quantize
 from .tables import NumericalError, ProbabilityTable
 
 _FEAS_TOL = 1e-9
-# batch_size and workers caps: one worker's workspace is 99 MiB at 2^20 sessions
-MAX_BATCH, MAX_WORKERS = 1 << 20, 64
+MAX_BATCH = 1 << 20  # batch_size cap: one thread's workspace is 99 MiB at 2^20 sessions
 
 
 @dataclass(frozen=True)
@@ -304,40 +305,37 @@ def simulate_session(cfg: SystemConfig, policy: RatePolicy, comp: CompressionPol
 def estimate(cfg: SystemConfig, policy: RatePolicy, comp: CompressionPolicy,
              n_sessions: int, master_seed: int, batch_size: int = 1 << 16,
              workers: int = 1) -> EstimateReport:
-    """Empirical tables and throughput from n_sessions independent sessions."""
+    """Empirical tables and throughput from n_sessions independent sessions, run
+    in batches of batch_size on the calling thread and workers - 1 pool threads."""
     check_supported(cfg, comp, backend="mc")
     knobs = (("n_sessions", n_sessions, np.inf), ("batch_size", batch_size, MAX_BATCH),
-             ("workers", workers, MAX_WORKERS))
+             ("workers", workers, MAX_THREADS))
     for name, value, cap in knobs:
         if value < 1:
             raise ValueError(f"{name} must be >= 1")
         if value > cap:
             raise ValueError(f"{name} must be <= {cap}")
-    T = cfg.max_rounds
-    sizes = [batch_size] * (n_sessions // batch_size)
-    if n_sessions % batch_size:
-        sizes.append(n_sessions % batch_size)
-    seqs = np.random.SeedSequence(master_seed).spawn(len(sizes))
     grid = quantize(cfg.model_d, policy.r1.size) if policy.mode == "lcsit" else None
-    local = threading.local()  # one workspace per worker thread, for every batch it runs
+    local = threading.local()  # one workspace per thread, for every batch it runs
+    lock, finished, folded, sums = threading.Lock(), {}, 0, {}  # finished: not yet folded
 
     def job(i):
+        nonlocal folded
         if not hasattr(local, "ws"):
-            local.ws = _workspace(sizes[0])
-        return _run_batch(cfg, policy, comp, np.random.default_rng(seqs[i]), sizes[i],
-                          ws=local.ws, grid=grid)
+            local.ws = _workspace(min(batch_size, n_sessions))
+        rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(i,)))
+        res = _run_batch(cfg, policy, comp, rng, min(batch_size, n_sessions - i * batch_size),
+                         ws=local.ws, grid=grid)
+        with lock:  # a left fold from 0, in batch order
+            finished[i] = res
+            while folded in finished:
+                done = finished.pop(folded)
+                for key in done:
+                    sums[key] = sums.get(key, 0) + done[key]
+                folded += 1
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, range(len(sizes))))
-    else:
-        results = [job(i) for i in range(len(sizes))]
-
-    c1 = sum(r["c1"] for r in results)
-    c2 = sum(r["c2"] for r in results)
-    sums = {k: sum(r[k] for r in results)
-            for k in ("sum_L", "sum_L2", "sum_R", "sum_R2", "sum_RL", "adaptations", "violations")}
-    n = n_sessions
+    _on_threads(job, range(-(-n_sessions // batch_size)), workers)
+    c1, c2, n = sums["c1"], sums["c2"], n_sessions
 
     if sums["violations"]:
         raise NumericalError(

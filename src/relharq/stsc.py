@@ -62,7 +62,7 @@ import numpy as np
 
 from .channel import (SystemConfig, _split_gain, check_supported, conservative_gain,
                       mutual_info, slot_threshold)
-from .fading import SPLIT_POINTS, FadingModel, _on_two_threads, quantize
+from .fading import SPLIT_POINTS, FadingModel, _on_threads, quantize
 from .tables import ConfigError
 
 # 512 KB per block array of the gamma pass, which also reads g1, m_fail and g2
@@ -89,7 +89,7 @@ def node_cdf_sum(model: FadingModel, c, w):
     chunk's u - c_j (at most max(G_CELLS / 2, n) pairs) in slabs of fewer than
     fading.SPLIT_POINTS pairs, so a slab's cdf does not split again (for n below
     SPLIT_POINTS; else a slab is one row).  The calling thread and one pool
-    thread take the slabs in turn (`fading._on_two_threads`); the cdf is
+    thread take the slabs in turn (`fading._on_threads`); the cdf is
     elementwise, so a slab's doubles do not depend on the thread.  Once every
     slab is done, `x @ w` runs over the whole chunk, whose row count, and so its
     bits, stay those of one thread.
@@ -120,9 +120,11 @@ def node_cdf_sum(model: FadingModel, c, w):
             slab[live] = model.cdf_strict(part, part)
 
         def cdf_sum(u):
+            from scipy import special  # noqa: F401  (loaded here, so no pool thread imports it)
+
             x = u[:, None] - c
             rows = max(1, min(BLOCK_CELLS, SPLIT_POINTS - 1) // len(c))
-            _on_two_threads(cdf_slab, [x[i : i + rows] for i in range(0, len(x), rows)])
+            _on_threads(cdf_slab, [x[i : i + rows] for i in range(0, len(x), rows)], 2)
             return x @ w
         return chunked(cdf_sum, max(1, step // 2))
     rho = model.mean_power

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -116,17 +117,22 @@ def test_rician_cdf_in_halves_keeps_shape_and_views():
     assert np.array_equal(got, rician_cdf_one_shot(RIC, view), equal_nan=True)
 
 
-@pytest.mark.parametrize("size, submits", [(SPLIT_POINTS - 1, 0), (SPLIT_POINTS, 1)])
-def test_rician_cdf_splits_from_the_threshold_on(monkeypatch, size, submits):
-    # the halves run on the calling thread and one pool thread: one submit
-    calls = []
-    submit = fading._POOL.submit
+def counted_submits(monkeypatch):
+    """The functions given to fading._POOL.submit from now on, in order."""
+    calls, submit = [], fading._POOL.submit
 
     def counting_submit(*args, **kwargs):
         calls.append(args[0])
         return submit(*args, **kwargs)
 
     monkeypatch.setattr(fading._POOL, "submit", counting_submit)
+    return calls
+
+
+@pytest.mark.parametrize("size, submits", [(SPLIT_POINTS - 1, 0), (SPLIT_POINTS, 1)])
+def test_rician_cdf_splits_from_the_threshold_on(monkeypatch, size, submits):
+    # the halves run on the calling thread and one pool thread: one submit
+    calls = counted_submits(monkeypatch)
     x = rician_points(size)
     assert np.array_equal(RIC.cdf(x), rician_cdf_one_shot(RIC, x), equal_nan=True)
     assert len(calls) == submits
@@ -207,6 +213,65 @@ def test_first_rician_use_from_threads_at_once():
     proc = subprocess.run([sys.executable, "-c", FIRST_USE_FROM_THREADS], capture_output=True,
                           text=True, check=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.stdout.splitlines() == ["[]"] + ["True"] * 6 + [f"0 {[True] * 3}"]
+
+
+@pytest.mark.parametrize("threads", [3, 4])
+@pytest.mark.parametrize("n_pieces", [1, 2, 11])
+def test_on_threads_runs_each_piece_once(monkeypatch, threads, n_pieces):
+    # the caller and min(threads, pieces) - 1 pool tasks share one iterator
+    submits = counted_submits(monkeypatch)
+    ran = []
+
+    def run(piece):
+        time.sleep(0.002)  # long enough for every pool task to take a piece
+        ran.append((piece, threading.current_thread().name))
+
+    fading._on_threads(run, [f"piece {i}" for i in range(n_pieces)], threads)
+    assert sorted(piece for piece, _ in ran) == sorted(f"piece {i}" for i in range(n_pieces))
+    assert len(submits) == min(threads, n_pieces) - 1
+    assert len({name for _, name in ran}) <= min(threads, n_pieces)
+
+
+@pytest.mark.parametrize("raiser", [0, 1])  # the first or the second pool thread to start
+def test_on_threads_raises_a_pool_exception_once_the_others_stop(raiser):
+    # three threads each hold a piece when one pool thread raises; the other
+    # pool thread ends its piece later than the caller, takes no other piece,
+    # and only then is the exception raised, once
+    caller = threading.current_thread()
+    together, lock, raising = threading.Barrier(3, timeout=10), threading.Lock(), threading.Event()
+    started, ended, pool_threads = [], [], []
+
+    def run(piece):
+        with lock:
+            started.append(piece)
+            if threading.current_thread() is not caller:
+                pool_threads.append(threading.current_thread())
+        together.wait()
+        if threading.current_thread() is pool_threads[raiser]:
+            raising.set()
+            raise RuntimeError(f"pool piece {piece}")
+        raising.wait(timeout=10)
+        if threading.current_thread() is not caller:
+            time.sleep(0.1)  # still running when the caller has drained
+        ended.append(piece)
+
+    with pytest.raises(RuntimeError, match="pool piece"):
+        fading._on_threads(run, range(40), 3)
+    assert len(started) == 3 and len(ended) == 2  # no piece runs on after the raise
+    time.sleep(0.15)
+    assert len(started) == 3
+    after = []
+    fading._on_threads(after.append, range(3), 3)  # the pool serves the next call
+    assert sorted(after) == [0, 1, 2]
+
+
+def test_on_threads_called_from_a_pool_task_returns():
+    # the caller drains the pieces itself, so a call made on a pool thread
+    # needs no other pool thread to be free
+    ran = []
+    task = fading._POOL.submit(fading._on_threads, ran.append, range(9), 4)
+    assert task.result(timeout=30) is None
+    assert sorted(ran) == list(range(9))
 
 
 def test_invalid_parameters_rejected():

@@ -84,22 +84,23 @@ def test_the_package_does_not_import_scipy():
 
 
 def test_simulate_jobs_load_no_scipy(tmp_path):
-    # Monte Carlo sampling is numpy only, a Rician model included
+    # Monte Carlo sampling is numpy only, a Rician model included, and so are
+    # the pool threads that run its 4 batches at 2 workers
     ltsc = tmp_path / "ltsc.cfg"
-    ltsc.write_text(BASE, encoding="utf-8")
+    ltsc.write_text(BASE + "mc.batch = 1000\n", encoding="utf-8")
     stsc = tmp_path / "stsc.cfg"
     stsc.write_text(BASE.replace("regime = ltsc", "regime = stsc")
                     .replace("compression = adaptive", "compression = constant")
                     .replace("fading_S.dist = rayleigh", "fading_S.dist = rician")
-                    + "fading_S.K = 2.0\n", encoding="utf-8")
-    jobs = [["simulate", "--config", str(cfg), "--out", str(tmp_path / cfg.stem)]
-            for cfg in (ltsc, stsc)]
+                    + "fading_S.K = 2.0\nmc.batch = 1000\n", encoding="utf-8")
+    jobs = [["simulate", "--config", str(cfg), "--out", str(tmp_path / f"{cfg.stem}{workers}"),
+             "--workers", workers] for cfg in (ltsc, stsc) for workers in ("1", "2")]
     proc = fresh_interpreter(f"import relharq.cli; "
                              f"print([relharq.cli.main(argv) for argv in {jobs!r}]); "
                              + LOADED_SCIPY)
-    assert proc.stdout.splitlines()[-2:] == ["[0, 0]", "[]"]
-    assert (tmp_path / "ltsc" / "simulate.csv").is_file()
-    assert (tmp_path / "stsc" / "simulate.csv").is_file()
+    assert proc.stdout.splitlines()[-2:] == ["[0, 0, 0, 0]", "[]"]
+    for job in ("ltsc1", "ltsc2", "stsc1", "stsc2"):
+        assert (tmp_path / job / "simulate.csv").is_file()
 
 
 def test_one_quadrature_default():
@@ -115,16 +116,23 @@ def test_one_quadrature_default():
     assert removed.isdisjoint(relharq.__all__)
 
 
+def calls(tree, name):
+    """The calls in tree of a function or method named name."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == name]
+
+
+def package_trees():
+    return [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.rglob("*.py"))]
+
+
 def test_one_loop_over_sweep_points():
     # every job and figure reaches its sweep points through cli._write_sweep
-    def calls(tree):
-        return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
-                and getattr(node.func, "attr", getattr(node.func, "id", None)) == "sweep_values"]
-
     module = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
     writer = next(node for node in module.body
                   if isinstance(node, ast.FunctionDef) and node.name == "_write_sweep")
-    assert calls(writer) and len(calls(module)) == len(calls(writer))
+    sweeps = len(calls(writer, "sweep_values"))
+    assert sweeps and len(calls(module, "sweep_values")) == sweeps
 
 
 def test_one_per_block_evaluator():
@@ -135,12 +143,7 @@ def test_one_per_block_evaluator():
                      if isinstance(node, ast.ClassDef) and node.name == "_Evaluator")
     report = next(node for node in evaluator.body
                   if isinstance(node, ast.FunctionDef) and node.name == "report")
-
-    def estimate_calls(tree):
-        return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
-                and getattr(node.func, "attr", getattr(node.func, "id", None)) == "estimate"]
-
-    assert len(estimate_calls(module)) == len(estimate_calls(report)) == 1
+    assert len(calls(module, "estimate")) == len(calls(report, "estimate")) == 1
     functions = [node for node in ast.walk(module) if isinstance(node, ast.FunctionDef)]
     assert "_node_block" not in {fn.name for fn in functions}
     params = {arg.arg for fn in functions for arg in ast.walk(fn.args) if isinstance(arg, ast.arg)}
@@ -150,15 +153,26 @@ def test_one_per_block_evaluator():
 def test_one_row_rule():
     # the rows a lattice block forms are chosen in one place: only _scan applies
     # the row bound and asks the evaluator for a block
-    def calls(tree, name):
-        return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
-                and getattr(node.func, "attr", getattr(node.func, "id", None)) == name]
-
-    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.rglob("*.py"))]
+    trees = package_trees()
     scan = next(node for tree in trees for node in tree.body
                 if isinstance(node, ast.FunctionDef) and node.name == "_scan")
     for name in ("_reaches", "block"):
         assert len(calls(scan, name)) == sum(len(calls(tree, name)) for tree in trees) == 1
+
+
+def test_one_thread_pool():
+    # work runs on threads in one place: fading._on_threads, on the one _POOL
+    trees = package_trees()
+    helper = next(node for tree in trees for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_on_threads")
+    pools = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Assign)
+             and calls(node.value, "ThreadPoolExecutor")]
+    assert [target.id for node in pools for target in node.targets] == ["_POOL"]
+    assert sum(len(calls(tree, "ThreadPoolExecutor")) for tree in trees) == 1
+    submits = [node for tree in trees for node in calls(tree, "submit")]
+    assert len(submits) == len(calls(helper, "submit")) == 1
+    assert ast.unparse(submits[0].func) == "_POOL.submit"
+    assert not any(calls(tree, "Thread") for tree in trees)
 
 
 def test_feasibility_violation_raises_and_exits_3(tmp_path, monkeypatch):

@@ -1,9 +1,11 @@
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import relharq.simulate as sim
+from relharq import fading
 from relharq.channel import CompressionPolicy, RatePolicy, SystemConfig, mutual_info
 from relharq.fading import FadingModel, quantize
 from relharq.optimize import throughput
@@ -190,17 +192,26 @@ class TestAdaptive:
 
 
 class TestDeterminism:
-    def test_worker_count_invariance(self):
+    def test_worker_count_invariance(self, monkeypatch):
         cfg = SystemConfig(
             power=1.0, backhaul_capacity=1.0, max_rounds=2,
             model_d=FadingModel("rayleigh", 1.0), model_s=FadingModel("rician", 1.0, rician_k=2.0),
             channel_regime="stsc",
         )
         pol = RatePolicy.constant(1.1, 0.6, 0.7)
-        reps = [
-            estimate(cfg, pol, CONST, 30_000, master_seed=21, batch_size=4096, workers=w)
-            for w in (1, 2, 5)
-        ]
+        submits, submit = [], fading._POOL.submit
+
+        def counting_submit(*args, **kwargs):
+            submits.append(args[0])
+            return submit(*args, **kwargs)
+
+        monkeypatch.setattr(fading._POOL, "submit", counting_submit)
+        reps = []
+        for w in (1, 2, 5, 64):  # 8 batches: 64 workers start 7 pool tasks
+            submits.clear()
+            reps.append(estimate(cfg, pol, CONST, 30_000, master_seed=21, batch_size=4096,
+                                 workers=w))
+            assert len(submits) == min(w, 8) - 1
         for rep in reps[1:]:
             assert rep.eta == reps[0].eta
             assert np.array_equal(rep.table.p1_out, reps[0].table.p1_out)
@@ -217,6 +228,46 @@ class TestDeterminism:
         a = estimate(cfg, pol, CONST, 15_000, master_seed=33)
         b = estimate(cfg, pol, CONST, 15_000, master_seed=33)
         assert a.eta == b.eta and np.array_equal(a.table.p2_out, b.table.p2_out)
+
+    def test_batches_draw_the_spawned_seeds(self):
+        # a serial reference: batch b steps on the b-th child of spawn(n), and
+        # the counters are summed in batch order
+        cfg = SystemConfig(power=1.0, backhaul_capacity=1.5, max_rounds=3,
+                           model_d=FadingModel("rician", 4.0, rician_k=2.0),
+                           model_s=FadingModel("rayleigh", 1.0))
+        pol = RatePolicy.constant(0.9, 0.5, 0.95)
+        sizes = [3000, 3000, 3000, 1000]
+        seqs = np.random.SeedSequence(17).spawn(len(sizes))
+        runs = [sim._run_batch(cfg, pol, ADAPT, np.random.default_rng(seq), size)
+                for seq, size in zip(seqs, sizes)]
+        c1, c2 = sum(r["c1"] for r in runs), sum(r["c2"] for r in runs)
+        sum_R, sum_L = sum(r["sum_R"] for r in runs), sum(r["sum_L"] for r in runs)
+        for workers in (1, 3):
+            rep = estimate(cfg, pol, ADAPT, 10_000, master_seed=17, batch_size=3000,
+                           workers=workers)
+            assert np.array_equal(rep.table.p1_out, (10_000 - np.cumsum(c1[1:])) / 10_000)
+            assert np.array_equal(rep.table.p2_dec, c2[1:] / 10_000)
+            assert rep.eta == sum_R / sum_L and rep.expected_reward == sum_R / 10_000
+            assert rep.adaptation_count == sum(r["adaptations"] for r in runs) > 0
+
+    def test_fold_under_frequent_thread_switches(self):
+        # four threads on two cores fold 120 batches; a lost or reordered
+        # update would change a count or a bit against one thread
+        cfg = SystemConfig(power=1.0, backhaul_capacity=1.5, max_rounds=3,
+                           model_d=FadingModel("rayleigh", 4.0), model_s=FadingModel("rayleigh", 1.0))
+        pol = RatePolicy.constant(0.9, 0.5, 0.95)
+        want = estimate(cfg, pol, ADAPT, 6_000, master_seed=8, batch_size=50)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            got = [estimate(cfg, pol, ADAPT, 6_000, master_seed=8, batch_size=50, workers=4)
+                   for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        for rep in got:
+            assert rep.eta == want.eta and rep.eta_std_error == want.eta_std_error
+            assert np.array_equal(rep.table.p2_out, want.table.p2_out)
+            assert rep.adaptation_count == want.adaptation_count
 
     def test_seed_changes_result(self):
         cfg = SystemConfig(
@@ -288,6 +339,32 @@ class TestWorkspace:
         assert peak <= bound * 8 * n
         if comp.adaptive:
             assert res["adaptations"] > n // 4  # the adaptive branch ran at scale
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_does_not_grow_with_the_batch_count(self, monkeypatch, workers):
+        # no per-batch state outlives its fold (seeds, tasks, counters).  The
+        # stepper is replaced by copies of one batch's counters: its own
+        # allocations are per batch (test_warmed_batch_allocates_no_per_slot_arrays),
+        # and 20,000 real batches under tracemalloc would take about 25 s
+        cfg = pm_cfg(1.0, 1.0)
+        pol = RatePolicy.constant(0.9, 0.4, 0.8)
+        counters = sim._run_batch(cfg, pol, CONST, np.random.default_rng(0), 16)
+
+        def copied_counters(cfg, policy, comp, rng, n, ws=None, grid=None):
+            return {k: v.copy() if isinstance(v, np.ndarray) else v for k, v in counters.items()}
+
+        monkeypatch.setattr(sim, "_run_batch", copied_counters)
+        peaks = []
+        for batches in (2_000, 20_000):
+            tracemalloc.start()
+            try:
+                rep = estimate(cfg, pol, CONST, 16 * batches, master_seed=5, batch_size=16,
+                               workers=workers)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert rep.n_sessions == 16 * batches
+        assert peaks[1] <= peaks[0] + 0.5 * 2**20
 
     def test_per_node_grid_is_built_once_per_estimate(self, monkeypatch):
         calls = []

@@ -393,7 +393,7 @@ def serial_rician_cdf_sum(model, c, w, u, rows):
 
 
 class TestCdfSumOnTwoThreads:
-    """G's slabs run on the calling thread and one pool thread (`fading._on_two_threads`)."""
+    """G's slabs run on the calling thread and one pool thread (`fading._on_threads`)."""
 
     N, CHUNK_ROWS = 64, 2040  # 8 slabs of 16383 // 64 = 255 rows per chunk
 

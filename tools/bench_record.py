@@ -4,23 +4,28 @@
 
 Runs `perfbench/run.py` on each of its four workloads at seed 0 for 15 s,
 once untraced (the end-to-end metrics) and once traced (the per-layer
-metrics), one run at a time, then the acceptance tests once.  The file holds,
+metrics), one run at a time, then the acceptance tests once, then the Tier-1
+suite (`TIER1`, the verify command of ROADMAP.md) once.  The file holds,
 per workload and mode, the run's last output line (correct, attempted, failed,
 metrics) with the iteration count and timing tails of its record in
 `perfbench/_work/results/`; the cold start (the median time and peak RSS
 of a fresh `import relharq.cli` over 7 interpreters, and the number of scipy
 modules that import leaves loaded); the call time of each acceptance
-criterion, read from pytest's `--durations` report; the host (nproc, CPU,
-memory, Python, numpy and scipy versions, and the `OPENBLAS_NUM_THREADS`,
-`OMP_NUM_THREADS` and `MKL_NUM_THREADS` of the recording's environment, null
-when unset: the acceptance tests run under them, while perfbench pins its
-jobs to one thread, and a BLAS reduction's bits can depend on its thread
-count), the line count and digest of
-`src/relharq`, the HEAD commit with whether `src/` matches it
+criterion, read from pytest's `--durations` report; the `tier1` block (the
+suite's wall time, its CPU time and peak RSS from `os.wait4` on the pytest
+process and the subprocesses it waited for, its exit code, and its passed,
+failed, errors and warnings counts, read from pytest's summary line); the
+host (nproc, CPU, memory, Python, numpy and scipy versions, and the
+`OPENBLAS_NUM_THREADS`, `OMP_NUM_THREADS` and `MKL_NUM_THREADS` of the
+recording's environment, null when unset: the acceptance tests and the Tier-1
+suite run under them, while perfbench pins its jobs to one thread, and a BLAS
+reduction's bits can depend on its thread count), the line count and digest
+of `src/relharq`, the HEAD commit with whether `src/` matches it
 (`src_matches_head` is false when the file is recorded from an uncommitted
 tree, whose `git_commit` is then the parent), and the wall time of the whole
-recording (about 5 minutes on a 2-core host).  Exits 1 when a run fails, a
-job's output does not check out or an acceptance test fails; the file is
+recording (about 4 minutes on a 2-core host, 60-90 s of it the Tier-1
+suite).  Exits 1 when a run fails, a job's output does not check out, an
+acceptance test fails or the Tier-1 suite does not pass cleanly; the file is
 written either way.
 """
 
@@ -50,6 +55,11 @@ COLD_START = ("import resource, sys, time; t0 = time.perf_counter(); import relh
               "sum(m.split('.')[0] == 'scipy' for m in sys.modules))")
 # a --durations line: "17.20s call     tests/test_acceptance.py::test_criterion_01_..."
 CRITERION_CALL = re.compile(r"^([0-9.]+)s call\s+\S+::test_criterion_(\d+)_", re.MULTILINE)
+# the Tier-1 verify command, run at the repo root with src/ on PYTHONPATH
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
+TIER1_COUNTS = ("passed", "failed", "errors", "warnings")
+# pytest's closing line, as in "= 1 failed, 1238 passed, 2 warnings in 80.12s (0:01:20) ="
+SUMMARY = re.compile(r"^=*\s*((?:\d+ [a-z]+(?:, )?)+) in [0-9.]+s\b.*$", re.MULTILINE)
 
 
 def run(workload: str, trace: int) -> tuple:
@@ -102,6 +112,36 @@ def criteria() -> tuple:
     return proc.returncode == 0, dict(sorted(times.items()))
 
 
+def pytest_counts(output: str) -> dict:
+    """The passed, failed, errors and warnings counts of pytest's last summary
+    line in output (0 when the line leaves one out, "error" and "warning"
+    included); None for each when output has no summary line."""
+    lines = SUMMARY.findall(output)
+    if not lines:
+        return dict.fromkeys(TIER1_COUNTS)
+    counts = {{"error": "errors", "warning": "warnings"}.get(word, word): int(n)
+              for n, word in re.findall(r"(\d+) ([a-z]+)", lines[-1])}
+    return {key: counts.get(key, 0) for key in TIER1_COUNTS}
+
+
+def tier1() -> dict:
+    """One run of the Tier-1 suite: wall time, the CPU time (user + system)
+    and peak RSS from os.wait4 on the pytest process (which take in the
+    subprocesses it waited for), its exit code and its pytest_counts."""
+    started = time.monotonic()
+    proc = subprocess.Popen([sys.executable, *TIER1], cwd=ROOT, env=src_env(), text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+    output = proc.stdout.read()
+    proc.stdout.close()
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+    return {"command": " ".join(["python", *TIER1]),
+            "wall_s": round(time.monotonic() - started, 1),
+            "cpu_s": round(usage.ru_utime + usage.ru_stime, 1),
+            "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
+            "exit_code": proc.returncode, **pytest_counts(output)}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("n", type=int, help="the file is named BENCH_<n>.json")
@@ -110,7 +150,7 @@ def main(argv=None) -> int:
     started = time.monotonic()
     mem_gb = round(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2**30, 1)
     bench = {"seed": SEED, "seconds": SECONDS, "host": None, "src_relharq": None,
-             "cold_start": None, "workloads": {}, "acceptance": None}
+             "cold_start": None, "workloads": {}, "acceptance": None, "tier1": None}
     ok = True
     print("cold start ...", file=sys.stderr, flush=True)
     bench["cold_start"] = cold_start()
@@ -135,6 +175,9 @@ def main(argv=None) -> int:
     passed, call_s = criteria()
     bench["acceptance"] = {"passed": passed, "criterion_call_s": call_s}
     ok &= passed
+    print("tier-1 suite ...", file=sys.stderr, flush=True)
+    bench["tier1"] = tier1()
+    ok &= bench["tier1"]["exit_code"] == 0 and bench["tier1"]["warnings"] == 0
     bench["record_wall_s"] = round(time.monotonic() - started, 1)
     path = ROOT / f"BENCH_{args.n}.json"
     path.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
