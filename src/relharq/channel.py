@@ -28,8 +28,6 @@ import numpy as np
 from .fading import FadingModel
 from .tables import ConfigError
 
-LN2 = np.log(2.0)
-
 
 @dataclass(frozen=True)
 class SystemConfig:

@@ -20,17 +20,18 @@ is spared the import, about 0.3 s and 25 MB of a fresh `import relharq.cli`.
 
 Work that splits into independent pieces runs on threads in one place,
 `_on_threads`: the calling thread and up to threads - 1 `_POOL` tasks take the
-pieces from one shared iterator.  Its users are a large Rician cdf, whose two
-halves run on two threads (`_chndtr`), the STSC inner sum G, whose slabs run
-on two (`stsc.node_cdf_sum`), and a Monte Carlo estimate, whose batches run on
-`mc.workers` (`simulate.estimate`).  The cdf kernels are elementwise, so each
-piece gives the doubles it gives inside the whole array.
+pieces from one shared iterator.  Its users are the Rician cdf, whose slabs
+run on two threads when it is large (`_rician_cdf`; the STSC inner sum G
+reaches it as one cdf call per chunk), and a Monte Carlo estimate, whose
+batches run on `mc.workers` (`simulate.estimate`).  The cdf kernels are
+elementwise, so each slab gives the doubles it gives inside the whole array.
 `cdf` and `cdf_strict` write into `out=`, which may be their argument itself: a
-continuous cdf then runs every step in place, without a temporary of its size.
+continuous cdf then takes no temporary larger than one slab of a Rician cdf.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -40,11 +41,11 @@ import numpy as np
 
 _TAIL_Q = 1.0 - 1e-6  # quantile where the grid truncates the upper tail
 DEFAULT_QUAD_N = 64  # quadrature size of every closed form: quad.n and the library defaults
-# points from which the Rician cdf runs as two halves on two threads: on 2
-# cores 2^14 points take 4.1 ms in one call and 2.3 ms as halves, while at 2^10
-# the hand-off of about 0.1 ms eats the gain.  The LTSC node tables mostly call
-# it below 2^14 (a median of 160 points in design-ltsc's optimize job); the
-# STSC inner sum G splits its chunks into slabs below it instead
+# points from which the Rician cdf runs in slabs on two threads: on 2 cores
+# 2^14 points take 4.1 ms in one call and 2.3 ms as halves, while at 2^10 the
+# hand-off of about 0.1 ms eats the gain.  The LTSC node tables mostly call it
+# below 2^14 (a median of 160 points in design-ltsc's optimize job), while a
+# chunk of the STSC inner sum G holds up to 500,000 points
 SPLIT_POINTS = 1 << 14
 MAX_THREADS = 64  # threads of one `_on_threads` call, the caller's included; mc.workers' cap
 _POOL = ThreadPoolExecutor(max_workers=MAX_THREADS - 1)  # starts its threads on demand
@@ -54,7 +55,8 @@ def _on_threads(run, pieces, threads):
     """Call run(piece) for each of the pieces (a sized iterable, no piece None)
     on the calling thread and min(threads, len(pieces)) - 1 _POOL tasks, which
     take them in turn from one shared iterator; return once every piece has
-    run.  One piece, or one thread, runs on the calling thread alone.
+    run.  One piece, or one thread, runs on the calling thread alone.  Pool
+    tasks run in copies of the caller's context (numpy's errstate included).
 
     The caller drains the pieces itself and then cancels each pool task that
     has not started, so it never waits on a task that cannot start (the pool
@@ -62,6 +64,10 @@ def _on_threads(run, pieces, threads):
     every thread from taking another piece and is raised here once, after the
     other threads' pieces have ended: no piece runs after the return.
     """
+    if min(threads, len(pieces)) <= 1:
+        for piece in pieces:
+            run(piece)
+        return
     left, lock, failed = iter(pieces), threading.Lock(), threading.Event()
 
     def drain():
@@ -76,7 +82,8 @@ def _on_threads(run, pieces, threads):
                 failed.set()
                 raise
 
-    helpers = [_POOL.submit(drain) for _ in range(min(threads, len(pieces)) - 1)]
+    helpers = [_POOL.submit(contextvars.copy_context().run, drain)
+               for _ in range(min(threads, len(pieces)) - 1)]
     try:
         drain()
     finally:
@@ -86,19 +93,28 @@ def _on_threads(run, pieces, threads):
             helper.result()
 
 
-def _chndtr(xp, nc):
-    """Overwrite xp with special.chndtr(xp, 2, nc), bit for bit; from SPLIT_POINTS
-    points on, the two halves of a C-contiguous xp run on two threads
-    (`_on_threads`; chndtr releases the GIL, and scipy.special is imported
-    here, on the calling thread, so a pool thread never imports it)."""
+def _rician_cdf(xp, scale, nc):
+    """Overwrite xp with the Rician kernel (chndtr, or chdtr at nc = 0) of
+    xp / scale at its live points, xp > 0 or NaN, and with +0.0 elsewhere: the
+    doubles of one call over max(xp, 0) / scale, as max sends xp <= 0 (-0.0
+    included) to +0.0, where both kernels give +0.0.  A C-contiguous xp of
+    SPLIT_POINTS points or more runs as an even number of equal slabs of at most
+    SPLIT_POINTS // 2 points on the calling thread and one pool thread
+    (`_on_threads`; the kernels release the GIL, and scipy.special is imported
+    here, so no pool thread imports it); any other xp is one slab."""
     from scipy import special
 
-    if xp.size < SPLIT_POINTS or not xp.flags.c_contiguous:
-        return special.chndtr(xp, 2.0, nc, out=xp)
-    flat, mid = xp.reshape(-1), xp.size // 2
-    _on_threads(lambda part: special.chndtr(flat[part], 2.0, nc, out=flat[part]),
-                [slice(None, mid), slice(mid, None)], 2)
-    return xp
+    def slab(part):
+        live = ~(part <= 0)  # NaN stays live
+        x = part[live] / scale
+        part.fill(0.0)
+        part[live] = special.chndtr(x, 2.0, nc, out=x) if nc > 0 else special.chdtr(2.0, x, out=x)
+
+    slabs = [xp]
+    if xp.size >= SPLIT_POINTS and xp.flags.c_contiguous:
+        flat, n = xp.reshape(-1), 2 * -(-xp.size // SPLIT_POINTS)
+        slabs = [flat[i * xp.size // n : (i + 1) * xp.size // n] for i in range(n)]
+    _on_threads(slab, slabs, 2)
 
 
 @dataclass(frozen=True)
@@ -134,20 +150,15 @@ class FadingModel:
         out, a float64 array of x's shape (x itself, say), takes the values."""
         x = np.asarray(x, dtype=float)
         out = np.empty(x.shape) if out is None else out
-        # continuous models: max(x, 0) maps x < 0 and -0.0 to +0.0, where F is +0.0
         if self.kind == "pointmass":
             np.copyto(out, np.where(np.isnan(x), x, x >= self.point_value))
-        elif self.kind == "rayleigh":
+        elif self.kind == "rayleigh":  # max(x, 0) maps x < 0 and -0.0 to +0.0, where F is +0.0
             np.divide(np.maximum(x, 0.0, out=out), -self.mean_power, out=out)
             np.negative(np.expm1(out, out=out), out=out)
-        else:
-            from scipy import special
-
-            np.divide(np.maximum(x, 0.0, out=out), self._ncx2_scale(), out=out)
-            # the kernels ncx2.cdf calls: chndtr for nc > 0, the central chi2
-            # chdtr at nc = 0; out is >= 0 or NaN, where they give its values
-            nc = 2.0 * self.rician_k
-            _chndtr(out, nc) if nc > 0 else special.chdtr(2.0, out, out=out)
+        else:  # the kernels ncx2.cdf calls
+            if out is not x:
+                np.copyto(out, x)
+            _rician_cdf(out, self._ncx2_scale(), 2.0 * self.rician_k)
         return out if out.shape else float(out)
 
     def cdf_strict(self, x, out=None):

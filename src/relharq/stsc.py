@@ -43,8 +43,9 @@ about BLOCK_CELLS cells.  Everything that depends on the scenario but not on
 the tuple (the quadrature nodes, the S1 edge cdfs, a1 and G) is one
 `Slot1Grid`, built once per evaluator and shared by all its blocks.
 
-G is most of the time of a fine Rician quadrature.  Its cdf sum runs on two
-threads, slab by slab, with the doubles of one thread (`node_cdf_sum`).
+G is most of the time of a fine Rician quadrature.  Its cdf sum is one cdf
+call per chunk, which `fading` runs in slabs on two threads, with the doubles
+of one thread (`node_cdf_sum`).
 
 r1 is taken in passes of R1_CELLS // n^2 rows (`r1_passes`), and each pass
 in two steps: its r1 side (`r1_side`: lam1, m_fail, u1, g1, and so p1_out(1)
@@ -62,14 +63,14 @@ import numpy as np
 
 from .channel import (SystemConfig, _split_gain, check_supported, conservative_gain,
                       mutual_info, slot_threshold)
-from .fading import SPLIT_POINTS, FadingModel, _on_threads, quantize
+from .fading import FadingModel, quantize
 from .tables import ConfigError
 
 # 512 KB per block array of the gamma pass, which also reads g1, m_fail and g2
 # rows; 2^15 to 2^18 time alike on a 2 MB L2 cache, 2^20 is slower
 BLOCK_CELLS = 2**16
-# r1 rows x n^2 cells per pass of stsc_quantities, which bounds its (q1, n, n)
-# arrays at 4 MB each; its (q2, n, n) arrays are formed once per pass
+# r1 rows x n^2 cells per pass of r1 rows (`r1_passes`), which bounds its
+# (q1, n, n) arrays at 4 MB each; its (q2, n, n) arrays are formed once per pass
 R1_CELLS = 1 << 19
 G_CELLS = 1_000_000  # (u, node) pairs per chunk of G (`node_cdf_sum`), 8 MB a float array
 
@@ -85,14 +86,11 @@ def node_cdf_sum(model: FadingModel, c, w):
     indicator is 1.  Rician S, and Rayleigh S with a non-finite c, sum the cdf
     over the nodes, evaluating it only where u - c_j > 0 (or NaN): at or below 0
     it is exactly 0.  A NaN u gives NaN.  G takes u in chunks of G_CELLS // n
-    cells, halved for the cdf sum, which writes the cdf in place over the
-    chunk's u - c_j (at most max(G_CELLS / 2, n) pairs) in slabs of fewer than
-    fading.SPLIT_POINTS pairs, so a slab's cdf does not split again (for n below
-    SPLIT_POINTS; else a slab is one row).  The calling thread and one pool
-    thread take the slabs in turn (`fading._on_threads`); the cdf is
-    elementwise, so a slab's doubles do not depend on the thread.  Once every
-    slab is done, `x @ w` runs over the whole chunk, whose row count, and so its
-    bits, stay those of one thread.
+    cells, halved for the cdf sum, which is one cdf call in place over the
+    chunk's u - c_j (at most max(G_CELLS / 2, n) pairs; `fading` runs a large
+    one in slabs on two threads, with the doubles of one call), and then one
+    `x @ w` over the whole chunk, whose row count, and so its bits, do not
+    depend on the threads.
     """
     order = np.argsort(c, kind="stable")
     c, w = np.asarray(c, dtype=float)[order], np.asarray(w, dtype=float)[order]
@@ -113,18 +111,9 @@ def node_cdf_sum(model: FadingModel, c, w):
             return np.where(np.isnan(x).any(axis=1), np.nan, W[(x > model.point_value).sum(1)])
         return chunked(prefix_weight, step)
     if model.kind == "rician" or not np.isfinite(c).all():
-        def cdf_slab(slab):  # overwrites the slab's u - c_j with their cdf
-            live = ~(slab <= 0)  # NaN stays live
-            part = slab[live]
-            slab.fill(0.0)
-            slab[live] = model.cdf_strict(part, part)
-
         def cdf_sum(u):
-            from scipy import special  # noqa: F401  (loaded here, so no pool thread imports it)
-
             x = u[:, None] - c
-            rows = max(1, min(BLOCK_CELLS, SPLIT_POINTS - 1) // len(c))
-            _on_threads(cdf_slab, [x[i : i + rows] for i in range(0, len(x), rows)], 2)
+            model.cdf_strict(x, x)
             return x @ w
         return chunked(cdf_sum, max(1, step // 2))
     rho = model.mean_power

@@ -450,13 +450,13 @@ def test_adaptive_block_forms_each_distinct_gain_once(monkeypatch):
     args = (cfg, r[:, None, None], r[None, :, None], np.float64(0.9),
             quantize(cfg.model_d, 32), ADAPT)
     points = []
-    chndtr = fading._chndtr
+    rician_cdf = fading._rician_cdf
 
-    def counting(xp, nc):
+    def counting(xp, scale, nc):
         points.append(xp.size)
-        return chndtr(xp, nc)
+        return rician_cdf(xp, scale, nc)
 
-    monkeypatch.setattr(fading, "_chndtr", counting)
+    monkeypatch.setattr(fading, "_rician_cdf", counting)
     node_tables(*args)
     assert sum(points) < 49_000
     points.clear()
@@ -620,14 +620,15 @@ def test_node_cdf_sum_matches_reference_bit_for_bit(kind, case, inf_node, monkey
         c, w = np.append(c, np.inf), np.append(w, 0.5)
     model = G_MODELS[kind]
     u = edge_points(np.concatenate([c, c + model.s_min]), rng)
-    # the cdf sum's slabs: one row each, a few rows, or the whole chunk
-    for g_cells, block_cells in itertools.product((1, 50, 1_000_000), (1, 64, stsc.BLOCK_CELLS)):
+    # the cdf's slabs: one pair each, 32 pairs, or the default split
+    for g_cells, split_points in itertools.product((1, 50, 1_000_000),
+                                                   (2, 64, fading.SPLIT_POINTS)):
         monkeypatch.setattr(stsc, "G_CELLS", g_cells)
-        monkeypatch.setattr(stsc, "BLOCK_CELLS", block_cells)
+        monkeypatch.setattr(fading, "SPLIT_POINTS", split_points)
         with np.errstate(invalid="ignore", over="ignore"):
             got = stsc.node_cdf_sum(model, c, w)(u)
             want = reference_node_cdf_sum(model, c, w, g_cells)(u)
-        assert np.array_equal(got, want, equal_nan=True), (g_cells, block_cells)
+        assert np.array_equal(got, want, equal_nan=True), (g_cells, split_points)
         assert np.isnan(got[np.isnan(u)]).all()
 
 

@@ -138,8 +138,61 @@ def test_rician_cdf_splits_from_the_threshold_on(monkeypatch, size, submits):
     assert len(calls) == submits
 
 
-def test_rician_cdf_from_outer_threads_at_once():
+@pytest.mark.parametrize("size", [SPLIT_POINTS, SPLIT_POINTS + 1, 5 * SPLIT_POINTS + 3])
+def test_rician_cdf_slabs_are_even_in_number_and_equal(monkeypatch, size):
+    # every point is live, so each kernel call takes a whole slab
+    sizes, chndtr = [], special.chndtr
+
+    def recording(x, *args, **kwargs):
+        sizes.append(x.size)
+        return chndtr(x, *args, **kwargs)
+
+    x = np.random.default_rng(4).exponential(3.0, size)
+    want = rician_cdf_one_shot(RIC, x)
+    monkeypatch.setattr(special, "chndtr", recording)
+    assert np.array_equal(RIC.cdf(x), want)
+    assert len(sizes) % 2 == 0 and sum(sizes) == size
+    assert max(sizes) <= SPLIT_POINTS // 2 and max(sizes) - min(sizes) <= 1
+
+
+@pytest.mark.parametrize("raise_on", ["pool", "caller"])
+def test_rician_cdf_raises_a_slab_exception_once_the_other_slab_ends(monkeypatch, raise_on):
+    # each thread holds a slab of 8 when one raises; the other thread ends its
+    # slab later, takes no other, and only then is the exception raised
+    caller = threading.current_thread()
+    pool_took, raised = threading.Event(), threading.Event()
+    started, ended, chndtr = [], [], special.chndtr
+
+    def failing(x, *args, **kwargs):
+        on_pool = threading.current_thread() is not caller
+        started.append(on_pool)
+        if on_pool:
+            pool_took.set()
+        else:
+            pool_took.wait(timeout=10)
+        if on_pool == (raise_on == "pool"):
+            raised.set()
+            raise RuntimeError(raise_on)
+        raised.wait(timeout=10)
+        time.sleep(0.05)  # still running when the other thread's exception arrives
+        ended.append(on_pool)
+        return chndtr(x, *args, **kwargs)
+
+    x = rician_points(4 * SPLIT_POINTS)
+    with monkeypatch.context() as m:
+        m.setattr(special, "chndtr", failing)
+        with pytest.raises(RuntimeError, match=raise_on):
+            RIC.cdf(x)
+        assert sorted(started) == [False, True]
+        assert ended == [raise_on == "caller"]  # the other thread's slab ended first
+        time.sleep(0.1)
+        assert len(started) == 2  # no slab runs on after the raise
+    assert np.array_equal(RIC.cdf(x), rician_cdf_one_shot(RIC, x), equal_nan=True)
+
+
+def test_rician_cdf_from_outer_threads_at_once(monkeypatch):
     # three callers on two cores share the pool, with frequent thread switches
+    calls = counted_submits(monkeypatch)
     x = rician_points(3 * SPLIT_POINTS)
     want = rician_cdf_one_shot(RIC, x)
     got = []
@@ -160,7 +213,7 @@ def test_rician_cdf_from_outer_threads_at_once():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert len(got) == 12
+    assert len(got) == 12 and len(calls) == 12  # one submit per cdf of 6 slabs
     assert all(np.array_equal(result, want, equal_nan=True) for result in got)
 
 
@@ -186,7 +239,7 @@ start = threading.Barrier(3)
 
 def first_use(models):
     start.wait()
-    for m in models:  # K > 0 first, on two threads; then the K = 0 kernels
+    for m in models:  # K > 0 first, then K = 0, each cdf on two threads
         got[m] = (m.cdf(x), m.ppf(q))
 
 threads = [threading.Thread(target=first_use, args=(pair,)) for pair in pairs]
@@ -207,12 +260,12 @@ print(sum(t.is_alive() for t in threads), loaded_at_submit)
 
 def test_first_rician_use_from_threads_at_once():
     # scipy.special is imported by the first Rician cdf or ppf, on the calling
-    # thread before the one submit of its halves; three threads meeting it at
-    # once each get the one-shot kernels' doubles
+    # thread before the one submit of its slabs (at K = 0 too); three threads
+    # meeting it at once each get the one-shot kernels' doubles
     src = os.path.dirname(os.path.dirname(fading.__file__))
     proc = subprocess.run([sys.executable, "-c", FIRST_USE_FROM_THREADS], capture_output=True,
                           text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-    assert proc.stdout.splitlines() == ["[]"] + ["True"] * 6 + [f"0 {[True] * 3}"]
+    assert proc.stdout.splitlines() == ["[]"] + ["True"] * 6 + [f"0 {[True] * 6}"]
 
 
 @pytest.mark.parametrize("threads", [3, 4])
@@ -263,6 +316,21 @@ def test_on_threads_raises_a_pool_exception_once_the_others_stop(raiser):
     after = []
     fading._on_threads(after.append, range(3), 3)  # the pool serves the next call
     assert sorted(after) == [0, 1, 2]
+
+
+def test_on_threads_pool_tasks_keep_the_callers_errstate():
+    # numpy's errstate is a context variable, which a pool thread does not inherit
+    seen = []
+
+    def run(piece):
+        time.sleep(0.002)  # long enough for every pool task to take a piece
+        seen.append((threading.current_thread().name, np.geterr()["over"]))
+
+    with np.errstate(over="raise"):
+        fading._on_threads(run, range(8), 3)
+    assert len({name for name, _ in seen}) > 1 and {over for _, over in seen} == {"raise"}
+    with pytest.raises(FloatingPointError), np.errstate(over="raise"):
+        RIC.cdf(np.full(SPLIT_POINTS, np.finfo(float).max))  # x / scale overflows in both slabs
 
 
 def test_on_threads_called_from_a_pool_task_returns():

@@ -6,11 +6,15 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 
 import numpy as np
 
 import relharq
 from relharq import cli, config, optimize, simulate, stsc
+from relharq.channel import RatePolicy, SystemConfig
+from relharq.fading import FadingModel
+from test_fading import counted_submits
 
 SRC = pathlib.Path(simulate.__file__).parent
 
@@ -173,6 +177,49 @@ def test_one_thread_pool():
     assert len(submits) == len(calls(helper, "submit")) == 1
     assert ast.unparse(submits[0].func) == "_POOL.submit"
     assert not any(calls(tree, "Thread") for tree in trees)
+
+
+def test_on_threads_callers():
+    # two things run on threads: a large Rician cdf's slabs and Monte Carlo batches
+    callers = {(path.stem, node.name) for path in sorted(SRC.rglob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.FunctionDef) and node.name != "_on_threads"
+               and any(calls(stmt, "_on_threads") for stmt in node.body)}
+    assert callers == {("fading", "_rician_cdf"), ("simulate", "estimate")}
+
+
+def test_stsc_leaves_threads_to_fading():
+    # G's cdf sum is one cdf call: stsc names no thread helper, split size or scipy
+    tree = ast.parse(pathlib.Path(stsc.__file__).read_text(encoding="utf-8"))
+    names = {alias.name for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    names |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not names & {"_on_threads", "SPLIT_POINTS", "_POOL"}
+    assert not any(name and name.split(".")[0] == "scipy" for name in names)
+
+
+def test_analytic_job_calls_no_fading_method_on_a_pool_thread(monkeypatch):
+    # a Rician-S STSC tuple at quad.n 64, whose G chunks hold up to 262,144
+    # pairs: the cdf slabs run on the pool, yet every FadingModel method, and
+    # so every traced span, runs on the calling thread
+    submits, threads = counted_submits(monkeypatch), set()
+
+    def on_caller(method):
+        def recording(*args, **kwargs):
+            threads.add(threading.current_thread())
+            return method(*args, **kwargs)
+        return recording
+
+    for name in ("cdf", "cdf_strict", "ppf", "sample"):
+        monkeypatch.setattr(FadingModel, name, on_caller(getattr(FadingModel, name)))
+    cfg = SystemConfig(power=1.0, backhaul_capacity=1.5, max_rounds=2,
+                       model_d=FadingModel("rician", 10.0, rician_k=2.0),
+                       model_s=FadingModel("rician", 1.0, rician_k=1.0), channel_regime="stsc")
+    report = optimize.throughput(cfg, RatePolicy.constant(1.0, 0.5, 0.9), quad_n=64)
+    assert 0 < report.eta < 1.5
+    assert submits and threads == {threading.current_thread()}
 
 
 def test_feasibility_violation_raises_and_exits_3(tmp_path, monkeypatch):
