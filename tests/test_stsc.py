@@ -1,17 +1,19 @@
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from scipy import special
 
 from relharq.channel import (CompressionPolicy, RatePolicy, SystemConfig, conservative_gain,
                              mutual_info)
 from relharq.config import GridSpec
-from relharq.fading import FadingModel
-from relharq import optimize, stsc
+from relharq.fading import SPLIT_POINTS, FadingModel
+from relharq import fading, optimize, stsc
 from relharq.optimize import _Evaluator, _optimize, throughput
 from relharq.stsc import node_cdf_sum, quantity_tables, stsc_quantities
 from relharq.tables import reward_length
@@ -371,6 +373,80 @@ class TestNodeCdfSum:
             got = node_cdf_sum(model, c, w)(u)
         assert np.array_equal(got, want, equal_nan=True)
         assert np.isnan(got[np.isnan(u)]).all()
+
+
+RICIAN_S = FadingModel("rician", 1.5, rician_k=2.0)
+
+
+def serial_rician_cdf_sum(model, c, w, u, rows):
+    """G on this thread alone: one chndtr call over each chunk of `rows` u."""
+    order = np.argsort(c, kind="stable")
+    c, w = c[order], w[order]
+    scale, nc = model.mean_power / (2.0 * (model.rician_k + 1.0)), 2.0 * model.rician_k
+    out = np.empty(len(u))
+    for i in range(0, len(u), rows):
+        x = u[i : i + rows, None] - c
+        cdf = special.chndtr(np.maximum(x, 0.0) / scale, 2.0, nc)
+        out[i : i + rows] = np.where(x <= 0, 0.0, cdf) @ w
+    return out
+
+
+class TestCdfSumOnTwoThreads:
+    """G's chunks are Rician cdf calls, which `fading` runs in slabs on the
+    calling thread and one pool thread (`_rician_cdf` through `_on_threads`)."""
+
+    N, CHUNK_ROWS = 64, 2040  # a chunk of 2040 * 64 pairs is 16 slabs of 8160
+
+    def test_from_outer_threads_at_once(self, monkeypatch):
+        # three callers on two cores share the pool, with frequent thread switches
+        monkeypatch.setattr(stsc, "G_CELLS", self.N * 2 * self.CHUNK_ROWS)
+        rng = np.random.default_rng(12)
+        c, w = np.sort(rng.uniform(0.0, 4.0, self.N)), rng.dirichlet(np.ones(self.N))
+        u = rng.uniform(-2.0, 8.0, 3 * self.CHUNK_ROWS + 200)  # the tail is one slab
+        u[:5] = u[-5:] = [np.nan, np.inf, -np.inf, 0.0, c[3]]
+        want = serial_rician_cdf_sum(RICIAN_S, c, w, u, self.CHUNK_ROWS)
+        G = node_cdf_sum(RICIAN_S, c, w)
+        submits, pool_sizes, cdf_threads, got = [], [], [], []
+        submit, rician_cdf, chndtr = fading._POOL.submit, fading._rician_cdf, special.chndtr
+
+        def counting_submit(*args, **kwargs):
+            submits.append(args[0])
+            return submit(*args, **kwargs)
+
+        def recording_rician_cdf(xp, scale, nc):
+            cdf_threads.append(threading.current_thread())
+            return rician_cdf(xp, scale, nc)
+
+        def recording_chndtr(x, *args, **kwargs):
+            if threading.current_thread() not in threads:
+                pool_sizes.append(x.size)
+            return chndtr(x, *args, **kwargs)
+
+        monkeypatch.setattr(fading._POOL, "submit", counting_submit)
+        monkeypatch.setattr(fading, "_rician_cdf", recording_rician_cdf)
+        monkeypatch.setattr(special, "chndtr", recording_chndtr)
+        start = threading.Barrier(3)
+
+        def work():
+            start.wait()
+            got.extend(G(u) for _ in range(3))
+
+        threads = [threading.Thread(target=work) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(got) == 9
+        assert all(np.array_equal(result, want, equal_nan=True) for result in got)
+        assert len(submits) == 9 * 3  # one per chunk of two or more slabs
+        assert len(cdf_threads) == 9 * 4 and set(cdf_threads) <= set(threads)
+        assert pool_sizes and max(pool_sizes) <= SPLIT_POINTS // 2  # a pool thread never splits a cdf
 
 
 FIRST_G = """
