@@ -8,7 +8,7 @@ Carlo simulator, and throughput optimizers for fixed and per-node policies.
 
 from .channel import (CompressionPolicy, RatePolicy, SystemConfig,
                       backhaul_usage, check_supported, conservative_gain,
-                      infer_s_hat, mutual_info, slot_threshold)
+                      infer_s_hat, mutual_info, slot_threshold, threshold_offset)
 from .config import (ConfigError, ExperimentConfig, GridSpec, load_config,
                      parse_config_text)
 from .fading import FadingModel, QuadratureGrid, quantize
@@ -29,5 +29,5 @@ __all__ = [
     "conservative_gain", "estimate", "infer_s_hat", "load_config",
     "mutual_info", "optima", "optimize_lcsit", "optimize_no_lcsit",
     "parse_config_text", "quantize", "reward_length", "simulate_session",
-    "slot_threshold", "throughput",
+    "slot_threshold", "threshold_offset", "throughput",
 ]

@@ -8,10 +8,15 @@ Central objects:
   backhaul_usage(a, d, s, P)     Wyner-Ziv description rate of the relay
   conservative_gain              largest a whose description fits the C_max
       backhaul for side information s_min (or the inferred bound s_hat)
+  threshold_offset               c = a/b, b = 1 + a/d: the one term of a
+      decode threshold that reads the relay; a scenario forms it once per node
+      (`ltsc.NodeGrid`, `stsc.Slot1Grid`) and the simulator once per
+      acknowledged session
   infer_s_hat                    lower bound on S implied by a layer-1 ACK
   slot_threshold                 the s-value above which l slots at signal
-      power p_sig against interference p_int carry rate R; every lemma branch
-      (including the +/-inf cases) is an instance of this one function
+      power p_sig against interference p_int carry rate R, given the offset c;
+      every lemma branch (including the +/-inf cases) is an instance of this
+      one function
   check_supported                which scenarios each evaluator covers
 
 All rates are bits/symbol, logs base 2 with the 1/2 real-signal prefactor.
@@ -214,42 +219,55 @@ def conservative_gain(d, s_min, P, c_max, out=None, work=None):
     return out if out.shape else float(out)
 
 
-def slot_threshold(R, l, p_sig, p_int, a, d, out=None):
-    """Smallest s such that l slots of f_I(p_sig, p_int, a, s, d) carry rate R.
+def threshold_offset(a, d, out=None):
+    """c = a/b with b = 1 + a/d (`_split_gain`): the relay's share of a decode
+    threshold, so that f_I(p, p_bar, a, s, d) >= rate iff s >= const - c.
+
+    a = 0 gives c = 0 at any d (a dead link, d = 0, included); a > 0 needs
+    d > 0, else ValueError; a NaN d gives a NaN c wherever a > 0.  out, an
+    array of the broadcast shape that is neither a nor d, takes c without a
+    temporary."""
+    b = _split_gain(a, d, out=out)
+    out = np.divide(np.asarray(a, dtype=float), b, out=b)
+    return out if out.shape else float(out)
+
+
+def slot_threshold(R, l, p_sig, p_int, c, out=None):
+    """Smallest s such that l slots of f_I(p_sig, p_int, a, s, d) carry rate R,
+    where c = `threshold_offset(a, d)`.
 
     Decoding within l slots happens iff s >= threshold.  With z = 2^(2R/l):
       R <= 0                      -> -inf  (always decodable)
       p_sig - (z-1) p_int <= 0    -> +inf  (no s suffices)
       z overflows (R > 512 l)     -> +inf  (an outage at any p_int)
-      otherwise                      (z-1)/(p_sig - (z-1) p_int) - a/b
+      otherwise                      (z-1)/(p_sig - (z-1) p_int) - c
     z and the constant (z-1)/(...) are formed at the shape of R, p_sig and
     p_int: once for a single rate.  out, an array of the broadcast shape that
-    is neither a nor d, takes the threshold without a temporary.
+    is not c, takes the threshold without a temporary.
     """
     R = np.asarray(R, dtype=float)
     p_sig = np.asarray(p_sig, dtype=float)
     p_int = np.asarray(p_int, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = _split_gain(a, d, out=out)
     with np.errstate(over="ignore"):
         z = np.exp2(2.0 * np.maximum(R, 0.0) / l)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         den = p_sig - (z - 1.0) * p_int
-        thr = np.asarray(np.subtract((z - 1.0) / den, np.divide(a, b, out=b), out=out))
+        thr = np.asarray(np.subtract((z - 1.0) / den, c, out=out))
     # against p_int = 0 an overflowed z leaves den = NaN, not <= 0
     np.copyto(thr, np.inf, where=(den <= 0) | np.isposinf(z))
     np.copyto(thr, -np.inf, where=R <= 0)
     return thr if thr.shape else float(thr)
 
 
-def infer_s_hat(R1, k, alpha, d, a_d, P, s_min, out=None):
-    """Lower bound on S implied by layer 1 decoding within k slots at power split alpha.
+def infer_s_hat(R1, k, alpha, c, P, s_min, out=None):
+    """Lower bound on S implied by layer 1 decoding within k slots at power split alpha,
+    c the `threshold_offset` of the gain layer 1 was sent under.
 
     Equals max(layer-1 decode threshold, s_min); +inf when that decode event is
     impossible at any s (inconsistent feedback).  out as in `slot_threshold`.
     """
     thr = slot_threshold(R1, k, alpha * np.asarray(P, dtype=float),
-                         (1.0 - np.asarray(alpha, dtype=float)) * P, a_d, d, out=out)
+                         (1.0 - np.asarray(alpha, dtype=float)) * P, c, out=out)
     out = np.maximum(np.asarray(thr, dtype=float), np.asarray(s_min, dtype=float), out=out)
     return out if out.shape else float(out)
 

@@ -27,19 +27,29 @@ cumulative min, and F(min(u, v)) is picked elementwise from F(u) and F(v):
 min returns one of its arguments, so the picked double is the one F would
 have returned.  The thresholds are walked l-major, so only
 the running thr_l(k) of one l is live at a time.  Under adaptive compression
-a layer-2 threshold depends on r1 only through a_hat, so with a Rician S, whose
-cdf is the costly kernel, F runs once per distinct a_hat per node
-(`_distinct_rows`): the r1 rows where s_hat is clamped to s_min, or where
+a layer-2 threshold depends on r1 only through the offset c of a_hat, so with
+a Rician S, whose cdf is the costly kernel, F runs once per distinct offset per
+node (`_distinct_rows`): the r1 rows where s_hat is clamped to s_min, or where
 layer 1 cannot decode at l, all share one.  Equal inputs give equal doubles
 through the same elementwise operations, so the chain is formed on one row of
 each group and then spread to the others, exactly.
 
 node_tables runs in two steps: the r1 side (`layer1_side`: x_l and F(x_l),
 which read no r2), then the layer-2 thresholds over the r2 axis.  The
-optimizer reads p1_out(T) = F(x_T) in between and chooses the rows it forms.
+optimizer reads p1_out(l) = F(x_l) in between, bounds each row's E[R] and
+E[L] with them, and chooses the rows it forms.
+
+What depends on the scenario and the nodes but not on the tuple, the node
+grid with the conservative gain a, b = 1 + a/d and the threshold offset
+c = a/b at each node, is one `NodeGrid` (`node_grid`), built once per
+evaluator and read by every block: the layer-1 and same-slot thresholds and
+the constant-compression chain take its c, and only an adaptive a_hat forms
+its own offset, once per l.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,8 +61,9 @@ from .channel import (
     conservative_gain,
     infer_s_hat,
     slot_threshold,
+    threshold_offset,
 )
-from .fading import QuadratureGrid, cdf_of_min
+from .fading import cdf_of_min, quantize
 from .tables import reward_length
 
 
@@ -64,25 +75,24 @@ def _same(v):
     return v
 
 
-def _distinct_rows(a, R):
-    """The gain a once per group of equal rows, and the map that spreads back.
+def _distinct_rows(c, R):
+    """The offset c once per group of equal rows, and the map that spreads back.
 
-    slot_threshold(R, ., ., ., a, d) depends on its row (axis 0) only through
-    a when R, which carries the node axis, is constant along axis 0: rows
-    whose a has equal bits then give equal thresholds and equal cdf values.
-    So the rows of each column are grouped by the bits of a.  Returns
-    (a_rep, spread): a_rep (m, ...) holds the a of each group, NaN where a
-    column has fewer than m groups (F of NaN costs next to nothing, and no row
-    reads it), and spread(v) takes a v formed from a_rep to every row.  Where
-    R varies along axis 0, every row is its own group: (a, _same), as in an
-    empty block.
+    slot_threshold(R, ., ., ., c) depends on its row (axis 0) only through c
+    when R, which carries the node axis, is constant along axis 0: rows whose
+    c has equal bits then give equal thresholds and equal cdf values.  So the
+    rows of each column are grouped by the bits of c.  Returns (c_rep,
+    spread): c_rep (m, ...) holds the c of each group, NaN where a column has
+    fewer than m groups (F of NaN costs next to nothing, and no row reads it),
+    and spread(v) takes a v formed from c_rep to every row.  Where R varies
+    along axis 0, every row is its own group: (c, _same), as in an empty block.
     """
-    ndim = max(a.ndim, R.ndim)
-    if (R.ndim == ndim and R.shape[0] > 1) or a.size == 0:
-        return a, _same
-    a = a.reshape((1,) * (ndim - a.ndim) + a.shape)
-    q = a.shape[0]
-    flat = a.reshape(q, -1)
+    ndim = max(c.ndim, R.ndim)
+    if (R.ndim == ndim and R.shape[0] > 1) or c.size == 0:
+        return c, _same
+    c = c.reshape((1,) * (ndim - c.ndim) + c.shape)
+    q = c.shape[0]
+    flat = c.reshape(q, -1)
     order = np.argsort(flat.view(np.int64), axis=0)
     ranked = np.take_along_axis(flat, order, axis=0)
     bits = ranked.view(np.int64)
@@ -92,24 +102,43 @@ def _distinct_rows(a, R):
     inv = np.empty_like(group)
     np.put_along_axis(inv, order, group, axis=0)
     pos, col = np.nonzero(first)
-    a_rep = np.full((group[-1].max() + 1, flat.shape[1]), np.nan)
-    a_rep[group[pos, col], col] = ranked[pos, col]
-    inv = inv.reshape(a.shape)
-    return a_rep.reshape((-1,) + a.shape[1:]), lambda v: np.take_along_axis(v, inv, axis=0)
+    c_rep = np.full((group[-1].max() + 1, flat.shape[1]), np.nan)
+    c_rep[group[pos, col], col] = ranked[pos, col]
+    inv = inv.reshape(c.shape)
+    return c_rep.reshape((-1,) + c.shape[1:]), lambda v: np.take_along_axis(v, inv, axis=0)
 
 
-def layer1_side(cfg: SystemConfig, r1, alpha, grid: QuadratureGrid):
-    """node_tables' prefix, which reads no r2: the gain a per node, and the
-    layer-1 decode-within-l thresholds x_l with their F(x_l), l = 1..T, two
-    lists of arrays at the broadcast shape of r1, alpha and the nodes.
-    p1_out(l) = F(x_l); each is elementwise, so the rows of x and F(x) are
-    those rows' own side."""
-    P, d = cfg.power, grid.nodes
+@dataclass(frozen=True)
+class NodeGrid:
+    """The D node grid of one scenario, shared by every block and tuple: the
+    nodes d with their quadrature weights, and at each node the conservative
+    gain a, b = 1 + a/d and the threshold offset c = a/b."""
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+
+
+def node_grid(cfg: SystemConfig, n: int) -> NodeGrid:
+    """The NodeGrid of cfg on the n-point quadrature of D (`fading.quantize`)."""
+    grid = quantize(cfg.model_d, n)
+    d = grid.nodes
+    a = conservative_gain(d, cfg.s_min, cfg.power, cfg.backhaul_capacity)
+    return NodeGrid(d, grid.weights, a, _split_gain(a, d), threshold_offset(a, d))
+
+
+def layer1_side(cfg: SystemConfig, r1, alpha, grid: NodeGrid):
+    """node_tables' prefix, which reads no r2: the layer-1 decode-within-l
+    thresholds x_l with their F(x_l), l = 1..T, two lists of arrays at the
+    broadcast shape of r1, alpha and the nodes.  p1_out(l) = F(x_l); each is
+    elementwise, so the rows of x and F(x) are those rows' own side."""
+    P = cfg.power
     r1, alpha = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (r1, alpha))
-    a = conservative_gain(d, cfg.s_min, P, cfg.backhaul_capacity)
-    x = [slot_threshold(r1, l, alpha * P, (1.0 - alpha) * P, a, d)
+    x = [slot_threshold(r1, l, alpha * P, (1.0 - alpha) * P, grid.c)
          for l in range(1, cfg.max_rounds + 1)]
-    return a, x, [cfg.model_s.cdf_strict(v) for v in x]
+    return x, [cfg.model_s.cdf_strict(v) for v in x]
 
 
 def node_tables(
@@ -117,7 +146,7 @@ def node_tables(
     r1,
     r2,
     alpha,
-    grid: QuadratureGrid,
+    grid: NodeGrid,
     comp: CompressionPolicy = CompressionPolicy("constant"),
     side=None,
 ):
@@ -128,21 +157,21 @@ def node_tables(
     the thresholds' own (r1, alpha, node) shape and returned as a read-only
     view at the block shape.  p2_out(k) is F(x_k) plus the S-mass of
     [x_l, min(x_{l-1}, thr_l(k))) for l = 1..k, added in order.  side, when
-    given, is `layer1_side` of these r1 and alpha, not formed again.
+    given, is `layer1_side` of these r1 and alpha, not formed again.  grid
+    is `node_grid(cfg, n)`.
     """
     check_supported(cfg, comp, regime="ltsc")
     P, cmax, T = cfg.power, cfg.backhaul_capacity, cfg.max_rounds
     s_min = cfg.s_min
-    d = grid.nodes
+    d, a, b, c = grid.nodes, grid.a, grid.b, grid.c  # a dead link (d = 0): a = c = 0, b = 1
     F = cfg.model_s.cdf_strict
-    a, x, Fx = layer1_side(cfg, r1, alpha, grid) if side is None else side
+    x, Fx = layer1_side(cfg, r1, alpha, grid) if side is None else side
     x, Fx = [np.inf, *x], [F(np.inf), *Fx]  # x_0 = +inf
 
     r1, r2, alpha = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (r1, r2, alpha))
     abar = 1.0 - alpha
 
-    b = _split_gain(a, d)  # 1 + a/d; a dead link (d = 0) has a = 0 and b = 1
-    # approximate per-BC-slot layer-2 credit (1/2)log2(c/b), c = b + abar P a
+    # approximate per-BC-slot layer-2 credit (1/2)log2(c'/b), c' = b + abar P a
     g2 = 0.5 * np.log2(1.0 + abar * P * a / b)
 
     shape = np.broadcast_shapes(r1.shape, r2.shape, alpha.shape, d.shape)
@@ -152,27 +181,27 @@ def node_tables(
     # l-major: thr is thr_l(k), the S-threshold for "layer 2 decoded by slot k
     # given layer 1 at slot l", cumulative-min'ed over k = l..T with F(thr)
     # carried along, so each raw threshold passes through F once.  One chain
-    # per distinct a_hat pays where F is the Rician kernel (75-200 ns a
+    # per distinct offset pays where F is the Rician kernel (75-200 ns a
     # point); a Rayleigh or point-mass F over the block costs less than the
     # two gathers (about 12 ns a cell each) that spread a grouped chain.
     by_gain = comp.adaptive and cfg.model_s.kind == "rician"
     for l in range(1, T + 1):
-        thr = slot_threshold(r2, l, abar * P, 0.0, a, d)  # same-slot threshold
+        thr = slot_threshold(r2, l, abar * P, 0.0, c)  # same-slot threshold
         F_thr = F(thr)
         if comp.adaptive:
-            s_hat = infer_s_hat(r1, l, alpha, d, a, P, s_min)
+            s_hat = infer_s_hat(r1, l, alpha, c, P, s_min)
             # +inf means "layer 1 cannot decode at l"; the interval is empty,
             # substitute a dummy so a_hat stays finite
             s_hat = np.where(np.isposinf(s_hat), 1.0, s_hat)
-            a_sl = conservative_gain(d, s_hat, P, cmax)
+            c_sl = threshold_offset(conservative_gain(d, s_hat, P, cmax), d)
         else:
-            a_sl = a
+            c_sl = c
         R = r2 - l * g2
-        a_rep, spread = _distinct_rows(a_sl, R) if by_gain else (a_sl, _same)
+        c_rep, spread = _distinct_rows(c_sl, R) if by_gain else (c_sl, _same)
         for k in range(l, T + 1):
             thr_k, F_k = thr, F_thr  # drops the rows spread for k - 1
             if k > l:
-                raw = slot_threshold(R, k - l, P, 0.0, a_rep, d)
+                raw = slot_threshold(R, k - l, P, 0.0, c_rep)
                 F_thr = cdf_of_min(thr, raw, F_thr, F(raw))
                 thr = np.minimum(thr, raw)
                 del raw  # not live while the chain is spread

@@ -4,13 +4,19 @@
 Search strategy: a coarse grid, then local refinement with halved steps around
 the incumbent, plus Dinkelbach fractional programming for the per-node
 policies.  An alpha block is formed in two steps: the r1 side of each pass of
-r1 rows (`_Evaluator.sides`), which gives each row's p1_out(T), then the cells
-of the rows `_scan` keeps, over the r2 axis (`_Evaluator.block`).  Once a
-single-tuple scan has an incumbent, it keeps only the rows whose bound eta <=
-(r1 + max r2)(1 - p1_out(T)) reaches it (`_reaches`): a branch-and-bound over
-rows in the manner of Land and Doig, whose skipped rows can neither win nor
-tie, so every pick is the exhaustive grid's.  A scan that keeps per-node
-fronts, and the Monte Carlo backend, form every cell.  Dominance between
+r1 rows (`_Evaluator.sides`), which gives each row's per-node p1_out(k), then
+the cells of the rows `_scan` keeps, over the r2 axis (`_Evaluator.block`).
+In between, one row bound serves two prune rules (`_row_bound`): at node d
+and lambda >= 0 every cell of the row has R - lambda L <= B_d - lambda Lb_d.
+Once a scan has an incumbent, a row whose bound on eta is below it can
+neither win nor tie (`_reaches`): a branch-and-bound over rows in the manner
+of Land and Doig.  A scan that keeps per-node fronts drops a row only when,
+besides, at every node a line of an earlier block's front beats its bound
+line by the margin at lambda = 0 and at the largest lambda Dinkelbach can
+reach (`_beaten`): its cells then stay below best_score + 1e-15 wherever
+Dinkelbach's cross-block rule, `top > best_score + 1e-15`, reads them, so no
+pick, lambda or iteration count moves (`_scan` gives the argument in full).
+The Monte Carlo backend forms every cell.  Dominance between
 nested policy classes is made structural by seeding each richer search with
 the best tuple of the poorer one: the two-layer search starts from the
 single-layer incumbent, the per-node search starts from the single-tuple
@@ -30,9 +36,10 @@ that can be the first argmax of R - lambda L for some lambda >= 0 after
 rounding (`_front`).  Dinkelbach takes np.argmax over each front in lattice
 order, so every pick, tie, lambda and iteration count is the one a
 full-lattice scan gives.  Every block comes from `_Evaluator.block` as
-per-node (E[R], E[L], weights) on the quad_n quadrature grid, which is also
-the per-node policy grid, so the scan keeps the front of each block it forms
-and `_scan` is the only code that forms a block.  The fronts hold for
+per-node (E[R], E[L]), weighted by `_Evaluator.weights`, on the quad_n
+quadrature grid, which is also the per-node policy grid, so the scan keeps
+the front of each block it forms and `_scan` is the only code that forms a
+block.  The fronts hold for
 lambda >= 0 only; lambda < 0 is a negative throughput and raises
 NumericalError.
 """
@@ -45,8 +52,8 @@ import numpy as np
 
 from .channel import CompressionPolicy, RatePolicy, SystemConfig, check_supported
 from .config import GridSpec
-from .fading import DEFAULT_QUAD_N, quantize
-from .ltsc import decode_table, layer1_side, node_reward_length, node_tables
+from .fading import DEFAULT_QUAD_N
+from .ltsc import decode_table, layer1_side, node_grid, node_reward_length, node_tables
 from .simulate import estimate
 from .stsc import (quantity_tables, r1_passes, r1_side, side_quantities, slot1_grid,
                    stsc_quantities)
@@ -73,7 +80,9 @@ class _Evaluator:
     mc holds the Monte Carlo budget as keywords of `estimate`; n_sessions and
     master_seed default to 20000 and 0 here, the other keys to `estimate`'s.
     grid holds what the closed forms share across blocks, built once here: the
-    D node grid (LTSC) or the slot-1 grid (`stsc.slot1_grid`, STSC).
+    D node grid (`ltsc.node_grid`, LTSC) or the slot-1 grid (`stsc.slot1_grid`,
+    STSC); weights are the node weights of every block (one node of weight 1
+    for STSC and Monte Carlo).
     """
 
     def __init__(self, cfg, comp, backend, quad_n, mc=None):
@@ -81,51 +90,51 @@ class _Evaluator:
         self.cfg, self.comp, self.backend = cfg, comp, backend
         self.quad_n = quad_n
         self.mc = {"n_sessions": 20_000, "master_seed": 0, **(mc or {})}
-        if backend != "analytic":
-            self.grid = None
-        elif cfg.channel_regime == "ltsc":
-            self.grid = quantize(cfg.model_d, quad_n)
-        else:
+        self.grid, self.weights = None, np.ones(1)
+        if backend == "analytic" and cfg.channel_regime == "ltsc":
+            self.grid = node_grid(cfg, quad_n)
+            self.weights = self.grid.weights
+        elif backend == "analytic":
             self.grid = slot1_grid(cfg, quad_n)
         self.n_evals = 0
 
     def sides(self, r1v: np.ndarray, alpha: float):
         """The r1 step of a block: per pass of r1 rows, (side, p1), side the pass's
-        (r1, alpha, what `block` reads of them) and p1 their node-weighted
-        p1_out(T): node_tables' prefix in one pass (LTSC), the r1 side of each
-        `r1_passes` pass (STSC), or p1 NaN, which keeps every row (Monte Carlo)."""
+        (r1, alpha, what `block` reads of them) and p1 their per-node layer-1
+        outages p1_out(k|d), k = 1..T, (rows, nodes, T): node_tables' prefix in
+        one pass (LTSC), the r1 side of each `r1_passes` pass (STSC, one node,
+        T = 2), or NaN, which keeps every row (Monte Carlo)."""
         if self.backend == "mc":
-            yield (r1v, alpha, None), np.full(len(r1v), np.nan)
+            yield (r1v, alpha, None), np.full((len(r1v), 1, 1), np.nan)
         elif self.cfg.channel_regime == "ltsc":
-            a, x, Fx = layer1_side(self.cfg, r1v[:, None, None], alpha, self.grid)
-            yield (r1v, alpha, (a, x, Fx)), Fx[-1][:, 0] @ self.grid.weights  # F(x_T)
+            x, Fx = layer1_side(self.cfg, r1v[:, None, None], alpha, self.grid)
+            yield (r1v, alpha, (x, Fx)), np.stack([v[:, 0] for v in Fx], axis=-1)
         else:
             for r1 in r1_passes(r1v, self.quad_n):
                 side = r1_side(self.cfg, r1, alpha, self.grid)
-                yield (r1, alpha, side), side.p1_out_2
+                yield (r1, alpha, side), np.stack((side.p1_out_1, side.p1_out_2), -1)[:, None]
                 del side
 
     def block(self, side, r2v: np.ndarray, rows: np.ndarray):
-        """Per-node (reward, length, weights) of the rows `rows` of a `sides` pass
-        over r2v: E[R|d] and E[L|d] (len(rows), q2, nd) and the node weights
-        (nd,), eta their weighted ratio; a row keeps its bits in the whole block.
-        LTSC is read on the D node grid; the STSC quantities and a Monte Carlo
-        eta (with length 1) are one node of weight 1."""
+        """Per-node (reward, length) of the rows `rows` of a `sides` pass over
+        r2v: E[R|d] and E[L|d] (len(rows), q2, nd), eta their ratio weighted by
+        `weights` (nd,); a row keeps its bits in the whole block.  LTSC is read
+        on the D node grid; the STSC quantities and a Monte Carlo eta (with
+        length 1) are one node of weight 1."""
         r1v, alpha, part = side
         r1 = r1v[rows]
         if self.backend == "mc":
             # common random numbers: every tuple sees the same seed
             eta = [[self.report(RatePolicy.constant(x, y, alpha)).eta for y in r2v] for x in r1]
-            return np.array(eta)[..., None], np.ones((len(r1), len(r2v), 1)), np.ones(1)
+            return np.array(eta)[..., None], np.ones((len(r1), len(r2v), 1))
         if self.cfg.channel_regime == "ltsc":
             r1, r2 = r1[:, None, None], r2v[None, :, None]
-            a, x, Fx = part  # the gain a per node; x and F(x) per row
-            part = a, [v[rows] for v in x], [v[rows] for v in Fx]
+            part = tuple([v[rows] for v in values] for values in part)  # x and F(x) per row
             tables = node_tables(self.cfg, r1, r2, alpha, self.grid, self.comp, part)
-            return *reward_length(r1, r2, *tables), self.grid.weights
+            return reward_length(r1, r2, *tables)
         q = side_quantities(self.cfg, part, r2v, alpha, self.grid, rows)
         reward, length = reward_length(r1[:, None], r2v[None, :], *quantity_tables(q)[:2])
-        return reward[..., None], length[..., None], np.ones(1)
+        return reward[..., None], length[..., None]
 
     def report(self, policy: RatePolicy):
         """eta, expected_reward, expected_length and table at one policy.
@@ -139,7 +148,7 @@ class _Evaluator:
         check_supported(self.cfg, self.comp, per_node=policy.mode == "lcsit")
         if self.cfg.channel_regime == "ltsc":
             same = policy.mode == "no_lcsit" or policy.r1.size == self.quad_n
-            grid = self.grid if same else quantize(self.cfg.model_d, policy.r1.size)
+            grid = self.grid if same else node_grid(self.cfg, policy.r1.size)
             p1, p2o = node_tables(self.cfg, policy.r1, policy.r2, policy.alpha, grid, self.comp)
             tables, weights = (p1, p2o, decode_table(p2o)), grid.weights
         else:
@@ -158,16 +167,71 @@ def throughput(cfg: SystemConfig, policy: RatePolicy, comp=CompressionPolicy("co
     return _Evaluator(cfg, comp, "analytic", quad_n).report(policy)
 
 
-def _reaches(r1, r2v, p1_out, floor):
+def _row_bound(r1, r2v, p1):
+    """Each row's bound line B - lam Lb on R - lam L at every node, lam >= 0:
+    (B, Lb), each (rows, nodes), from the rows' r1 and per-node p1_out(k) (`sides`).
+
+    p2_out(k) >= p1_out(k) elementwise (node_tables adds nonnegative terms to
+    p1; in STSC layer 2 is out at slot 1 wherever layer 1 is), so
+    E[R|d] = r1 (1 - p1_out(T)) + r2 (1 - p2_out(T)) <= (r1 + max r2)(1 - p1_out(T|d)) = B
+    and E[L|d] = 1 + sum_{k<T} p2_out(k) >= 1 + sum_{k<T} p1_out(k|d) = Lb >= 1.
+    A NaN p1_out gives a NaN bound, which no prune rule drops.
+    """
+    B = (r1 + r2v.max())[:, None] * (1.0 - p1[..., -1])
+    return B, 1.0 + p1[..., :-1].sum(axis=-1)
+
+
+def _slack(B, Lb, lam):
+    """The margin of a bound line at lam: 1e-9 (|B| + lam Lb) + 1e-12, far above
+    the rounding of R - lam L at either side (a few ulps of |R| + lam L), the
+    probabilities that miss [0, 1] by a few ulps, and Dinkelbach's 1e-15."""
+    return 1e-9 * (np.abs(B) + lam * Lb) + 1e-12
+
+
+def _reaches(bound, weights, floor):
     """The rows whose bound on eta, with its margin, is not below floor (NaN included).
 
-    E[L] >= 1 and p2_out(T) >= p1_out(T), so eta <= (r1 + max r2)(1 - p1_out(T)).
-    The margin, bound (1 + 1e-9) + 1e-12, covers the rounding of both sides,
-    probabilities that miss [0, 1] by a few ulps and node weights that do not
-    sum to exactly 1.
+    eta = sum_d w_d E[R|d] / sum_d w_d E[L|d] <= sum_d w_d B_d / sum_d w_d Lb_d
+    (`_row_bound`): a ratio, whatever the node weights sum to.  A row that
+    fails holds only cells strictly below floor, the incumbent's eta: it
+    can neither win nor tie under `_better`.  In a scan that keeps fronts
+    this alone drops no row: the row's cells may still be a node's pick of
+    R - lambda L, which `_beaten` rules out (see `_scan`).
     """
-    bound = (r1 + r2v.max()) * (1.0 - p1_out)
-    return ~(bound * (1.0 + 1e-9) + 1e-12 < floor)
+    B, Lb = bound
+    B, Lb = B @ weights, Lb @ weights
+    return ~(B / Lb + _slack(B, Lb, 0.0) < floor)
+
+
+def _beaten(lines, bound, lam_hi):
+    """The rows whose bound line lies, at every node, below some staircase line
+    by the margin at both lam = 0 and lam_hi, so at every lam in [0, lam_hi]:
+    lines are (R, R - lam_hi L) per node (`_staircase`); a NaN bound is never
+    beaten."""
+    B, Lb = bound
+    at_0 = (B + _slack(B, Lb, 0.0))[:, None]
+    at_hi = (B - lam_hi * Lb + _slack(B, Lb, lam_hi))[:, None]
+    return ((lines[0] > at_0) & (lines[1] > at_hi)).any(axis=1).all(axis=1)
+
+
+def _staircase(lines, reward, length, lam_hi):
+    """The lines of a front (m, nd) added to the staircase `lines` (None when
+    empty): per node, each line as (R, R - lam_hi L), keeping those that no
+    other line matches or beats at both ends, by R descending, padded with
+    -inf.  A node where the front holds a non-finite value adds no line there:
+    Dinkelbach's argmax over that block may be NaN, which raises no score."""
+    ends = np.stack((reward, reward - lam_hi * length))
+    ends[..., ~(np.isfinite(length) & (reward < np.inf)).all(axis=0)] = -np.inf
+    if lines is not None:
+        ends = np.concatenate((lines, ends), axis=1)
+    order = np.argsort(-ends[0], axis=0, kind="stable")
+    v0, v1 = (np.take_along_axis(v, order, 0) for v in ends)
+    keep = v1 > -np.inf
+    keep[1:] &= v1[1:] > np.maximum.accumulate(v1, axis=0)[:-1]
+    valid, v0, v1 = _compact(keep, v0, v1)
+    out = np.stack((v0, v1))
+    out[:, ~valid] = -np.inf
+    return out
 
 
 def _better(cand, best):
@@ -186,33 +250,62 @@ def _better(cand, best):
 
 
 def _scan(ev: _Evaluator, r1_axis, r2_axis, alpha_axis, best=None, fronts=None):
-    """Best (eta, alpha, r1, r2) over the lattice; appends each block's _front to fronts.
+    """Best (eta, alpha, r1, r2) over the lattice; appends each formed block's
+    (alpha, pos, reward, length) to fronts (see _front), pos the lattice row.
 
-    The one row rule: without fronts, each block after the first incumbent
-    is formed on the r1 rows whose bound reaches it (`_reaches`), pass by
-    pass of `_Evaluator.sides`.  A row left out holds only cells strictly
-    below the incumbent, so the first argmax over the kept rows, in lattice
-    order, is the one over the block whenever it can win, and every pick,
-    tie and refine round is the full lattice's.
+    The one row rule: each pass of `_Evaluator.sides` gives every r1 row's
+    bound (`_row_bound`), and a row is formed unless both prune rules drop it.
+    The single-tuple rule, once there is an incumbent, drops a row whose bound
+    on eta is below it (`_reaches`): its cells lie strictly below the
+    incumbent, so the first argmax over the kept rows, in lattice order, is
+    the one over the block whenever it can win, and every pick, tie and refine
+    round is the full lattice's.  Without fronts that rule alone decides.
+
+    A scan that keeps fronts also keeps a row that the per-node rule keeps: it
+    drops a row only when, at every node, a line of an earlier block's front
+    beats its bound line by the margin at both lam = 0 and lam_hi = max r1 +
+    max r2 (`_beaten`, against the `_staircase` of those fronts), and so at
+    every lam Dinkelbach visits (0 <= lam <= lam_hi, as E[R|d] <= r1 + r2
+    and E[L|d] >= 1).  No Dinkelbach pick moves.  Within an iteration a node's
+    best_score never falls, and after the block of that line it is at least
+    the line's score less 1e-15: the front's argmax is at least the line's
+    score, and `top > best_score + 1e-15` either takes it or finds best_score
+    within 1e-15 of it (a block whose front holds a NaN at the node adds no
+    line there, as its argmax there is NaN).  So in the full lattice the
+    dropped row's cells, below the line's score by more than the margin
+    (1e-12 at least), are below best_score + 1e-15 at the later block: when
+    one of them is that block's first argmax, no kept row's cell exceeds it
+    and neither block gains; otherwise the first argmax and its top are a kept
+    row's in both.  Fronts are formed by `_front` over the kept rows, so they
+    hold the first argmax over those rows at every lam >= 0.
     """
+    lam_hi = r1_axis.max() + r2_axis.max()
+    lines = None  # the staircase of this scan's fronts so far
     for alpha in alpha_axis:
         ev.n_evals += len(r1_axis) * len(r2_axis)
-        floor = -np.inf if best is None or fronts is not None else best[0]
-        kept = []  # (r1, reward, length, weights) of each pass's kept rows
+        floor = -np.inf if best is None else best[0]
+        kept, start = [], 0  # (lattice row, r1, reward, length) of each pass's kept rows
         for side, p1 in ev.sides(r1_axis, float(alpha)):
-            rows = np.flatnonzero(_reaches(side[0], r2_axis, p1, floor))
+            bound = _row_bound(side[0], r2_axis, p1)
+            keep = _reaches(bound, ev.weights, floor)
+            if lines is not None:
+                keep |= ~_beaten(lines, bound, lam_hi)
+            rows = np.flatnonzero(keep)
             if len(rows):
-                kept.append((side[0][rows], *ev.block(side, r2_axis, rows)))
+                kept.append((start + rows, side[0][rows], *ev.block(side, r2_axis, rows)))
+            start += len(side[0])
             del side  # one pass's side at a time
         if not kept:  # every row left out
             continue
         # one argmax over all passes: per-pass picks merged by _better miss a later NaN eta
-        r1, reward, length = (v[0] if len(kept) == 1 else np.concatenate(v)
-                              for v in list(zip(*kept))[:3])
-        weights = kept[0][3]
+        lattice_rows, r1, reward, length = (v[0] if len(kept) == 1 else np.concatenate(v)
+                                            for v in zip(*kept))
         if fronts is not None:
-            fronts.append(_front(reward, length))
-        eta = (reward @ weights) / (length @ weights)
+            pos, front_r, front_l = _front(reward, length)
+            i, j = np.divmod(pos, len(r2_axis))
+            fronts.append((float(alpha), lattice_rows[i] * len(r2_axis) + j, front_r, front_l))
+            lines = _staircase(lines, front_r, front_l, lam_hi)
+        eta = (reward @ ev.weights) / (length @ ev.weights)
         flat = int(np.argmax(eta))  # first max: lexicographic-min (r1, r2)
         i, j = divmod(flat, eta.shape[1])
         cand = (float(eta[i, j]), float(alpha), float(r1[i]), float(r2_axis[j]))
@@ -313,10 +406,12 @@ def _dinkelbach(ev: _Evaluator, base, lattice, fronts, policy_class):
     from the incumbent `base`: lambda <- E[R]/E[L] at the per-node argmax of
     R - lambda L, one tuple search per node; lambda never decreases.
 
-    fronts[a] holds the candidates of alpha block a (see _front), which hold
-    for lam >= 0 only: a lam < 0 (a negative throughput) raises NumericalError.
+    fronts holds (alpha, pos, reward, length) of each block the scan formed,
+    in alpha order: its candidates (see _front, and `_scan` for the rows it
+    left out), which hold for lam >= 0 only: a lam < 0 (a negative throughput)
+    raises NumericalError.
     """
-    r1_axis, r2_axis, alpha_axis = lattice
+    r1_axis, r2_axis = lattice[:2]
     grid = ev.grid
     nd = len(grid.nodes)
     cols = np.arange(nd)
@@ -334,7 +429,7 @@ def _dinkelbach(ev: _Evaluator, base, lattice, fronts, policy_class):
             raise NumericalError(f"per-node search needs throughput lambda >= 0, got {lam!r}")
         best_score = reward_inc - lam * length_inc  # incumbent always a candidate
         new_r1, new_r2, new_a = r1n.copy(), r2n.copy(), an.copy()
-        for alpha, (pos, reward, length) in zip(alpha_axis, fronts):
+        for alpha, pos, reward, length in fronts:
             score = reward - lam * length
             pick = np.argmax(score, axis=0)
             top = score[pick, cols]

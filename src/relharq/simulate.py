@@ -66,6 +66,7 @@ from .channel import (
     check_supported,
     conservative_gain,
     infer_s_hat,
+    threshold_offset,
 )
 from .fading import MAX_THREADS, _on_threads, quantize
 from .tables import NumericalError, ProbabilityTable
@@ -229,12 +230,14 @@ def _run_batch(cfg: SystemConfig, policy: RatePolicy, comp: CompressionPolicy,
             m = ack.size
             if m:
                 # four scratch prefixes: d_a; a_d, then a_hat; s_hat, then b_hat,
-                # g_hat and the backhaul usage; a work row, then s_a.  a_d is the
-                # gains' a at these sessions, formed again: no row keeps a
+                # g_hat and the backhaul usage; the offset of a_d, then a work
+                # row, then s_a.  a_d is the gains' a at these sessions, formed
+                # again: no row keeps a
                 d_a, a_hat, sh, s_a = a[:m], i[:m], w[:m], x[:m]
                 np.take(d, ack, out=d_a, mode="clip")  # "clip" takes no bounds-checked copy
                 a_d = conservative_gain(d_a, s_min, P, cmax, out=a_hat, work=sh)
-                infer_s_hat(_take(r1, ack), t, _take(alpha_t, ack), d_a, a_d, P, s_min, out=sh)
+                c_d = threshold_offset(a_d, d_a, out=s_a)
+                infer_s_hat(_take(r1, ack), t, _take(alpha_t, ack), c_d, P, s_min, out=sh)
                 if trace:
                     s_hat[ack] = sh
                     ack_slot[ack] = t

@@ -22,11 +22,11 @@ width because every inner expectation is continuous across its gate.
 r1/r2 accept vectors (the optimizer's tuple grids); alpha stays scalar per call.
 
 Evaluation rule: the slot-2 threshold separates.  At residual rate res and
-D2 node j it is u(res) - c_j, with u = slot_threshold(res, 1, p_sig, p_int, 0, 1)
-per (d1, s1) cell and c = a/b per node, so each inner expectation over
-(D2, S2) is one monotone function of one scalar, G(u) = sum_j w_j
-Pr[S2 < u - c_j] (`node_cdf_sum`): q_miss = G(u1), phi_miss = G(u_phi), and,
-F being monotone, gamma's inner sum is G(max(u1, u2)) - G(u1), so
+D2 node j it is u(res) - c_j, with u = slot_threshold(res, 1, p_sig, p_int, 0)
+per (d1, s1) cell and c = a/b the threshold offset per node, so each inner
+expectation over (D2, S2) is one monotone function of one scalar, G(u) =
+sum_j w_j Pr[S2 < u - c_j] (`node_cdf_sum`): q_miss = G(u1), phi_miss =
+G(u_phi), and, F being monotone, gamma's inner sum is G(max(u1, u2)) - G(u1), so
 p1_out(2) + gamma = sum m_fail max(G(u1), G(u2)).  G is taken only on the
 support: for G(u1) the (r1, d1, s1) cells with nonzero m_fail; for G(u_phi)
 the (r2, d1, s1) cells where F2 exceeds the smallest F1, outside which the
@@ -40,8 +40,9 @@ once per (r1, r2, d1).  p2_dec_1 and phi are therefore (q1, q2, nd) sums of
 per-row bin sums (phi's cross term one batched matmul per d1 node); only gamma
 is formed on the (r1, r2, d1, s1) block, a few r1 rows at a time in blocks of
 about BLOCK_CELLS cells.  Everything that depends on the scenario but not on
-the tuple (the quadrature nodes, the S1 edge cdfs, a1 and G) is one
-`Slot1Grid`, built once per evaluator and shared by all its blocks.
+the tuple (the quadrature nodes, the S1 edge cdfs, a1, its offset c, which
+lam1 and lam2 read, and G) is one `Slot1Grid`, built once per evaluator and
+shared by all its blocks.
 
 G is most of the time of a fine Rician quadrature.  Its cdf sum is one cdf
 call per chunk, which `fading` runs in slabs on two threads, with the doubles
@@ -61,8 +62,8 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import (SystemConfig, _split_gain, check_supported, conservative_gain,
-                      mutual_info, slot_threshold)
+from .channel import (SystemConfig, check_supported, conservative_gain, mutual_info,
+                      slot_threshold, threshold_offset)
 from .fading import FadingModel, quantize
 from .tables import ConfigError
 
@@ -133,12 +134,14 @@ def node_cdf_sum(model: FadingModel, c, w):
 class Slot1Grid:
     """The slot-1 quadrature of one scenario, shared by every tuple block:
     D1 nodes d1 with weights wd, S1 bin nodes s1 with edges lo, hi, F_lo = Pr[S1
-    < lo] and F_hi = Pr[S1 < hi], the conservative gain a1 at each d1, and G."""
+    < lo] and F_hi = Pr[S1 < hi], the conservative gain a1 and its threshold
+    offset c at each d1, and G."""
 
     d1: np.ndarray
     wd: np.ndarray
     s1: np.ndarray
     a1: np.ndarray
+    c: np.ndarray
     G: Callable
     lo: np.ndarray
     hi: np.ndarray
@@ -159,14 +162,15 @@ def slot1_grid(cfg: SystemConfig, n: int) -> Slot1Grid:
     grid_d, grid_s = quantize(cfg.model_d, n), quantize(cfg.model_s, n)
     d1, Fs1 = grid_d.nodes, cfg.model_s.cdf_strict
     a1 = conservative_gain(d1, cfg.s_min, cfg.power, cfg.backhaul_capacity)
-    # D2 is i.i.d. with D1: G sums over the same nodes, each at its c = a/b
-    G = node_cdf_sum(cfg.model_s, a1 / _split_gain(a1, d1), grid_d.weights)
+    c = threshold_offset(a1, d1)
+    # D2 is i.i.d. with D1: G sums over the same nodes, each at its c
+    G = node_cdf_sum(cfg.model_s, c, grid_d.weights)
     # S1 bin boundaries and the exact slot-1 indicator masses per bin.  Bin
     # masses come from the cdf at the edges (not the nominal quantile weights)
     # so the three-way partition telescopes to total mass 1 exactly.
     lo = np.concatenate(([-np.inf], grid_s.edges))
     hi = np.concatenate((grid_s.edges, [np.inf]))
-    return Slot1Grid(d1, grid_d.weights, grid_s.nodes, a1, G, lo, hi, Fs1(lo), Fs1(hi))
+    return Slot1Grid(d1, grid_d.weights, grid_s.nodes, a1, c, G, lo, hi, Fs1(lo), Fs1(hi))
 
 
 def stsc_quantities(cfg: SystemConfig, r1_vec, r2_vec, alpha: float, n: int,
@@ -235,13 +239,13 @@ def r1_side(cfg: SystemConfig, r1, alpha: float, grid: Slot1Grid) -> _R1Side:
     P = cfg.power
     ap, abp = alpha * P, (1.0 - alpha) * P
     d1, s1, a1 = grid.d1, grid.s1, grid.a1
-    lam1 = slot_threshold(r1[:, None], 1, ap, abp, a1, d1)          # (q1, nd)
+    lam1 = slot_threshold(r1[:, None], 1, ap, abp, grid.c)          # (q1, nd)
     F1 = _cdf_in_bins(cfg.model_s.cdf_strict, grid, lam1)          # (q1, nd, ns)
     F1_min = F1.min(axis=0)
     m_fail = np.subtract(F1, grid.F_lo, out=F1)                     # mass S1 < lam1, in place
     # the slot-2 threshold u at c = 0 of the residual rate r1 - I1(d1, s1-node)
     i1 = mutual_info(ap, abp, a1[:, None], s1, d1[:, None])         # (nd, ns)
-    u1 = slot_threshold(r1[:, None, None] - i1, 1, ap, abp, 0.0, 1.0)  # (q1, nd, ns)
+    u1 = slot_threshold(r1[:, None, None] - i1, 1, ap, abp, 0.0)    # (q1, nd, ns)
     fails = m_fail != 0
     u1_live = np.where(fails, u1, np.inf).min(axis=0)               # NaN stays NaN
     g1 = _on_support(grid.G, u1, fails)
@@ -262,7 +266,7 @@ def side_quantities(cfg: SystemConfig, side: _R1Side, r2, alpha: float, grid: Sl
     p_int2 = ap if cfg.bc_layer2_interference else 0.0
     d1, wd, s1, a1, G = grid.d1, grid.wd, grid.s1, grid.a1, grid.G
 
-    lam2 = slot_threshold(r2[:, None], 1, abp, p_int2, a1, d1)      # (q2, nd)
+    lam2 = slot_threshold(r2[:, None], 1, abp, p_int2, grid.c)      # (q2, nd)
     F2 = _cdf_in_bins(cfg.model_s.cdf_strict, grid, lam2)          # (q2, nd, ns)
     # the mass lam1 <= S1 < lam2 is F2 - F1 where lam2 > lam1, else 0; F is
     # monotone, so it is nonzero only where F2 exceeds the smallest F1
@@ -271,10 +275,10 @@ def side_quantities(cfg: SystemConfig, side: _R1Side, r2, alpha: float, grid: Sl
 
     i2 = mutual_info(abp, p_int2, a1[:, None], s1, d1[:, None])     # (nd, ns)
     r2p = r2[:, None, None] - i2                                    # (q2, nd, ns)
-    u2 = slot_threshold(r2p, 1, abp, p_int2, 0.0, 1.0)
+    u2 = slot_threshold(r2p, 1, abp, p_int2, 0.0)
     g2 = _on_support(G, u2, side.fails_any & ~(u2 <= side.u1_live))
     del u2
-    g_phi = _on_support(G, slot_threshold(r2p, 1, P, 0.0, 0.0, 1.0), phi_cells)
+    g_phi = _on_support(G, slot_threshold(r2p, 1, P, 0.0, 0.0), phi_cells)
     # phi = sum over lam2 > lam1 of (m_below2 - m_fail) g_phi; the m_fail g_phi
     # term is one (q1, ns) x (ns, q2) product per d1 node
     cross = np.matmul(side.m_fail.transpose(1, 0, 2), g_phi.transpose(1, 2, 0))[:, rows]

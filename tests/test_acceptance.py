@@ -17,7 +17,7 @@ import pytest
 from relharq import cli
 from relharq.channel import (CompressionPolicy, RatePolicy, SystemConfig,
                              backhaul_usage, conservative_gain,
-                             slot_threshold)
+                             slot_threshold, threshold_offset)
 from relharq.fading import FadingModel
 from relharq.optimize import GridSpec, optima, throughput
 from relharq.simulate import estimate
@@ -69,7 +69,7 @@ def ltsc_p1_reference(cfg, policy, k):
         d, w = cfg.model_d.ppf(_PANEL_U), _PANEL_W
     p, alpha = cfg.power, float(policy.alpha)
     a = conservative_gain(d, cfg.s_min, p, cfg.backhaul_capacity)
-    x = slot_threshold(float(policy.r1), k, alpha * p, (1.0 - alpha) * p, a, d)
+    x = slot_threshold(float(policy.r1), k, alpha * p, (1.0 - alpha) * p, threshold_offset(a, d))
     return float(cfg.model_s.cdf_strict(x) @ w)
 
 

@@ -1,10 +1,13 @@
-"""The Tier-1 summary parser of tools/bench_record.py, on fixed pytest output.
+"""tools/bench_record.py: the Tier-1 summary parser, on fixed pytest output,
+and the jobs block, on tiny configs.
 
 The recording itself runs the Tier-1 suite, so no test here runs it.
 """
 
 import importlib.util
+import json
 import pathlib
+import re
 
 import pytest
 
@@ -47,3 +50,28 @@ def test_no_summary_line_gives_no_counts(output):
     assert bench_record.pytest_counts(output) == dict.fromkeys(
         ("passed", "failed", "errors", "warnings"))
 
+
+
+# runtime knobs every job takes: a coarse lattice, a small quadrature and budget
+TINY = {"quad.n": 8, "grid.r_step": 1.0, "grid.alpha_step": 0.5, "grid.refine": 1,
+        "mc.sessions": 2000}
+
+
+def test_jobs_block_on_tiny_configs(tmp_path):
+    # the pinned job list, each job in a fresh interpreter on a tiny config
+    spec = json.loads(bench_record.JOBS.read_text(encoding="utf-8"))
+    assert {"analytic", "simulate", "validate"} | {f"figure{n}" for n in range(2, 7)} <= set(spec)
+    assert {tuple(job["argv"]) for job in spec.values()} >= {("optimize",)}
+    tiny = {name: {**job, "config": {**job["config"], **TINY}} for name, job in spec.items()}
+    block = bench_record.jobs(tiny, tmp_path)
+    assert list(block) == list(spec)
+    for name, job in block.items():
+        assert set(job) == {"argv", "wall_s", "cpu_s", "peak_rss_mb", "exit_code", "csv_sha256"}
+        assert job["argv"] == spec[name]["argv"]
+        assert job["exit_code"] == 0, name
+        assert job["wall_s"] > 0 and job["cpu_s"] > 0 and job["peak_rss_mb"] > 0
+        assert re.fullmatch(r"[0-9a-f]{64}", job["csv_sha256"])
+    # a job that fails is recorded with its exit code and no CSV
+    failed = bench_record.jobs({"bad": {"argv": ["optimize"], "config": {"regime": "nope"}}},
+                               tmp_path)
+    assert failed["bad"]["exit_code"] == 2 and failed["bad"]["csv_sha256"] is None

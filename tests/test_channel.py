@@ -15,6 +15,7 @@ from relharq.channel import (
     infer_s_hat,
     mutual_info,
     slot_threshold,
+    threshold_offset,
 )
 from relharq.config import GridSpec
 from relharq.fading import FadingModel
@@ -137,16 +138,16 @@ class TestBackhaul:
 
 class TestSHat:
     def test_worked_example(self):
-        s_hat = infer_s_hat(1.0, 1, 1.0, 1.0, 1.5, 1.0, 0.0)
+        s_hat = infer_s_hat(1.0, 1, 1.0, threshold_offset(1.5, 1.0), 1.0, 0.0)
         assert s_hat == pytest.approx(2.4, abs=1e-12)
         assert mutual_info(1.0, 0.0, 1.5, s_hat, 1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_rate(self):
-        assert infer_s_hat(0.0, 1, 0.5, 1.0, 1.5, 1.0, 0.7) == 0.7
+        assert infer_s_hat(0.0, 1, 0.5, threshold_offset(1.5, 1.0), 1.0, 0.7) == 0.7
 
     def test_unreachable_sentinel(self):
         # alpha = 0 and R1 > 0: layer 1 has no power
-        assert infer_s_hat(1.0, 1, 0.0, 1.0, 1.5, 1.0, 0.0) == np.inf
+        assert infer_s_hat(1.0, 1, 0.0, threshold_offset(1.5, 1.0), 1.0, 0.0) == np.inf
 
     @given(
         R1=st.floats(0.01, 6.0),
@@ -159,7 +160,7 @@ class TestSHat:
     @settings(max_examples=200, deadline=None)
     def test_verification_identity(self, R1, k, alpha, d, c, P):
         a = conservative_gain(d, 0.0, P, c)
-        s_hat = infer_s_hat(R1, k, alpha, d, a, P, 0.0)
+        s_hat = infer_s_hat(R1, k, alpha, threshold_offset(a, d), P, 0.0)
         if math.isinf(s_hat):
             return
         got = k * mutual_info(alpha * P, (1 - alpha) * P, a, s_hat, d)
@@ -194,6 +195,7 @@ def _kernel_cases(n=4099):
         a = gain(s_min)
         a[7] = np.nan
         b = 1.0 + np.where(a > 0, a / np.where(d > 0, d, 1.0), 0.0)
+        c = threshold_offset(a, d)
         g = s * b + a
         p, p_bar = rng.uniform(0.0, 2.0, n), rng.uniform(0.0, 2.0, n)
         r = rng.uniform(-0.5, 2.0, n)
@@ -221,9 +223,10 @@ def _kernel_cases(n=4099):
                                   gain(s_min)),
             "conservative_gain-per-session": (
                 lambda o, w: conservative_gain(d, s, P, c_max, out=o, work=w), gain(s)),
-            "slot_threshold": (lambda o, w: slot_threshold(0.9, 2, 1.1, 0.2, a, d, out=o),
+            "threshold_offset": (lambda o, w: threshold_offset(a, d, out=o), a / b),
+            "slot_threshold": (lambda o, w: slot_threshold(0.9, 2, 1.1, 0.2, c, out=o),
                                threshold(np.float64(0.9), 2, 1.1, 0.2)),
-            "infer_s_hat": (lambda o, w: infer_s_hat(r, 2, 0.8, d, a, P, 0.1, out=o),
+            "infer_s_hat": (lambda o, w: infer_s_hat(r, 2, 0.8, c, P, 0.1, out=o),
                             np.maximum(threshold(r, 2, 0.8 * P, (1.0 - 0.8) * P), 0.1)),
         }
 
@@ -235,8 +238,8 @@ def _fill(buf, values):
 
 @pytest.mark.parametrize("kernel", ["split_gain", "info", "info-aliased", "backhaul_usage",
                                     "backhaul_usage-aliased", "conservative_gain",
-                                    "conservative_gain-per-session", "slot_threshold",
-                                    "infer_s_hat"])
+                                    "conservative_gain-per-session", "threshold_offset",
+                                    "slot_threshold", "infer_s_hat"])
 def test_kernel_into_buffers_equals_its_formula(kernel):
     # with and without out/work, the same elementwise operations in the same
     # order as the one-expression formula; the buffers start dirty
@@ -253,22 +256,23 @@ def test_kernel_into_buffers_equals_its_formula(kernel):
 class TestSlotThreshold:
     def test_nan_relay_gain_propagates(self):
         # no d = 1 in its place; the sentinels, which hold at any d, stay
-        assert math.isnan(slot_threshold(1.0, 1, 4.0, 0.0, 1.0, np.nan))
-        assert slot_threshold(0.0, 1, 4.0, 0.0, 1.0, np.nan) == -np.inf
-        assert slot_threshold(1.0, 1, 0.0, 1.0, 1.0, np.nan) == np.inf
+        assert math.isnan(slot_threshold(1.0, 1, 4.0, 0.0, threshold_offset(1.0, np.nan)))
+        assert slot_threshold(0.0, 1, 4.0, 0.0, threshold_offset(1.0, np.nan)) == -np.inf
+        assert slot_threshold(1.0, 1, 0.0, 1.0, threshold_offset(1.0, np.nan)) == np.inf
 
     def test_sentinels(self):
-        assert slot_threshold(0.0, 1, 1.0, 0.0, 1.0, 1.0) == -np.inf
-        assert slot_threshold(1.0, 1, 0.0, 1.0, 1.0, 1.0) == np.inf
+        assert slot_threshold(0.0, 1, 1.0, 0.0, threshold_offset(1.0, 1.0)) == -np.inf
+        assert slot_threshold(1.0, 1, 0.0, 1.0, threshold_offset(1.0, 1.0)) == np.inf
         # z = 4, den = 1, a/b: a=0 -> threshold 3.0
-        assert slot_threshold(1.0, 1, 1.0, 0.0, 0.0, 1.0) == pytest.approx(3.0)
+        assert slot_threshold(1.0, 1, 1.0, 0.0, threshold_offset(0.0, 1.0)) == pytest.approx(3.0)
 
     @pytest.mark.parametrize("p_int", [0.0, 0.5])
     def test_overflowed_rate_is_an_outage(self, p_int):
         # 2^(2R/l) overflows past R = 512 l; against p_int = 0, inf * 0 is NaN
-        assert slot_threshold(600.0, 1, 1.0, p_int, 1.0, 1.0) == np.inf
-        assert np.isfinite(slot_threshold(600.0, 2, 1.0, 0.0, 1.0, 1.0))
-        thr = slot_threshold(np.array([0.0, 0.5, 600.0]), 1, 1.0, p_int, 1.0, 1.0)
+        assert slot_threshold(600.0, 1, 1.0, p_int, threshold_offset(1.0, 1.0)) == np.inf
+        assert np.isfinite(slot_threshold(600.0, 2, 1.0, 0.0, threshold_offset(1.0, 1.0)))
+        thr = slot_threshold(np.array([0.0, 0.5, 600.0]), 1, 1.0, p_int,
+                             threshold_offset(1.0, 1.0))
         assert thr[0] == -np.inf and np.isfinite(thr[1]) and thr[2] == np.inf
 
     @given(
@@ -281,7 +285,7 @@ class TestSlotThreshold:
     )
     @settings(max_examples=300, deadline=None)
     def test_threshold_is_decode_boundary(self, R, l, ps, pi, a, d):
-        thr = slot_threshold(R, l, ps, pi, a, d)
+        thr = slot_threshold(R, l, ps, pi, threshold_offset(a, d))
         if math.isinf(thr):
             if thr > 0:
                 # even a huge s cannot decode

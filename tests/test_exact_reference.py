@@ -37,9 +37,9 @@ from relharq import optimize as opt
 from relharq import simulate as sim
 from relharq.channel import (CompressionPolicy, RatePolicy, SystemConfig, _split_gain,
                              backhaul_usage, check_supported, conservative_gain,
-                             infer_s_hat, mutual_info, slot_threshold)
+                             infer_s_hat, mutual_info, slot_threshold, threshold_offset)
 from relharq.fading import FadingModel, QuadratureGrid, cdf_of_min, quantize
-from relharq.ltsc import node_tables
+from relharq.ltsc import node_grid, node_tables
 from relharq.optimize import GridSpec, OptimizationResult
 from relharq.stsc import quantity_tables, stsc_quantities
 from relharq.tables import NumericalError, reward_length
@@ -93,7 +93,7 @@ def reference_full_block_node_tables(
     for l in range(1, T + 1):
         l_eff = 1 if single_slot_thresholds else l
         x.append(np.broadcast_to(
-            slot_threshold(r1, l_eff, alpha * P, abar * P, a, d), shape
+            slot_threshold(r1, l_eff, alpha * P, abar * P, threshold_offset(a, d)), shape
         ))
     Fx = [F(v) for v in x]
     p1 = np.empty(shape + (T,))
@@ -105,10 +105,11 @@ def reference_full_block_node_tables(
     # thr[l][k]: S-threshold for "layer 2 decoded by slot k given layer 1 at slot l"
     thr = {}
     for l in range(1, T + 1):
-        same_slot = np.broadcast_to(slot_threshold(r2, l, abar * P, 0.0, a, d), shape)
+        same_slot = np.broadcast_to(slot_threshold(r2, l, abar * P, 0.0, threshold_offset(a, d)),
+                                    shape)
         chain = {l: same_slot}
         if comp.adaptive:
-            s_hat = infer_s_hat(r1, l, alpha, d, a, P, s_min)
+            s_hat = infer_s_hat(r1, l, alpha, threshold_offset(a, d), P, s_min)
             # +inf means "layer 1 cannot decode at l"; the interval is empty,
             # substitute a dummy so a_hat stays finite
             s_hat = np.where(np.isposinf(s_hat), 1.0, s_hat)
@@ -117,7 +118,7 @@ def reference_full_block_node_tables(
             a_sl = a
         prev = same_slot
         for k in range(l + 1, T + 1):
-            raw = slot_threshold(r2 - l * g2, k - l, P, 0.0, a_sl, d)
+            raw = slot_threshold(r2 - l * g2, k - l, P, 0.0, threshold_offset(a_sl, d))
             prev = np.minimum(prev, np.broadcast_to(raw, shape))
             chain[k] = prev
         thr[l] = chain
@@ -167,7 +168,7 @@ def reference_node_tables(
     # layer-1 decode-within-l thresholds at their (r1, alpha, node) shape; x[0] = +inf
     x = [np.inf]
     for l in range(1, T + 1):
-        x.append(slot_threshold(r1, l, alpha * P, abar * P, a, d))
+        x.append(slot_threshold(r1, l, alpha * P, abar * P, threshold_offset(a, d)))
     Fx = [F(v) for v in x]
     p1 = np.broadcast_to(np.stack(Fx[1:], axis=-1), shape + (T,))
     p2o = p1.copy()
@@ -176,10 +177,10 @@ def reference_node_tables(
     # given layer 1 at slot l", cumulative-min'ed over k = l..T with F(thr)
     # carried along, so each raw threshold passes through F once
     for l in range(1, T + 1):
-        thr = slot_threshold(r2, l, abar * P, 0.0, a, d)  # same-slot threshold
+        thr = slot_threshold(r2, l, abar * P, 0.0, threshold_offset(a, d))  # same-slot threshold
         F_thr = F(thr)
         if comp.adaptive:
-            s_hat = infer_s_hat(r1, l, alpha, d, a, P, s_min)
+            s_hat = infer_s_hat(r1, l, alpha, threshold_offset(a, d), P, s_min)
             # +inf means "layer 1 cannot decode at l"; the interval is empty,
             # substitute a dummy so a_hat stays finite
             s_hat = np.where(np.isposinf(s_hat), 1.0, s_hat)
@@ -188,7 +189,7 @@ def reference_node_tables(
             a_sl = a
         for k in range(l, T + 1):
             if k > l:
-                raw = slot_threshold(r2 - l * g2, k - l, P, 0.0, a_sl, d)
+                raw = slot_threshold(r2 - l * g2, k - l, P, 0.0, threshold_offset(a_sl, d))
                 F_thr = cdf_of_min(thr, raw, F_thr, F(raw))
                 thr = np.minimum(thr, raw)
             p2o[..., k - 1] += _pos(cdf_of_min(x[l - 1], thr, Fx[l - 1], F_thr) - Fx[l])
@@ -217,7 +218,7 @@ def reference_stsc_quantities(cfg: SystemConfig, r1_vec, r2_vec, alpha: float, n
     s1 = grid_s.nodes
     nd, ns = len(d1), len(s1)
     a1 = conservative_gain(d1, s_min, P, cmax)
-    d2, wd2, a2 = d1, wd, a1  # D2 is i.i.d. with D1
+    d2, wd2, c2 = d1, wd, threshold_offset(a1, d1)  # D2 is i.i.d. with D1
 
     Fs1 = cfg.model_s.cdf_strict
     Fs2 = cfg.model_s.cdf_strict
@@ -230,8 +231,9 @@ def reference_stsc_quantities(cfg: SystemConfig, r1_vec, r2_vec, alpha: float, n
     F_lo = Fs1(lo)
     w_bin = Fs1(hi) - F_lo
 
-    lam1 = slot_threshold(r1[:, None], 1, ap, abp, a1, d1)          # (q1, nd)
-    lam2 = slot_threshold(r2[:, None], 1, abp, p_int2, a1, d1)      # (q2, nd)
+    c1 = threshold_offset(a1, d1)
+    lam1 = slot_threshold(r1[:, None], 1, ap, abp, c1)              # (q1, nd)
+    lam2 = slot_threshold(r2[:, None], 1, abp, p_int2, c1)          # (q2, nd)
     lam_max = np.maximum(lam1[:, None, :], lam2[None, :, :])        # (q1, q2, nd)
 
     def bin_mass_below(c):
@@ -253,7 +255,7 @@ def reference_stsc_quantities(cfg: SystemConfig, r1_vec, r2_vec, alpha: float, n
         out = np.empty(res.shape)
         step = max(1, chunk_cells // (nd * ns * len(d2)))
         for i in range(0, res.shape[0], step):
-            thr = slot_threshold(res[i : i + step, ..., None], 1, p_sig, p_int, a2, d2)
+            thr = slot_threshold(res[i : i + step, ..., None], 1, p_sig, p_int, c2)
             out[i : i + step] = Fs2(thr) @ wd2
         return out
 
@@ -263,11 +265,11 @@ def reference_stsc_quantities(cfg: SystemConfig, r1_vec, r2_vec, alpha: float, n
     # gamma: S2 in [layer-1 residual threshold, layer-2 BC residual threshold)
     gam = np.empty((q1, q2, nd, ns))
     hi_cells = q2 * nd * ns * len(d2)
-    F_hi = Fs2(slot_threshold(r2p[:, ..., None], 1, abp, p_int2, a2, d2)) if hi_cells <= chunk_cells else None
+    F_hi = Fs2(slot_threshold(r2p[:, ..., None], 1, abp, p_int2, c2)) if hi_cells <= chunk_cells else None
     step = max(1, chunk_cells // hi_cells)
     for i in range(0, q1, step):
-        F_lo_t = Fs2(slot_threshold(h[i : i + step, None, ..., None], 1, ap, abp, a2, d2))
-        fh = F_hi if F_hi is not None else Fs2(slot_threshold(r2p[:, ..., None], 1, abp, p_int2, a2, d2))
+        F_lo_t = Fs2(slot_threshold(h[i : i + step, None, ..., None], 1, ap, abp, c2))
+        fh = F_hi if F_hi is not None else Fs2(slot_threshold(r2p[:, ..., None], 1, abp, p_int2, c2))
         gam[i : i + step] = np.maximum(fh[None] - F_lo_t, 0.0) @ wd2
 
     m_mid = m_below_max - m_fail[:, None]                           # mass lam1 <= S1 < lam2
@@ -323,31 +325,31 @@ def assert_tables_equal(got, want):
 class TestNodeTablesMatchReference:
     def test_tuple_block(self, T, comp, s_kind):
         # the optimizer's (r1, r2) block at one alpha, zero rates included
-        grid = quantize(D_RICIAN, 11)
         r1 = np.linspace(0.0, 3.0, 7)[:, None, None]
         r2 = np.linspace(0.0, 1.5, 6)[None, :, None]
         for P in (0.5, 4.0):
             cfg = ltsc_cfg(s_kind, T, P=P)
+            grid = node_grid(cfg, 11)
             for alpha in (0.0, 0.6, 0.93, 1.0):
                 args = (cfg, r1, r2, np.float64(alpha), grid, comp)
                 assert_tables_equal(node_tables(*args), reference_full_block_node_tables(*args))
 
     def test_scalar_tuple(self, T, comp, s_kind):
-        grid = quantize(D_RICIAN, 9)
-        args = (ltsc_cfg(s_kind, T), 0.9, 0.4, 0.85, grid, comp)
+        cfg = ltsc_cfg(s_kind, T)
+        args = (cfg, 0.9, 0.4, 0.85, node_grid(cfg, 9), comp)
         assert_tables_equal(node_tables(*args), reference_full_block_node_tables(*args))
 
     def test_per_node_policy(self, T, comp, s_kind):
-        grid = quantize(D_RICIAN, 10)
+        cfg = ltsc_cfg(s_kind, T, P=3.0)
         rng = np.random.default_rng(T)
         r1, r2 = rng.uniform(0.0, 2.5, 10), rng.uniform(0.0, 1.2, 10)
         alpha = rng.uniform(0.5, 1.0, 10)
-        args = (ltsc_cfg(s_kind, T, P=3.0), r1, r2, alpha, grid, comp)
+        args = (cfg, r1, r2, alpha, node_grid(cfg, 10), comp)
         assert_tables_equal(node_tables(*args), reference_full_block_node_tables(*args))
 
     def test_pointmass_relay_link(self, T, comp, s_kind):
         cfg = ltsc_cfg(s_kind, T, model_d=D_POINT)
-        grid = quantize(D_POINT, 8)
+        grid = node_grid(cfg, 8)
         args = (cfg, np.linspace(0.0, 2.0, 5)[:, None, None],
                 np.linspace(0.0, 1.0, 4)[None, :, None], np.float64(0.9), grid, comp)
         assert_tables_equal(node_tables(*args), reference_full_block_node_tables(*args))
@@ -358,9 +360,9 @@ def test_node_tables_nan_thresholds_match_reference(comp):
     # against zero interference (alpha = 1 for layer 1, always for layer 2) a
     # rate past 512 l bit/symbol overflows 2^(2R/l) for l = 1, where
     # slot_threshold must give +inf (an outage), not inf * 0 = NaN
-    grid = quantize(D_RICIAN, 7)
-    args = (ltsc_cfg("rician", 3), np.array([0.5, 600.0])[:, None, None],
-            np.array([0.3, 600.0])[None, :, None], np.float64(1.0), grid, comp)
+    cfg = ltsc_cfg("rician", 3)
+    args = (cfg, np.array([0.5, 600.0])[:, None, None],
+            np.array([0.3, 600.0])[None, :, None], np.float64(1.0), node_grid(cfg, 7), comp)
     want = reference_full_block_node_tables(*args)
     p1, p2o, p2d = want
     assert all(np.isfinite(t).all() for t in want)
@@ -384,7 +386,8 @@ def count_cdf_points(monkeypatch):
 
 def test_constant_block_evaluates_fewer_cdf_points_than_cells(monkeypatch):
     q1, q2, nd = 16, 16, 8
-    cfg, grid = ltsc_cfg("rician", 3), quantize(D_RICIAN, nd)
+    cfg = ltsc_cfg("rician", 3)
+    grid = node_grid(cfg, nd)
     args = (cfg, np.linspace(0.0, 3.0, q1)[:, None, None],
             np.linspace(0.0, 1.5, q2)[None, :, None], np.float64(0.8), grid, CONST)
     points = count_cdf_points(monkeypatch)
@@ -395,10 +398,12 @@ def test_constant_block_evaluates_fewer_cdf_points_than_cells(monkeypatch):
     assert sum(points) > 10 * q1 * q2 * nd
 
 
-def dead_relay_grid(n):
-    """A Rician D grid whose first node is a dead relay link, d = 0."""
+def dead_relay_grid(cfg, n):
+    """cfg's node grid on a Rician D whose first node is a dead relay link, d = 0."""
     grid = quantize(D_RICIAN, n)
-    return dataclasses.replace(grid, nodes=np.concatenate(([0.0], grid.nodes[1:])))
+    d = np.concatenate(([0.0], grid.nodes[1:]))
+    a = conservative_gain(d, cfg.s_min, cfg.power, cfg.backhaul_capacity)
+    return ltsc.NodeGrid(d, grid.weights, a, _split_gain(a, d), threshold_offset(a, d))
 
 
 # r1 = 0 rows (s_hat clamped to s_min), repeated rows, and rows that layer 1
@@ -415,8 +420,7 @@ def test_node_tables_match_parent(T, comp, s_kind, layout):
     # node and spread to the rows that share it; paired rows (r2 and alpha
     # along the r1 axis) share nothing, since their layer-2 thresholds differ
     # by row, and an empty r1 axis has no rows to group
-    grid = dead_relay_grid(9)
-    nd = len(grid.nodes)
+    nd = len(quantize(D_RICIAN, 9).nodes)
     rng = np.random.default_rng(T)
     if layout == "tuple":
         calls = [(r1, 0.4, alpha) for r1 in (0.0, 0.9, 9.0) for alpha in (0.5, 1.0)]
@@ -432,6 +436,7 @@ def test_node_tables_match_parent(T, comp, s_kind, layout):
                   rng.choice([0.5, 0.9], (q, 1)))]
     for P in (0.5, 4.0):
         cfg = ltsc_cfg(s_kind, T, P=P)
+        grid = dead_relay_grid(cfg, 9)
         for r1, r2, alpha in calls:
             args = (cfg, r1, r2, alpha, grid, comp)
             for got, want in zip(node_tables(*args), reference_node_tables(*args), strict=True):
@@ -448,7 +453,7 @@ def test_adaptive_block_forms_each_distinct_gain_once(monkeypatch):
                        FadingModel("rician", 1.0, rician_k=1.0))
     r = np.linspace(0.0, 6.0, 31)
     args = (cfg, r[:, None, None], r[None, :, None], np.float64(0.9),
-            quantize(cfg.model_d, 32), ADAPT)
+            node_grid(cfg, 32), ADAPT)
     points = []
     rician_cdf = fading._rician_cdf
 
@@ -697,8 +702,9 @@ def reference_block_eta(ev, r1v, r2v, alpha):
 @pytest.mark.parametrize("case", ["ltsc-constant", "ltsc-adaptive", "stsc-rayleigh-s",
                                   "stsc-pointmass-s", "mc"])
 def test_block_ratio_matches_reference_eta(case):
-    # block returns per-node (E[R], E[L], weights) for every regime and backend;
-    # their weighted ratio is the eta the block used to return, bit for bit
+    # block returns per-node (E[R], E[L]) for every regime and backend; their
+    # ratio weighted by the evaluator's weights is the eta the block used to
+    # return, bit for bit
     backend = "mc" if case == "mc" else "analytic"
     comp = ADAPT if case == "ltsc-adaptive" else CONST
     if case.startswith("stsc"):
@@ -785,7 +791,7 @@ def reference_lcsit(cfg, comp, grid_spec, quad_n, kind):
         r2_axis, alpha_axis = grid_spec.r_axis(), grid_spec.alpha_axis()
     r1_axis = grid_spec.r_axis()
 
-    grid = quantize(cfg.model_d, quad_n)
+    grid = node_grid(cfg, quad_n)
     nd = len(grid.nodes)
     r1n = np.full(nd, float(base.policy.r1))
     r2n = np.full(nd, float(base.policy.r2))
@@ -1120,19 +1126,25 @@ def test_pruned_scan_matches_the_full_lattice(monkeypatch):
     # every bc and sl result of the pruned scan is the full-lattice reference's,
     # bit for bit, metadata included; every cell a pruned pass left out,
     # evaluated in full, is strictly below the incumbent it was left out against
-    sides, reaches, passes = opt._Evaluator.sides, opt._reaches, []
+    sides, row_bound, reaches = opt._Evaluator.sides, opt._row_bound, opt._reaches
+    passes = []
 
     def recording_sides(self, r1v, alpha):
         for side, p1 in sides(self, r1v, alpha):
             passes.append([side[0], alpha])
             yield side, p1
 
-    def recording_reaches(r1, r2v, p1_out, floor):
-        out = reaches(r1, r2v, p1_out, floor)
-        passes[-1] += [r2v, floor, out]
+    def recording_bound(r1, r2v, p1):
+        passes[-1].append(r2v)
+        return row_bound(r1, r2v, p1)
+
+    def recording_reaches(bound, weights, floor):
+        out = reaches(bound, weights, floor)
+        passes[-1] += [floor, out]
         return out
 
     monkeypatch.setattr(opt._Evaluator, "sides", recording_sides)
+    monkeypatch.setattr(opt, "_row_bound", recording_bound)
     monkeypatch.setattr(opt, "_reaches", recording_reaches)
     kinds, skipped, cells = set(), 0, 0
     for k in range(60):
@@ -1158,6 +1170,90 @@ def test_pruned_scan_matches_the_full_lattice(monkeypatch):
     assert {(c, v) for _, _, c, v in kinds} == {("constant", False), ("adaptive", False),
                                                 ("constant", True)}
     assert skipped > cells / 4
+
+
+def per_node_scenario(k):
+    """LTSC scenario k of the per-node pruning draw: T = 1 + k % 6, constant and
+    adaptive compression in turn, Rayleigh, Rician and point-mass S in turn,
+    and a point-mass D in every fourth."""
+    rng = np.random.default_rng([30, k])
+    s_kind = ("rayleigh", "rician", "pointmass")[k // 2 % 3]
+    model_s = (FadingModel("pointmass", point_value=float(rng.uniform(0.2, 3.0)))
+               if s_kind == "pointmass" else
+               FadingModel(s_kind, float(rng.uniform(0.3, 10.0)),
+                           rician_k=float(rng.uniform(0.0, 6.0)) if s_kind == "rician" else 0.0))
+    model_d = (FadingModel("pointmass", point_value=float(rng.uniform(0.3, 8.0))) if k % 4 == 3
+               else FadingModel("rician", float(rng.uniform(0.3, 30.0)),
+                                rician_k=float(rng.uniform(0.0, 4.0))))
+    cfg = SystemConfig(float(rng.uniform(0.3, 5.0)), float(rng.uniform(0.0, 3.0)), 1 + k % 6,
+                       model_d, model_s)
+    return cfg, (CONST, ADAPT)[k % 2], int(rng.integers(3, 11))
+
+
+def test_per_node_prune_drops_only_beaten_rows(monkeypatch):
+    # every row a per-node scan leaves out, formed in full, lies at every node
+    # below a line of the staircase it was tested against, by the margin, at
+    # lam = 0 and lam_hi; and every class is the one the scan gives with that
+    # test switched off, which forms every per-node row, bit for bit
+    sides, row_bound, reaches, beaten = (opt._Evaluator.sides, opt._row_bound, opt._reaches,
+                                         opt._beaten)
+    passes = []
+
+    def recording_sides(self, r1v, alpha):
+        for side, p1 in sides(self, r1v, alpha):
+            passes.append({"r1": side[0], "alpha": alpha})
+            yield side, p1
+
+    def recording_bound(r1, r2v, p1):
+        passes[-1]["r2"] = r2v
+        return row_bound(r1, r2v, p1)
+
+    def recording_reaches(bound, weights, floor):
+        passes[-1]["reaches"] = reaches(bound, weights, floor)
+        return passes[-1]["reaches"]
+
+    def recording_beaten(lines, bound, lam_hi):
+        passes[-1].update(lines=lines, lam_hi=lam_hi, beaten=beaten(lines, bound, lam_hi))
+        return passes[-1]["beaten"]
+
+    for name, fn in (("_row_bound", recording_bound), ("_reaches", recording_reaches),
+                     ("_beaten", recording_beaten)):
+        monkeypatch.setattr(opt, name, fn)
+    monkeypatch.setattr(opt._Evaluator, "sides", recording_sides)
+    kinds, dropped, formed = set(), 0, 0
+    for k in range(36):
+        cfg, comp, quad_n = per_node_scenario(k)
+        kinds.add((cfg.max_rounds, comp.kind, cfg.model_s.kind, cfg.model_d.kind))
+        passes.clear()
+        got = opt.optima(cfg, ALL_CLASSES, comp, grid_spec=PRUNE_GRID, quad_n=quad_n)
+        grid = node_grid(cfg, quad_n)
+        for p in passes:
+            if "beaten" not in p:  # no staircase yet, or a scan without fronts
+                continue
+            drop = p["beaten"] & ~p["reaches"]
+            formed += np.count_nonzero(~drop)
+            if not drop.any():
+                continue
+            dropped += np.count_nonzero(drop)
+            reward, length = opt.node_reward_length(
+                cfg, p["r1"][drop][:, None, None], p["r2"][None, :, None],
+                np.float64(p["alpha"]), grid, comp)
+            lam_hi = p["lam_hi"]
+            at_0 = (reward + opt._slack(reward, length, 0.0))[:, :, None]
+            at_hi = (reward - lam_hi * length + opt._slack(reward, length, lam_hi))[:, :, None]
+            v0, v1 = p["lines"]  # (m, nd)
+            assert np.all(((v0 > at_0) & (v1 > at_hi)).any(axis=2)), (k, p["alpha"])
+        monkeypatch.setattr(opt, "_beaten", lambda lines, bound, lam_hi: np.zeros(len(bound[0]),
+                                                                                  bool))
+        want = opt.optima(cfg, ALL_CLASSES, comp, grid_spec=PRUNE_GRID, quad_n=quad_n)
+        monkeypatch.setattr(opt, "_beaten", recording_beaten)
+        for cls in ALL_CLASSES:
+            assert_results_equal(got[cls], want[cls])
+    assert {T for T, *_ in kinds} == set(range(1, 7))
+    assert {(c, s) for _, c, s, _ in kinds} == {(c, s) for c in ("constant", "adaptive")
+                                                for s in ("rayleigh", "rician", "pointmass")}
+    assert {d for *_, d in kinds} == {"rician", "pointmass"}
+    assert dropped > formed / 4
 
 
 def reference_split_gain(a, d, out=None):
@@ -1209,6 +1305,75 @@ def test_split_gain_matches_the_masked_form_bit_for_bit(seed):
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
                 if buf is not None:
                     assert got is buf
+
+
+def reference_slot_threshold(R, l, p_sig, p_int, a, d, out=None):
+    """channel.slot_threshold before it took the offset c: b = 1 + a/d and a/b
+    formed on every call."""
+    R = np.asarray(R, dtype=float)
+    p_sig = np.asarray(p_sig, dtype=float)
+    p_int = np.asarray(p_int, dtype=float)
+    a = np.asarray(a, dtype=float)
+    b = _split_gain(a, d, out=out)
+    with np.errstate(over="ignore"):
+        z = np.exp2(2.0 * np.maximum(R, 0.0) / l)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        den = p_sig - (z - 1.0) * p_int
+        thr = np.asarray(np.subtract((z - 1.0) / den, np.divide(a, b, out=b), out=out))
+    np.copyto(thr, np.inf, where=(den <= 0) | np.isposinf(z))
+    np.copyto(thr, -np.inf, where=R <= 0)
+    return thr if thr.shape else float(thr)
+
+
+def reference_infer_s_hat(R1, k, alpha, d, a_d, P, s_min, out=None):
+    """channel.infer_s_hat before it took the offset c."""
+    thr = reference_slot_threshold(R1, k, alpha * np.asarray(P, dtype=float),
+                                   (1.0 - np.asarray(alpha, dtype=float)) * P, a_d, d, out=out)
+    out = np.maximum(np.asarray(thr, dtype=float), np.asarray(s_min, dtype=float), out=out)
+    return out if out.shape else float(out)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_threshold_offset_keeps_the_parent_bits(seed):
+    # slot_threshold and infer_s_hat at c = threshold_offset(a, d) give the
+    # bits of the (a, d) forms: NaN d, d = 0 at a = 0, subnormal d, R <= 0, an
+    # overflowed 2^(2R/l), p_int = 0 and out= buffers among the draws; a > 0
+    # at d <= 0 still raises
+    rng = np.random.default_rng([30, seed])
+    n = 64
+    d = rng.exponential(2.0, n)
+    a = conservative_gain(d, float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.1, 5.0)),
+                          float(rng.uniform(0.0, 3.0)))
+    a[:4], d[:4] = 0.0, (0.0, -0.0, np.nan, 5e-324)  # a = 0 ignores d
+    a[4:7], d[4:7] = rng.uniform(0.1, 3.0, 3), (np.nan, 5e-324, 2.2e-308)
+    R = rng.uniform(-1.0, 4.0, n)
+    R[7:11] = 0.0, -0.0, 600.0, 1e4  # R <= 0, then 2^(2R/l) overflows at l = 1
+    p_sig, p_int = rng.uniform(0.0, 3.0, n), np.where(rng.random(n) < 0.5, 0.0,
+                                                      rng.uniform(0.0, 3.0, n))
+    alpha, P, s_min = rng.uniform(0.0, 1.0, n), float(rng.uniform(0.1, 5.0)), 0.3
+    cases = [(R, a, d), (R[:, None], a[None, :], d[None, :]), (R[:, None], a, d), (R, a[9], d[9])]
+    for l, (R_, a_, d_) in itertools.product((1, 2, 5), cases):
+        shape = np.broadcast_shapes(np.shape(R_), np.shape(a_), p_sig.shape)
+        for buffers in (False, True):
+            def out():
+                return np.full(shape, np.nan) if buffers else None
+
+            with np.errstate(over="ignore"):  # a/d at a subnormal d, in both forms
+                pairs = [(slot_threshold(R_, l, p_sig, p_int, threshold_offset(a_, d_), out=out()),
+                          reference_slot_threshold(R_, l, p_sig, p_int, a_, d_, out=out())),
+                         (infer_s_hat(R_, l, alpha, threshold_offset(a_, d_), P, s_min, out=out()),
+                          reference_infer_s_hat(R_, l, alpha, d_, a_, P, s_min, out=out()))]
+            for got, want in pairs:
+                assert got.shape == want.shape == shape
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    buf = np.full(n, np.nan)
+    with np.errstate(over="ignore"):
+        assert threshold_offset(a, d, out=buf) is buf
+    for bad in (0.0, -0.0, -1.0, -5e-324):
+        with pytest.raises(ValueError, match="d must be > 0"):
+            reference_slot_threshold(R, 1, p_sig, p_int, a + 1.0, np.full(n, bad))
+        with pytest.raises(ValueError, match="d must be > 0"):
+            threshold_offset(a + 1.0, np.full(n, bad))
 
 
 # ---- the Monte Carlo stepper
@@ -1283,7 +1448,8 @@ def reference_run_batch(cfg: SystemConfig, policy: RatePolicy, comp: Compression
             ack = (k1 == t) & (k2 == 0)  # layer-1-only feedback this slot
             if np.any(ack):
                 a_d = conservative_gain(dt[ack], s_min, P, cmax)
-                sh = infer_s_hat(r1[ack], t, alpha_t[ack], dt[ack], a_d, P, s_min)
+                sh = infer_s_hat(r1[ack], t, alpha_t[ack], threshold_offset(a_d, dt[ack]), P,
+                                 s_min)
                 s_hat[ack] = sh
                 a_hat[ack] = conservative_gain(dt[ack], sh, P, cmax)
                 adapted |= ack

@@ -140,8 +140,8 @@ def test_one_loop_over_sweep_points():
 
 
 def test_one_per_block_evaluator():
-    # _Evaluator.block gives every regime and backend as per-node (E[R], E[L],
-    # weights), so the optimizer calls the simulator only through report
+    # _Evaluator.block gives every regime and backend as per-node (E[R], E[L]),
+    # so the optimizer calls the simulator only through report
     module = ast.parse((SRC / "optimize.py").read_text(encoding="utf-8"))
     evaluator = next(node for node in module.body
                      if isinstance(node, ast.ClassDef) and node.name == "_Evaluator")

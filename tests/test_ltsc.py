@@ -5,8 +5,8 @@ import pytest
 
 from relharq import ltsc, optimize
 from relharq.channel import CompressionPolicy, RatePolicy, SystemConfig
-from relharq.fading import FadingModel, quantize
-from relharq.ltsc import node_tables
+from relharq.fading import FadingModel
+from relharq.ltsc import node_grid, node_tables
 from relharq.optimize import throughput
 
 CONST = CompressionPolicy("constant")
@@ -180,7 +180,7 @@ class TestThroughput:
     def test_one_node_tables_call_gives_table_and_eta(self, monkeypatch, comp):
         cfg = rand_cfg(np.random.default_rng(8), T=3)
         pol = RatePolicy.constant(0.9, 0.4, 0.9)
-        grid = quantize(cfg.model_d, 24)
+        grid = node_grid(cfg, 24)
         calls = []
 
         def counting(*args, **kwargs):
@@ -199,12 +199,31 @@ class TestThroughput:
             assert np.array_equal(getattr(rep.table, name), getattr(table, name))
 
 
+def test_conservative_gain_runs_once_per_evaluator(monkeypatch):
+    # a, b = 1 + a/d and the threshold offset c = a/b of each node are formed
+    # once, in node_grid: at constant compression every block, tuple and
+    # Dinkelbach iterate of an LTSC search reads them there
+    cfg = rand_cfg(np.random.default_rng(30), T=3)
+    gain, calls = ltsc.conservative_gain, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return gain(*args, **kwargs)
+
+    monkeypatch.setattr(ltsc, "conservative_gain", counting)
+    spec = optimize.GridSpec(r_max=3.0, r_step=0.5, alpha_step=0.25, refine_rounds=2)
+    optimize.optima(cfg, optimize.CLASSES, CONST, grid_spec=spec, quad_n=12)
+    assert len(calls) == 1
+    throughput(cfg, RatePolicy.constant(0.9, 0.4, 0.9), quad_n=12)
+    assert len(calls) == 2
+
+
 def test_scan_block_peak_is_bounded():
     # one optimizer block, 61x61 tuples on 32 nodes at T = 6: only the running
     # threshold of one l is live, about 14 MB; keeping every (l, k) threshold
     # of the block would take about twice that
     cfg = SystemConfig(1.0, 1.0, 6, FadingModel("rician", 1.0), FadingModel("rayleigh", 1.0))
-    grid = quantize(cfg.model_d, 32)
+    grid = node_grid(cfg, 32)
     r = np.linspace(0.0, 6.0, 61)
     args = (cfg, r[:, None, None], r[None, :, None], np.float64(0.9), grid, CONST)
     ltsc.node_reward_length(*args)  # untraced first: lazily built caches are not part of the peak
@@ -224,7 +243,7 @@ def test_scan_block_p1_is_not_block_sized():
     cfg = SystemConfig(1.0, 1.0, 6, FadingModel("rician", 1.0), FadingModel("rayleigh", 1.0))
     r = np.linspace(0.0, 6.0, 61)
     args = (cfg, r[:, None, None], r[None, :, None], np.float64(0.9),
-            quantize(cfg.model_d, 32), CONST)
+            node_grid(cfg, 32), CONST)
     p1, p2o = node_tables(*args)  # untraced first, as above
     assert not p1.flags.writeable and p1.shape == p2o.shape == (61, 61, 32, 6)
     tracemalloc.start()
@@ -258,7 +277,7 @@ def test_interference_variant_rejected_for_ltsc():
         bc_layer2_interference=True,
     )
     with pytest.raises(ValueError):
-        node_tables(cfg, 1.0, 0.3, 0.8, quantize(cfg.model_d, 256))
+        node_tables(cfg, 1.0, 0.3, 0.8, node_grid(cfg, 256))
 
 
 def test_stsc_config_rejected():
@@ -268,7 +287,7 @@ def test_stsc_config_rejected():
         channel_regime="stsc",
     )
     with pytest.raises(ValueError):
-        node_tables(cfg, 1.0, 0.3, 0.8, quantize(cfg.model_d, 256))
+        node_tables(cfg, 1.0, 0.3, 0.8, node_grid(cfg, 256))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -277,10 +296,10 @@ def test_layer1_outage_is_the_tables_last_p1(seed):
     # without the rest of the tables
     rng = np.random.default_rng(seed)
     cfg = rand_cfg(rng)
-    grid = quantize(cfg.model_d, 12)
+    grid = node_grid(cfg, 12)
     r1 = np.linspace(0.0, 3.0, 7)[:, None]
     for alpha in (0.0, 0.4, 1.0):
-        p1 = ltsc.layer1_side(cfg, r1, alpha, grid)[2][-1]
+        p1 = ltsc.layer1_side(cfg, r1, alpha, grid)[1][-1]
         for comp in (CONST, ADAPT):
             want, _ = node_tables(cfg, r1[:, :, None], np.array([0.0, 1.5])[:, None],
                                   np.float64(alpha), grid, comp)
@@ -300,7 +319,7 @@ def test_side_rows_keep_every_bit(T, comp, s_kind):
                FadingModel(s_kind, float(rng.uniform(0.2, 10)), rician_k=float(rng.uniform(0, 8))))
     cfg = SystemConfig(float(rng.uniform(0.2, 5)), float(rng.uniform(0.2, 3)), T,
                        FadingModel("rician", float(rng.uniform(0.2, 10)), rician_k=1.0), model_s)
-    grid = quantize(cfg.model_d, 9)
+    grid = node_grid(cfg, 9)
     r1 = np.sort(rng.uniform(0.0, 3.0, 13))[:, None, None]
     r2 = np.concatenate(([0.0], rng.uniform(0.0, 2.0, 4)))[None, :, None]
     for alpha in (0.0, 0.6, 1.0):
@@ -308,8 +327,8 @@ def test_side_rows_keep_every_bit(T, comp, s_kind):
         whole = node_tables(cfg, r1, r2, alpha, grid, comp)
         for _ in range(3):
             rows = np.flatnonzero(rng.random(len(r1)) < 0.5)
-            a, x, Fx = side
-            part = a, [v[rows] for v in x], [v[rows] for v in Fx]
+            x, Fx = side
+            part = [v[rows] for v in x], [v[rows] for v in Fx]
             got = node_tables(cfg, r1[rows], r2, alpha, grid, comp, part)
             for g, w in zip(got, whole):
                 assert np.array_equal(g, w[rows])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from relharq.channel import CompressionPolicy, RatePolicy, SystemConfig, mutual_info
+from relharq import ltsc
 from relharq.fading import FadingModel, quantize
 import relharq.optimize as opt
 from relharq.optimize import GridSpec, optima, optimize_lcsit, optimize_no_lcsit, throughput
@@ -169,7 +170,7 @@ def test_report_reads_a_per_node_policy_on_the_evaluator_grid(monkeypatch):
         calls.append(n)
         return quantize(model, n)
 
-    monkeypatch.setattr(opt, "quantize", counting)
+    monkeypatch.setattr(ltsc, "quantize", counting)
     assert ev.report(same).eta == want
     assert calls == []  # the evaluator's own grid, built with it
     ev.report(other)

@@ -225,9 +225,10 @@ class TestVectorizedPath:
 
 def whole_block(ev, r1v, r2v, alpha):
     """The optimizer's block over every row: `_Evaluator.block` on all rows of
-    each pass of `_Evaluator.sides`, concatenated in row order."""
+    each pass of `_Evaluator.sides`, concatenated in row order, and the
+    evaluator's node weights."""
     parts = [ev.block(side, r2v, np.arange(len(side[0]))) for side, _ in ev.sides(r1v, alpha)]
-    return (*(np.concatenate([part[i] for part in parts]) for i in (0, 1)), parts[0][2])
+    return (*(np.concatenate([part[i] for part in parts]) for i in (0, 1)), ev.weights)
 
 
 def count_passes(monkeypatch, *modules):

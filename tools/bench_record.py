@@ -4,13 +4,17 @@
 
 Runs `perfbench/run.py` on each of its four workloads at seed 0 for 15 s,
 once untraced (the end-to-end metrics) and once traced (the per-layer
-metrics), one run at a time, then the acceptance tests once, then the Tier-1
-suite (`TIER1`, the verify command of ROADMAP.md) once.  The file holds,
+metrics), one run at a time, then each CLI job of `tools/bench_jobs.json`
+once, then the acceptance tests once, then the Tier-1 suite (`TIER1`, the
+verify command of ROADMAP.md) once.  The file holds,
 per workload and mode, the run's last output line (correct, attempted, failed,
 metrics) with the iteration count and timing tails of its record in
 `perfbench/_work/results/`; the cold start (the median time and peak RSS
 of a fresh `import relharq.cli` over 7 interpreters, and the number of scipy
-modules that import leaves loaded); the call time of each acceptance
+modules that import leaves loaded); the `jobs` block (per job, its argv, its
+wall time, its CPU time and peak RSS from `os.wait4` on its interpreter, its
+exit code and the sha256 of its CSV, so a record also shows that the bytes
+held); the call time of each acceptance
 criterion, read from pytest's `--durations` report; the `tier1` block (the
 suite's wall time, its CPU time and peak RSS from `os.wait4` on the pytest
 process and the subprocesses it waited for, its exit code, and its passed,
@@ -23,21 +27,29 @@ reduction's bits can depend on its thread count), the line count and digest
 of `src/relharq`, the HEAD commit with whether `src/` matches it
 (`src_matches_head` is false when the file is recorded from an uncommitted
 tree, whose `git_commit` is then the parent), and the wall time of the whole
-recording (about 4 minutes on a 2-core host, 60-90 s of it the Tier-1
-suite).  Exits 1 when a run fails, a job's output does not check out, an
-acceptance test fails or the Tier-1 suite does not pass cleanly; the file is
-written either way.
+recording (about 4.5 minutes on a 2-core host, 60-90 s of it the Tier-1
+suite and about 17 s the jobs).  Exits 1 when a run fails, a job's output
+does not check out, a CLI job exits non-zero, an acceptance test fails or the
+Tier-1 suite does not pass cleanly; the file is written either way.
+
+`tools/bench_jobs.json` maps each job's name to its subcommand words
+(`argv`) and its config keys (`config`, written as the job's config file; an
+empty one runs the job at its defaults): `analytic`, `simulate` at 1e6
+sessions, `optimize` for LTSC and STSC at csi none and for LTSC at csi
+lcsit, `validate`, and `figure 2..6` at their defaults.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -55,6 +67,7 @@ COLD_START = ("import resource, sys, time; t0 = time.perf_counter(); import relh
               "sum(m.split('.')[0] == 'scipy' for m in sys.modules))")
 # a --durations line: "17.20s call     tests/test_acceptance.py::test_criterion_01_..."
 CRITERION_CALL = re.compile(r"^([0-9.]+)s call\s+\S+::test_criterion_(\d+)_", re.MULTILINE)
+JOBS = ROOT / "tools" / "bench_jobs.json"
 # the Tier-1 verify command, run at the repo root with src/ on PYTHONPATH
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 TIER1_COUNTS = ("passed", "failed", "errors", "warnings")
@@ -124,22 +137,51 @@ def pytest_counts(output: str) -> dict:
     return {key: counts.get(key, 0) for key in TIER1_COUNTS}
 
 
-def tier1() -> dict:
-    """One run of the Tier-1 suite: wall time, the CPU time (user + system)
-    and peak RSS from os.wait4 on the pytest process (which take in the
-    subprocesses it waited for), its exit code and its pytest_counts."""
+def waited(argv: list) -> tuple:
+    """Run argv at the repo root with src/ on PYTHONPATH and wait for it:
+    its exit code, its wall time, its resource usage from os.wait4 (which
+    takes in the subprocesses it waited for) and its output."""
     started = time.monotonic()
-    proc = subprocess.Popen([sys.executable, *TIER1], cwd=ROOT, env=src_env(), text=True,
+    proc = subprocess.Popen(argv, cwd=ROOT, env=src_env(), text=True,
                             stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
     output = proc.stdout.read()
     proc.stdout.close()
     _, status, usage = os.wait4(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+    return proc.returncode, time.monotonic() - started, usage, output
+
+
+def jobs(spec: dict, workdir) -> dict:
+    """One run of each job of spec (name -> {"argv", "config"}, as in JOBS),
+    each in a fresh interpreter writing under workdir: its argv, wall time,
+    CPU time (user + system) and peak RSS, exit code, and the sha256 of its
+    CSV (None when it wrote none)."""
+    out = {}
+    for name, job in spec.items():
+        config, outdir = Path(workdir) / f"{name}.cfg", Path(workdir) / name
+        config.write_text("".join(f"{key} = {value}\n" for key, value in job["config"].items()),
+                          encoding="utf-8")
+        code, wall, usage, _ = waited([sys.executable, "-m", "relharq.cli", *job["argv"],
+                                       "--config", str(config), "--out", str(outdir)])
+        csv = outdir / f"{''.join(job['argv'])}.csv"
+        out[name] = {"argv": job["argv"], "wall_s": round(wall, 2),
+                     "cpu_s": round(usage.ru_utime + usage.ru_stime, 2),
+                     "peak_rss_mb": round(usage.ru_maxrss / 1024, 1), "exit_code": code,
+                     "csv_sha256": hashlib.sha256(csv.read_bytes()).hexdigest()
+                     if csv.is_file() else None}
+    return out
+
+
+def tier1() -> dict:
+    """One run of the Tier-1 suite: wall time, the CPU time (user + system)
+    and peak RSS from os.wait4 on the pytest process (which take in the
+    subprocesses it waited for), its exit code and its pytest_counts."""
+    code, wall, usage, output = waited([sys.executable, *TIER1])
     return {"command": " ".join(["python", *TIER1]),
-            "wall_s": round(time.monotonic() - started, 1),
+            "wall_s": round(wall, 1),
             "cpu_s": round(usage.ru_utime + usage.ru_stime, 1),
             "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
-            "exit_code": proc.returncode, **pytest_counts(output)}
+            "exit_code": code, **pytest_counts(output)}
 
 
 def main(argv=None) -> int:
@@ -150,7 +192,8 @@ def main(argv=None) -> int:
     started = time.monotonic()
     mem_gb = round(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2**30, 1)
     bench = {"seed": SEED, "seconds": SECONDS, "host": None, "src_relharq": None,
-             "cold_start": None, "workloads": {}, "acceptance": None, "tier1": None}
+             "cold_start": None, "workloads": {}, "jobs": None, "acceptance": None,
+             "tier1": None}
     ok = True
     print("cold start ...", file=sys.stderr, flush=True)
     bench["cold_start"] = cold_start()
@@ -171,6 +214,10 @@ def main(argv=None) -> int:
         print(f"benchmark run failed: {err}", file=sys.stderr)
         bench["error"] = str(err)
         ok = False
+    print("jobs ...", file=sys.stderr, flush=True)
+    with tempfile.TemporaryDirectory() as workdir:
+        bench["jobs"] = jobs(json.loads(JOBS.read_text(encoding="utf-8")), workdir)
+    ok &= all(job["exit_code"] == 0 for job in bench["jobs"].values())
     print("acceptance tests ...", file=sys.stderr, flush=True)
     passed, call_s = criteria()
     bench["acceptance"] = {"passed": passed, "criterion_call_s": call_s}
