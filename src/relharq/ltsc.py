@@ -64,7 +64,6 @@ from .channel import (
     threshold_offset,
 )
 from .fading import cdf_of_min, quantize
-from .tables import reward_length
 
 
 def _pos(x):
@@ -216,7 +215,3 @@ def decode_table(p2_out):
     clipped at 0: the decode events partition the outage intervals."""
     return _pos(-np.diff(p2_out, axis=-1, prepend=1.0))
 
-
-def node_reward_length(cfg, r1, r2, alpha, grid, comp):
-    """Per-node E[R|d], E[L|d] (optimizer hook); shapes broadcast like node_tables."""
-    return reward_length(r1, r2, *node_tables(cfg, r1, r2, alpha, grid, comp))

@@ -3,9 +3,9 @@
 
 Search strategy: a coarse grid, then local refinement with halved steps around
 the incumbent, plus Dinkelbach fractional programming for the per-node
-policies.  An alpha block is formed in two steps: the r1 side of each pass of
-r1 rows (`_Evaluator.sides`), which gives each row's per-node p1_out(k), then
-the cells of the rows `_scan` keeps, over the r2 axis (`_Evaluator.block`).
+policies.  The evaluator (`_Ltsc`, `_Stsc` or `_MonteCarlo`) forms an alpha
+block in two steps: the r1 side of each pass of r1 rows (`sides`), each row's
+per-node p1_out(k), then the cells of the rows `_scan` keeps (`block`).
 In between, one row bound serves two prune rules (`_row_bound`): at node d
 and lambda >= 0 every cell of the row has R - lambda L <= B_d - lambda Lb_d.
 Once a scan has an incumbent, a row whose bound on eta is below it can
@@ -39,9 +39,8 @@ full-lattice scan gives.  Every block comes from `_Evaluator.block` as
 per-node (E[R], E[L]), weighted by `_Evaluator.weights`, on the quad_n
 quadrature grid, which is also the per-node policy grid, so the scan keeps
 the front of each block it forms and `_scan` is the only code that forms a
-block.  The fronts hold for
-lambda >= 0 only; lambda < 0 is a negative throughput and raises
-NumericalError.
+block.  The fronts hold for lambda >= 0 only; lambda < 0 is a negative
+throughput and raises NumericalError.
 """
 
 from __future__ import annotations
@@ -53,10 +52,9 @@ import numpy as np
 from .channel import CompressionPolicy, RatePolicy, SystemConfig, check_supported
 from .config import GridSpec
 from .fading import DEFAULT_QUAD_N
-from .ltsc import decode_table, layer1_side, node_grid, node_reward_length, node_tables
+from .ltsc import decode_table, layer1_side, node_grid, node_tables
 from .simulate import estimate
-from .stsc import (quantity_tables, r1_passes, r1_side, side_quantities, slot1_grid,
-                   stsc_quantities)
+from .stsc import quantity_tables, r1_passes, r1_side, side_quantities, slot1_grid
 from .tables import NumericalError, ProbabilityTable, ThroughputReport, reward_length
 
 _MARGIN = 8 * np.finfo(float).eps  # 16 unit roundoffs, see _front
@@ -73,91 +71,114 @@ class OptimizationResult:
 
 
 class _Evaluator:
-    """One scenario by regime and backend: per-node E[R], E[L] and node weights
-    over a (r1, r2) block at fixed alpha (`sides`, then `block`: the scan), or eta
-    and the table at one policy (`report`).
-
-    mc holds the Monte Carlo budget as keywords of `estimate`; n_sessions and
-    master_seed default to 20000 and 0 here, the other keys to `estimate`'s.
-    grid holds what the closed forms share across blocks, built once here: the
-    D node grid (`ltsc.node_grid`, LTSC) or the slot-1 grid (`stsc.slot1_grid`,
-    STSC); weights are the node weights of every block (one node of weight 1
-    for STSC and Monte Carlo).
+    """One scenario: per-node E[R], E[L] and node weights over a (r1, r2) block
+    at fixed alpha (`sides`, then `block`: the scan), or eta and the table at
+    one policy (`report`).  Constructing one checks support and picks the class
+    by regime and backend, the one place that does: `_Ltsc`, `_Stsc` or
+    `_MonteCarlo`.  sides(r1v, alpha) yields per pass of r1 rows (side, p1),
+    side the pass's (r1, alpha, what block reads) and p1 their per-node
+    p1_out(k|d), (rows, nodes, T); block(side, r2v, rows) gives E[R|d], E[L|d]
+    (len(rows), q2, nd) of those rows, each row's bits as in the whole block,
+    eta their ratio weighted by weights (nd,).  `_grid` builds once what the
+    blocks share and gives the weights.  mc holds `estimate`'s keywords, with
+    n_sessions and master_seed 20000 and 0 unless given.
     """
 
-    def __init__(self, cfg, comp, backend, quad_n, mc=None):
+    def __new__(cls, cfg, comp, backend, quad_n, mc=None):
         check_supported(cfg, comp, backend)
-        self.cfg, self.comp, self.backend = cfg, comp, backend
-        self.quad_n = quad_n
+        if cls is _Evaluator:
+            cls = (_MonteCarlo if backend == "mc"
+                   else _Ltsc if cfg.channel_regime == "ltsc" else _Stsc)
+        return super().__new__(cls)
+
+    def __init__(self, cfg, comp, backend, quad_n, mc=None):
+        self.cfg, self.comp, self.backend, self.quad_n = cfg, comp, backend, quad_n
         self.mc = {"n_sessions": 20_000, "master_seed": 0, **(mc or {})}
-        self.grid, self.weights = None, np.ones(1)
-        if backend == "analytic" and cfg.channel_regime == "ltsc":
-            self.grid = node_grid(cfg, quad_n)
-            self.weights = self.grid.weights
-        elif backend == "analytic":
-            self.grid = slot1_grid(cfg, quad_n)
+        self.grid, self.weights = self._grid()
         self.n_evals = 0
 
-    def sides(self, r1v: np.ndarray, alpha: float):
-        """The r1 step of a block: per pass of r1 rows, (side, p1), side the pass's
-        (r1, alpha, what `block` reads of them) and p1 their per-node layer-1
-        outages p1_out(k|d), k = 1..T, (rows, nodes, T): node_tables' prefix in
-        one pass (LTSC), the r1 side of each `r1_passes` pass (STSC, one node,
-        T = 2), or NaN, which keeps every row (Monte Carlo)."""
-        if self.backend == "mc":
-            yield (r1v, alpha, None), np.full((len(r1v), 1, 1), np.nan)
-        elif self.cfg.channel_regime == "ltsc":
-            x, Fx = layer1_side(self.cfg, r1v[:, None, None], alpha, self.grid)
-            yield (r1v, alpha, (x, Fx)), np.stack([v[:, 0] for v in Fx], axis=-1)
-        else:
-            for r1 in r1_passes(r1v, self.quad_n):
-                side = r1_side(self.cfg, r1, alpha, self.grid)
-                yield (r1, alpha, side), np.stack((side.p1_out_1, side.p1_out_2), -1)[:, None]
-                del side
-
-    def block(self, side, r2v: np.ndarray, rows: np.ndarray):
-        """Per-node (reward, length) of the rows `rows` of a `sides` pass over
-        r2v: E[R|d] and E[L|d] (len(rows), q2, nd), eta their ratio weighted by
-        `weights` (nd,); a row keeps its bits in the whole block.  LTSC is read
-        on the D node grid; the STSC quantities and a Monte Carlo eta (with
-        length 1) are one node of weight 1."""
-        r1v, alpha, part = side
-        r1 = r1v[rows]
-        if self.backend == "mc":
-            # common random numbers: every tuple sees the same seed
-            eta = [[self.report(RatePolicy.constant(x, y, alpha)).eta for y in r2v] for x in r1]
-            return np.array(eta)[..., None], np.ones((len(r1), len(r2v), 1))
-        if self.cfg.channel_regime == "ltsc":
-            r1, r2 = r1[:, None, None], r2v[None, :, None]
-            part = tuple([v[rows] for v in values] for values in part)  # x and F(x) per row
-            tables = node_tables(self.cfg, r1, r2, alpha, self.grid, self.comp, part)
-            return reward_length(r1, r2, *tables)
-        q = side_quantities(self.cfg, part, r2v, alpha, self.grid, rows)
-        reward, length = reward_length(r1[:, None], r2v[None, :], *quantity_tables(q)[:2])
-        return reward[..., None], length[..., None]
-
     def report(self, policy: RatePolicy):
-        """eta, expected_reward, expected_length and table at one policy.
-
-        A per-node policy is read on its own node grid, one node per tuple
-        (the evaluator's grid when it has quad_n tuples); the STSC table is
-        one node of weight 1.
-        """
-        if self.backend == "mc":
-            return estimate(self.cfg, policy, self.comp, **self.mc)
+        """eta, E[R], E[L] and table at one policy, from the closed form's `_tables`."""
         check_supported(self.cfg, self.comp, per_node=policy.mode == "lcsit")
-        if self.cfg.channel_regime == "ltsc":
-            same = policy.mode == "no_lcsit" or policy.r1.size == self.quad_n
-            grid = self.grid if same else node_grid(self.cfg, policy.r1.size)
-            p1, p2o = node_tables(self.cfg, policy.r1, policy.r2, policy.alpha, grid, self.comp)
-            tables, weights = (p1, p2o, decode_table(p2o)), grid.weights
-        else:
-            q = stsc_quantities(self.cfg, policy.r1, policy.r2, float(policy.alpha), self.quad_n,
-                                grid=self.grid)
-            tables, weights = tuple(t[0] for t in quantity_tables(q)), np.ones(1)
+        tables, weights = self._tables(policy)
         er, el = (float(v @ weights) for v in reward_length(policy.r1, policy.r2, *tables[:2]))
         table = ProbabilityTable(*(np.einsum("i,...ik->...k", weights, t) for t in tables))
         return ThroughputReport(eta=er / el, expected_reward=er, expected_length=el, table=table)
+
+
+class _Ltsc(_Evaluator):
+    """The LTSC closed form on the D node grid (`ltsc.node_grid`) and its weights."""
+
+    def _grid(self):
+        grid = node_grid(self.cfg, self.quad_n)
+        return grid, grid.weights
+
+    def sides(self, r1v: np.ndarray, alpha: float):
+        """node_tables' prefix (`layer1_side`), one pass."""
+        x, Fx = layer1_side(self.cfg, r1v[:, None, None], alpha, self.grid)
+        yield (r1v, alpha, (x, Fx)), np.stack([v[:, 0] for v in Fx], axis=-1)
+
+    def block(self, side, r2v: np.ndarray, rows: np.ndarray):
+        r1v, alpha, part = side
+        part = tuple([v[rows] for v in values] for values in part)  # x and F(x) per row
+        return self.per_node(r1v[rows][:, None, None], r2v[None, :, None], alpha, part)
+
+    def per_node(self, r1, r2, alpha, side=None):
+        """E[R|d], E[L|d] on the node grid, arguments as node_tables' (`block`, `_dinkelbach`)."""
+        tables = node_tables(self.cfg, r1, r2, alpha, self.grid, self.comp, side)
+        return reward_length(r1, r2, *tables)
+
+    def _tables(self, policy: RatePolicy):
+        """A per-node policy is read on its own node grid: the evaluator's at quad_n tuples."""
+        same = policy.mode == "no_lcsit" or policy.r1.size == self.quad_n
+        grid = self.grid if same else node_grid(self.cfg, policy.r1.size)
+        p1, p2o = node_tables(self.cfg, policy.r1, policy.r2, policy.alpha, grid, self.comp)
+        return (p1, p2o, decode_table(p2o)), grid.weights
+
+
+class _Stsc(_Evaluator):
+    """The STSC closed form (T = 2) on the slot-1 grid (`stsc.slot1_grid`), one node."""
+
+    def _grid(self):
+        return slot1_grid(self.cfg, self.quad_n), np.ones(1)
+
+    def sides(self, r1v: np.ndarray, alpha: float):
+        """The r1 side of each `r1_passes` pass."""
+        for r1 in r1_passes(r1v, self.quad_n):
+            side = r1_side(self.cfg, r1, alpha, self.grid)
+            yield (r1, alpha, side), np.stack((side.p1_out_1, side.p1_out_2), -1)[:, None]
+            del side
+
+    def block(self, side, r2v: np.ndarray, rows: np.ndarray):
+        r1v, alpha, part = side
+        q = side_quantities(self.cfg, part, r2v, alpha, self.grid, rows)
+        reward, length = reward_length(r1v[rows][:, None], r2v[None, :], *quantity_tables(q)[:2])
+        return reward[..., None], length[..., None]
+
+    def _tables(self, policy: RatePolicy):
+        """One tuple is one pass: slot1_grid refuses an n whose pass holds no row."""
+        r1, r2, alpha = np.atleast_1d(policy.r1), np.atleast_1d(policy.r2), float(policy.alpha)
+        q = side_quantities(self.cfg, r1_side(self.cfg, r1, alpha, self.grid), r2, alpha, self.grid)
+        return tuple(t[0] for t in quantity_tables(q)), self.weights
+
+
+class _MonteCarlo(_Evaluator):
+    """The simulator (`estimate`) at the budget mc, one node: eta with length 1."""
+
+    def _grid(self):
+        return None, np.ones(1)
+
+    def sides(self, r1v: np.ndarray, alpha: float):
+        yield (r1v, alpha, None), np.full((len(r1v), 1, 1), np.nan)  # NaN keeps every row
+
+    def block(self, side, r2v: np.ndarray, rows: np.ndarray):
+        r1v, alpha, _ = side
+        # common random numbers: every tuple sees the same seed
+        eta = [[self.report(RatePolicy.constant(x, y, alpha)).eta for y in r2v] for x in r1v[rows]]
+        return np.array(eta)[..., None], np.ones((len(rows), len(r2v), 1))
+
+    def report(self, policy: RatePolicy):
+        return estimate(self.cfg, policy, self.comp, **self.mc)
 
 
 def throughput(cfg: SystemConfig, policy: RatePolicy, comp=CompressionPolicy("constant"),
@@ -401,7 +422,7 @@ def _front(reward: np.ndarray, length: np.ndarray):
     return pos, r, l
 
 
-def _dinkelbach(ev: _Evaluator, base, lattice, fronts, policy_class):
+def _dinkelbach(ev: _Ltsc, base, lattice, fronts, policy_class):
     """Per-node tuples over `lattice` on the evaluator's node grid by Dinkelbach,
     from the incumbent `base`: lambda <- E[R]/E[L] at the per-node argmax of
     R - lambda L, one tuple search per node; lambda never decreases.
@@ -412,15 +433,15 @@ def _dinkelbach(ev: _Evaluator, base, lattice, fronts, policy_class):
     raises NumericalError.
     """
     r1_axis, r2_axis = lattice[:2]
-    grid = ev.grid
-    nd = len(grid.nodes)
+    w = ev.weights
+    nd = len(w)
     cols = np.arange(nd)
     r1n = np.full(nd, float(base.policy.r1))
     r2n = np.full(nd, float(base.policy.r2))
     an = np.full(nd, float(base.policy.alpha))
 
-    reward_inc, length_inc = node_reward_length(ev.cfg, r1n, r2n, an, grid, ev.comp)
-    lam = float((reward_inc @ grid.weights) / (length_inc @ grid.weights))
+    reward_inc, length_inc = ev.per_node(r1n, r2n, an)
+    lam = float((reward_inc @ w) / (length_inc @ w))
     trajectory = [lam]
     converged = False
 
@@ -441,8 +462,8 @@ def _dinkelbach(ev: _Evaluator, base, lattice, fronts, policy_class):
                 new_a[gain] = alpha
                 best_score = np.where(gain, top, best_score)
         r1n, r2n, an = new_r1, new_r2, new_a
-        reward_inc, length_inc = node_reward_length(ev.cfg, r1n, r2n, an, grid, ev.comp)
-        lam_new = float((reward_inc @ grid.weights) / (length_inc @ grid.weights))
+        reward_inc, length_inc = ev.per_node(r1n, r2n, an)
+        lam_new = float((reward_inc @ w) / (length_inc @ w))
         if lam_new < lam - 1e-12:
             raise NumericalError(
                 f"fractional-programming iterate decreased: {lam!r} -> {lam_new!r}")

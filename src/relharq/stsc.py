@@ -173,22 +173,6 @@ def slot1_grid(cfg: SystemConfig, n: int) -> Slot1Grid:
     return Slot1Grid(d1, grid_d.weights, grid_s.nodes, a1, c, G, lo, hi, Fs1(lo), Fs1(hi))
 
 
-def stsc_quantities(cfg: SystemConfig, r1_vec, r2_vec, alpha: float, n: int,
-                    grid: Slot1Grid | None = None):
-    """The four independent table entries for every (r1, r2) pair at one alpha.
-
-    Returns dict of (Q1, Q2) arrays: p1_out_1, p1_out_2, p2_dec_1, p2_out_2.
-    grid is `slot1_grid(cfg, n)`, built here when None; a caller
-    that evaluates many blocks of one scenario builds it once and passes it.
-    """
-    if grid is None:
-        grid = slot1_grid(cfg, n)
-    r2 = np.atleast_1d(np.asarray(r2_vec, dtype=float))
-    parts = [side_quantities(cfg, r1_side(cfg, r1, alpha, grid), r2, alpha, grid)
-             for r1 in r1_passes(r1_vec, n)]
-    return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
-
-
 def r1_passes(r1_vec, n: int) -> list:
     """The r1 rows of each pass, R1_CELLS // n^2 at a time, which bounds the
     (q1, n, n) arrays of a pass; its (q2, n, n) ones hold the whole r2 axis."""
@@ -256,7 +240,7 @@ def r1_side(cfg: SystemConfig, r1, alpha: float, grid: Slot1Grid) -> _R1Side:
 
 def side_quantities(cfg: SystemConfig, side: _R1Side, r2, alpha: float, grid: Slot1Grid,
                     rows=slice(None)):
-    """stsc_quantities' entries of one pass from its r1 side over the r2 axis, at
+    """The four table entries of one pass from its r1 side over the r2 axis, at
     its r1 rows `rows` (an index array, or every row).  The reductions over r1
     (those of the r1 side, and phi's cross term, whose matmul bits depend on its
     row count) span every row of the pass; the rest is formed on `rows` only,
@@ -307,7 +291,7 @@ def side_quantities(cfg: SystemConfig, side: _R1Side, r2, alpha: float, grid: Sl
 
 
 def quantity_tables(q: dict):
-    """(p1_out, p2_out, p2_dec), each (..., 2), from the four entries of stsc_quantities."""
+    """(p1_out, p2_out, p2_dec), each (..., 2), from the four entries of side_quantities."""
     return (np.stack([q["p1_out_1"], q["p1_out_2"]], axis=-1),
             np.stack([1.0 - q["p2_dec_1"], q["p2_out_2"]], axis=-1),
             np.stack([q["p2_dec_1"], 1.0 - q["p2_dec_1"] - q["p2_out_2"]], axis=-1))

@@ -41,10 +41,10 @@ from relharq.channel import (CompressionPolicy, RatePolicy, SystemConfig, _split
 from relharq.fading import FadingModel, QuadratureGrid, cdf_of_min, quantize
 from relharq.ltsc import node_grid, node_tables
 from relharq.optimize import GridSpec, OptimizationResult
-from relharq.stsc import quantity_tables, stsc_quantities
+from relharq.stsc import quantity_tables
 from relharq.tables import NumericalError, reward_length
 from scipy import special
-from test_stsc import G_CASES, whole_block
+from test_stsc import G_CASES, stsc_entries, whole_block
 
 CONST = CompressionPolicy("constant")
 ADAPT = CompressionPolicy("adaptive")
@@ -198,9 +198,9 @@ def reference_node_tables(
 
 
 
-def reference_stsc_quantities(cfg: SystemConfig, r1_vec, r2_vec, alpha: float, n: int = 128,
-                    chunk_cells: int = 16_000_000):
-    """stsc_quantities as written before the inner expectations were restricted
+def reference_stsc_entries(cfg: SystemConfig, r1_vec, r2_vec, alpha: float, n: int = 128,
+                           chunk_cells: int = 16_000_000):
+    """The STSC table entries as formed before the inner expectations were restricted
     to cells with outer mass: every (d1, s1) cell, F_hi recomputed per chunk
     once q2 n^3 exceeds chunk_cells."""
     P, cmax, s_min = cfg.power, cfg.backhaul_capacity, cfg.s_min
@@ -469,7 +469,7 @@ def test_adaptive_block_forms_each_distinct_gain_once(monkeypatch):
     assert sum(points) > 98_000
 
 
-def assert_stsc_quantities_close(got, want):
+def assert_stsc_entries_close(got, want):
     assert sorted(got) == sorted(want)
     assert np.array_equal(got["p1_out_1"], want["p1_out_1"])
     for key in ("p1_out_2", "p2_dec_1", "p2_out_2"):
@@ -498,9 +498,9 @@ def test_stsc_quantities_match_reference(s_kind, variant, n, g_cells, r1, r2, mo
                            model_d=D_RICIAN, model_s=S_MODELS[s_kind],
                            channel_regime="stsc", bc_layer2_interference=variant)
         for alpha in (0.0, 0.6, 0.95, 1.0):
-            got = stsc_quantities(cfg, r1, r2, alpha, n=n)
-            want = reference_stsc_quantities(cfg, r1, r2, alpha, n=n)
-            assert_stsc_quantities_close(got, want)
+            got = stsc_entries(cfg, r1, r2, alpha, n=n)
+            want = reference_stsc_entries(cfg, r1, r2, alpha, n=n)
+            assert_stsc_entries_close(got, want)
 
 
 @pytest.mark.parametrize("s_kind", sorted(S_MODELS))
@@ -508,9 +508,9 @@ def test_stsc_quantities_pointmass_relay_link_match_reference(s_kind):
     cfg = SystemConfig(power=2.0, backhaul_capacity=1.2, max_rounds=2,
                        model_d=D_POINT, model_s=S_MODELS[s_kind], channel_regime="stsc")
     r1, r2 = np.linspace(0.0, 2.5, 4), np.linspace(0.0, 1.5, 3)
-    got = stsc_quantities(cfg, r1, r2, 0.9, n=12)
-    want = reference_stsc_quantities(cfg, r1, r2, 0.9, n=12)
-    assert_stsc_quantities_close(got, want)
+    got = stsc_entries(cfg, r1, r2, 0.9, n=12)
+    want = reference_stsc_entries(cfg, r1, r2, 0.9, n=12)
+    assert_stsc_entries_close(got, want)
 
 
 def test_stsc_quantities_overflowed_backhaul_keeps_the_reference_nans():
@@ -521,8 +521,8 @@ def test_stsc_quantities_overflowed_backhaul_keeps_the_reference_nans():
                        model_s=S_MODELS["rayleigh"], channel_regime="stsc")
     r1, r2 = np.linspace(0.0, 2.5, 4), np.linspace(0.0, 1.5, 3)
     with np.errstate(all="ignore"):
-        got = stsc_quantities(cfg, r1, r2, 0.6, n=9)
-        want = reference_stsc_quantities(cfg, r1, r2, 0.6, n=9)
+        got = stsc_entries(cfg, r1, r2, 0.6, n=9)
+        want = reference_stsc_entries(cfg, r1, r2, 0.6, n=9)
     assert np.isnan(want["p2_dec_1"]).any()
     for key in ("p1_out_1", "p2_dec_1", "p2_out_2"):
         assert np.array_equal(np.isnan(got[key]), np.isnan(want[key])), key
@@ -689,12 +689,9 @@ def reference_block_eta(ev, r1v, r2v, alpha):
                                          ev.comp, **ev.mc).eta
         return out
     if ev.cfg.channel_regime == "ltsc":
-        reward, length = opt.node_reward_length(
-            ev.cfg, r1v[:, None, None], r2v[None, :, None], np.float64(alpha),
-            ev.grid, ev.comp,
-        )
+        reward, length = ev.per_node(r1v[:, None, None], r2v[None, :, None], np.float64(alpha))
         return (reward @ ev.grid.weights) / (length @ ev.grid.weights)
-    q = stsc_quantities(ev.cfg, r1v, r2v, alpha, ev.quad_n, grid=ev.grid)
+    q = stsc_entries(ev.cfg, r1v, r2v, alpha, ev.quad_n)
     reward, length = reward_length(r1v[:, None], r2v[None, :], *quantity_tables(q)[:2])
     return reward / length
 
@@ -791,14 +788,12 @@ def reference_lcsit(cfg, comp, grid_spec, quad_n, kind):
         r2_axis, alpha_axis = grid_spec.r_axis(), grid_spec.alpha_axis()
     r1_axis = grid_spec.r_axis()
 
-    grid = node_grid(cfg, quad_n)
+    ev = opt._Evaluator(cfg, comp, "analytic", quad_n)
+    grid, node_rl = ev.grid, ev.per_node
     nd = len(grid.nodes)
     r1n = np.full(nd, float(base.policy.r1))
     r2n = np.full(nd, float(base.policy.r2))
     an = np.full(nd, float(base.policy.alpha))
-
-    def node_rl(r1, r2, alpha):
-        return opt.node_reward_length(cfg, r1, r2, alpha, grid, comp)
 
     reward_inc, length_inc = node_rl(r1n, r2n, an)
     lam = float((reward_inc @ grid.weights) / (length_inc @ grid.weights))
@@ -951,14 +946,14 @@ def test_optimizer_stsc_passes_match_reference(monkeypatch):
     # argmax and fronts over their concatenation, as a scan of whole blocks
     monkeypatch.setattr(stsc, "R1_CELLS", 3 * 12 * 12 + 1)
     passes = []
-    sides = opt._Evaluator.sides
+    sides = opt._Stsc.sides
 
     def counting_sides(self, r1v, alpha):
         for side, p1 in sides(self, r1v, alpha):
             passes.append(len(side[0]))
             yield side, p1
 
-    monkeypatch.setattr(opt._Evaluator, "sides", counting_sides)
+    monkeypatch.setattr(opt._Stsc, "sides", counting_sides)
     for s_kind in ("rician", "pointmass"):
         cfg = SystemConfig(2.0, 1.5, 2, D_RAYLEIGH, S_MODELS[s_kind], channel_regime="stsc")
         assert_optima_match(cfg, CONST, ("bc", "sl"), grid_spec=OPT_GRID, quad_n=12)
@@ -976,13 +971,13 @@ def test_negative_throughput_at_the_per_node_seed_is_refused(monkeypatch, tmp_pa
     # the fronts hold for lambda >= 0 only; a reward shifted below zero makes the
     # per-node seed's throughput negative, and the search refuses it
     cfg = ltsc_cfg("rician", 3, P=1.5, cmax=1.0)
-    rl = opt.node_reward_length
+    rl = opt._Ltsc.per_node
 
     def shifted(*args):
         reward, length = rl(*args)
         return reward - 5.0, length
 
-    monkeypatch.setattr(opt, "node_reward_length", shifted)
+    monkeypatch.setattr(opt._Ltsc, "per_node", shifted)
     for quad_n in (10, 6):
         with pytest.raises(NumericalError, match="per-node search"):
             opt.optima(cfg, ["bc-lcsit"], CONST, grid_spec=OPT_GRID, quad_n=quad_n)
@@ -1045,7 +1040,7 @@ def test_per_node_search_starts_at_nonnegative_throughput():
 
 def count_node_table_cells(monkeypatch):
     # the optimizer's blocks call node_tables, its per-node tuples and the
-    # oracles node_reward_length
+    # oracles `_Ltsc.per_node`
     cells = []
     tables = ltsc.node_tables
 
@@ -1065,13 +1060,13 @@ def test_quartet_takes_about_one_lattice_pass(monkeypatch):
     kw = {"grid_spec": OPT_GRID, "quad_n": 24}
     one_pass = len(OPT_GRID.r_axis()) ** 2 * len(OPT_GRID.alpha_axis()) * 24
     blocks = []
-    sides = opt._Evaluator.sides
+    sides = opt._Ltsc.sides
 
     def counting_sides(self, *args):
         blocks.append(args)
         return sides(self, *args)
 
-    monkeypatch.setattr(opt._Evaluator, "sides", counting_sides)
+    monkeypatch.setattr(opt._Ltsc, "sides", counting_sides)
     opt._optimize(opt._Evaluator(cfg, CONST, "analytic", kw["quad_n"]), ("bc", "sl"),
                   kw["grid_spec"])
     n_blocks = len(blocks)
@@ -1126,11 +1121,12 @@ def test_pruned_scan_matches_the_full_lattice(monkeypatch):
     # every bc and sl result of the pruned scan is the full-lattice reference's,
     # bit for bit, metadata included; every cell a pruned pass left out,
     # evaluated in full, is strictly below the incumbent it was left out against
-    sides, row_bound, reaches = opt._Evaluator.sides, opt._row_bound, opt._reaches
+    sides = {cls: cls.sides for cls in (opt._Ltsc, opt._Stsc)}
+    row_bound, reaches = opt._row_bound, opt._reaches
     passes = []
 
     def recording_sides(self, r1v, alpha):
-        for side, p1 in sides(self, r1v, alpha):
+        for side, p1 in sides[type(self)](self, r1v, alpha):
             passes.append([side[0], alpha])
             yield side, p1
 
@@ -1143,7 +1139,8 @@ def test_pruned_scan_matches_the_full_lattice(monkeypatch):
         passes[-1] += [floor, out]
         return out
 
-    monkeypatch.setattr(opt._Evaluator, "sides", recording_sides)
+    for cls in sides:
+        monkeypatch.setattr(cls, "sides", recording_sides)
     monkeypatch.setattr(opt, "_row_bound", recording_bound)
     monkeypatch.setattr(opt, "_reaches", recording_reaches)
     kinds, skipped, cells = set(), 0, 0
@@ -1195,7 +1192,7 @@ def test_per_node_prune_drops_only_beaten_rows(monkeypatch):
     # below a line of the staircase it was tested against, by the margin, at
     # lam = 0 and lam_hi; and every class is the one the scan gives with that
     # test switched off, which forms every per-node row, bit for bit
-    sides, row_bound, reaches, beaten = (opt._Evaluator.sides, opt._row_bound, opt._reaches,
+    sides, row_bound, reaches, beaten = (opt._Ltsc.sides, opt._row_bound, opt._reaches,
                                          opt._beaten)
     passes = []
 
@@ -1219,14 +1216,14 @@ def test_per_node_prune_drops_only_beaten_rows(monkeypatch):
     for name, fn in (("_row_bound", recording_bound), ("_reaches", recording_reaches),
                      ("_beaten", recording_beaten)):
         monkeypatch.setattr(opt, name, fn)
-    monkeypatch.setattr(opt._Evaluator, "sides", recording_sides)
+    monkeypatch.setattr(opt._Ltsc, "sides", recording_sides)
     kinds, dropped, formed = set(), 0, 0
     for k in range(36):
         cfg, comp, quad_n = per_node_scenario(k)
         kinds.add((cfg.max_rounds, comp.kind, cfg.model_s.kind, cfg.model_d.kind))
         passes.clear()
         got = opt.optima(cfg, ALL_CLASSES, comp, grid_spec=PRUNE_GRID, quad_n=quad_n)
-        grid = node_grid(cfg, quad_n)
+        ev = opt._Evaluator(cfg, comp, "analytic", quad_n)
         for p in passes:
             if "beaten" not in p:  # no staircase yet, or a scan without fronts
                 continue
@@ -1235,9 +1232,8 @@ def test_per_node_prune_drops_only_beaten_rows(monkeypatch):
             if not drop.any():
                 continue
             dropped += np.count_nonzero(drop)
-            reward, length = opt.node_reward_length(
-                cfg, p["r1"][drop][:, None, None], p["r2"][None, :, None],
-                np.float64(p["alpha"]), grid, comp)
+            reward, length = ev.per_node(p["r1"][drop][:, None, None], p["r2"][None, :, None],
+                                         np.float64(p["alpha"]))
             lam_hi = p["lam_hi"]
             at_0 = (reward + opt._slack(reward, length, 0.0))[:, :, None]
             at_hi = (reward - lam_hi * length + opt._slack(reward, length, lam_hi))[:, :, None]

@@ -114,7 +114,7 @@ def test_one_quadrature_default():
     for fn in (optimize.throughput, optimize.optima, optimize.optimize_no_lcsit,
                optimize.optimize_lcsit):
         assert inspect.signature(fn).parameters["quad_n"].default == quad_n, fn.__name__
-    n = inspect.signature(stsc.stsc_quantities).parameters["n"]
+    n = inspect.signature(stsc.slot1_grid).parameters["n"]
     assert n.default is inspect.Parameter.empty
     removed = {"probability_table", "throughput_ltsc", "stsc_table", "throughput_stsc"}
     assert removed.isdisjoint(relharq.__all__)
@@ -140,11 +140,11 @@ def test_one_loop_over_sweep_points():
 
 
 def test_one_per_block_evaluator():
-    # _Evaluator.block gives every regime and backend as per-node (E[R], E[L]),
-    # so the optimizer calls the simulator only through report
+    # every evaluator's block gives its regime and backend as per-node (E[R], E[L]),
+    # so the optimizer calls the simulator only through _MonteCarlo.report
     module = ast.parse((SRC / "optimize.py").read_text(encoding="utf-8"))
     evaluator = next(node for node in module.body
-                     if isinstance(node, ast.ClassDef) and node.name == "_Evaluator")
+                     if isinstance(node, ast.ClassDef) and node.name == "_MonteCarlo")
     report = next(node for node in evaluator.body
                   if isinstance(node, ast.FunctionDef) and node.name == "report")
     assert len(calls(module, "estimate")) == len(calls(report, "estimate")) == 1
@@ -152,6 +152,16 @@ def test_one_per_block_evaluator():
     assert "_node_block" not in {fn.name for fn in functions}
     params = {arg.arg for fn in functions for arg in ast.walk(fn.args) if isinstance(arg, ast.arg)}
     assert "visit" not in params
+
+
+def test_one_regime_and_backend_switch():
+    # the optimizer chooses between the LTSC and STSC closed forms and the
+    # simulator once: one comparison on channel_regime and one on backend
+    module = ast.parse((SRC / "optimize.py").read_text(encoding="utf-8"))
+    compared = [getattr(side, "attr", getattr(side, "id", None))
+                for node in ast.walk(module) if isinstance(node, ast.Compare)
+                for side in (node.left, *node.comparators)]
+    assert compared.count("channel_regime") == compared.count("backend") == 1
 
 
 def test_one_row_rule():
@@ -236,17 +246,17 @@ def test_feasibility_violation_raises_and_exits_3(tmp_path, monkeypatch):
 
 def test_decreasing_dinkelbach_iterate_raises_and_exits_3(tmp_path, monkeypatch):
     # after the incumbent, every per-node re-evaluation loses almost all reward
-    node_reward_length = optimize.node_reward_length
+    per_node = optimize._Ltsc.per_node
     per_node_calls = []
 
-    def shrinking(cfg, r1, r2, alpha, grid, comp):
-        reward, length = node_reward_length(cfg, r1, r2, alpha, grid, comp)
+    def shrinking(self, r1, r2, alpha, *side):
+        reward, length = per_node(self, r1, r2, alpha, *side)
         if np.ndim(r1) == 1:
             per_node_calls.append(1)
             if len(per_node_calls) > 1:
                 reward = reward * 1e-3
         return reward, length
 
-    monkeypatch.setattr(optimize, "node_reward_length", shrinking)
+    monkeypatch.setattr(optimize._Ltsc, "per_node", shrinking)
     assert run(tmp_path, "optimize", "csi = lcsit\n") == 3
     assert len(per_node_calls) == 2

@@ -191,7 +191,7 @@ class TestThroughput:
         rep = throughput(cfg, pol, comp, quad_n=24)
         assert len(calls) == 1
         # the same arrays the separate hooks give
-        reward, length = ltsc.node_reward_length(cfg, 0.9, 0.4, 0.9, grid, comp)
+        reward, length = optimize._Evaluator(cfg, comp, "analytic", 24).per_node(0.9, 0.4, 0.9)
         assert rep.expected_reward == float(reward @ grid.weights)
         assert rep.expected_length == float(length @ grid.weights)
         table = throughput(cfg, pol, comp, quad_n=24).table
@@ -223,13 +223,13 @@ def test_scan_block_peak_is_bounded():
     # threshold of one l is live, about 14 MB; keeping every (l, k) threshold
     # of the block would take about twice that
     cfg = SystemConfig(1.0, 1.0, 6, FadingModel("rician", 1.0), FadingModel("rayleigh", 1.0))
-    grid = node_grid(cfg, 32)
+    per_node = optimize._Evaluator(cfg, CONST, "analytic", 32).per_node
     r = np.linspace(0.0, 6.0, 61)
-    args = (cfg, r[:, None, None], r[None, :, None], np.float64(0.9), grid, CONST)
-    ltsc.node_reward_length(*args)  # untraced first: lazily built caches are not part of the peak
+    args = (r[:, None, None], r[None, :, None], np.float64(0.9))
+    per_node(*args)  # untraced first: lazily built caches are not part of the peak
     tracemalloc.start()
     try:
-        ltsc.node_reward_length(*args)
+        per_node(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -246,9 +246,10 @@ def test_scan_block_p1_is_not_block_sized():
             node_grid(cfg, 32), CONST)
     p1, p2o = node_tables(*args)  # untraced first, as above
     assert not p1.flags.writeable and p1.shape == p2o.shape == (61, 61, 32, 6)
+    per_node = optimize._Evaluator(cfg, CONST, "analytic", 32).per_node
     tracemalloc.start()
     try:
-        ltsc.node_reward_length(*args)
+        per_node(*args[1:4])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

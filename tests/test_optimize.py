@@ -6,6 +6,7 @@ from relharq import ltsc
 from relharq.fading import FadingModel, quantize
 import relharq.optimize as opt
 from relharq.optimize import GridSpec, optima, optimize_lcsit, optimize_no_lcsit, throughput
+from relharq.tables import ConfigError
 
 CONST = CompressionPolicy("constant")
 
@@ -175,3 +176,45 @@ def test_report_reads_a_per_node_policy_on_the_evaluator_grid(monkeypatch):
     assert calls == []  # the evaluator's own grid, built with it
     ev.report(other)
     assert calls == [5]  # any other node count gets its own grid
+
+
+def switch_cfg(regime, T=2, variant=False):
+    return SystemConfig(power=1.0, backhaul_capacity=1.0, max_rounds=T,
+                        model_d=FadingModel("rician", 1.5, rician_k=2.0),
+                        model_s=FadingModel("rayleigh", 1.0), channel_regime=regime,
+                        bc_layer2_interference=variant)
+
+
+@pytest.mark.parametrize("regime, backend, cls", [
+    ("ltsc", "analytic", opt._Ltsc), ("stsc", "analytic", opt._Stsc),
+    ("ltsc", "mc", opt._MonteCarlo), ("stsc", "mc", opt._MonteCarlo)])
+def test_evaluator_builds_the_class_of_its_regime_and_backend(regime, backend, cls):
+    ev = opt._Evaluator(switch_cfg(regime), CONST, backend, 8)
+    assert type(ev) is cls and ev.backend == backend
+    assert ev.weights.shape == ((8,) if cls is opt._Ltsc else (1,))
+
+
+@pytest.mark.parametrize("regime, comp, backend, T, variant, key", [
+    ("stsc", CompressionPolicy("adaptive"), "analytic", 2, False, "compression"),
+    ("ltsc", CONST, "analytic", 2, True, "bc_layer2_interference"),
+    ("stsc", CONST, "analytic", 3, False, "T"),
+    ("ltsc", CONST, "gpu", 2, False, "backend"),
+], ids=["stsc-adaptive", "ltsc-interference", "stsc-T3", "unknown-backend"])
+def test_unsupported_evaluator_is_refused_before_any_grid(regime, comp, backend, T, variant,
+                                                          key, monkeypatch):
+    built = []
+    for name in ("node_grid", "slot1_grid"):
+        monkeypatch.setattr(opt, name, lambda *args, name=name: built.append(name))
+    with pytest.raises(ConfigError, match=f"^{key}:"):
+        opt._Evaluator(switch_cfg(regime, T, variant), comp, backend, 8)
+    assert built == []
+
+
+@pytest.mark.parametrize("regime, backend", [("stsc", "analytic"), ("ltsc", "mc"),
+                                             ("stsc", "mc")])
+@pytest.mark.parametrize("cls", ["sl-lcsit", "bc-lcsit"])
+def test_per_node_classes_need_the_ltsc_closed_form(regime, backend, cls):
+    ev = opt._Evaluator(switch_cfg(regime), CONST, backend, 8)
+    with pytest.raises(ConfigError, match="^csi:"):
+        opt._optimize(ev, [cls], SMALL)
+    assert ev.n_evals == 0

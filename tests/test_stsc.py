@@ -15,7 +15,7 @@ from relharq.config import GridSpec
 from relharq.fading import SPLIT_POINTS, FadingModel
 from relharq import fading, optimize, stsc
 from relharq.optimize import _Evaluator, _optimize, throughput
-from relharq.stsc import node_cdf_sum, quantity_tables, stsc_quantities
+from relharq.stsc import node_cdf_sum, quantity_tables, side_quantities
 from relharq.tables import reward_length
 
 
@@ -214,13 +214,28 @@ class TestVectorizedPath:
         r1s = np.array([0.4, 1.1, 2.0])
         r2s = np.array([0.2, 0.9])
         alpha = 0.7
-        q = stsc_quantities(cfg, r1s, r2s, alpha, n=48)
+        q = stsc_entries(cfg, r1s, r2s, alpha, n=48)
         for i, r1 in enumerate(r1s):
             for j, r2 in enumerate(r2s):
                 t = throughput(cfg, RatePolicy.constant(r1, r2, alpha), quad_n=48).table
                 assert q["p1_out_2"][i, j] == pytest.approx(t.p1_out[1], abs=1e-12)
                 assert q["p2_dec_1"][i, j] == pytest.approx(t.p2_dec[0], abs=1e-12)
                 assert q["p2_out_2"][i, j] == pytest.approx(t.p2_out[1], abs=1e-12)
+
+
+SIDES = optimize._Stsc.sides  # the passes as defined, whatever a test patches on the class
+
+
+def stsc_entries(cfg, r1, r2, alpha, n):
+    """The four STSC table entries of every (r1, r2) pair at alpha on the n-point
+    quadrature: `side_quantities` of each pass of `_Stsc.sides`, in row order,
+    one pass's r1 side at a time."""
+    ev = optimize._Stsc(cfg, CompressionPolicy("constant"), "analytic", n)
+    r2, parts = np.atleast_1d(np.asarray(r2, dtype=float)), []
+    for (_, _, side), _ in SIDES(ev, r1, alpha):
+        parts.append(side_quantities(cfg, side, r2, alpha, ev.grid))
+        del side
+    return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
 
 
 def whole_block(ev, r1v, r2v, alpha):
@@ -271,7 +286,7 @@ class TestSlot1Grid:
         ev = _Evaluator(cfg, CompressionPolicy("constant"), "analytic", 16)
         r1, r2 = np.linspace(0.0, 2.5, 7), np.linspace(0.0, 1.5, 5)
         for alpha in (0.0, 0.6, 1.0):
-            q = stsc_quantities(cfg, r1, r2, alpha, n=16)
+            q = stsc_entries(cfg, r1, r2, alpha, n=16)
             reward, length = reward_length(r1[:, None], r2[None, :], *quantity_tables(q)[:2])
             reward_b, length_b, weights = whole_block(ev, r1, r2, alpha)
             assert np.array_equal((reward_b @ weights) / (length_b @ weights), reward / length)
@@ -491,9 +506,9 @@ def test_row_blocks_change_no_bit(s_kind, monkeypatch):
     cfg = SystemConfig(cfg.power, cfg.backhaul_capacity, 2, cfg.model_d,
                        FadingModel(s_kind, 1.5, rician_k=1.0), channel_regime="stsc")
     r1, r2 = np.linspace(0.0, 2.5, 9), np.linspace(0.0, 1.5, 7)
-    whole = stsc_quantities(cfg, r1, r2, 0.7, n=24)
+    whole = stsc_entries(cfg, r1, r2, 0.7, n=24)
     monkeypatch.setattr(stsc, "BLOCK_CELLS", 1)
-    rows = stsc_quantities(cfg, r1, r2, 0.7, n=24)
+    rows = stsc_entries(cfg, r1, r2, 0.7, n=24)
     for key in whole:
         assert np.array_equal(rows[key], whole[key]), key
 
@@ -505,10 +520,10 @@ def test_r1_chunks_keep_the_cell_budget_and_every_bit(monkeypatch):
         channel_regime="stsc",
     )
     r = np.linspace(0.0, 3.0, 13)
-    whole = stsc_quantities(cfg, r, r, 0.6, n=16)
+    whole = stsc_entries(cfg, r, r, 0.6, n=16)
     monkeypatch.setattr(stsc, "R1_CELLS", 5 * 16**2 + 1)
-    rows = count_passes(monkeypatch, stsc)
-    passes = stsc_quantities(cfg, r, r, 0.6, n=16)
+    rows = count_passes(monkeypatch, optimize)
+    passes = stsc_entries(cfg, r, r, 0.6, n=16)
     for key in whole:
         assert np.array_equal(passes[key], whole[key]), key
     assert rows == [5, 5, 3]
@@ -527,7 +542,7 @@ def test_kept_rows_keep_every_bit(n, seed, monkeypatch):
     monkeypatch.setattr(stsc, "BLOCK_CELLS", 2 * len(r2) * n * n + 1)
     grid = stsc.slot1_grid(cfg, n)
     for alpha in (0.0, 0.55, 1.0):
-        full = stsc_quantities(cfg, r1, r2, alpha, n)
+        full = stsc_entries(cfg, r1, r2, alpha, n)
         mask = rng.random(len(r1)) < (0.5, 0.2, 1.0)[seed % 3]
         mask[3:6] = seed % 2 == 0  # one pass all kept or all left out
         seen, got = [], []
@@ -559,7 +574,7 @@ class TestMemory:
         r = np.linspace(0.0, 6.0, 25)
         tracemalloc.start()
         try:
-            stsc_quantities(cfg, r, r, alpha, n=32)
+            stsc_entries(cfg, r, r, alpha, n=32)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -577,7 +592,7 @@ class TestMemory:
         r = np.linspace(0.0, 6.0, 61)
         tracemalloc.start()
         try:
-            stsc_quantities(cfg, r, r, alpha, n=128)
+            stsc_entries(cfg, r, r, alpha, n=128)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -611,7 +626,7 @@ class TestMemory:
         cfg.model_s.cdf(1.0)  # untraced first: importing scipy.special is not part of the peak
         tracemalloc.start()
         try:
-            stsc_quantities(cfg, [0.9], [0.5], 0.95, n=n)
+            stsc_entries(cfg, [0.9], [0.5], 0.95, n=n)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -636,7 +651,7 @@ class TestPreconditions:
             model_d=FadingModel("rayleigh", 1.0), model_s=FadingModel("rayleigh", 1.0),
         )
         with pytest.raises(ValueError, match="stsc"):
-            stsc_quantities(cfg, [1.0], [0.5], 0.8, n=128)
+            stsc_entries(cfg, [1.0], [0.5], 0.8, n=128)
 
     def test_wrong_horizon_rejected(self):
         cfg = SystemConfig(
