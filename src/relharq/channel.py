@@ -10,8 +10,8 @@ Central objects:
       backhaul for side information s_min (or the inferred bound s_hat)
   threshold_offset               c = a/b, b = 1 + a/d: the one term of a
       decode threshold that reads the relay; a scenario forms it once per node
-      (`ltsc.NodeGrid`, `stsc.Slot1Grid`) and the simulator once per
-      acknowledged session
+      (`ltsc.node_grid`, whose `NodeGrid` both closed forms read) and the
+      simulator once per acknowledged session
   infer_s_hat                    lower bound on S implied by a layer-1 ACK
   slot_threshold                 the s-value above which l slots at signal
       power p_sig against interference p_int carry rate R, given the offset c;

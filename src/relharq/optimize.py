@@ -54,7 +54,7 @@ from .config import GridSpec
 from .fading import DEFAULT_QUAD_N
 from .ltsc import decode_table, layer1_side, node_grid, node_tables
 from .simulate import estimate
-from .stsc import quantity_tables, r1_passes, r1_side, side_quantities, slot1_grid
+from .stsc import r1_passes, r1_side, side_quantities, slot1_grid
 from .tables import NumericalError, ProbabilityTable, ThroughputReport, reward_length
 
 _MARGIN = 8 * np.finfo(float).eps  # 16 unit roundoffs, see _front
@@ -146,20 +146,20 @@ class _Stsc(_Evaluator):
         """The r1 side of each `r1_passes` pass."""
         for r1 in r1_passes(r1v, self.quad_n):
             side = r1_side(self.cfg, r1, alpha, self.grid)
-            yield (r1, alpha, side), np.stack((side.p1_out_1, side.p1_out_2), -1)[:, None]
+            yield (r1, alpha, side), side.p1_out[:, None]
             del side
 
     def block(self, side, r2v: np.ndarray, rows: np.ndarray):
         r1v, alpha, part = side
-        q = side_quantities(self.cfg, part, r2v, alpha, self.grid, rows)
-        reward, length = reward_length(r1v[rows][:, None], r2v[None, :], *quantity_tables(q)[:2])
-        return reward[..., None], length[..., None]
+        tables = side_quantities(self.cfg, part, r2v, alpha, self.grid, rows)
+        return reward_length(r1v[rows][:, None, None], r2v[None, :, None], *tables[:2])
 
     def _tables(self, policy: RatePolicy):
         """One tuple is one pass: slot1_grid refuses an n whose pass holds no row."""
         r1, r2, alpha = np.atleast_1d(policy.r1), np.atleast_1d(policy.r2), float(policy.alpha)
-        q = side_quantities(self.cfg, r1_side(self.cfg, r1, alpha, self.grid), r2, alpha, self.grid)
-        return tuple(t[0] for t in quantity_tables(q)), self.weights
+        side = r1_side(self.cfg, r1, alpha, self.grid)
+        tables = side_quantities(self.cfg, side, r2, alpha, self.grid)
+        return tuple(t[0, 0] for t in tables), self.weights
 
 
 class _MonteCarlo(_Evaluator):

@@ -40,9 +40,10 @@ once per (r1, r2, d1).  p2_dec_1 and phi are therefore (q1, q2, nd) sums of
 per-row bin sums (phi's cross term one batched matmul per d1 node); only gamma
 is formed on the (r1, r2, d1, s1) block, a few r1 rows at a time in blocks of
 about BLOCK_CELLS cells.  Everything that depends on the scenario but not on
-the tuple (the quadrature nodes, the S1 edge cdfs, a1, its offset c, which
-lam1 and lam2 read, and G) is one `Slot1Grid`, built once per evaluator and
-shared by all its blocks.
+the tuple is one `Slot1Grid`, built once per evaluator and shared by all its
+blocks: the S1 bins with their edge cdfs, G, and the D1 nodes with a1 and its
+offset c, which lam1 and lam2 read, as the `ltsc.NodeGrid` that
+`ltsc.node_grid` builds for both closed forms.
 
 G is most of the time of a fine Rician quadrature.  Its cdf sum is one cdf
 call per chunk, which `fading` runs in slabs on two threads, with the doubles
@@ -51,8 +52,9 @@ of one thread (`node_cdf_sum`).
 r1 is taken in passes of R1_CELLS // n^2 rows (`r1_passes`), and each pass
 in two steps: its r1 side (`r1_side`: lam1, m_fail, u1, g1, and so p1_out(1)
 and p1_out(2)), then the cells of chosen rows over the r2 axis
-(`side_quantities`).  The optimizer reads p1_out(2) in between and chooses
-the rows.
+(`side_quantities`), which gives (p1_out, p2_out, p2_dec) as
+`ltsc.node_tables` lays them out, with one node.  The optimizer reads
+p1_out(2) in between and chooses the rows.
 """
 
 from __future__ import annotations
@@ -62,9 +64,9 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import (SystemConfig, check_supported, conservative_gain, mutual_info,
-                      slot_threshold, threshold_offset)
+from .channel import SystemConfig, check_supported, mutual_info, slot_threshold
 from .fading import FadingModel, quantize
+from .ltsc import NodeGrid, node_grid
 from .tables import ConfigError
 
 # 512 KB per block array of the gamma pass, which also reads g1, m_fail and g2
@@ -132,16 +134,13 @@ def node_cdf_sum(model: FadingModel, c, w):
 
 @dataclass(frozen=True)
 class Slot1Grid:
-    """The slot-1 quadrature of one scenario, shared by every tuple block:
-    D1 nodes d1 with weights wd, S1 bin nodes s1 with edges lo, hi, F_lo = Pr[S1
-    < lo] and F_hi = Pr[S1 < hi], the conservative gain a1 and its threshold
-    offset c at each d1, and G."""
+    """The slot-1 quadrature of one scenario, shared by every tuple block: the
+    D1 nodes with their weights, conservative gain a1 and threshold offset c
+    (`node`, the `ltsc.NodeGrid` of the scenario, reused for D2), S1 bin nodes
+    s1 with edges lo, hi, F_lo = Pr[S1 < lo] and F_hi = Pr[S1 < hi], and G."""
 
-    d1: np.ndarray
-    wd: np.ndarray
+    node: NodeGrid
     s1: np.ndarray
-    a1: np.ndarray
-    c: np.ndarray
     G: Callable
     lo: np.ndarray
     hi: np.ndarray
@@ -159,18 +158,15 @@ def slot1_grid(cfg: SystemConfig, n: int) -> Slot1Grid:
     if n * n > R1_CELLS:
         raise ConfigError(f"quad.n: {n} exceeds {int(R1_CELLS**0.5)}, the largest stsc "
                           "quadrature whose n x n slot-1 grid fits one r1 pass")
-    grid_d, grid_s = quantize(cfg.model_d, n), quantize(cfg.model_s, n)
-    d1, Fs1 = grid_d.nodes, cfg.model_s.cdf_strict
-    a1 = conservative_gain(d1, cfg.s_min, cfg.power, cfg.backhaul_capacity)
-    c = threshold_offset(a1, d1)
+    node, grid_s, Fs1 = node_grid(cfg, n), quantize(cfg.model_s, n), cfg.model_s.cdf_strict
     # D2 is i.i.d. with D1: G sums over the same nodes, each at its c
-    G = node_cdf_sum(cfg.model_s, c, grid_d.weights)
+    G = node_cdf_sum(cfg.model_s, node.c, node.weights)
     # S1 bin boundaries and the exact slot-1 indicator masses per bin.  Bin
     # masses come from the cdf at the edges (not the nominal quantile weights)
     # so the three-way partition telescopes to total mass 1 exactly.
     lo = np.concatenate(([-np.inf], grid_s.edges))
     hi = np.concatenate((grid_s.edges, [np.inf]))
-    return Slot1Grid(d1, grid_d.weights, grid_s.nodes, a1, c, G, lo, hi, Fs1(lo), Fs1(hi))
+    return Slot1Grid(node, grid_s.nodes, G, lo, hi, Fs1(lo), Fs1(hi))
 
 
 def r1_passes(r1_vec, n: int) -> list:
@@ -204,15 +200,14 @@ def _on_support(G, u, cells):
 class _R1Side:
     """What one pass forms from its r1 rows alone: lam1 (q1, nd); m_fail, the
     mass S1 < lam1 per bin, and g1 = G(u1) on the cells where it is nonzero
-    (q1, nd, ns); p1_out_1 and p1_out_2 (q1,); and the reductions over the
+    (q1, nd, ns); p1_out(1), p1_out(2) (q1, 2); and the reductions over the
     pass's rows that the cell pass reads: the smallest F1 = F(clip(lam1)),
     whether any row fails, and the smallest live u1, each (nd, ns)."""
 
     lam1: np.ndarray
     m_fail: np.ndarray
     g1: np.ndarray
-    p1_out_1: np.ndarray
-    p1_out_2: np.ndarray
+    p1_out: np.ndarray
     F1_min: np.ndarray
     fails_any: np.ndarray
     u1_live: np.ndarray
@@ -222,42 +217,44 @@ def r1_side(cfg: SystemConfig, r1, alpha: float, grid: Slot1Grid) -> _R1Side:
     """The r1 side of one pass of rows r1: everything up to p1_out(2), which has no r2."""
     P = cfg.power
     ap, abp = alpha * P, (1.0 - alpha) * P
-    d1, s1, a1 = grid.d1, grid.s1, grid.a1
-    lam1 = slot_threshold(r1[:, None], 1, ap, abp, grid.c)          # (q1, nd)
+    d1, wd, a1, c = grid.node.nodes, grid.node.weights, grid.node.a, grid.node.c
+    lam1 = slot_threshold(r1[:, None], 1, ap, abp, c)               # (q1, nd)
     F1 = _cdf_in_bins(cfg.model_s.cdf_strict, grid, lam1)          # (q1, nd, ns)
     F1_min = F1.min(axis=0)
     m_fail = np.subtract(F1, grid.F_lo, out=F1)                     # mass S1 < lam1, in place
     # the slot-2 threshold u at c = 0 of the residual rate r1 - I1(d1, s1-node)
-    i1 = mutual_info(ap, abp, a1[:, None], s1, d1[:, None])         # (nd, ns)
+    i1 = mutual_info(ap, abp, a1[:, None], grid.s1, d1[:, None])    # (nd, ns)
     u1 = slot_threshold(r1[:, None, None] - i1, 1, ap, abp, 0.0)    # (q1, nd, ns)
     fails = m_fail != 0
     u1_live = np.where(fails, u1, np.inf).min(axis=0)               # NaN stays NaN
     g1 = _on_support(grid.G, u1, fails)
     del u1
-    return _R1Side(lam1, m_fail, g1, _total(grid.wd, m_fail), _total(grid.wd, m_fail * g1),
-                   F1_min, fails.any(axis=0), u1_live)
+    p1_out = np.stack((_total(wd, m_fail), _total(wd, m_fail * g1)), axis=-1)
+    return _R1Side(lam1, m_fail, g1, p1_out, F1_min, fails.any(axis=0), u1_live)
 
 
 def side_quantities(cfg: SystemConfig, side: _R1Side, r2, alpha: float, grid: Slot1Grid,
                     rows=slice(None)):
-    """The four table entries of one pass from its r1 side over the r2 axis, at
-    its r1 rows `rows` (an index array, or every row).  The reductions over r1
+    """(p1_out, p2_out, p2_dec) of one pass from its r1 side over the r2 axis, at
+    its r1 rows `rows` (an index array, or every row), each (rows, q2, 1, T = 2)
+    as `ltsc.node_tables` lays them out, with one node; p1_out is a read-only
+    view of the r1 side's (q1, 2) p1_out.  The reductions over r1
     (those of the r1 side, and phi's cross term, whose matmul bits depend on its
     row count) span every row of the pass; the rest is formed on `rows` only,
     one row independent of the others, so a row keeps its bits in any subset."""
     P = cfg.power
     ap, abp = alpha * P, (1.0 - alpha) * P
     p_int2 = ap if cfg.bc_layer2_interference else 0.0
-    d1, wd, s1, a1, G = grid.d1, grid.wd, grid.s1, grid.a1, grid.G
+    d1, wd, a1, c, G = grid.node.nodes, grid.node.weights, grid.node.a, grid.node.c, grid.G
 
-    lam2 = slot_threshold(r2[:, None], 1, abp, p_int2, grid.c)      # (q2, nd)
+    lam2 = slot_threshold(r2[:, None], 1, abp, p_int2, c)           # (q2, nd)
     F2 = _cdf_in_bins(cfg.model_s.cdf_strict, grid, lam2)          # (q2, nd, ns)
     # the mass lam1 <= S1 < lam2 is F2 - F1 where lam2 > lam1, else 0; F is
     # monotone, so it is nonzero only where F2 exceeds the smallest F1
     phi_cells = ~(F2 <= side.F1_min)
     m_below2 = np.subtract(F2, grid.F_lo, out=F2)                   # mass S1 < lam2, in place
 
-    i2 = mutual_info(abp, p_int2, a1[:, None], s1, d1[:, None])     # (nd, ns)
+    i2 = mutual_info(abp, p_int2, a1[:, None], grid.s1, d1[:, None])  # (nd, ns)
     r2p = r2[:, None, None] - i2                                    # (q2, nd, ns)
     u2 = slot_threshold(r2p, 1, abp, p_int2, 0.0)
     g2 = _on_support(G, u2, side.fails_any & ~(u2 <= side.u1_live))
@@ -283,15 +280,9 @@ def side_quantities(cfg: SystemConfig, side: _R1Side, r2, alpha: float, grid: Sl
         # G(max(u1, u2)) = max(G(u1), G(u2)); the max of the values keeps gamma >= 0
         g_max = np.maximum(g1[block, None], g2[None])
         g_max *= m_fail[block, None]
-        p2_out_2[block] = _total(wd, g_max) + phi[block]            # p1_out_2 + gamma + phi
+        p2_out_2[block] = _total(wd, g_max) + phi[block]            # p1_out(2) + gamma + phi
 
-    return {"p1_out_1": np.repeat(side.p1_out_1[rows][:, None], q2, axis=1),
-            "p1_out_2": np.repeat(side.p1_out_2[rows][:, None], q2, axis=1),
-            "p2_dec_1": p2_dec_1, "p2_out_2": p2_out_2}
-
-
-def quantity_tables(q: dict):
-    """(p1_out, p2_out, p2_dec), each (..., 2), from the four entries of side_quantities."""
-    return (np.stack([q["p1_out_1"], q["p1_out_2"]], axis=-1),
-            np.stack([1.0 - q["p2_dec_1"], q["p2_out_2"]], axis=-1),
-            np.stack([q["p2_dec_1"], 1.0 - q["p2_dec_1"] - q["p2_out_2"]], axis=-1))
+    p2_out_1 = 1.0 - p2_dec_1
+    p1_out = np.broadcast_to(side.p1_out[rows][:, None, None], (q1, q2, 1, 2))
+    return (p1_out, np.stack((p2_out_1, p2_out_2), axis=-1)[:, :, None],
+            np.stack((p2_dec_1, p2_out_1 - p2_out_2), axis=-1)[:, :, None])

@@ -41,10 +41,9 @@ from relharq.channel import (CompressionPolicy, RatePolicy, SystemConfig, _split
 from relharq.fading import FadingModel, QuadratureGrid, cdf_of_min, quantize
 from relharq.ltsc import node_grid, node_tables
 from relharq.optimize import GridSpec, OptimizationResult
-from relharq.stsc import quantity_tables
 from relharq.tables import NumericalError, reward_length
 from scipy import special
-from test_stsc import G_CASES, stsc_entries, whole_block
+from test_stsc import G_CASES, stsc_entries, stsc_tables, whole_block
 
 CONST = CompressionPolicy("constant")
 ADAPT = CompressionPolicy("adaptive")
@@ -691,8 +690,8 @@ def reference_block_eta(ev, r1v, r2v, alpha):
     if ev.cfg.channel_regime == "ltsc":
         reward, length = ev.per_node(r1v[:, None, None], r2v[None, :, None], np.float64(alpha))
         return (reward @ ev.grid.weights) / (length @ ev.grid.weights)
-    q = stsc_entries(ev.cfg, r1v, r2v, alpha, ev.quad_n)
-    reward, length = reward_length(r1v[:, None], r2v[None, :], *quantity_tables(q)[:2])
+    p1, p2o, _ = (t[:, :, 0] for t in stsc_tables(ev.cfg, r1v, r2v, alpha, ev.quad_n))
+    reward, length = reward_length(r1v[:, None], r2v[None, :], p1, p2o)
     return reward / length
 
 

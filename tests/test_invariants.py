@@ -1,6 +1,7 @@
 """Runtime invariants raise real errors (which `python -O` keeps) and exit 3."""
 
 import ast
+import dataclasses
 import inspect
 import os
 import pathlib
@@ -208,6 +209,39 @@ def test_stsc_leaves_threads_to_fading():
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert not names & {"_on_threads", "SPLIT_POINTS", "_POOL"}
     assert not any(name and name.split(".")[0] == "scipy" for name in names)
+
+
+def test_stsc_builds_on_the_node_grid():
+    # one builder of a scenario's D nodes, gain and offset for both closed forms,
+    # and side_quantities gives node_tables' layout without restacking entries
+    tree = ast.parse(pathlib.Path(stsc.__file__).read_text(encoding="utf-8"))
+    assert not calls(tree, "conservative_gain") and not calls(tree, "threshold_offset")
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "quantity_tables" not in functions
+    assert not any(isinstance(node, ast.Attribute) and node.attr == "repeat"
+                   for node in ast.walk(tree))
+    assert calls(functions["slot1_grid"], "node_grid")
+    fields = {field.name for field in dataclasses.fields(stsc.Slot1Grid)}
+    assert "node" in fields and fields.isdisjoint({"d1", "wd", "a1", "c"})
+
+
+BLAS_JOBS = ("stsc-optimize", "stsc-analytic-interference", "ltsc-optimize-lcsit")
+
+
+def test_blas_threads_move_no_golden_byte(tmp_path):
+    # OpenBLAS reads its thread count once, as numpy loads: each count runs the
+    # golden jobs whose matmuls and gemvs it could reach in a fresh interpreter
+    code = ("import pathlib, sys, test_golden\n"
+            f"for job in {BLAS_JOBS!r}:\n"
+            "    test_golden.run_job(job, pathlib.Path(sys.argv[1]))\n")
+    path = os.pathsep.join([str(SRC.parent), str(pathlib.Path(__file__).parent)])
+    csvs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        subprocess.run([sys.executable, "-c", code, str(out)], capture_output=True, check=True,
+                       env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads})
+        csvs.append({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*.csv"))})
+    assert len(csvs[0]) == len(BLAS_JOBS) and csvs[0] == csvs[1]
 
 
 def test_analytic_job_calls_no_fading_method_on_a_pool_thread(monkeypatch):

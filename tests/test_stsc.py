@@ -13,9 +13,9 @@ from relharq.channel import (CompressionPolicy, RatePolicy, SystemConfig, conser
                              mutual_info)
 from relharq.config import GridSpec
 from relharq.fading import SPLIT_POINTS, FadingModel
-from relharq import fading, optimize, stsc
+from relharq import fading, ltsc, optimize, stsc
 from relharq.optimize import _Evaluator, _optimize, throughput
-from relharq.stsc import node_cdf_sum, quantity_tables, side_quantities
+from relharq.stsc import node_cdf_sum, side_quantities
 from relharq.tables import reward_length
 
 
@@ -226,16 +226,28 @@ class TestVectorizedPath:
 SIDES = optimize._Stsc.sides  # the passes as defined, whatever a test patches on the class
 
 
-def stsc_entries(cfg, r1, r2, alpha, n):
-    """The four STSC table entries of every (r1, r2) pair at alpha on the n-point
-    quadrature: `side_quantities` of each pass of `_Stsc.sides`, in row order,
-    one pass's r1 side at a time."""
+def entries(tables):
+    """The four STSC table entries, each (rows, q2), of `side_quantities`' tables."""
+    p1_out, p2_out, p2_dec = (t[:, :, 0] for t in tables)
+    return {"p1_out_1": p1_out[..., 0], "p1_out_2": p1_out[..., 1],
+            "p2_dec_1": p2_dec[..., 0], "p2_out_2": p2_out[..., 1]}
+
+
+def stsc_tables(cfg, r1, r2, alpha, n):
+    """(p1_out, p2_out, p2_dec) of every (r1, r2) pair at alpha on the n-point
+    quadrature, each (q1, q2, 1, 2): `side_quantities` of each pass of
+    `_Stsc.sides`, in row order, one pass's r1 side at a time."""
     ev = optimize._Stsc(cfg, CompressionPolicy("constant"), "analytic", n)
     r2, parts = np.atleast_1d(np.asarray(r2, dtype=float)), []
     for (_, _, side), _ in SIDES(ev, r1, alpha):
         parts.append(side_quantities(cfg, side, r2, alpha, ev.grid))
         del side
-    return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
+    return tuple(np.concatenate(part) for part in zip(*parts))
+
+
+def stsc_entries(cfg, r1, r2, alpha, n):
+    """The four STSC table entries of `stsc_tables`."""
+    return entries(stsc_tables(cfg, r1, r2, alpha, n))
 
 
 def whole_block(ev, r1v, r2v, alpha):
@@ -269,7 +281,8 @@ class TestSlot1Grid:
             kinds.append(model.kind)
             return quantize(model, n)
 
-        monkeypatch.setattr(stsc, "quantize", counting_quantize)
+        for module in (ltsc, stsc):  # D on the node grid, S in slot1_grid
+            monkeypatch.setattr(module, "quantize", counting_quantize)
         passes = count_passes(monkeypatch, stsc, optimize)
         cfg = SystemConfig(power=2.0, backhaul_capacity=1.5, max_rounds=2,
                            model_d=FadingModel("rician", 2.0, rician_k=1.0),
@@ -286,8 +299,8 @@ class TestSlot1Grid:
         ev = _Evaluator(cfg, CompressionPolicy("constant"), "analytic", 16)
         r1, r2 = np.linspace(0.0, 2.5, 7), np.linspace(0.0, 1.5, 5)
         for alpha in (0.0, 0.6, 1.0):
-            q = stsc_entries(cfg, r1, r2, alpha, n=16)
-            reward, length = reward_length(r1[:, None], r2[None, :], *quantity_tables(q)[:2])
+            p1, p2o, _ = (t[:, :, 0] for t in stsc_tables(cfg, r1, r2, alpha, n=16))
+            reward, length = reward_length(r1[:, None], r2[None, :], p1, p2o)
             reward_b, length_b, weights = whole_block(ev, r1, r2, alpha)
             assert np.array_equal((reward_b @ weights) / (length_b @ weights), reward / length)
 
@@ -548,10 +561,10 @@ def test_kept_rows_keep_every_bit(n, seed, monkeypatch):
         seen, got = [], []
         for rows in stsc.r1_passes(r1, n):
             side = stsc.r1_side(cfg, rows, alpha, grid)
-            seen.append((rows, side.p1_out_2))
+            seen.append((rows, side.p1_out[:, 1]))
             kept = np.flatnonzero(mask[np.searchsorted(r1, rows)])
             if len(kept):
-                got.append(stsc.side_quantities(cfg, side, r2, alpha, grid, kept))
+                got.append(entries(stsc.side_quantities(cfg, side, r2, alpha, grid, kept)))
         assert [len(rows) for rows, _ in seen] == [3, 3, 3, 2]
         for key in full:
             kept = [part[key] for part in got] or [np.empty((0, len(r2)))]
