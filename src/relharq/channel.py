@@ -272,7 +272,7 @@ def infer_s_hat(R1, k, alpha, c, P, s_min, out=None):
     return out if out.shape else float(out)
 
 
-def check_supported(cfg: SystemConfig, comp: CompressionPolicy = CompressionPolicy("constant"),
+def check_supported(cfg: SystemConfig, comp: CompressionPolicy = CompressionPolicy(),
                     backend: str = "analytic", per_node: bool = False, regime: str | None = None):
     """Raise ConfigError, naming the config key, unless backend can evaluate the scenario.
 

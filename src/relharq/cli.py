@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -234,8 +235,7 @@ def _validate_rows(ec: ExperimentConfig):
         base = _rand_system(rng, "stsc", T=2)
         policy = _rand_tuple(rng)
         for variant in (False, True):
-            cfg = SystemConfig(base.power, base.backhaul_capacity, 2,
-                               base.model_d, base.model_s, "stsc", variant)
+            cfg = replace(base, bc_layer2_interference=variant)
             table, rep = reports(cfg, policy, _VALIDATE_STSC_QUAD_N)
             for quantity, k, ana in (("p1_out", 2, float(table.p1_out[1])),
                                      ("p2_out", 2, float(table.p2_out[1])),
@@ -250,8 +250,7 @@ def _validate_rows(ec: ExperimentConfig):
         power = 10.0 ** (rng.uniform(0.0, 6.0) / 10.0)
         alpha = 1.0 - abar_power / power
         cfg = _rand_system(rng, "ltsc", T=int(rng.integers(2, 5)))
-        cfg = SystemConfig(power, cfg.backhaul_capacity, cfg.max_rounds,
-                           cfg.model_d, cfg.model_s, "ltsc", False)
+        cfg = replace(cfg, power=power)
         policy = RatePolicy.constant(float(rng.uniform(0.3, 2.0)),
                                      float(rng.uniform(0.05, 0.6)), alpha)
         table, rep = reports(cfg, policy, ec["quad.n"])

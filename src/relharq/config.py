@@ -8,12 +8,14 @@ named.  dB enters here and nowhere else: `P_dB` and the `*.rho_dB` mean powers
 are converted to linear units when the config is turned into a SystemConfig,
 and `fading_*.value` (the pointmass atom) is already a linear power gain.
 
+A default that a library type or signature owns is read from it, not restated.
 The effective config (all defaults made explicit) is echoed next to every CSV
 artifact in the same grammar, so any row is regenerable from its sidecar.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -21,7 +23,7 @@ import numpy as np
 
 from .channel import CompressionPolicy, RatePolicy, SystemConfig
 from .fading import DEFAULT_QUAD_N, MAX_THREADS, FadingModel
-from .simulate import MAX_BATCH
+from .simulate import MAX_BATCH, estimate
 from .tables import ConfigError  # noqa: F401  (re-exported: relharq.config.ConfigError)
 
 
@@ -66,7 +68,7 @@ def _axis(lo: float, hi: float, step: float) -> np.ndarray:
 
 # (key, kind, default, constraint); order fixes the echo layout.
 _SCHEMA = [
-    ("regime", "enum", "ltsc", ("ltsc", "stsc")),
+    ("regime", "enum", SystemConfig.channel_regime, ("ltsc", "stsc")),
     ("T", "int", 2, (1, None)),                        # max transmissions per session
     ("P_dB", "float", 0.0, None),                      # transmit power, dB
     # backhaul capacity, bits/symbol; beta = 2^(2 Cmax) - 1 overflows from 512 on
@@ -81,24 +83,27 @@ _SCHEMA = [
     ("fading_S.rho_dB", "float", 0.0, None),
     ("fading_S.K", "float", 0.0, (0.0, None)),
     ("fading_S.value", "float", 1.0, (0.0, None)),
-    ("bc_layer2_interference", "bool", False, None),   # layer-2 MI keeps residual layer-1 power
-    ("compression", "enum", "constant", ("constant", "adaptive")),
+    # layer-2 MI keeps residual layer-1 power
+    ("bc_layer2_interference", "bool", SystemConfig.bc_layer2_interference, None),
+    ("compression", "enum", CompressionPolicy.kind, ("constant", "adaptive")),
     ("csi", "enum", "none", ("none", "lcsit")),
     ("policy", "policy", "optimize", None),            # "optimize" or "r1,r2,alpha"
     ("backend", "enum", "analytic", ("analytic", "mc")),  # of the optimize job
     ("mc.sessions", "int", 100_000, (2, None)),  # one session has no std error
     ("mc.seed", "int", 0, (0, None)),
-    ("mc.batch", "int", 65_536, (1, MAX_BATCH)),  # 2^20: one worker's workspace is 99 MiB
-    ("mc.workers", "int", 1, (1, MAX_THREADS)),
+    ("mc.batch", "int", inspect.signature(estimate).parameters["batch_size"].default,
+     (1, MAX_BATCH)),  # 2^20: one worker's workspace is 99 MiB
+    ("mc.workers", "int", inspect.signature(estimate).parameters["workers"].default,
+     (1, MAX_THREADS)),
     # analytic quadrature size, which is also the per-node policy grid; it stops
     # at 2^20 nodes, where one float64 row is 8 MB, so a grid that cannot be
     # allocated is a config error
     ("quad.n", "int", DEFAULT_QUAD_N, (2, 1 << 20)),
     # optimizer search lattice
-    ("grid.r_max", "float", 6.0, (1e-12, None)),
-    ("grid.r_step", "float", 0.05, (1e-12, None)),
-    ("grid.alpha_step", "float", 0.02, (1e-12, 1.0)),
-    ("grid.refine", "int", 3, (0, None)),
+    ("grid.r_max", "float", GridSpec.r_max, (1e-12, None)),
+    ("grid.r_step", "float", GridSpec.r_step, (1e-12, None)),
+    ("grid.alpha_step", "float", GridSpec.alpha_step, (1e-12, 1.0)),
+    ("grid.refine", "int", GridSpec.refine_rounds, (0, None)),
     # a numeric key to sweep over comma-separated values: the rows of each
     # value, led by it
     ("sweep.key", "str", "", None),

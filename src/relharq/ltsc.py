@@ -146,7 +146,7 @@ def node_tables(
     r2,
     alpha,
     grid: NodeGrid,
-    comp: CompressionPolicy = CompressionPolicy("constant"),
+    comp: CompressionPolicy = CompressionPolicy(),
     side=None,
 ):
     """Per-node conditional tables (p1, p2_out), each shaped (..., nd, T).

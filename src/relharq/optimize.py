@@ -80,8 +80,8 @@ class _Evaluator:
     p1_out(k|d), (rows, nodes, T); block(side, r2v, rows) gives E[R|d], E[L|d]
     (len(rows), q2, nd) of those rows, each row's bits as in the whole block,
     eta their ratio weighted by weights (nd,).  `_grid` builds once what the
-    blocks share and gives the weights.  mc holds `estimate`'s keywords, with
-    n_sessions and master_seed 20000 and 0 unless given.
+    blocks share and gives the weights.  mc holds `estimate`'s keywords, passed
+    as given; `report` gives a ThroughputReport for every backend.
     """
 
     def __new__(cls, cfg, comp, backend, quad_n, mc=None):
@@ -93,7 +93,7 @@ class _Evaluator:
 
     def __init__(self, cfg, comp, backend, quad_n, mc=None):
         self.cfg, self.comp, self.backend, self.quad_n = cfg, comp, backend, quad_n
-        self.mc = {"n_sessions": 20_000, "master_seed": 0, **(mc or {})}
+        self.mc = mc or {}
         self.grid, self.weights = self._grid()
         self.n_evals = 0
 
@@ -181,7 +181,7 @@ class _MonteCarlo(_Evaluator):
         return estimate(self.cfg, policy, self.comp, **self.mc)
 
 
-def throughput(cfg: SystemConfig, policy: RatePolicy, comp=CompressionPolicy("constant"),
+def throughput(cfg: SystemConfig, policy: RatePolicy, comp=CompressionPolicy(),
                quad_n: int = DEFAULT_QUAD_N) -> ThroughputReport:
     """Closed-form eta = E[R]/E[L], E[R], E[L] and table at one policy, either regime;
     a per-node (LTSC) policy is read on its own node grid, one node per tuple."""
@@ -483,7 +483,7 @@ def _dinkelbach(ev: _Ltsc, base, lattice, fronts, policy_class):
                   "seed_eta": base.eta})
 
 
-def _optimize(ev: _Evaluator, classes, grid_spec: GridSpec = GridSpec()) -> dict:
+def _optimize(ev: _Evaluator, classes, grid_spec: GridSpec) -> dict:
     """The optima of the requested policy classes from one pass; see the module docstring.
 
     ev evaluates the scenario; classes names some of CLASSES: "sl", "bc"
@@ -520,7 +520,7 @@ def _optimize(ev: _Evaluator, classes, grid_spec: GridSpec = GridSpec()) -> dict
     return {c: out[c] for c in classes}
 
 
-def optima(cfg: SystemConfig, classes, comp=CompressionPolicy("constant"),
+def optima(cfg: SystemConfig, classes, comp=CompressionPolicy(),
            backend: str = "analytic", grid_spec: GridSpec = GridSpec(),
            quad_n: int = DEFAULT_QUAD_N, mc: dict | None = None) -> dict:
     """The optima of the policy classes `classes` (some of CLASSES) from one pass,
@@ -529,12 +529,12 @@ def optima(cfg: SystemConfig, classes, comp=CompressionPolicy("constant"),
     "sl" is the best tuple (R1, 0, 1) and "bc" the best (R1, R2, alpha), never
     worse; "sl-lcsit" and "bc-lcsit" are their per-node tables on the quad_n
     node grid (Dinkelbach from those tuples; backend "analytic" only).  mc
-    takes the keywords of `estimate`.
+    takes the keywords of `estimate`; backend "mc" needs its budget there.
     """
     return _optimize(_Evaluator(cfg, comp, backend, quad_n, mc), classes, grid_spec)
 
 
-def optimize_no_lcsit(cfg: SystemConfig, comp=CompressionPolicy("constant"),
+def optimize_no_lcsit(cfg: SystemConfig, comp=CompressionPolicy(),
                       backend: str = "analytic", grid_spec: GridSpec = GridSpec(),
                       quad_n: int = DEFAULT_QUAD_N, mc: dict | None = None
                       ) -> OptimizationResult:
@@ -542,7 +542,7 @@ def optimize_no_lcsit(cfg: SystemConfig, comp=CompressionPolicy("constant"),
     return optima(cfg, ["bc"], comp, backend, grid_spec, quad_n, mc)["bc"]
 
 
-def optimize_lcsit(cfg: SystemConfig, comp=CompressionPolicy("constant"),
+def optimize_lcsit(cfg: SystemConfig, comp=CompressionPolicy(),
                    grid_spec: GridSpec = GridSpec(), n_nodes: int | None = None,
                    quad_n: int = DEFAULT_QUAD_N) -> OptimizationResult:
     """optima's "bc-lcsit".  n_nodes, when given, is the node grid, which is the

@@ -69,7 +69,7 @@ from .channel import (
     threshold_offset,
 )
 from .fading import MAX_THREADS, _on_threads, quantize
-from .tables import NumericalError, ProbabilityTable
+from .tables import NumericalError, ProbabilityTable, ThroughputReport
 
 _FEAS_TOL = 1e-9
 MAX_BATCH = 1 << 20  # batch_size cap: one thread's workspace is 99 MiB at 2^20 sessions
@@ -91,14 +91,10 @@ class SessionOutcome:
 
 
 @dataclass(frozen=True)
-class EstimateReport:
+class EstimateReport(ThroughputReport):
     """Empirical probability table and throughput with standard errors."""
 
-    table: ProbabilityTable
-    eta: float
     eta_std_error: float
-    expected_reward: float
-    expected_length: float
     n_sessions: int
     master_seed: int
     adaptation_count: int

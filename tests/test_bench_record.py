@@ -1,5 +1,6 @@
-"""tools/bench_record.py: the Tier-1 summary parser, on fixed pytest output,
-and the jobs block, on tiny configs.
+"""tools/bench_record.py: the workloads and run length it reads from
+BENCHMARK.json, the Tier-1 summary parser, on fixed pytest output, and the
+jobs block, on tiny configs.
 
 The recording itself runs the Tier-1 suite, so no test here runs it.
 """
@@ -11,10 +12,19 @@ import re
 
 import pytest
 
-TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "bench_record.py"
-spec = importlib.util.spec_from_file_location("bench_record", TOOL)
-bench_record = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(bench_record)
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "bench_record.py"
+
+
+def load(path):
+    """The tool's module, loaded from path."""
+    spec = importlib.util.spec_from_file_location("bench_record", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_record = load(TOOL)
 
 DURATIONS = """\
 ........................................................................ [ 98%]
@@ -23,6 +33,21 @@ DURATIONS = """\
 10.11s call     tests/test_fuzz_config.py::test_every_drawn_config_ends_cleanly
 0.67s call     tests/test_exact_reference.py::test_optimizer_matches_reference[4-adaptive]
 """
+
+
+def test_workloads_and_run_length_come_from_the_benchmark(tmp_path):
+    # the recording runs the workloads BENCHMARK.json declares, in its order,
+    # for its run length: a copy of the tool beside another declaration reads that one
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert bench_record.WORKLOADS == tuple(w["name"] for w in declared["workloads"])
+    assert bench_record.SECONDS == declared["run_seconds"]
+    (tmp_path / "tools").mkdir()
+    copy = tmp_path / "tools" / "bench_record.py"
+    copy.write_text(TOOL.read_text(encoding="utf-8"), encoding="utf-8")
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 3, "workloads": [{"name": "b"}, {"name": "a"}]}), encoding="utf-8")
+    other = load(copy)
+    assert (other.WORKLOADS, other.SECONDS) == (("b", "a"), 3)
 
 
 @pytest.mark.parametrize("summary, counts", [

@@ -51,6 +51,17 @@ class TestConfigGrammar:
         again = parse_config_text(ec.render())
         assert again == ec
         assert again.render() == ec.render()
+        # the echoed defaults, byte for byte, whichever module owns each one
+        assert ec.render() == "\n".join([
+            "regime = ltsc", "T = 2", "P_dB = 0.0", "Cmax = 1.0",
+            "fading_D.dist = rician", "fading_D.rho_dB = 0.0", "fading_D.K = 0.0",
+            "fading_D.value = 1.0", "fading_S.dist = rayleigh", "fading_S.rho_dB = 0.0",
+            "fading_S.K = 0.0", "fading_S.value = 1.0", "bc_layer2_interference = false",
+            "compression = constant", "csi = none", "policy = optimize",
+            "backend = analytic", "mc.sessions = 100000", "mc.seed = 0",
+            "mc.batch = 65536", "mc.workers = 1", "quad.n = 64", "grid.r_max = 6.0",
+            "grid.r_step = 0.05", "grid.alpha_step = 0.02", "grid.refine = 3",
+            "sweep.key = ", "sweep.values = ", "out = results", ""])
 
     def test_comments_blanks_and_spacing(self):
         ec = parse_config_text("# header\n\n  T =  3 \n regime=stsc\n")

@@ -10,10 +10,11 @@ import sys
 import threading
 
 import numpy as np
+import pytest
 
 import relharq
-from relharq import cli, config, optimize, simulate, stsc
-from relharq.channel import RatePolicy, SystemConfig
+from relharq import channel, cli, config, ltsc, optimize, simulate, stsc
+from relharq.channel import CompressionPolicy, RatePolicy, SystemConfig
 from relharq.fading import FadingModel
 from test_fading import counted_submits
 
@@ -119,6 +120,46 @@ def test_one_quadrature_default():
     assert n.default is inspect.Parameter.empty
     removed = {"probability_table", "throughput_ltsc", "stsc_table", "throughput_stsc"}
     assert removed.isdisjoint(relharq.__all__)
+
+
+def test_one_default_per_knob(monkeypatch):
+    # a config default that a library type or signature owns is read from its
+    # owner, a CompressionPolicy default is the class's own, and the optimizer
+    # holds no Monte Carlo budget of its own
+    module = ast.parse((SRC / "config.py").read_text(encoding="utf-8"))
+    schema = next(node.value for node in module.body if isinstance(node, ast.Assign)
+                  and getattr(node.targets[0], "id", None) == "_SCHEMA")
+    defaults = {row.elts[0].value: row.elts[2] for row in schema.elts}
+    owned = ("regime", "bc_layer2_interference", "compression", "mc.batch", "mc.workers",
+             "quad.n", "grid.r_max", "grid.r_step", "grid.alpha_step", "grid.refine")
+    assert [key for key in owned if isinstance(defaults[key], ast.Constant)] == []
+
+    ec = config.parse_config_text("")
+    system = inspect.signature(SystemConfig).parameters
+    estimate = inspect.signature(simulate.estimate).parameters
+    assert ec.grid_spec() == config.GridSpec() and ec.compression() == CompressionPolicy()
+    assert ec["regime"] == system["channel_regime"].default
+    assert ec["bc_layer2_interference"] is system["bc_layer2_interference"].default
+    assert ec["mc.batch"] == estimate["batch_size"].default
+    assert ec["mc.workers"] == estimate["workers"].default
+
+    restated = [fn.name for tree in package_trees() for fn in ast.walk(tree)
+                if isinstance(fn, ast.FunctionDef)
+                for default in fn.args.defaults + fn.args.kw_defaults
+                if isinstance(default, ast.Call) and (default.args or default.keywords)
+                and getattr(default.func, "id", None) == "CompressionPolicy"]
+    assert restated == []
+    for fn in (optimize.throughput, optimize.optima, optimize.optimize_no_lcsit,
+               optimize.optimize_lcsit, ltsc.node_tables, channel.check_supported):
+        assert inspect.signature(fn).parameters["comp"].default == CompressionPolicy()
+
+    batches = []
+    monkeypatch.setattr(simulate, "_run_batch", lambda *args, **kwargs: batches.append(args))
+    model = FadingModel("rayleigh", 1.0)
+    cfg = SystemConfig(1.0, 1.0, 2, model, model)
+    with pytest.raises(TypeError, match="n_sessions"):
+        optimize.optima(cfg, ["bc"], backend="mc", grid_spec=config.GridSpec(2.0, 1.0, 0.5, 0))
+    assert batches == []
 
 
 def calls(tree, name):

@@ -2,12 +2,12 @@
 
     python3 tools/bench_record.py 11
 
-Runs `perfbench/run.py` on each of its four workloads at seed 0 for 15 s,
-once untraced (the end-to-end metrics) and once traced (the per-layer
-metrics), one run at a time, then each CLI job of `tools/bench_jobs.json`
-once, then the acceptance tests once, then the Tier-1 suite (`TIER1`, the
-verify command of ROADMAP.md) once.  The file holds,
-per workload and mode, the run's last output line (correct, attempted, failed,
+Runs `perfbench/run.py` on each workload that `BENCHMARK.json` declares, at
+seed 0 for its `run_seconds`, once untraced (the end-to-end metrics) and once
+traced (the per-layer metrics), one run at a time, then each CLI job of
+`tools/bench_jobs.json` once, then the acceptance tests once, then the Tier-1
+suite (`TIER1`, the verify command of ROADMAP.md) once.  The file holds, per
+workload and mode, the run's last output line (correct, attempted, failed,
 metrics) with the iteration count and timing tails of its record in
 `perfbench/_work/results/`; the cold start (the median time and peak RSS
 of a fresh `import relharq.cli` over 7 interpreters, and the number of scipy
@@ -54,8 +54,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("mc", "design-ltsc", "design-stsc", "point-fine")
-SEED, SECONDS = 0, 15
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+WORKLOADS = tuple(workload["name"] for workload in BENCHMARK["workloads"])
+SEED, SECONDS = 0, BENCHMARK["run_seconds"]
 MODES = ((0, "end_to_end"), (1, "per_layer"))
 COLD_STARTS = 7
 THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
